@@ -10,7 +10,6 @@ that realize the bounds on explicit boundary data.
 from .bounds import (
     BoundQuery,
     BoundRow,
-    BoundTable,
     ball_volume,
     bound_table,
     capital_c,
@@ -43,6 +42,7 @@ from .phi import (
     PhiEvaluation,
     phi3_closed,
     phi_quad,
+    phi_second,
     phi_second_closed,
     phi_second_fd,
     phi_second_series,
@@ -58,13 +58,10 @@ from .phi import (
 from .quadrature import QuadratureResult, QuadratureSpec, integrate, zonal_sphere_integral
 from .report import CheckResult, VerificationReport
 from .specfun import (
-    GegenbauerSpec,
     HypergeometricInput,
     abs_kernel_coefficient,
-    gegenbauer,
     gegenbauer_weighted_derivative,
     hyp2f1,
-    pochhammer,
     verify_identities,
 )
 

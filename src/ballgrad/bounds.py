@@ -13,7 +13,7 @@ envelope is carried by :func:`capital_c`, which depends on |x| only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .phi import phi_quad
 from .quadrature import QuadratureSpec
@@ -29,7 +29,6 @@ __all__ = [
     "pw_bound",
     "halfspace_constant",
     "BoundRow",
-    "BoundTable",
     "bound_table",
 ]
 
@@ -142,26 +141,8 @@ class BoundRow:
     pw_over_1mr: float
     khavinson_radial_if_n3: float | None
 
-    def as_dict(self):
-        return {
-            "rho": self.rho,
-            "capital_c": self.capital_c,
-            "schwarz_pick_over_1mr2": self.schwarz_pick_over_1mr2,
-            "pw_over_1mr": self.pw_over_1mr,
-            "khavinson_radial_if_n3": self.khavinson_radial_if_n3,
-        }
 
-
-@dataclass(frozen=True)
-class BoundTable:
-    n: int
-    rows: tuple[BoundRow, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-
-
-def bound_table(n: int, rho_grid, spec: QuadratureSpec | None = None) -> BoundTable:
+def bound_table(n: int, rho_grid, spec: QuadratureSpec | None = None) -> tuple[BoundRow, ...]:
     """One row per radius with every constant side by side.
 
     The oscillation column uses the ball itself as the domain, so the
@@ -180,4 +161,4 @@ def bound_table(n: int, rho_grid, spec: QuadratureSpec | None = None) -> BoundTa
                 khavinson_radial_if_n3=khavinson_radial_3d(rho) if n == 3 else None,
             )
         )
-    return BoundTable(n, tuple(rows))
+    return tuple(rows)

@@ -3,7 +3,8 @@
 Subcommands: ``constants``, ``phi-table``, ``verify``, ``extremal``,
 ``probe`` and ``bound``, emitting CSV or JSON.  Identical flags (including
 the seed) produce byte-identical output.  Exit codes: 0 on success, 1 when
-a non-expected check failed, 2 on usage or domain errors.
+a non-expected check failed, 2 on usage or domain errors and on numerical
+failures (overflow, a series or quadrature out of budget).
 """
 
 from __future__ import annotations
@@ -14,55 +15,19 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import bounds, harmonic, phi, specfun
+from .errors import ConvergenceError
 from .report import VerificationReport, merge_reports
 
 SUITES = ("all", "monotone", "concavity", "technical", "identities", "theoremB")
-COMMANDS = ("constants", "phi-table", "verify", "extremal", "probe", "bound")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    steps: int = 101
-    seed: int = 0
-    samples: int = 200
-    suite: str = "all"
-    output: str | None = None
-    fmt: str = "json"
-    rho: float = 0.0
-    method: str = "quad"
-    grid: int = 1001
-
-
-def _emit(text: str, output: str | None):
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _render_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _render_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
 
 
 def _constants_payload(n: int):
-    pairs = [
+    return [
         ("n", n),
         ("ball_volume", bounds.ball_volume(n)),
         ("ball_volume_lower", bounds.ball_volume(n - 1)),
@@ -72,16 +37,15 @@ def _constants_payload(n: int):
         ("pw_coefficient", bounds.pw_bound(n, 1.0, 1.0)),
         ("halfspace_constant", bounds.halfspace_constant(n)),
     ]
-    return pairs
 
 
-def _cmd_constants(cfg: RunConfig) -> int:
-    pairs = _constants_payload(cfg.n)
-    if cfg.fmt == "json":
-        _emit(_render_json(dict(pairs)), cfg.output)
-    else:
-        _emit(_render_csv(["name", "value"], [(k, float(v)) for k, v in pairs]), cfg.output)
-    return 0
+# Each ``_cmd_*`` returns its JSON payload, its CSV header and rows, and its
+# exit code; main renders one of the two forms and writes it once.
+
+
+def _cmd_constants(args):
+    pairs = _constants_payload(args.n)
+    return dict(pairs), ["name", "value"], [(k, float(v)) for k, v in pairs], 0
 
 
 def _phi_value(n, rho, method):
@@ -96,34 +60,32 @@ def _phi_value(n, rho, method):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _cmd_phi_table(cfg: RunConfig) -> int:
-    n = cfg.n
+def _cmd_phi_table(args):
+    n = args.n
     if n < 3:
         raise ValueError("phi-table requires n >= 3")
-    grid = np.linspace(0.0, 0.99, cfg.steps)
+    if args.steps < 1:
+        raise ValueError("phi-table requires --steps >= 1")
+    grid = np.linspace(0.0, 0.99, args.steps)
     h = 1e-5
     rows = []
     for rho in grid:
         rho = float(rho)
-        value = _phi_value(n, rho, cfg.method)
+        value = _phi_value(n, rho, args.method)
         lo = abs(rho - h)
-        dphi = (_phi_value(n, rho + h, cfg.method) - _phi_value(n, lo, cfg.method)) / (2.0 * h)
-        if n >= 4:
-            if rho > phi.SECOND_CLOSED_RHO_MIN:
-                second_closed = phi.phi_second_closed(n, rho).value
-            else:
-                second_closed = phi.phi_second_series(n, rho).value
-        else:
-            second_closed = math.nan
+        dphi = (_phi_value(n, rho + h, args.method) - _phi_value(n, lo, args.method)) / (2.0 * h)
+        second_closed = phi.phi_second(n, rho).value if n >= 4 else math.nan
         second_series = phi.phi_second_series(n, rho).value
         rows.append((rho, value, dphi, second_closed, second_series))
     header = ["rho", "phi", "dphi_fd", "d2phi_closed", "d2phi_series"]
-    if cfg.fmt == "csv":
-        _emit(_render_csv(header, rows), cfg.output)
-    else:
-        payload = {"n": n, "rows": [dict(zip(header, row)) for row in rows]}
-        _emit(_render_json(payload), cfg.output)
-    return 0
+    payload = {"n": n, "rows": [dict(zip(header, row)) for row in rows]}
+    return payload, header, rows, 0
+
+
+def _report_result(report: VerificationReport):
+    rows = [(c.name, c.passed, c.expected, float(c.worst_margin), c.at) for c in report.checks]
+    header = ["name", "passed", "expected", "worst_margin", "at"]
+    return report.as_dict(), header, rows, 0 if report.passed else 1
 
 
 def _run_suite(name: str, n: int) -> VerificationReport:
@@ -140,24 +102,15 @@ def _run_suite(name: str, n: int) -> VerificationReport:
     raise ValueError(f"unknown suite {name!r}")
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite == "all":
-        reports = [_run_suite(s, cfg.n) for s in SUITES if s != "all"]
-        report = merge_reports("all", cfg.n, reports)
-    else:
-        report = _run_suite(cfg.suite, cfg.n)
-    if cfg.fmt == "json":
-        _emit(_render_json(report.as_dict()), cfg.output)
-    else:
-        rows = [
-            (c.name, c.passed, c.expected, float(c.worst_margin), c.at) for c in report.checks
-        ]
-        _emit(_render_csv(["name", "passed", "expected", "worst_margin", "at"], rows), cfg.output)
-    return 0 if report.passed else 1
+def _cmd_verify(args):
+    if args.suite == "all":
+        reports = [_run_suite(s, args.n) for s in SUITES if s != "all"]
+        return _report_result(merge_reports("all", args.n, reports))
+    return _report_result(_run_suite(args.suite, args.n))
 
 
-def _cmd_extremal(cfg: RunConfig) -> int:
-    n = cfg.n
+def _cmd_extremal(args):
+    n = args.n
     value = harmonic.extremal_gradient_at_origin(n)
     target = bounds.schwarz_pick_constant(n)
     err = abs(value - target)
@@ -168,37 +121,20 @@ def _cmd_extremal(cfg: RunConfig) -> int:
         "abs_error": err,
         "passed": err <= 1e-8,
     }
-    if cfg.fmt == "json":
-        _emit(_render_json(payload), cfg.output)
-    else:
-        _emit(_render_csv(list(payload), [tuple(payload.values())]), cfg.output)
-    return 0 if payload["passed"] else 1
+    return payload, list(payload), [tuple(payload.values())], 0 if payload["passed"] else 1
 
 
-def _cmd_probe(cfg: RunConfig) -> int:
-    reports = [harmonic.probe_schwarz_pick(cfg.n, cfg.samples, seed=cfg.seed)]
-    if cfg.n != 3:
-        reports.append(harmonic.probe_conjecture(cfg.n, cfg.samples, seed=cfg.seed))
-    report = merge_reports("probe", cfg.n, reports)
-    if cfg.fmt == "json":
-        _emit(_render_json(report.as_dict()), cfg.output)
-    else:
-        rows = [
-            (c.name, c.passed, c.expected, float(c.worst_margin), c.at) for c in report.checks
-        ]
-        _emit(_render_csv(["name", "passed", "expected", "worst_margin", "at"], rows), cfg.output)
-    return 0 if report.passed else 1
+def _cmd_probe(args):
+    reports = [harmonic.probe_schwarz_pick(args.n, args.samples, seed=args.seed)]
+    if args.n != 3:
+        reports.append(harmonic.probe_conjecture(args.n, args.samples, seed=args.seed))
+    return _report_result(merge_reports("probe", args.n, reports))
 
 
-def _cmd_bound(cfg: RunConfig) -> int:
-    table = bounds.bound_table(cfg.n, [cfg.rho])
-    row = table.rows[0]
-    if cfg.fmt == "json":
-        _emit(_render_json({"n": cfg.n, **row.as_dict()}), cfg.output)
-    else:
-        d = row.as_dict()
-        _emit(_render_csv(list(d), [tuple(d.values())]), cfg.output)
-    return 0
+def _cmd_bound(args):
+    (row,) = bounds.bound_table(args.n, [args.rho])
+    d = asdict(row)
+    return {"n": args.n, **d}, list(d), [tuple(d.values())], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,80 +144,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_min=2):
+    def command(name, help_text, run, n_min=2):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--n", type=int, required=True, help=f"ambient dimension (>= {n_min})")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
+        return p
 
-    p = sub.add_parser("constants", help="emit every bound constant at dimension n")
-    common(p)
+    p = command("constants", "emit every bound constant at dimension n", _cmd_constants)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
 
-    p = sub.add_parser("phi-table", help="tabulate the profile and its derivatives")
-    common(p, 3)
+    p = command("phi-table", "tabulate the profile and its derivatives", _cmd_phi_table, 3)
     p.add_argument("--steps", type=int, default=101, help="grid points on [0, 0.99]")
     p.add_argument("--method", choices=("quad", "series", "closed3"), default="quad")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p, 3)
+    p = command("verify", "run a verification suite", _cmd_verify, 3)
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
 
-    p = sub.add_parser("extremal", help="hemisphere-datum gradient at the origin vs the constant")
-    common(p)
+    p = command("extremal", "hemisphere-datum gradient at the origin vs the constant", _cmd_extremal)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
 
-    p = sub.add_parser("probe", help="Monte-Carlo probes of the bounds")
-    common(p)
+    p = command("probe", "Monte-Carlo probes of the bounds", _cmd_probe)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
 
-    p = sub.add_parser("bound", help="one bound-table row")
-    common(p)
+    p = command("bound", "one bound-table row", _cmd_bound)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
     return parser
 
 
-_DISPATCH = {
-    "constants": _cmd_constants,
-    "phi-table": _cmd_phi_table,
-    "verify": _cmd_verify,
-    "extremal": _cmd_extremal,
-    "probe": _cmd_probe,
-    "bound": _cmd_bound,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed command; raises ValueError on domain errors."""
-    if config.n < 2:
-        raise ValueError("dimension must be at least 2")
-    return _DISPATCH[config.command](config)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        n=args.n,
-        steps=getattr(args, "steps", 101),
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 200),
-        suite=getattr(args, "suite", "all"),
-        output=args.output,
-        fmt=getattr(args, "fmt", "json"),
-        rho=getattr(args, "rho", 0.0),
-        method=getattr(args, "method", "quad"),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return run(cfg)
-    except ValueError as exc:
+        if args.n < 2:
+            raise ValueError("dimension must be at least 2")
+        payload, header, rows, code = args.run(args)
+    except (ValueError, OverflowError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.fmt == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row])
+        text = buf.getvalue()
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, zonal_sphere_integral
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, worst_error_check
 
 __all__ = [
     "ZonalBoundaryData",
@@ -115,15 +115,19 @@ def _with_kinks(spec, extra):
     return replace(base, kinks=merged)
 
 
-def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint, spec: QuadratureSpec | None = None) -> float:
-    """Harmonic extension of ``data`` evaluated at the axis point; the datum
-    jumps are declared as quadrature kinks."""
+def _zonal_extension(kernel, n, data, p, spec):
     rho = p.rho
 
     def integrand(t):
-        return poisson_kernel(n, rho, t) * data(t)
+        return kernel(n, rho, t) * data(t)
 
     return zonal_sphere_integral(integrand, n, _with_kinks(spec, data.breakpoints))
+
+
+def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint, spec: QuadratureSpec | None = None) -> float:
+    """Harmonic extension of ``data`` evaluated at the axis point; the datum
+    jumps are declared as quadrature kinks."""
+    return _zonal_extension(poisson_kernel, n, data, p, spec)
 
 
 def radial_derivative(n: int, data: ZonalBoundaryData, p: AxisPoint, spec: QuadratureSpec | None = None) -> float:
@@ -132,12 +136,7 @@ def radial_derivative(n: int, data: ZonalBoundaryData, p: AxisPoint, spec: Quadr
     For zonal data the gradient on the axis is purely radial, so the
     absolute value of this quantity is the full gradient norm there.
     """
-    rho = p.rho
-
-    def integrand(t):
-        return radial_derivative_kernel(n, rho, t) * data(t)
-
-    return zonal_sphere_integral(integrand, n, _with_kinks(spec, data.breakpoints))
+    return _zonal_extension(radial_derivative_kernel, n, data, p, spec)
 
 
 def extremal_gradient_at_origin(n: int, spec: QuadratureSpec | None = None) -> float:
@@ -198,9 +197,11 @@ def random_zonal_data(seed: int, pieces: int) -> ZonalBoundaryData:
 
 def _probe_data(seed: int, samples: int):
     """Hemisphere datum first, then seeded random data of mixed widths."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     data = [hemisphere_datum()]
-    for _ in range(max(samples - 1, 0)):
+    for _ in range(samples - 1):
         pieces = int(rng.integers(1, 9))
         data.append(_random_zonal_from_rng(rng, pieces))
     return data
@@ -311,36 +312,24 @@ def verify_theorem_b(n: int, spec: QuadratureSpec | None = None) -> Verification
         raise ValueError("dimension must be at least 2")
     checks = []
 
-    worst = 0.0
-    at = ""
+    errors = []
     for rho in (0.0, 0.5, 0.9):
         point_spec = _with_kinks(spec, ())
         val = zonal_sphere_integral(lambda t: poisson_kernel(n, rho, t), n, point_spec)
-        err = abs(val - 1.0)
-        if err > worst:
-            worst, at = err, f"rho={rho}"
-    checks.append(CheckResult("kernel_normalization", worst <= 1e-10, worst, at))
+        errors.append((abs(val - 1.0), f"rho={rho}"))
+    checks.append(worst_error_check("kernel_normalization", errors, 1e-10))
 
-    worst = 0.0
-    at = ""
-    for rho in np.linspace(0.0, 0.9, 10):
-        rho = float(rho)
-        lhs = sharp_radial_sup(n, AxisPoint(rho), spec)
-        rhs = bounds.capital_c(bounds.BoundQuery(n, rho), spec)
-        err = abs(lhs - rhs)
-        if err > worst:
-            worst, at = err, f"rho={rho:.1f}"
-    checks.append(CheckResult("radial_sup_matches_pointwise_bound", worst <= 1e-6, worst, at))
+    radii = [float(rho) for rho in np.linspace(0.0, 0.9, 10)]
+    sups = [sharp_radial_sup(n, AxisPoint(rho), spec) for rho in radii]
+    errors = [
+        (abs(sup - bounds.capital_c(bounds.BoundQuery(n, rho), spec)), f"rho={rho:.1f}")
+        for rho, sup in zip(radii, sups)
+    ]
+    checks.append(worst_error_check("radial_sup_matches_pointwise_bound", errors, 1e-6))
 
     if n == 3:
-        worst = 0.0
-        at = ""
-        for rho in np.linspace(0.0, 0.9, 10):
-            rho = float(rho)
-            err = abs(sharp_radial_sup(3, AxisPoint(rho), spec) - bounds.khavinson_radial_3d(rho))
-            if err > worst:
-                worst, at = err, f"rho={rho:.1f}"
-        checks.append(CheckResult("matches_khavinson_radial", worst <= 1e-6, worst, at))
+        errors = [(abs(sup - bounds.khavinson_radial_3d(rho)), f"rho={rho:.1f}") for rho, sup in zip(radii, sups)]
+        checks.append(worst_error_check("matches_khavinson_radial", errors, 1e-6))
 
     err = abs(extremal_gradient_at_origin(n, spec) - bounds.schwarz_pick_constant(n))
     checks.append(CheckResult("extremal_gradient_at_origin", err <= 1e-8, err, "rho=0"))

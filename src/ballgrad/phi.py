@@ -23,7 +23,7 @@ import numpy as np
 
 from . import specfun
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, worst_error_check
 from .specfun import HypergeometricInput, hyp2f1
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "phi_second_closed",
     "phi_second_series",
     "phi_second_fd",
+    "phi_second",
     "psi",
     "psi_prime_closed",
     "psi_prime_quadratic",
@@ -103,6 +104,27 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
     return PhiEvaluation(n, rho, res.value, "quad", res.error_estimate)
 
 
+def _sum_series(head, k, pw, rho, coefficients, K):
+    """Exact sum of ``head`` and c_j rho^j over the ``coefficients`` c_k,
+    c_{k+1}, ... (``pw`` is rho^k), and the magnitude of the first omitted
+    term.  Stops after degree ``K``, or with ``K`` unset after three terms
+    in a row below 1e-12 of the running sum; also once rho^j vanishes."""
+    cap = K if K is not None else _ADAPTIVE_CAP
+    terms = [head]
+    running = head
+    small = 0
+    for c in coefficients:
+        term = c * pw
+        if k > cap or (K is None and small >= 3) or pw == 0.0:
+            return math.fsum(terms), abs(term)
+        terms.append(term)
+        running += term
+        if K is None:
+            small = small + 1 if abs(term) <= 1e-12 * abs(running) else 0
+        pw *= rho
+        k += 1
+
+
 def phi_series(n: int, rho: float, K: int | None = None) -> PhiEvaluation:
     """Profile value by the Gegenbauer expansion in powers of rho.
 
@@ -124,29 +146,12 @@ def phi_series(n: int, rho: float, K: int | None = None) -> PhiEvaluation:
     head = specfun.abs_kernel_coefficient(lam, 0, s) + specfun.abs_kernel_coefficient(lam, 1, s) * rho
 
     wpow = (1.0 - s * s) ** (0.5 * (n + 1))
-    it = specfun.gegenbauer_iter(0.5 * (n + 2), s)
-    cap = K if K is not None else _ADAPTIVE_CAP
-    adaptive = K is None
-
-    terms = [head]
-    running = head
-    pw = rho * rho
-    small = 0
-    omitted = 0.0
-    k = 2
-    while True:
-        coef = 2.0 * n * (n - 2.0) / (k * (k - 1.0) * (k + n - 2.0) * (k + n - 1.0))
-        term = coef * wpow * next(it) * pw
-        if k > cap or (adaptive and small >= 3):
-            omitted = abs(term)
-            break
-        terms.append(term)
-        running += term
-        if adaptive:
-            small = small + 1 if abs(term) <= 1e-12 * abs(running) else 0
-        pw *= rho
-        k += 1
-    return PhiEvaluation(n, rho, math.fsum(terms), "series", omitted)
+    coefficients = (
+        2.0 * n * (n - 2.0) / (k * (k - 1.0) * (k + n - 2.0) * (k + n - 1.0)) * wpow * c
+        for k, c in enumerate(specfun.gegenbauer_iter(0.5 * (n + 2), s), 2)
+    )
+    value, omitted = _sum_series(head, 2, rho * rho, rho, coefficients, K)
+    return PhiEvaluation(n, rho, value, "series", omitted)
 
 
 def phi3_closed(rho: float) -> float:
@@ -225,34 +230,17 @@ def phi_second_series(n: int, rho: float, K: int | None = None) -> PhiEvaluation
     a1 = 2.0 * (n - 2.0) ** 2 / (n * n) * w ** (0.5 * (n - 3))
     a2 = -4.0 * (n - 2.0) ** 2 / (n * (n - 1.0)) * w ** (0.5 * (n - 1))
     a3 = 2.0 * (n - 2.0) / (n + 1.0) * w ** (0.5 * (n + 1))
-    it1 = specfun.gegenbauer_iter(0.5 * (n - 2), s)
-    it2 = specfun.gegenbauer_iter(0.5 * n, s)
-    it3 = specfun.gegenbauer_iter(0.5 * (n + 2), s)
-
-    cap = K if K is not None else _ADAPTIVE_CAP
-    adaptive = K is None
-    terms = []
-    running = 0.0
-    pw = 1.0
-    small = 0
-    omitted = 0.0
-    k = 0
-    while True:
-        term = (
-            a1 * next(it1)
-            + a2 * (n - 1.0) / (n + k - 1.0) * next(it2)
-            + a3 * n * (n + 1.0) / ((n + k) * (n + k + 1.0)) * next(it3)
-        ) * pw
-        if k > cap or (adaptive and small >= 3) or (k >= 1 and pw == 0.0):
-            omitted = abs(term)
-            break
-        terms.append(term)
-        running += term
-        if adaptive:
-            small = small + 1 if abs(term) <= 1e-12 * abs(running) else 0
-        pw *= rho
-        k += 1
-    return PhiEvaluation(n, rho, math.fsum(terms), "second_series", omitted)
+    gegenbauer = zip(
+        specfun.gegenbauer_iter(0.5 * (n - 2), s),
+        specfun.gegenbauer_iter(0.5 * n, s),
+        specfun.gegenbauer_iter(0.5 * (n + 2), s),
+    )
+    coefficients = (
+        a1 * c1 + a2 * (n - 1.0) / (n + k - 1.0) * c2 + a3 * n * (n + 1.0) / ((n + k) * (n + k + 1.0)) * c3
+        for k, (c1, c2, c3) in enumerate(gegenbauer)
+    )
+    value, omitted = _sum_series(0.0, 0, 1.0, rho, coefficients, K)
+    return PhiEvaluation(n, rho, value, "second_series", omitted)
 
 
 def phi_second_fd(n: int, rho: float, step: float = 1e-3, spec: QuadratureSpec | None = None) -> PhiEvaluation:
@@ -285,11 +273,13 @@ def phi_second_fd(n: int, rho: float, step: float = 1e-3, spec: QuadratureSpec |
     return PhiEvaluation(n, rho, val, "second_fd", max(abs(d_h - d_h2) / 3.0, noise))
 
 
-def _phi_second_best(n, rho):
-    """Closed form where it is well conditioned, series otherwise."""
+def phi_second(n: int, rho: float) -> PhiEvaluation:
+    """Second derivative of the profile by the closed form where it is well
+    conditioned (n >= 4, rho above :data:`SECOND_CLOSED_RHO_MIN`), by the
+    series otherwise."""
     if n >= 4 and rho > SECOND_CLOSED_RHO_MIN:
-        return phi_second_closed(n, rho).value
-    return phi_second_series(n, rho).value
+        return phi_second_closed(n, rho)
+    return phi_second_series(n, rho)
 
 
 def psi(n: int, t: float, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> float:
@@ -428,7 +418,7 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = (np.arange(1, grid_size + 1)) / (grid_size + 1.0)
-    values = [_phi_second_best(n, float(r)) for r in grid]
+    values = [phi_second(n, float(r)).value for r in grid]
 
     checks = []
     worst = max(values)
@@ -444,8 +434,7 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     )
 
     agree_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    worst_rel = 0.0
-    at = ""
+    errors = []
     for r in agree_grid:
         series = phi_second_series(n, r).value
         fd = phi_second_fd(n, r).value
@@ -453,10 +442,8 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
         if n >= 4:
             routes.append(phi_second_closed(n, r).value)
         scale = max(abs(v) for v in routes)
-        rel = (max(routes) - min(routes)) / scale
-        if rel > worst_rel:
-            worst_rel, at = rel, f"rho={r}"
-    checks.append(CheckResult("route_agreement", worst_rel <= 1e-6, worst_rel, at))
+        errors.append(((max(routes) - min(routes)) / scale, f"rho={r}"))
+    checks.append(worst_error_check("route_agreement", errors, 1e-6))
 
     return VerificationReport("concavity", n, tuple(checks))
 

@@ -7,7 +7,7 @@ sweep in dimension three) and must not fail the run as a whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,16 @@ class VerificationReport:
 
 def merge_reports(suite: str, n: int, reports) -> VerificationReport:
     """Concatenate several reports into one, prefixing check names."""
-    checks = []
-    for rep in reports:
-        for c in rep.checks:
-            checks.append(
-                CheckResult(
-                    name=f"{rep.suite}/{c.name}",
-                    passed=c.passed,
-                    worst_margin=c.worst_margin,
-                    at=c.at,
-                    expected=c.expected,
-                )
-            )
+    checks = [replace(c, name=f"{rep.suite}/{c.name}") for rep in reports for c in rep.checks]
     return VerificationReport(suite=suite, n=n, checks=tuple(checks))
+
+
+def worst_error_check(name: str, errors, tol: float) -> CheckResult:
+    """Check that every error in ``errors``, pairs of (error, location), is
+    at most ``tol``.  Reports the largest error and where it first occurs,
+    or 0 and no location when none is positive."""
+    worst, at = 0.0, ""
+    for err, where in errors:
+        if err > worst:
+            worst, at = err, where
+    return CheckResult(name, worst <= tol, worst, at)

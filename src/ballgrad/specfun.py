@@ -1,6 +1,6 @@
-"""Pochhammer symbols, Gegenbauer polynomials and the Gauss hypergeometric
-function, restricted to the real parameter ranges this package needs, plus
-the classical identities connecting them.
+"""Gegenbauer polynomials and the Gauss hypergeometric function, restricted
+to the real parameter ranges this package needs, plus the classical
+identities connecting them.
 
 All functions are pure, deterministic and safe for concurrent use.
 """
@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .quadrature import QuadratureSpec, integrate
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, worst_error_check
 
 __all__ = [
-    "pochhammer",
-    "GegenbauerSpec",
-    "gegenbauer",
     "gegenbauer_iter",
     "HypergeometricInput",
     "hyp2f1",
@@ -32,44 +30,11 @@ DEFAULT_SERIES_RTOL = 1e-13
 _SERIES_BUDGET = 10_000
 
 
-def pochhammer(lam: float, k: int) -> float:
-    """Rising factorial lam * (lam+1) * ... * (lam+k-1), with the empty
-    product equal to 1."""
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a nonnegative integer")
-    out = 1.0
-    for i in range(int(k)):
-        out *= lam + i
-    return out
-
-
-def _gegenbauer_value(lam: float, degree: int, x: float) -> float:
-    # Forward three-term recurrence; stable for |x| <= 1 at the degrees used
-    # here (up to a few thousand).
-    if degree == 0:
-        return 1.0
-    c_prev = 1.0
-    c = 2.0 * lam * x
-    for k in range(2, degree + 1):
-        c, c_prev = (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k, c
-    return c
-
-
-def _gegenbauer_array(lam: float, degree: int, x):
-    """Same recurrence, elementwise over a numpy array of points."""
-    x = np.asarray(x, dtype=float)
-    if degree == 0:
-        return np.ones_like(x)
-    c_prev = np.ones_like(x)
-    c = 2.0 * lam * x
-    for k in range(2, degree + 1):
-        c, c_prev = (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k, c
-    return c
-
-
-def gegenbauer_iter(lam: float, x: float):
-    """Yield the Gegenbauer values of degree 0, 1, 2, ... at ``x``."""
-    c_prev = 1.0
+def gegenbauer_iter(lam: float, x):
+    """Yield the Gegenbauer values of degree 0, 1, 2, ... at ``x``, a float
+    or a numpy array (elementwise).  The forward recurrence is stable for
+    |x| <= 1 at the degrees used here (up to a few thousand)."""
+    c_prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
     yield c_prev
     c = 2.0 * lam * x
     yield c
@@ -80,28 +45,9 @@ def gegenbauer_iter(lam: float, x: float):
         k += 1
 
 
-@dataclass(frozen=True)
-class GegenbauerSpec:
-    """Parameter, degree and evaluation point of one Gegenbauer polynomial."""
-
-    lam: float
-    degree: int
-    x: float
-
-    def __post_init__(self):
-        if self.lam <= -0.5:
-            raise ValueError("parameter must exceed -1/2")
-        if self.lam == 0.0:
-            raise ValueError("parameter 0 degenerates; not supported")
-        if self.degree < 0 or self.degree != int(self.degree):
-            raise ValueError("degree must be a nonnegative integer")
-        if not -1.0 <= self.x <= 1.0:
-            raise ValueError("evaluation point must lie in [-1, 1]")
-
-
-def gegenbauer(spec: GegenbauerSpec) -> float:
-    """Evaluate the Gegenbauer polynomial described by ``spec``."""
-    return _gegenbauer_value(spec.lam, int(spec.degree), spec.x)
+def _gegenbauer(lam: float, degree: int, x):
+    """Degree-``degree`` value of :func:`gegenbauer_iter`."""
+    return next(islice(gegenbauer_iter(lam, x), degree, None))
 
 
 @dataclass(frozen=True)
@@ -192,7 +138,7 @@ def abs_kernel_coefficient(lam: float, k: int, s: float, spec: QuadratureSpec | 
     k = int(k)
     if k >= 2:
         coef = 8.0 * lam * (lam + 1.0) / (k * (k - 1.0) * (k + 2.0 * lam) * (k + 2.0 * lam + 1.0))
-        return coef * (1.0 - s * s) ** (lam + 1.5) * _gegenbauer_value(lam + 2.0, k - 2, s)
+        return coef * (1.0 - s * s) ** (lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s)
 
     if k == 0:
 
@@ -225,7 +171,7 @@ def gegenbauer_weighted_derivative(lam: float, k: int, x: float) -> float:
     if not -1.0 < x < 1.0:
         raise ValueError("x must lie strictly inside (-1, 1)")
     lead = -(k + 1.0) * (k + 2.0 * lam - 1.0) / (2.0 * (lam - 1.0))
-    return lead * (1.0 - x * x) ** (lam - 1.5) * _gegenbauer_value(lam - 1.0, int(k) + 1, x)
+    return lead * (1.0 - x * x) ** (lam - 1.5) * _gegenbauer(lam - 1.0, int(k) + 1, x)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +197,7 @@ def _truncation_degree(lam: float, z: float, tol: float) -> int:
 
 
 def _generating_relation_check() -> CheckResult:
-    worst = 0.0
-    at = ""
+    errors = []
     for lam in (0.5, 1.0, 1.5, 2.5):
         for x in np.linspace(-0.9, 0.9, 10):
             for z in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
@@ -265,10 +210,8 @@ def _generating_relation_check() -> CheckResult:
                     pw *= z
                 partial = math.fsum(acc)
                 closed = (1.0 - 2.0 * x * z + z * z) ** (-lam)
-                err = abs(partial - closed)
-                if err > worst:
-                    worst, at = err, f"lam={lam},x={x:.2f},z={z}"
-    return CheckResult("generating_relation", worst <= 1e-10, worst, at)
+                errors.append((abs(partial - closed), f"lam={lam},x={x:.2f},z={z}"))
+    return worst_error_check("generating_relation", errors, 1e-10)
 
 
 def _rainville_check(n: int) -> CheckResult:
@@ -278,8 +221,7 @@ def _rainville_check(n: int) -> CheckResult:
     n = min(max(n, 4), 8)
     nu = float(n - 1)
     lam = 0.5 * n
-    worst = 0.0
-    at = ""
+    errors = []
     for x in np.linspace(-0.95, 0.95, 8):
         for z in (0.0, 0.2, 0.4, 0.6, 0.8):
             acc = []
@@ -306,16 +248,13 @@ def _rainville_check(n: int) -> CheckResult:
                 closed = (1.0 - x * z) ** (-nu) * hyp2f1(
                     HypergeometricInput(0.5 * nu, 0.5 * (nu + 1.0), lam + 0.5, arg)
                 )
-            err = abs(partial - closed)
-            if err > worst:
-                worst, at = err, f"n={n},x={x:.2f},z={z}"
-    return CheckResult("rainville_expansion", worst <= 1e-9, worst, at)
+            errors.append((abs(partial - closed), f"n={n},x={x:.2f},z={z}"))
+    return worst_error_check("rainville_expansion", errors, 1e-9)
 
 
 def _pfaff_check(n: int) -> CheckResult:
     params = [(1.0, 0.5 * n, 0.5 * (n + 1.0)), (0.5, 1.5, 2.5), (2.0, 1.0, 3.5)]
-    worst = 0.0
-    at = ""
+    errors = []
     for a, b, c in params:
         for z in np.linspace(0.0, 0.9, 10):
             lhs = hyp2f1(HypergeometricInput(a, b, c, float(z)))
@@ -323,16 +262,13 @@ def _pfaff_check(n: int) -> CheckResult:
                 rhs = lhs
             else:
                 rhs = (1.0 - z) ** (-b) * hyp2f1(HypergeometricInput(c - a, b, c, float(z / (z - 1.0))))
-            err = abs(lhs - rhs) / abs(lhs)
-            if err > worst:
-                worst, at = err, f"a={a},b={b},c={c},z={z:.2f}"
-    return CheckResult("pfaff_transformation", worst <= 1e-12, worst, at)
+            errors.append((abs(lhs - rhs) / abs(lhs), f"a={a},b={b},c={c},z={z:.2f}"))
+    return worst_error_check("pfaff_transformation", errors, 1e-12)
 
 
 def _contiguous_check(n: int) -> CheckResult:
     a, b, c = 1.0, 0.5 * n, 0.5 * (n + 1.0)
-    worst = 0.0
-    at = ""
+    errors = []
     tight = 1e-15  # the two sides cancel near z = 1, so sum well past the check tolerance
     for z in np.linspace(0.05, 0.9, 9):
         z = float(z)
@@ -340,16 +276,13 @@ def _contiguous_check(n: int) -> CheckResult:
         rhs = c * hyp2f1(HypergeometricInput(a - 1.0, b, c, z), tight) - c * (1.0 - z) * hyp2f1(
             HypergeometricInput(a, b, c, z), tight
         )
-        err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-        if err > worst:
-            worst, at = err, f"z={z:.2f}"
-    return CheckResult("contiguous_relation", worst <= 1e-12, worst, at)
+        errors.append((abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0), f"z={z:.2f}"))
+    return worst_error_check("contiguous_relation", errors, 1e-12)
 
 
 def _kernel_moment_check(n: int) -> CheckResult:
     lams = {0.5, 1.5, 0.5 * (n - 2)}
-    worst = 0.0
-    at = ""
+    errors = []
     for lam in sorted(lams):
         if lam <= -0.5 or lam == 0.0:
             continue
@@ -359,21 +292,18 @@ def _kernel_moment_check(n: int) -> CheckResult:
                 closed = abs_kernel_coefficient(lam, k, s)
 
                 def f(x, _k=k, _lam=lam, _s=s):
-                    return np.abs(x - _s) * _gegenbauer_array(_lam, _k, x)
+                    return np.abs(x - _s) * _gegenbauer(_lam, _k, x)
 
                 brute = integrate(
                     f, -1.0, 1.0, QuadratureSpec(kinks=(s,)), weight_exponent=lam - 0.5
                 ).value
-                err = abs(closed - brute)
-                if err > worst:
-                    worst, at = err, f"lam={lam},k={k},s={s:.2f}"
-    return CheckResult("kernel_moment_closed_form", worst <= 1e-9, worst, at)
+                errors.append((abs(closed - brute), f"lam={lam},k={k},s={s:.2f}"))
+    return worst_error_check("kernel_moment_closed_form", errors, 1e-9)
 
 
 def _weighted_derivative_check(n: int) -> CheckResult:
     lams = {0.5, 2.0, 3.0, 0.5 * (n - 2)}
-    worst = 0.0
-    at = ""
+    errors = []
     h = 1e-5
     for lam in sorted(lams):
         if lam == 1.0 or lam <= -0.5 or lam == 0.0:
@@ -384,19 +314,16 @@ def _weighted_derivative_check(n: int) -> CheckResult:
                 val = gegenbauer_weighted_derivative(lam, k, x)
 
                 def wfun(t):
-                    return (1.0 - t * t) ** (lam - 0.5) * _gegenbauer_value(lam, k, t)
+                    return (1.0 - t * t) ** (lam - 0.5) * _gegenbauer(lam, k, t)
 
                 fd = (wfun(x + h) - wfun(x - h)) / (2.0 * h)
-                err = abs(val - fd) / max(abs(val), abs(fd), 1e-12)
-                if err > worst:
-                    worst, at = err, f"lam={lam},k={k},x={x:.2f}"
-    return CheckResult("weighted_derivative_identity", worst <= 1e-6, worst, at)
+                errors.append((abs(val - fd) / max(abs(val), abs(fd), 1e-12), f"lam={lam},k={k},x={x:.2f}"))
+    return worst_error_check("weighted_derivative_identity", errors, 1e-6)
 
 
 def _hyp_derivative_check(n: int) -> CheckResult:
     params = [(1.0, 0.5 * n, 0.5 * (n + 1.0)), (2.0, 1.5, 3.0)]
-    worst = 0.0
-    at = ""
+    errors = []
     h = 1e-6
     for a, b, c in params:
         for z in (0.1, 0.25, 0.4, 0.55, 0.7):
@@ -411,10 +338,8 @@ def _hyp_derivative_check(n: int) -> CheckResult:
                 * (1.0 - z) ** (a + b - c - 1.0)
                 * hyp2f1(HypergeometricInput(a - 1.0, b, c, z))
             )
-            err = abs(fd - rhs) / max(abs(rhs), 1e-12)
-            if err > worst:
-                worst, at = err, f"a={a},b={b},c={c},z={z}"
-    return CheckResult("hypergeometric_derivative_identity", worst <= 1e-6, worst, at)
+            errors.append((abs(fd - rhs) / max(abs(rhs), 1e-12), f"a={a},b={b},c={c},z={z}"))
+    return worst_error_check("hypergeometric_derivative_identity", errors, 1e-6)
 
 
 def verify_identities(n: int = 5) -> VerificationReport:

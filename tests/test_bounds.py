@@ -140,28 +140,25 @@ class TestHalfspaceConstant:
 
 class TestBoundTable:
     def test_origin_row(self):
-        table = bound_table(4, [0.0])
-        row = table.rows[0]
+        (row,) = bound_table(4, [0.0])
         assert row.capital_c == pytest.approx(16.0 / (3.0 * math.pi), abs=1e-10)
         assert row.capital_c == pytest.approx(row.schwarz_pick_over_1mr2, abs=1e-10)
         assert row.khavinson_radial_if_n3 is None
 
     def test_khavinson_column_populated_at_three(self):
-        table = bound_table(3, [0.0, 0.5])
-        assert table.rows[0].khavinson_radial_if_n3 == pytest.approx(1.5, rel=1e-12)
-        assert table.rows[1].khavinson_radial_if_n3 == pytest.approx(
+        rows = bound_table(3, [0.0, 0.5])
+        assert rows[0].khavinson_radial_if_n3 == pytest.approx(1.5, rel=1e-12)
+        assert rows[1].khavinson_radial_if_n3 == pytest.approx(
             2.0137017762354946, rel=1e-12
         )
 
     def test_pointwise_bound_below_uniform(self):
         grid = np.linspace(0.0, 0.9, 11)
-        table = bound_table(5, grid)
-        for row in table.rows:
+        for row in bound_table(5, grid):
             assert row.capital_c <= row.schwarz_pick_over_1mr2 + 1e-10
 
     def test_equality_only_at_origin_above_three(self):
-        table = bound_table(6, [0.0, 0.2, 0.5, 0.8])
-        rows = table.rows
+        rows = bound_table(6, [0.0, 0.2, 0.5, 0.8])
         assert rows[0].capital_c == pytest.approx(rows[0].schwarz_pick_over_1mr2, abs=1e-9)
         for row in rows[1:]:
             assert row.capital_c < row.schwarz_pick_over_1mr2 - 1e-6

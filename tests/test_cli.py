@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from ballgrad import cli
 from ballgrad.cli import main
+from ballgrad.errors import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +163,37 @@ class TestErrors:
         code, _, err = run_cli(capsys, "constants", "--n", "1")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("phi-table", "--n", "4", "--steps", "0"),
+            ("probe", "--n", "4", "--samples", "0"),
+            ("probe", "--n", "4", "--samples", "-3"),
+        ],
+    )
+    def test_empty_grid_or_sample_set_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            OverflowError("math range error"),
+            ConvergenceError("series did not converge", value=1.0, error_estimate=0.5),
+        ],
+    )
+    def test_numerical_failure_exit_two(self, capsys, monkeypatch, error):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_constants", fail)
+        code, out, err = run_cli(capsys, "constants", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {error}\n"
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
