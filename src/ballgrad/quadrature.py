@@ -11,6 +11,12 @@ Two features are tuned to the integrals that actually occur here:
   inside the open interval, so one mechanism covers every exponent, integer
   or not.
 
+A second, batched route serves integrands that are multiplied by
+piecewise-constant zonal data: :func:`zonal_band_integrals` integrates one
+kernel over every height band between given cuts in a few vectorised
+passes, so the integral of any datum constant on those bands is a dot
+product.  :func:`integrate` stays the independent adaptive route.
+
 Integrands must accept numpy arrays and evaluate elementwise.  Everything in
 this module is pure and re-entrant.
 """
@@ -33,12 +39,15 @@ __all__ = [
     "DEFAULT_SPEC",
     "integrate",
     "zonal_sphere_integral",
+    "zonal_band_integrals",
     "zonal_weight_normalization",
 ]
 
 _MIN_TOL = 1e-15
-# Per-panel roundoff allowance added to the reported estimate; splitting
-# cannot reduce it, so it never drives the adaptive loop.
+# Per-panel roundoff allowance, relative to the panel's two half values
+# (QUADPACK scales its floor by the integral of |f| instead).  Splitting
+# cannot reduce it, so it is added to the reported estimate, and an
+# integral whose summed gap is already below the summed floor stops.
 _EST_FLOOR = 2.0 ** -48
 
 
@@ -144,7 +153,9 @@ def integrate(
     into exact powers of sin(theta).  Each piece is then bisected
     worst-error-first, with the panel error estimated as the gap between the
     whole-panel Gauss value and the sum over its two halves (the returned
-    value always uses the halves).
+    value always uses the halves).  It stops once the summed gap is within
+    the absolute or relative tolerance, or within the summed roundoff floor
+    that no further split can lower.
 
     Raises :class:`ConvergenceError`, carrying the best estimate, if the
     subdivision budget runs out first.
@@ -190,8 +201,9 @@ def integrate(
     while True:
         total = math.fsum(e[6] for e in heap)
         gap_total = math.fsum(e[7] for e in heap)
-        estimate = gap_total + math.fsum(e[8] for e in heap)
-        if gap_total <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+        floor_total = math.fsum(e[8] for e in heap)
+        estimate = gap_total + floor_total
+        if gap_total <= max(spec.abs_tol, spec.rel_tol * abs(total), floor_total):
             return QuadratureResult(total, estimate, splits)
         if splits >= spec.max_subdivisions:
             raise ConvergenceError(
@@ -225,3 +237,90 @@ def zonal_sphere_integral(g: Callable, n: int, spec: QuadratureSpec | None = Non
         raise ValueError("dimension must be at least 2")
     c = zonal_weight_normalization(n)
     return c * integrate(g, -1.0, 1.0, spec, weight_exponent=0.5 * (n - 3)).value
+
+
+def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None = None):
+    """Normalized zonal integrals of ``f`` over the height bands between cuts.
+
+    Returns ``(values, error_estimate)``.  ``values[j]`` is
+    ``c_n * integral of f(t) (1-t^2)^((n-3)/2) dt`` over band j, which runs
+    from ``cuts[j-1]`` to ``cuts[j]``; band 0 starts at -1 and the last band
+    ends at +1.  ``cuts`` must be strictly increasing inside (-1, 1).  A
+    datum that is constant on every band integrates as the dot product of
+    its band values with ``values``, and ``error_estimate`` bounds the error
+    of that dot product for every datum with sup <= 1.
+
+    The bands are integrated in theta = arccos(t), where the weight and the
+    Jacobian become sin(theta)^(n-2), smooth for every n >= 2.  Each round
+    evaluates the halves of every new panel of every band in one numpy pass
+    per half.  A panel's error is the gap between its whole-panel value and
+    the sum of its halves, as in :func:`integrate`, and every panel whose
+    gap exceeds its even share of the tolerance is bisected.  The loop stops
+    when the summed gap is within the largest of ``spec.abs_tol``,
+    ``spec.rel_tol`` times the sum of ``|values|`` (the largest value any
+    datum with sup <= 1 can reach on these bands, so the batch analogue of
+    the relative test in :func:`integrate`) and the summed roundoff floor.
+    The estimate is the summed gap plus that floor.  ``spec.kinks`` is not
+    read: the cuts are the kinks.
+
+    Raises :class:`ConvergenceError`, carrying the band values so far, once
+    the splits would exceed ``spec.max_subdivisions``.
+    """
+    if spec is None:
+        spec = DEFAULT_SPEC
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    cuts = np.asarray(cuts, dtype=float)
+    if cuts.ndim != 1 or not (np.all(np.abs(cuts) < 1.0) and np.all(np.diff(cuts) > 0.0)):
+        raise ValueError("cuts must be strictly increasing inside (-1, 1)")
+    nodes, weights = _gauss_rule(spec.base_nodes)
+    c = zonal_weight_normalization(n)
+
+    def panels(lo, hi):
+        half = 0.5 * (hi - lo)
+        theta = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+        return c * half * ((f(np.cos(theta)) * np.sin(theta) ** (n - 2)) @ weights)
+
+    def halves(lo, hi):
+        mid = 0.5 * (lo + hi)
+        return panels(lo, mid), panels(mid, hi)
+
+    # theta decreases as t increases, so band j spans [theta_{j+1}, theta_j]
+    edges = np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
+    n_bands = edges.size - 1
+    lo, hi, band = edges[1:], edges[:-1], np.arange(n_bands)
+    whole = panels(lo, hi)
+    left, right = halves(lo, hi)
+
+    splits = 0
+    while True:
+        refined = left + right
+        values = np.bincount(band, weights=refined, minlength=n_bands)
+        gap = np.abs(whole - refined)
+        gap_total = float(gap.sum())
+        floor_total = _EST_FLOOR * float(np.abs(left).sum() + np.abs(right).sum())
+        # sum |values| is the largest |value| a datum with sup <= 1 can take
+        tol = max(spec.abs_tol, spec.rel_tol * float(np.abs(values).sum()), floor_total)
+        if gap_total <= tol:
+            return values, gap_total + floor_total
+        split = gap > tol / gap.size
+        split[np.argmax(gap)] = True  # in case rounding leaves no gap above its share
+        count = int(np.count_nonzero(split))
+        if splits + count > spec.max_subdivisions:
+            raise ConvergenceError(
+                f"band quadrature did not meet its tolerance within {spec.max_subdivisions} subdivisions",
+                value=values,
+                error_estimate=gap_total + floor_total,
+            )
+        splits += count
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        child_lo = np.concatenate((lo[split], mid))
+        child_hi = np.concatenate((mid, hi[split]))
+        child_left, child_right = halves(child_lo, child_hi)
+        lo = np.concatenate((lo[keep], child_lo))
+        hi = np.concatenate((hi[keep], child_hi))
+        band = np.concatenate((band[keep], band[split], band[split]))
+        whole = np.concatenate((whole[keep], left[split], right[split]))
+        left = np.concatenate((left[keep], child_left))
+        right = np.concatenate((right[keep], child_right))

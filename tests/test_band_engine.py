@@ -1,0 +1,171 @@
+"""The batched band engine against the independent adaptive route, an
+mpmath oracle and its subdivision budget."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ballgrad import harmonic
+from ballgrad.cli import main
+from ballgrad.errors import ConvergenceError
+from ballgrad.harmonic import (
+    AxisPoint,
+    hemisphere_datum,
+    poisson_kernel,
+    probe_schwarz_pick,
+    radial_derivative,
+    radial_derivative_kernel,
+    random_zonal_data,
+    zonal_poisson_value,
+)
+from ballgrad.quadrature import (
+    QuadratureSpec,
+    integrate,
+    zonal_band_integrals,
+    zonal_weight_normalization,
+)
+
+KERNELS = {"poisson": poisson_kernel, "derivative": radial_derivative_kernel}
+
+
+def _engine_value(kernel, n, rho, datum):
+    bands, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), n, datum.breakpoints)
+    return float(np.dot(datum.values, bands)), estimate
+
+
+class TestEngine:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
+    def test_bands_of_the_constant_sum_to_one(self, n):
+        cuts = (-0.6, 0.1, 0.95)
+        bands, estimate = zonal_band_integrals(np.ones_like, n, cuts)
+        assert bands.shape == (4,)
+        assert math.fsum(bands) == pytest.approx(1.0, abs=1e-13)
+        assert estimate <= 1e-12
+
+    def test_hemisphere_bands_dimension_three(self):
+        # c_3 = 1/2 and the weight is 1, so |t| gives 1/4 on each side of 0
+        bands, _ = zonal_band_integrals(np.abs, 3, (0.0,))
+        np.testing.assert_allclose(bands, [0.25, 0.25], rtol=0, atol=1e-15)
+
+    def test_no_cuts_is_one_band(self):
+        bands, _ = zonal_band_integrals(lambda t: t * t, 4, ())
+        # c_4 * integral of t^2 sqrt(1-t^2) = (2/pi) * (pi/8)
+        assert bands.tolist() == pytest.approx([0.25], abs=1e-15)
+
+    @pytest.mark.parametrize("cuts", [(0.5, 0.2), (0.1, 0.1), (-1.0,), (0.3, 1.0), (float("nan"),), ((0.1, 0.2),)])
+    def test_rejects_bad_cuts(self, cuts):
+        with pytest.raises(ValueError):
+            zonal_band_integrals(np.ones_like, 4, cuts)
+
+    def test_rejects_low_dimension(self):
+        with pytest.raises(ValueError):
+            zonal_band_integrals(np.ones_like, 1, ())
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_success_meets_the_tolerance(self, kernel):
+        # n = 12, rho = 0.9 needs splits; on success the summed gap is within
+        # max(abs_tol, rel_tol * sum |values|), and the roundoff floor added
+        # to it is far below that here
+        spec = QuadratureSpec()
+        bands, estimate = zonal_band_integrals(lambda t: KERNELS[kernel](12, 0.9, t), 12, (0.0,), spec)
+        assert 0.0 < estimate <= 2.0 * max(spec.abs_tol, spec.rel_tol * np.abs(bands).sum())
+
+    def test_exhausted_budget_carries_band_values(self):
+        spec = QuadratureSpec(max_subdivisions=1)
+        with pytest.raises(ConvergenceError) as excinfo:
+            zonal_band_integrals(lambda t: radial_derivative_kernel(12, 0.9, t), 12, (0.0,), spec)
+        err = excinfo.value
+        assert np.shape(err.value) == (2,)
+        assert err.error_estimate > spec.abs_tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    pieces=st.integers(1, 8),
+    n=st.sampled_from([2, 3, 4, 5, 12]),
+    rho=st.floats(0.0, 0.95),
+)
+def test_engine_matches_the_adaptive_route(seed, pieces, n, rho):
+    datum = random_zonal_data(seed, pieces)
+    c = zonal_weight_normalization(n)
+    spec = QuadratureSpec(kinks=datum.breakpoints)
+    for kernel in KERNELS.values():
+        engine, engine_est = _engine_value(kernel, n, rho, datum)
+        # c * this integral is what zonal_sphere_integral returns with the
+        # breakpoints as kinks; integrate also reports its estimate
+        adaptive = integrate(
+            lambda t: kernel(n, rho, t) * datum(t), -1.0, 1.0, spec, weight_exponent=0.5 * (n - 3)
+        )
+        assert abs(engine - c * adaptive.value) <= max(1e-12, engine_est + c * adaptive.error_estimate)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("n, rho, seed, pieces", [(2, 0.5, 3, 4), (3, 0.9, 5, 6), (4, 0.7, 8, 8), (12, 0.9, 4, 5)])
+def test_engine_matches_mpmath_oracle(kernel, n, rho, seed, pieces):
+    datum = random_zonal_data(seed, pieces)
+    engine, estimate = _engine_value(KERNELS[kernel], n, rho, datum)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(rho)
+
+        def integrand(t):
+            d = 1 - 2 * r * t + r * r
+            if kernel == "poisson":
+                k = (1 - r * r) * d ** (-mpmath.mpf(n) / 2)
+            else:
+                k = ((n - (n - 4) * r * r) * t - r * (n + 2 - (n - 2) * r * r)) * d ** (-mpmath.mpf(n + 2) / 2)
+            return k * (1 - t * t) ** (mpmath.mpf(n - 3) / 2)
+
+        c = mpmath.gamma(mpmath.mpf(n) / 2) / (mpmath.gamma(mpmath.mpf(n - 1) / 2) * mpmath.sqrt(mpmath.pi))
+        edges = [-1, *datum.breakpoints, 1]
+        exact = c * mpmath.fsum(
+            v * mpmath.quad(integrand, [lo, hi]) for v, lo, hi in zip(datum.values, edges, edges[1:])
+        )
+    assert abs(engine - float(exact)) <= max(1e-12, estimate)
+
+
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_single_datum_values_are_the_engine_dot_product(n):
+    datum = random_zonal_data(11, 6)
+    p = AxisPoint(0.6)
+    assert radial_derivative(n, datum, p) == pytest.approx(
+        _engine_value(radial_derivative_kernel, n, 0.6, datum)[0], abs=1e-14
+    )
+    assert zonal_poisson_value(n, datum, p) == pytest.approx(
+        _engine_value(poisson_kernel, n, 0.6, datum)[0], abs=1e-14
+    )
+
+
+@pytest.mark.parametrize("rho", [0.99, 0.999])
+def test_relative_tolerance_reaches_near_the_boundary(rho):
+    # the kernel's own rounding keeps the summed gap above 1e-12 here; the
+    # relative test (sum |values| = 1 for the Poisson kernel) stops the
+    # engine where integrate stops too.  Closed form for the hemisphere
+    # datum in dimension three.
+    exact = (1.0 - (1.0 - rho * rho) / math.sqrt(1.0 + rho * rho)) / rho
+    assert zonal_poisson_value(3, hemisphere_datum(), AxisPoint(rho)) == pytest.approx(exact, abs=1e-10)
+
+
+class TestBudget:
+    spec = QuadratureSpec(max_subdivisions=1)
+
+    def test_radial_derivative_raises(self):
+        with pytest.raises(ConvergenceError):
+            radial_derivative(12, hemisphere_datum(), AxisPoint(0.9), self.spec)
+
+    def test_probe_raises(self):
+        with pytest.raises(ConvergenceError):
+            probe_schwarz_pick(12, samples=1, rho_grid=[0.9], spec=self.spec)
+
+    def test_probe_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(harmonic, "DEFAULT_SPEC", self.spec)
+        # the hemisphere datum alone needs more than one split at rho = 0.9
+        code = main(["probe", "--n", "12", "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: band quadrature did not meet its tolerance")

@@ -207,3 +207,19 @@ class TestErrors:
         payload = json.loads(target.read_text())
         assert payload["n"] == 3
         assert capsys.readouterr().out == ""
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(capsys, "constants", "--n", "3", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.exists()
+
+    def test_roundoff_limited_integral_converges(self, capsys):
+        # the n = 35 kernel moments are limited by roundoff, not by the
+        # 1e-12 tolerance; the stopping test accepts the roundoff floor
+        code, out, err = run_cli(capsys, "verify", "--n", "35", "--suite", "identities")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["passed"] is True
