@@ -22,13 +22,14 @@ from typing import Literal
 import numpy as np
 
 from . import specfun
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, group_integrals, integrate
 from .report import CheckResult, VerificationReport, worst_error_check
 from .specfun import HypergeometricInput, hyp2f1
 
 __all__ = [
     "PhiEvaluation",
     "phi_quad",
+    "phi_quad_grid",
     "phi_series",
     "phi3_closed",
     "varphi",
@@ -52,6 +53,10 @@ Method = Literal["quad", "series", "closed3", "second_closed", "second_series", 
 SECOND_CLOSED_RHO_MIN = 1e-3
 
 _ADAPTIVE_CAP = 3000
+
+# Radii per grid-quadrature pass in verify_monotone: few enough that the
+# panel arrays of one pass stay small, many enough that numpy does the work.
+_GRID_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,39 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
     qspec = replace(spec if spec is not None else DEFAULT_SPEC, kinks=(s,))
     res = integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
     return PhiEvaluation(n, rho, res.value, "quad", res.error_estimate)
+
+
+def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None):
+    """Profile values at many radii by one batched quadrature.
+
+    Returns ``(values, estimates)`` as arrays over ``rhos``.  Each radius is
+    one group of :func:`ballgrad.quadrature.group_integrals`: the defining
+    integral cut at the kink s = (n-2) rho / n, both pieces in the
+    cosine-substituted variable as in :func:`phi_quad`, with that group's
+    own stopping test (summed gap within the largest of ``spec.abs_tol``,
+    ``spec.rel_tol`` times the value and the roundoff floor), estimate and
+    ``spec.max_subdivisions`` budget.  :func:`phi_quad` stays the
+    independent adaptive route.
+    """
+    n = _check_dim(n, 2)
+    rho = np.asarray(rhos, dtype=float)
+    if rho.ndim != 1 or rho.size == 0 or not np.all((0.0 <= rho) & (rho <= 1.0)):
+        raise ValueError("rhos must be a non-empty sequence in [0, 1]")
+    s = kink_abscissa(n, rho)
+    d_exp = 0.5 * (n - 2)
+
+    def g(theta, group):
+        t = np.cos(theta)
+        r = rho[group][:, None]
+        kernel = (1.0 - 2.0 * t * r + r * r) ** (-d_exp)
+        return np.abs(t - s[group][:, None]) * kernel * np.sin(theta) ** (n - 2)
+
+    # piece 2i is t in [-1, s_i], theta in [arccos s_i, pi]; piece 2i+1 is t in [s_i, 1]
+    kink = np.arccos(s)
+    lo = np.column_stack((kink, np.zeros_like(kink))).ravel()
+    hi = np.column_stack((np.full_like(kink, math.pi), kink)).ravel()
+    pieces, estimates = group_integrals(g, lo, hi, np.repeat(np.arange(rho.size), 2), spec)
+    return pieces[0::2] + pieces[1::2], estimates
 
 
 def _sum_series(head, k, pw, rho, coefficients, K):
@@ -291,8 +329,17 @@ def psi(n: int, t: float, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> float
     n = _check_dim(n, 3)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
+    return _psi_from(n, t, *_varphi_hyp2f1(n, t, rel_tol))
+
+
+def _varphi_hyp2f1(n, t, rel_tol=specfun.DEFAULT_SERIES_RTOL):
+    """varphi(n, t) and 2F1(1, n/2; (n+1)/2; varphi(n, t)), the value that
+    :func:`psi` and :func:`technical_gap` share."""
     ph = varphi(n, t)
-    f_val = hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), ph), rel_tol)
+    return ph, hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), ph), rel_tol)
+
+
+def _psi_from(n, t, ph, f_val):
     first = ph ** (0.5 * (n - 1)) * math.sqrt(1.0 - ph) * f_val
     num = (
         t ** (0.5 * (n - 1))
@@ -355,8 +402,7 @@ def technical_gap(n: int, t: float) -> float:
     n = _check_dim(n, 3)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    lhs = hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), varphi(n, t)))
-    return lhs - _technical_rhs(n, t)
+    return _varphi_hyp2f1(n, t)[1] - _technical_rhs(n, t)
 
 
 def verify_monotone(n: int, grid_size: int = 1001, spec: QuadratureSpec | None = None) -> VerificationReport:
@@ -371,7 +417,8 @@ def verify_monotone(n: int, grid_size: int = 1001, spec: QuadratureSpec | None =
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = np.linspace(0.0, 1.0, grid_size)
-    values = [phi_quad(n, float(r), spec).value for r in grid]
+    blocks = (grid[i : i + _GRID_BLOCK] for i in range(0, grid_size, _GRID_BLOCK))
+    values = np.concatenate([phi_quad_grid(n, block, spec)[0] for block in blocks]).tolist()
 
     checks = []
 
@@ -459,8 +506,10 @@ def verify_technical(n: int, grid_size: int = 1001) -> VerificationReport:
     n = _check_dim(n, 3)
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
-    grid = np.linspace(0.0, 1.0, grid_size)
-    gaps = [technical_gap(n, float(t)) for t in grid]
+    grid = [float(t) for t in np.linspace(0.0, 1.0, grid_size)]
+    # one hypergeometric value per grid point serves both the gap and psi
+    hyp = [_varphi_hyp2f1(n, t) for t in grid]
+    gaps = [f_val - _technical_rhs(n, t) for t, (_, f_val) in zip(grid, hyp)]
 
     checks = []
     at0 = abs(gaps[0])
@@ -473,13 +522,13 @@ def verify_technical(n: int, grid_size: int = 1001) -> VerificationReport:
         checks.append(
             CheckResult("gap_positive", worst > 0.0, float(worst), f"t={grid[idx]:.6f}")
         )
-        psis = [psi(n, float(t)) for t in grid[1:]]
+        psis = [_psi_from(n, t, ph, f_val) for t, (ph, f_val) in zip(grid[1:], hyp[1:])]
         worst_psi = min(psis)
         idxp = 1 + int(np.argmin(psis))
         checks.append(
             CheckResult("psi_positive", worst_psi > 0.0, float(worst_psi), f"t={grid[idxp]:.6f}")
         )
-        quads = [psi_prime_quadratic(n, float(t)) for t in grid]
+        quads = [psi_prime_quadratic(n, t) for t in grid]
         worst_q = min(quads)
         idxq = int(np.argmin(quads))
         checks.append(

@@ -40,6 +40,7 @@ __all__ = [
     "integrate",
     "zonal_sphere_integral",
     "zonal_band_integrals",
+    "group_integrals",
     "zonal_weight_normalization",
 ]
 
@@ -68,6 +69,8 @@ class QuadratureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kinks", tuple(float(k) for k in self.kinks))
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise ValueError("tolerances must be finite")
         if self.abs_tol < _MIN_TOL or self.rel_tol < _MIN_TOL:
             raise ValueError("tolerances below 1e-15 are not attainable in binary64")
         if self.max_subdivisions < 1:
@@ -239,6 +242,111 @@ def zonal_sphere_integral(g: Callable, n: int, spec: QuadratureSpec | None = Non
     return c * integrate(g, -1.0, 1.0, spec, weight_exponent=0.5 * (n - 3)).value
 
 
+def group_integrals(g: Callable, lo, hi, piece_group, spec: QuadratureSpec | None = None, scale: float = 1.0):
+    """Batch of independent integrals ("groups") in theta, bisected together.
+
+    Piece i is the theta interval from ``lo[i]`` to ``hi[i]`` and belongs to
+    group ``piece_group[i]`` (group ids run from 0 without gaps); a group's
+    integral is the sum of its pieces.  ``g(theta, group)`` evaluates the
+    integrand on a (panels, nodes) array of theta, where ``group`` holds the
+    group id of each panel, and every panel value is multiplied by
+    ``scale`` before any tolerance applies.  Returns ``(values,
+    estimates)``: the integral over each piece and one error estimate per
+    group.
+
+    Each round evaluates the halves of every new panel in one numpy pass
+    per half.  A panel's error is the gap between its whole-panel value and
+    the sum of its halves, as in :func:`integrate`.  Each group stops on its
+    own once its summed gap is within the largest of ``spec.abs_tol``,
+    ``spec.rel_tol`` times the sum of its pieces' ``|values|`` and its summed
+    roundoff floor; its estimate is its summed gap plus that floor, and it
+    drops out of later rounds.  In a group still running, every panel
+    whose gap exceeds its even share of the group's tolerance is bisected,
+    or its worst panel if none does.  ``spec.kinks`` is not read.
+
+    Raises :class:`ConvergenceError`, carrying the piece values so far and
+    the largest group estimate, once the splits of any group would exceed
+    ``spec.max_subdivisions``.
+    """
+    if spec is None:
+        spec = DEFAULT_SPEC
+    nodes, weights = _gauss_rule(spec.base_nodes)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    piece_group = np.asarray(piece_group)
+    n_pieces = piece_group.size
+    n_groups = int(piece_group.max()) + 1
+
+    def panels(lo, hi, group):
+        half = 0.5 * (hi - lo)
+        theta = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+        return scale * half * (g(theta, group) @ weights)
+
+    def halves(lo, hi, group):
+        mid = 0.5 * (lo + hi)
+        return panels(lo, mid, group), panels(mid, hi, group)
+
+    piece = np.arange(n_pieces)
+    group = piece_group
+    whole = panels(lo, hi, group)
+    left, right = halves(lo, hi, group)
+
+    settled = np.zeros(n_pieces)  # values of the pieces of finished groups
+    estimates = np.zeros(n_groups)
+    splits = np.zeros(n_groups, dtype=int)
+    panel_count = np.bincount(piece_group, minlength=n_groups)
+    running = np.ones(n_groups, dtype=bool)
+    while True:
+        refined = left + right
+        values = settled + np.bincount(piece, weights=refined, minlength=n_pieces)
+        gap = np.abs(whole - refined)
+        gap_total = np.bincount(group, weights=gap, minlength=n_groups)
+        floor_total = _EST_FLOOR * np.bincount(group, weights=np.abs(left) + np.abs(right), minlength=n_groups)
+        # for bands, a group's sum |values| is the largest |value| a datum
+        # with sup <= 1 can take on them
+        magnitude = np.bincount(piece_group, weights=np.abs(values), minlength=n_groups)
+        tol = np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * magnitude), floor_total)
+        done = running & (gap_total <= tol)
+        if done.any():
+            estimates[done] = (gap_total + floor_total)[done]
+            running &= ~done
+            if not running.any():
+                return values, estimates
+            settled = np.where(running[piece_group], 0.0, values)
+            active = running[group]
+            lo, hi, piece, group = lo[active], hi[active], piece[active], group[active]
+            whole, left, right, gap = whole[active], left[active], right[active], gap[active]
+        split = gap > (tol / panel_count)[group]
+        count = np.bincount(group[split], minlength=n_groups)
+        # where rounding (or a NaN) leaves no gap above its share, the worst panel
+        for k in np.flatnonzero(running & (count == 0)):
+            in_k = np.flatnonzero(group == k)
+            split[in_k[np.argmax(gap[in_k])]] = True
+            count[k] = 1
+        if np.any(splits + count > spec.max_subdivisions):
+            estimates[running] = (gap_total + floor_total)[running]
+            raise ConvergenceError(
+                f"band quadrature did not meet its tolerance within {spec.max_subdivisions} subdivisions",
+                value=values,
+                error_estimate=float(estimates.max()),
+            )
+        splits += count
+        panel_count += count
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        child_lo = np.concatenate((lo[split], mid))
+        child_hi = np.concatenate((mid, hi[split]))
+        child_group = np.concatenate((group[split], group[split]))
+        child_left, child_right = halves(child_lo, child_hi, child_group)
+        lo = np.concatenate((lo[keep], child_lo))
+        hi = np.concatenate((hi[keep], child_hi))
+        piece = np.concatenate((piece[keep], piece[split], piece[split]))
+        group = np.concatenate((group[keep], child_group))
+        whole = np.concatenate((whole[keep], left[split], right[split]))
+        left = np.concatenate((left[keep], child_left))
+        right = np.concatenate((right[keep], child_right))
+
+
 def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None = None):
     """Normalized zonal integrals of ``f`` over the height bands between cuts.
 
@@ -251,76 +359,27 @@ def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None 
     of that dot product for every datum with sup <= 1.
 
     The bands are integrated in theta = arccos(t), where the weight and the
-    Jacobian become sin(theta)^(n-2), smooth for every n >= 2.  Each round
-    evaluates the halves of every new panel of every band in one numpy pass
-    per half.  A panel's error is the gap between its whole-panel value and
-    the sum of its halves, as in :func:`integrate`, and every panel whose
-    gap exceeds its even share of the tolerance is bisected.  The loop stops
-    when the summed gap is within the largest of ``spec.abs_tol``,
-    ``spec.rel_tol`` times the sum of ``|values|`` (the largest value any
+    Jacobian become sin(theta)^(n-2), smooth for every n >= 2, as the
+    pieces of one group of :func:`group_integrals`.  Its relative test reads
+    ``spec.rel_tol`` times the sum of ``|values|``, the largest value any
     datum with sup <= 1 can reach on these bands, so the batch analogue of
-    the relative test in :func:`integrate`) and the summed roundoff floor.
-    The estimate is the summed gap plus that floor.  ``spec.kinks`` is not
-    read: the cuts are the kinks.
+    the relative test in :func:`integrate`.  ``spec.kinks`` is not read: the
+    cuts are the kinks.
 
     Raises :class:`ConvergenceError`, carrying the band values so far, once
     the splits would exceed ``spec.max_subdivisions``.
     """
-    if spec is None:
-        spec = DEFAULT_SPEC
     if n < 2:
         raise ValueError("dimension must be at least 2")
     cuts = np.asarray(cuts, dtype=float)
     if cuts.ndim != 1 or not (np.all(np.abs(cuts) < 1.0) and np.all(np.diff(cuts) > 0.0)):
         raise ValueError("cuts must be strictly increasing inside (-1, 1)")
-    nodes, weights = _gauss_rule(spec.base_nodes)
-    c = zonal_weight_normalization(n)
 
-    def panels(lo, hi):
-        half = 0.5 * (hi - lo)
-        theta = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
-        return c * half * ((f(np.cos(theta)) * np.sin(theta) ** (n - 2)) @ weights)
-
-    def halves(lo, hi):
-        mid = 0.5 * (lo + hi)
-        return panels(lo, mid), panels(mid, hi)
+    def g(theta, group):
+        return f(np.cos(theta)) * np.sin(theta) ** (n - 2)
 
     # theta decreases as t increases, so band j spans [theta_{j+1}, theta_j]
     edges = np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
-    n_bands = edges.size - 1
-    lo, hi, band = edges[1:], edges[:-1], np.arange(n_bands)
-    whole = panels(lo, hi)
-    left, right = halves(lo, hi)
-
-    splits = 0
-    while True:
-        refined = left + right
-        values = np.bincount(band, weights=refined, minlength=n_bands)
-        gap = np.abs(whole - refined)
-        gap_total = float(gap.sum())
-        floor_total = _EST_FLOOR * float(np.abs(left).sum() + np.abs(right).sum())
-        # sum |values| is the largest |value| a datum with sup <= 1 can take
-        tol = max(spec.abs_tol, spec.rel_tol * float(np.abs(values).sum()), floor_total)
-        if gap_total <= tol:
-            return values, gap_total + floor_total
-        split = gap > tol / gap.size
-        split[np.argmax(gap)] = True  # in case rounding leaves no gap above its share
-        count = int(np.count_nonzero(split))
-        if splits + count > spec.max_subdivisions:
-            raise ConvergenceError(
-                f"band quadrature did not meet its tolerance within {spec.max_subdivisions} subdivisions",
-                value=values,
-                error_estimate=gap_total + floor_total,
-            )
-        splits += count
-        keep = ~split
-        mid = 0.5 * (lo[split] + hi[split])
-        child_lo = np.concatenate((lo[split], mid))
-        child_hi = np.concatenate((mid, hi[split]))
-        child_left, child_right = halves(child_lo, child_hi)
-        lo = np.concatenate((lo[keep], child_lo))
-        hi = np.concatenate((hi[keep], child_hi))
-        band = np.concatenate((band[keep], band[split], band[split]))
-        whole = np.concatenate((whole[keep], left[split], right[split]))
-        left = np.concatenate((left[keep], child_left))
-        right = np.concatenate((right[keep], child_right))
+    one_group = np.zeros(edges.size - 1, dtype=int)
+    values, estimates = group_integrals(g, edges[1:], edges[:-1], one_group, spec, zonal_weight_normalization(n))
+    return values, float(estimates[0])

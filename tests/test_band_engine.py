@@ -22,8 +22,10 @@ from ballgrad.harmonic import (
     random_zonal_data,
     zonal_poisson_value,
 )
+from ballgrad.phi import phi_quad_grid
 from ballgrad.quadrature import (
     QuadratureSpec,
+    group_integrals,
     integrate,
     zonal_band_integrals,
     zonal_weight_normalization,
@@ -81,6 +83,36 @@ class TestEngine:
         err = excinfo.value
         assert np.shape(err.value) == (2,)
         assert err.error_estimate > spec.abs_tol
+
+
+class TestGroups:
+    @staticmethod
+    def _peak(theta, group):
+        # group 0: cos(theta), done in one round; group 1: a narrow Gaussian
+        # that needs several rounds of bisection
+        return np.where(group[:, None] == 0, np.cos(theta), np.exp(-400.0 * (theta - 1.0) ** 2))
+
+    def test_each_group_meets_its_own_tolerance(self):
+        values, estimates = group_integrals(self._peak, [0.0, 0.0, 0.9], [1.0, 0.9, 3.0], [0, 1, 1])
+        peak = math.sqrt(math.pi / 400.0) / 2.0 * (math.erf(20.0 * 2.0) - math.erf(-20.0))
+        exact = [math.sin(1.0), peak]
+        got = [values[0], values[1] + values[2]]
+        for value, estimate, target in zip(got, estimates, exact):
+            assert abs(value - target) <= max(1e-12, estimate)
+            assert 0.0 < estimate <= 2.0 * max(1e-12, 1e-11 * abs(target))
+
+    def test_each_group_has_its_own_budget(self):
+        # every radius alone stops within 5 subdivisions; the 129 together
+        # need far more
+        values, _ = phi_quad_grid(4, np.linspace(0.0, 1.0, 129), QuadratureSpec(max_subdivisions=5))
+        assert values.shape == (129,)
+
+    def test_nan_integrand_exhausts_the_budget(self):
+        # no gap is above its share, so only the forced worst-panel split
+        # keeps the loop moving until the budget runs out
+        spec = QuadratureSpec(max_subdivisions=3)
+        with pytest.raises(ConvergenceError):
+            group_integrals(lambda theta, group: np.full_like(theta, np.nan), [0.0], [1.0], [0], spec)
 
 
 @settings(max_examples=60, deadline=None)

@@ -101,6 +101,42 @@ class TestVerify:
         for check in payload["checks"]:
             assert set(check) == {"name", "passed", "expected", "worst_margin", "at"}
 
+    # (name, passed, expected, worst_margin, at) as printed by the scalar
+    # adaptive route; the batched grid route must reproduce every verdict
+    # and stay within 1e-12 of every margin
+    MONOTONE_PINS = {
+        3: [
+            ("value_at_origin", True, False, 0.0, "rho=0"),
+            ("strictly_increasing", True, False, 2.7777776079318528e-08, "rho=0.001000"),
+            ("maximum_at_one", True, False, 1.199040866595169e-14, "rho=1"),
+            ("derivative_zero_at_origin", True, False, 2.7977620220553945e-08, "rho=0"),
+        ],
+        4: [
+            ("value_at_origin", True, False, 1.1102230246251565e-16, "rho=0"),
+            ("strictly_decreasing", True, False, -1.6666667379539035e-08, "rho=0.001000"),
+            ("maximum_at_origin", True, False, 1.1102230246251565e-16, "rho=0"),
+            ("derivative_zero_at_origin", True, False, 1.6653345369377348e-08, "rho=0"),
+        ],
+        12: [
+            ("value_at_origin", True, False, 2.7755575615628914e-17, "rho=0"),
+            ("strictly_decreasing", True, False, -5.147630896540356e-08, "rho=0.001000"),
+            ("maximum_at_origin", True, False, 2.7755575615628914e-17, "rho=0"),
+            ("derivative_zero_at_origin", True, False, 5.1486592766991635e-08, "rho=0"),
+        ],
+    }
+
+    @pytest.mark.parametrize("n", sorted(MONOTONE_PINS))
+    def test_monotone_output_is_pinned(self, capsys, n):
+        code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--suite", "monotone")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        pins = self.MONOTONE_PINS[n]
+        assert [(c["name"], c["passed"], c["expected"], c["at"]) for c in checks] == [
+            (name, passed, expected, at) for name, passed, expected, _, at in pins
+        ]
+        for check, (*_, margin, _) in zip(checks, pins):
+            assert check["worst_margin"] == pytest.approx(margin, rel=0, abs=1e-12)
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "4", "--suite", "monotone", "--format", "csv"

@@ -1,12 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ballgrad import quadrature
+from ballgrad.cli import main
+from ballgrad.errors import ConvergenceError
 from ballgrad.phi import (
     SECOND_CLOSED_RHO_MIN,
     phi3_closed,
     phi_quad,
+    phi_quad_grid,
     phi_second_closed,
     phi_second_fd,
     phi_second_series,
@@ -50,6 +57,61 @@ class TestPhiQuad:
             phi_quad(1, 0.5)
         with pytest.raises(ValueError):
             phi_quad(4, 1.2)
+
+
+class TestPhiQuadGrid:
+    def test_dimension_three_closed_form_on_the_monotone_grid(self):
+        grid = np.linspace(0.0, 1.0, 1001)
+        values, estimates = phi_quad_grid(3, grid)
+        for rho, value, estimate in zip(grid, values, estimates):
+            assert abs(value - phi3_closed(float(rho))) <= max(1e-12, estimate)
+            # on success the summed gap is within max(abs_tol, rel_tol * value)
+            assert 0.0 < estimate <= 2.0 * max(1e-12, 1e-11 * value)
+
+    @pytest.mark.parametrize("n, rho", [(3, 0.3), (4, 0.0), (4, 0.75), (5, 1.0), (12, 0.5), (40, 0.95)])
+    def test_matches_mpmath_oracle(self, n, rho):
+        (value,), (estimate,) = phi_quad_grid(n, [rho])
+        with mpmath.workdps(30):
+            r = mpmath.mpf(rho)
+            s = (n - 2) * r / n
+
+            def integrand(t):
+                return abs(t - s) * (1 - t * t) ** (mpmath.mpf(n - 3) / 2) * (1 - 2 * t * r + r * r) ** (
+                    -mpmath.mpf(n - 2) / 2
+                )
+
+            exact = mpmath.quad(integrand, [-1, s, 1])
+        assert abs(value - float(exact)) <= max(1e-12, estimate)
+
+    @pytest.mark.parametrize("rhos", [[], [[0.5]], [-0.1, 0.5], [0.5, 1.5], [math.nan]])
+    def test_rejects_bad_radii(self, rhos):
+        with pytest.raises(ValueError):
+            phi_quad_grid(4, rhos)
+
+    def test_exhausted_budget_raises(self):
+        with pytest.raises(ConvergenceError):
+            phi_quad_grid(12, [0.2, 0.9], QuadratureSpec(max_subdivisions=1))
+
+    def test_exhausted_budget_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
+        code = main(["verify", "--n", "12", "--suite", "monotone"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: band quadrature did not meet its tolerance")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 5, 12, 40]),
+    rhos=st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+def test_grid_matches_the_adaptive_route(n, rhos):
+    rhos = [0.0, 1.0, *rhos]
+    values, estimates = phi_quad_grid(n, rhos)
+    for rho, value, estimate in zip(rhos, values, estimates):
+        scalar = phi_quad(n, rho)
+        assert abs(value - scalar.value) <= max(1e-12, estimate + scalar.error_estimate)
 
 
 class TestPhiSeries:

@@ -144,6 +144,17 @@ def test_spec_validation():
         integrate(lambda t: t, 0.0, 1.0, QuadratureSpec(kinks=(-0.5,)))
 
 
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"abs_tol": math.nan}, {"abs_tol": math.inf}, {"rel_tol": math.nan}, {"rel_tol": math.inf}],
+)
+def test_spec_rejects_non_finite_tolerances(tolerances):
+    # nan would spend the whole budget and then report a missed tolerance;
+    # inf would stop at once with no accuracy control, in both engines
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureSpec(**tolerances)
+
+
 def test_zonal_normalization():
     assert zonal_sphere_integral(lambda t: np.ones_like(t), 5) == pytest.approx(1.0, abs=1e-12)
 
