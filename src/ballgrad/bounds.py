@@ -113,9 +113,9 @@ def pw_bound(n: int, dist: float, osc: float) -> float:
     """Oscillation gradient estimate m_{n-1}/m_n * osc / dist."""
     if n < 2 or n != int(n):
         raise ValueError("dimension must be an integer >= 2")
-    if dist <= 0.0:
+    if not dist > 0.0:
         raise ValueError("distance to the boundary must be positive")
-    if osc < 0.0:
+    if not osc >= 0.0:
         raise ValueError("oscillation must be nonnegative")
     return ball_volume(n - 1) / ball_volume(n) * osc / dist
 
@@ -142,7 +142,7 @@ class BoundRow:
     khavinson_radial_if_n3: float | None
 
 
-def bound_table(n: int, rho_grid, spec: QuadratureSpec | None = None) -> tuple[BoundRow, ...]:
+def bound_table(n: int, rho_grid) -> tuple[BoundRow, ...]:
     """One row per radius with every constant side by side.
 
     The oscillation column uses the ball itself as the domain, so the
@@ -155,7 +155,7 @@ def bound_table(n: int, rho_grid, spec: QuadratureSpec | None = None) -> tuple[B
         rows.append(
             BoundRow(
                 rho=rho,
-                capital_c=capital_c(BoundQuery(n, rho), spec),
+                capital_c=capital_c(BoundQuery(n, rho)),
                 schwarz_pick_over_1mr2=sp / (1.0 - rho * rho),
                 pw_over_1mr=sp / (1.0 - rho),
                 khavinson_radial_if_n3=khavinson_radial_3d(rho) if n == 3 else None,

@@ -12,12 +12,12 @@ the harmonic extension of data bounded by 1 is itself bounded by 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, zonal_band_integrals, zonal_sphere_integral
+from .quadrature import zonal_band_integrals, zonal_sphere_integral
 from .report import CheckResult, VerificationReport, worst_error_check
 
 __all__ = [
@@ -61,7 +61,7 @@ class ZonalBoundaryData:
             raise ValueError("breakpoints must lie strictly inside (-1, 1)")
         if any(hi <= lo for lo, hi in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(abs(v) > 1.0 for v in vals):
+        if any(not abs(v) <= 1.0 for v in vals):
             raise ValueError("datum values must satisfy |v| <= 1")
         object.__setattr__(self, "_bp_arr", np.array(bps, dtype=float))
         object.__setattr__(self, "_val_arr", np.array(vals, dtype=float))
@@ -109,55 +109,47 @@ def radial_derivative_sign_change(n: int, rho: float) -> float:
     return rho * (n + 2.0 - (n - 2.0) * rho * rho) / (n - (n - 4.0) * rho * rho)
 
 
-def _with_kinks(spec, extra):
-    base = spec if spec is not None else DEFAULT_SPEC
-    merged = tuple(sorted(set(base.kinks) | set(extra)))
-    return replace(base, kinks=merged)
-
-
-def _zonal_extension(kernel, n, data, rho, spec):
+def _zonal_extension(kernel, n, data, rho):
     """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``.
 
-    The breakpoints of all data and ``spec.kinks`` form one cut set; every
-    datum is constant on each band between cuts, so its value is the dot
-    product of its band values (read at the band midpoints) with the
-    kernel's band integrals, computed once for the whole batch by
+    The breakpoints of all data form one cut set; every datum is constant
+    on each band between cuts, so its value is the dot product of its band
+    values (read at the band midpoints) with the kernel's band integrals,
+    computed once for the whole batch by
     :func:`ballgrad.quadrature.zonal_band_integrals`.  Each value is within
     the engine's error estimate, which bounds every datum with sup <= 1.
     """
-    base = spec if spec is not None else DEFAULT_SPEC
-    cuts = np.array(sorted(set(base.kinks).union(*(datum.breakpoints for datum in data))))
+    cuts = np.array(sorted(set().union(*(datum.breakpoints for datum in data))))
     edges = np.concatenate(([-1.0], cuts, [1.0]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     band_values = np.array([datum(mids) for datum in data])
-    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), n, cuts, base)
+    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), n, cuts)
     return (band_values @ integrals).tolist()
 
 
-def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint, spec: QuadratureSpec | None = None) -> float:
+def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint) -> float:
     """Harmonic extension of ``data`` evaluated at the axis point; the datum
     jumps are the band cuts."""
-    return _zonal_extension(poisson_kernel, n, [data], p.rho, spec)[0]
+    return _zonal_extension(poisson_kernel, n, [data], p.rho)[0]
 
 
-def radial_derivative(n: int, data: ZonalBoundaryData, p: AxisPoint, spec: QuadratureSpec | None = None) -> float:
+def radial_derivative(n: int, data: ZonalBoundaryData, p: AxisPoint) -> float:
     """Radial derivative of the harmonic extension at the axis point.
 
     For zonal data the gradient on the axis is purely radial, so the
     absolute value of this quantity is the full gradient norm there.
     """
-    return _zonal_extension(radial_derivative_kernel, n, [data], p.rho, spec)[0]
+    return _zonal_extension(radial_derivative_kernel, n, [data], p.rho)[0]
 
 
-def extremal_gradient_at_origin(n: int, spec: QuadratureSpec | None = None) -> float:
+def extremal_gradient_at_origin(n: int) -> float:
     """Gradient norm at the origin of the hemisphere datum's extension.
 
-    Reduces to n times the zonal integral of |t| and must reproduce
+    The kernel derivative at the origin is n t, so this is n times the
+    zonal integral of |t|; it must reproduce
     :func:`ballgrad.bounds.schwarz_pick_constant`.
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    return n * zonal_sphere_integral(np.abs, n, _with_kinks(spec, (0.0,)))
+    return radial_derivative(n, hemisphere_datum(), AxisPoint(0.0))
 
 
 def extremal_sign_datum(n: int, rho: float) -> ZonalBoundaryData:
@@ -169,21 +161,15 @@ def extremal_sign_datum(n: int, rho: float) -> ZonalBoundaryData:
     return ZonalBoundaryData((ts,), (-1.0, 1.0))
 
 
-def sharp_radial_sup(n: int, p: AxisPoint, spec: QuadratureSpec | None = None) -> float:
+def sharp_radial_sup(n: int, p: AxisPoint) -> float:
     """Largest radial derivative at the axis point over all data with
-    sup |g| <= 1: the zonal integral of the absolute kernel derivative.
+    sup |g| <= 1: the zonal integral of the absolute kernel derivative,
+    attained by :func:`extremal_sign_datum`.
 
-    The sign-change abscissa is declared as a kink.  Agrees with
-    :func:`ballgrad.bounds.capital_c`, realizing the sharp gradient bound
-    through the radial direction alone.
+    Agrees with :func:`ballgrad.bounds.capital_c`, realizing the sharp
+    gradient bound through the radial direction alone.
     """
-    rho = p.rho
-    ts = radial_derivative_sign_change(n, rho)
-
-    def integrand(t):
-        return np.abs(radial_derivative_kernel(n, rho, t))
-
-    return zonal_sphere_integral(integrand, n, _with_kinks(spec, (ts,)))
+    return radial_derivative(n, extremal_sign_datum(n, p.rho), p)
 
 
 def _random_zonal_from_rng(rng, pieces: int) -> ZonalBoundaryData:
@@ -222,7 +208,6 @@ def probe_schwarz_pick(
     samples: int = 200,
     rho_grid=None,
     seed: int = 0,
-    spec: QuadratureSpec | None = None,
 ) -> VerificationReport:
     """Monte-Carlo sweep of the gradient bound over random zonal data.
 
@@ -248,7 +233,7 @@ def probe_schwarz_pick(
         const = bounds.gradient_bound(n, rho) * (1.0 - rho * rho)
         # the per-radius extremal datum rides in the same batch as the samples
         *slopes, attained = _zonal_extension(
-            radial_derivative_kernel, n, [*data, extremal_sign_datum(n, rho)], rho, spec
+            radial_derivative_kernel, n, [*data, extremal_sign_datum(n, rho)], rho
         )
         for i, slope in enumerate(slopes):
             lhs = abs(slope) * (1.0 - rho * rho)
@@ -258,7 +243,7 @@ def probe_schwarz_pick(
             ratio = lhs / const
             if ratio > max_ratio:
                 max_ratio, ratio_at = ratio, f"sample={i},rho={rho:.3f}"
-        target = bounds.capital_c(bounds.BoundQuery(n, rho), spec)
+        target = bounds.capital_c(bounds.BoundQuery(n, rho))
         gap = abs(abs(attained) - target) * (1.0 - rho * rho)
         if gap > worst_gap:
             worst_gap, gap_at = gap, f"rho={rho:.3f}"
@@ -276,7 +261,6 @@ def probe_conjecture(
     samples: int = 200,
     rho_grid=None,
     seed: int = 0,
-    spec: QuadratureSpec | None = None,
 ) -> VerificationReport:
     """Search for data violating the self-improving form of the bound, in
     which 1 - u(x)^2 replaces the constant budget 1.
@@ -297,8 +281,8 @@ def probe_conjecture(
     at = ""
     for rho in rho_grid:
         rho = AxisPoint(float(rho)).rho
-        values = _zonal_extension(poisson_kernel, n, data, rho, spec)
-        slopes = _zonal_extension(radial_derivative_kernel, n, data, rho, spec)
+        values = _zonal_extension(poisson_kernel, n, data, rho)
+        slopes = _zonal_extension(radial_derivative_kernel, n, data, rho)
         for i, (u, du) in enumerate(zip(values, slopes)):
             ratio = abs(du) * (1.0 - rho * rho) / ((1.0 - u * u) * sp)
             if ratio > max_ratio:
@@ -311,24 +295,28 @@ def probe_conjecture(
     return VerificationReport("conjecture_probe", n, checks)
 
 
-def verify_theorem_b(n: int, spec: QuadratureSpec | None = None) -> VerificationReport:
+def verify_theorem_b(n: int) -> VerificationReport:
     """Cross-check that the kernel-derivative route reproduces the
-    pointwise-sharp bound, plus kernel normalization and the origin case."""
+    pointwise-sharp bound, plus kernel normalization and the origin case.
+
+    The supremum runs on the band engine and the bound on the adaptive
+    profile quadrature, so the comparison checks one route against the
+    other; kernel normalization also runs on the adaptive route.
+    """
     if n < 2:
         raise ValueError("dimension must be at least 2")
     checks = []
 
     errors = []
     for rho in (0.0, 0.5, 0.9):
-        point_spec = _with_kinks(spec, ())
-        val = zonal_sphere_integral(lambda t: poisson_kernel(n, rho, t), n, point_spec)
+        val = zonal_sphere_integral(lambda t: poisson_kernel(n, rho, t), n)
         errors.append((abs(val - 1.0), f"rho={rho}"))
     checks.append(worst_error_check("kernel_normalization", errors, 1e-10))
 
     radii = [float(rho) for rho in np.linspace(0.0, 0.9, 10)]
-    sups = [sharp_radial_sup(n, AxisPoint(rho), spec) for rho in radii]
+    sups = [sharp_radial_sup(n, AxisPoint(rho)) for rho in radii]
     errors = [
-        (abs(sup - bounds.capital_c(bounds.BoundQuery(n, rho), spec)), f"rho={rho:.1f}")
+        (abs(sup - bounds.capital_c(bounds.BoundQuery(n, rho))), f"rho={rho:.1f}")
         for rho, sup in zip(radii, sups)
     ]
     checks.append(worst_error_check("radial_sup_matches_pointwise_bound", errors, 1e-6))
@@ -337,7 +325,7 @@ def verify_theorem_b(n: int, spec: QuadratureSpec | None = None) -> Verification
         errors = [(abs(sup - bounds.khavinson_radial_3d(rho)), f"rho={rho:.1f}") for rho, sup in zip(radii, sups)]
         checks.append(worst_error_check("matches_khavinson_radial", errors, 1e-6))
 
-    err = abs(extremal_gradient_at_origin(n, spec) - bounds.schwarz_pick_constant(n))
+    err = abs(extremal_gradient_at_origin(n) - bounds.schwarz_pick_constant(n))
     checks.append(CheckResult("extremal_gradient_at_origin", err <= 1e-8, err, "rho=0"))
 
     return VerificationReport("theoremB", n, tuple(checks))

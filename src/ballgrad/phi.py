@@ -21,8 +21,8 @@ from typing import Literal
 
 import numpy as np
 
-from . import specfun
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, group_integrals, integrate
+from . import quadrature, specfun
+from .quadrature import QuadratureSpec, group_integrals, integrate
 from .report import CheckResult, VerificationReport, worst_error_check
 from .specfun import HypergeometricInput, hyp2f1
 
@@ -57,6 +57,9 @@ _ADAPTIVE_CAP = 3000
 # Radii per grid-quadrature pass in verify_monotone: few enough that the
 # panel arrays of one pass stay small, many enough that numpy does the work.
 _GRID_BLOCK = 128
+
+# Quadrature at the binary64 floor, for differences of profile values.
+_TIGHT_SPEC = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
         def f(t):
             return np.abs(t - s) * (1.0 - 2.0 * t * rho + rho * rho) ** (-d_exp)
 
-    qspec = replace(spec if spec is not None else DEFAULT_SPEC, kinks=(s,))
+    qspec = replace(spec if spec is not None else quadrature.DEFAULT_SPEC, kinks=(s,))
     res = integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
     return PhiEvaluation(n, rho, res.value, "quad", res.error_estimate)
 
@@ -281,7 +284,7 @@ def phi_second_series(n: int, rho: float, K: int | None = None) -> PhiEvaluation
     return PhiEvaluation(n, rho, value, "second_series", omitted)
 
 
-def phi_second_fd(n: int, rho: float, step: float = 1e-3, spec: QuadratureSpec | None = None) -> PhiEvaluation:
+def phi_second_fd(n: int, rho: float, step: float = 1e-3) -> PhiEvaluation:
     """Second derivative by a Richardson-extrapolated central difference of
     the quadrature route.
 
@@ -294,10 +297,9 @@ def phi_second_fd(n: int, rho: float, step: float = 1e-3, spec: QuadratureSpec |
     n = _check_dim(n, 2)
     if not 0.0 <= rho <= 1.0 - step:
         raise ValueError("need rho + step <= 1")
-    tight = spec if spec is not None else QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
 
     def value(r):
-        return phi_quad(n, abs(r), tight).value
+        return phi_quad(n, abs(r), _TIGHT_SPEC).value
 
     center = value(rho)
 
@@ -405,7 +407,7 @@ def technical_gap(n: int, t: float) -> float:
     return _varphi_hyp2f1(n, t)[1] - _technical_rhs(n, t)
 
 
-def verify_monotone(n: int, grid_size: int = 1001, spec: QuadratureSpec | None = None) -> VerificationReport:
+def verify_monotone(n: int, grid_size: int = 1001) -> VerificationReport:
     """Monotonicity sweep of the profile on a uniform grid of [0, 1].
 
     Asserts strict decrease with maximum 2/(n-1) at the origin for n >= 4,
@@ -418,7 +420,7 @@ def verify_monotone(n: int, grid_size: int = 1001, spec: QuadratureSpec | None =
         raise ValueError("grid_size must be at least 3")
     grid = np.linspace(0.0, 1.0, grid_size)
     blocks = (grid[i : i + _GRID_BLOCK] for i in range(0, grid_size, _GRID_BLOCK))
-    values = np.concatenate([phi_quad_grid(n, block, spec)[0] for block in blocks]).tolist()
+    values = np.concatenate([phi_quad_grid(n, block)[0] for block in blocks]).tolist()
 
     checks = []
 
@@ -447,8 +449,7 @@ def verify_monotone(n: int, grid_size: int = 1001, spec: QuadratureSpec | None =
     # identically zero; the one-sided quotient at delta is the honest probe
     # and converges to the derivative at rate delta.
     delta = 1e-6
-    tight = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
-    slope = abs(phi_quad(n, delta, tight).value - phi_quad(n, 0.0, tight).value) / delta
+    slope = abs(phi_quad(n, delta, _TIGHT_SPEC).value - phi_quad(n, 0.0, _TIGHT_SPEC).value) / delta
     checks.append(CheckResult("derivative_zero_at_origin", slope <= 1e-6, slope, "rho=0"))
 
     return VerificationReport("monotone", n, tuple(checks))

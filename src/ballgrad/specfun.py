@@ -13,8 +13,9 @@ from itertools import islice
 
 import numpy as np
 
+from . import quadrature
 from .errors import ConvergenceError
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 from .report import CheckResult, VerificationReport, worst_error_check
 
 __all__ = [
@@ -116,7 +117,7 @@ def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> fl
     return _gauss_series(a, b, c, z, rel_tol)
 
 
-def abs_kernel_coefficient(lam: float, k: int, s: float, spec: QuadratureSpec | None = None) -> float:
+def abs_kernel_coefficient(lam: float, k: int, s: float) -> float:
     """Weighted moment of |x - s| against one Gegenbauer polynomial.
 
     Returns the integral over [-1, 1] of
@@ -150,7 +151,7 @@ def abs_kernel_coefficient(lam: float, k: int, s: float, spec: QuadratureSpec | 
         def f(x):
             return np.abs(x - s) * (2.0 * lam * x)
 
-    qspec = QuadratureSpec(kinks=(s,)) if spec is None else replace(spec, kinks=(s,))
+    qspec = replace(quadrature.DEFAULT_SPEC, kinks=(s,))
     return integrate(f, -1.0, 1.0, qspec, weight_exponent=lam - 0.5).value
 
 
@@ -295,7 +296,7 @@ def _kernel_moment_check(n: int) -> CheckResult:
                     return np.abs(x - _s) * _gegenbauer(_lam, _k, x)
 
                 brute = integrate(
-                    f, -1.0, 1.0, QuadratureSpec(kinks=(s,)), weight_exponent=lam - 0.5
+                    f, -1.0, 1.0, replace(quadrature.DEFAULT_SPEC, kinks=(s,)), weight_exponent=lam - 0.5
                 ).value
                 errors.append((abs(closed - brute), f"lam={lam},k={k},s={s:.2f}"))
     return worst_error_check("kernel_moment_closed_form", errors, 1e-9)

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballgrad import harmonic
+from ballgrad import quadrature
 from ballgrad.cli import main
 from ballgrad.errors import ConvergenceError
 from ballgrad.harmonic import (
     AxisPoint,
+    extremal_sign_datum,
     hemisphere_datum,
     poisson_kernel,
     probe_schwarz_pick,
@@ -123,17 +124,19 @@ class TestGroups:
     rho=st.floats(0.0, 0.95),
 )
 def test_engine_matches_the_adaptive_route(seed, pieces, n, rho):
-    datum = random_zonal_data(seed, pieces)
     c = zonal_weight_normalization(n)
-    spec = QuadratureSpec(kinks=datum.breakpoints)
-    for kernel in KERNELS.values():
-        engine, engine_est = _engine_value(kernel, n, rho, datum)
-        # c * this integral is what zonal_sphere_integral returns with the
-        # breakpoints as kinks; integrate also reports its estimate
-        adaptive = integrate(
-            lambda t: kernel(n, rho, t) * datum(t), -1.0, 1.0, spec, weight_exponent=0.5 * (n - 3)
-        )
-        assert abs(engine - c * adaptive.value) <= max(1e-12, engine_est + c * adaptive.error_estimate)
+    # the sign datum makes the derivative kernel's integral the supremum
+    # that sharp_radial_sup reads from the engine
+    for datum in (random_zonal_data(seed, pieces), extremal_sign_datum(n, rho)):
+        spec = QuadratureSpec(kinks=datum.breakpoints)
+        for kernel in KERNELS.values():
+            engine, engine_est = _engine_value(kernel, n, rho, datum)
+            # c * this integral is what zonal_sphere_integral returns with the
+            # breakpoints as kinks; integrate also reports its estimate
+            adaptive = integrate(
+                lambda t: kernel(n, rho, t) * datum(t), -1.0, 1.0, spec, weight_exponent=0.5 * (n - 3)
+            )
+            assert abs(engine - c * adaptive.value) <= max(1e-12, engine_est + c * adaptive.error_estimate)
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -183,18 +186,21 @@ def test_relative_tolerance_reaches_near_the_boundary(rho):
 
 
 class TestBudget:
-    spec = QuadratureSpec(max_subdivisions=1)
+    # the engine takes its budget from the one default the quadrature
+    # module owns
+    @pytest.fixture(autouse=True)
+    def one_split(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
 
     def test_radial_derivative_raises(self):
         with pytest.raises(ConvergenceError):
-            radial_derivative(12, hemisphere_datum(), AxisPoint(0.9), self.spec)
+            radial_derivative(12, hemisphere_datum(), AxisPoint(0.9))
 
     def test_probe_raises(self):
         with pytest.raises(ConvergenceError):
-            probe_schwarz_pick(12, samples=1, rho_grid=[0.9], spec=self.spec)
+            probe_schwarz_pick(12, samples=1, rho_grid=[0.9])
 
-    def test_probe_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(harmonic, "DEFAULT_SPEC", self.spec)
+    def test_probe_exits_two(self, capsys):
         # the hemisphere datum alone needs more than one split at rho = 0.9
         code = main(["probe", "--n", "12", "--samples", "1"])
         captured = capsys.readouterr()

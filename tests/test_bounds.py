@@ -125,6 +125,14 @@ class TestPwBound:
         with pytest.raises(ValueError):
             pw_bound(3, 1.0, -1.0)
 
+    def test_rejects_nan_distance(self):
+        with pytest.raises(ValueError):
+            pw_bound(4, math.nan, 2.0)
+
+    def test_rejects_nan_oscillation(self):
+        with pytest.raises(ValueError):
+            pw_bound(4, 1.0, math.nan)
+
 
 class TestHalfspaceConstant:
     def test_disk(self):

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from ballgrad import cli
+from ballgrad import cli, quadrature
 from ballgrad.cli import main
 from ballgrad.errors import ConvergenceError
+from ballgrad.quadrature import QuadratureSpec
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +231,24 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--n", "12", "--rho", "0.9"),
+            ("verify", "--n", "12", "--suite", "theoremB"),
+            ("probe", "--n", "12", "--samples", "1"),
+            ("phi-table", "--n", "12", "--steps", "3", "--method", "quad"),
+        ],
+    )
+    def test_every_route_reads_the_default_spec(self, capsys, monkeypatch, argv):
+        # the quadrature module owns the default settings; a budget of one
+        # split set there must reach the profile, engine and sphere routes
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "did not meet its tolerance within 1 subdivisions" in err
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -47,6 +47,11 @@ class TestZonalBoundaryData:
         with pytest.raises(ValueError):
             ZonalBoundaryData((0.0,), (0.5,))
 
+    def test_rejects_nan_value(self):
+        # abs(nan) > 1 is False, so the bound must be written as not <= 1
+        with pytest.raises(ValueError):
+            ZonalBoundaryData((0.0,), (math.nan, 1.0))
+
     def test_hemisphere(self):
         g = hemisphere_datum()
         assert g(-0.1) == -1.0
