@@ -50,15 +50,15 @@ def _cmd_constants(args):
     return dict(pairs), ["name", "value"], [(k, float(v)) for k, v in pairs], 0
 
 
-def _phi_value(n, rho, method):
+def _phi_values(n, rhos, method):
     if method == "quad":
-        return phi.phi_quad(n, rho).value
+        return phi.phi_quad_grid(n, rhos)[0].tolist()
     if method == "series":
-        return phi.phi_series(n, rho).value
+        return [phi.phi_series(n, rho).value for rho in rhos]
     if method == "closed3":
         if n != 3:
             raise ValueError("method closed3 requires --n 3")
-        return phi.phi3_closed(rho)
+        return [phi.phi3_closed(rho) for rho in rhos]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -68,14 +68,14 @@ def _cmd_phi_table(args):
         raise ValueError("phi-table requires n >= 3")
     if args.steps < 1:
         raise ValueError("phi-table requires --steps >= 1")
-    grid = np.linspace(0.0, 0.99, args.steps)
+    grid = np.linspace(0.0, 0.99, args.steps).tolist()
     h = 1e-5
+    # every radius the table reads, in one call: rho, rho + h, |rho - h|
+    values = _phi_values(n, grid + [rho + h for rho in grid] + [abs(rho - h) for rho in grid], args.method)
+    steps = len(grid)
     rows = []
-    for rho in grid:
-        rho = float(rho)
-        value = _phi_value(n, rho, args.method)
-        lo = abs(rho - h)
-        dphi = (_phi_value(n, rho + h, args.method) - _phi_value(n, lo, args.method)) / (2.0 * h)
+    for rho, value, ahead, behind in zip(grid, values, values[steps:], values[2 * steps :]):
+        dphi = (ahead - behind) / (2.0 * h)
         second_closed = phi.phi_second(n, rho).value if n >= 4 else math.nan
         second_series = phi.phi_second_series(n, rho).value
         rows.append((rho, value, dphi, second_closed, second_series))

@@ -54,8 +54,8 @@ SECOND_CLOSED_RHO_MIN = 1e-3
 
 _ADAPTIVE_CAP = 3000
 
-# Radii per grid-quadrature pass in verify_monotone: few enough that the
-# panel arrays of one pass stay small, many enough that numpy does the work.
+# Radii per pass of phi_quad_grid: few enough that the panel arrays of one
+# pass stay small, many enough that numpy does the work.
 _GRID_BLOCK = 128
 
 # Quadrature at the binary64 floor, for differences of profile values.
@@ -121,13 +121,21 @@ def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None):
     cosine-substituted variable as in :func:`phi_quad`, with that group's
     own stopping test (summed gap within the largest of ``spec.abs_tol``,
     ``spec.rel_tol`` times the value and the roundoff floor), estimate and
-    ``spec.max_subdivisions`` budget.  :func:`phi_quad` stays the
-    independent adaptive route.
+    ``spec.max_subdivisions`` budget.  The radii run in passes of 128, so
+    the panel arrays stay bounded however many radii are asked for.
+    :func:`phi_quad` stays the independent adaptive route.
     """
     n = _check_dim(n, 2)
     rho = np.asarray(rhos, dtype=float)
     if rho.ndim != 1 or rho.size == 0 or not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError("rhos must be a non-empty sequence in [0, 1]")
+    blocks = (rho[i : i + _GRID_BLOCK] for i in range(0, rho.size, _GRID_BLOCK))
+    values, estimates = zip(*(_phi_quad_block(n, block, spec) for block in blocks))
+    return np.concatenate(values), np.concatenate(estimates)
+
+
+def _phi_quad_block(n, rho, spec):
+    """One pass of :func:`phi_quad_grid` over at most ``_GRID_BLOCK`` radii."""
     s = kink_abscissa(n, rho)
     d_exp = 0.5 * (n - 2)
 
@@ -169,9 +177,10 @@ def _sum_series(head, k, pw, rho, coefficients, K):
 def phi_series(n: int, rho: float, K: int | None = None) -> PhiEvaluation:
     """Profile value by the Gegenbauer expansion in powers of rho.
 
-    The degree-0 and degree-1 moments are kept as explicit weighted
-    integrals (there is no closed reduction for them); the k >= 2 tail uses
-    the closed-form coefficients
+    The degree-0 and degree-1 moments come from the closed forms of
+    :func:`ballgrad.specfun.abs_kernel_coefficient` at lam = (n-2)/2, so
+    this route runs no quadrature; the k >= 2 tail uses the closed-form
+    coefficients
 
         2 n (n-2) / (k (k-1) (k+n-2) (k+n-1))
             * (1 - s^2)^((n+1)/2) * C_{k-2}^{(n+2)/2}(s) * rho^k
@@ -419,8 +428,7 @@ def verify_monotone(n: int, grid_size: int = 1001) -> VerificationReport:
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = np.linspace(0.0, 1.0, grid_size)
-    blocks = (grid[i : i + _GRID_BLOCK] for i in range(0, grid_size, _GRID_BLOCK))
-    values = np.concatenate([phi_quad_grid(n, block)[0] for block in blocks]).tolist()
+    values = phi_quad_grid(n, grid)[0].tolist()
 
     checks = []
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -52,6 +53,10 @@ _MIN_TOL = 1e-15
 _EST_FLOOR = 2.0 ** -48
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances, budgets and declared kink abscissae for one integral.
@@ -73,10 +78,11 @@ class QuadratureSpec:
             raise ValueError("tolerances must be finite")
         if self.abs_tol < _MIN_TOL or self.rel_tol < _MIN_TOL:
             raise ValueError("tolerances below 1e-15 are not attainable in binary64")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
-        if self.base_nodes < 2:
-            raise ValueError("base_nodes must be at least 2")
+        # integers only: a NaN budget never compares as spent
+        if not _is_count(self.max_subdivisions) or self.max_subdivisions < 1:
+            raise ValueError("max_subdivisions must be a positive integer")
+        if not _is_count(self.base_nodes) or self.base_nodes < 2:
+            raise ValueError("base_nodes must be an integer of at least 2")
         ks = self.kinks
         if any(not -1.0 < k < 1.0 for k in ks):
             raise ValueError("kinks must lie strictly inside (-1, 1)")

@@ -125,10 +125,19 @@ def abs_kernel_coefficient(lam: float, k: int, s: float) -> float:
     Degrees k >= 2 use the closed form
 
         8 lam (lam+1) / (k (k-1) (k+2 lam) (k+2 lam+1))
-            * (1 - s^2)^(lam + 3/2) * C_{k-2}^{lam+2}(s),
+            * (1 - s^2)^(lam + 3/2) * C_{k-2}^{lam+2}(s).
 
-    while k = 0 and k = 1, which have no such reduction, are integrated
-    directly with the kink at ``s`` declared.
+    Degrees 0 and 1 are closed as well, for half-integer ``lam`` (2 lam an
+    integer; any other ``lam`` raises ``ValueError``).  With a = lam - 1/2,
+    w = 1 - s^2, P the integral of (1 - x^2)^a over [s, 1], B the one over
+    [-1, 1] and Q = w^(lam + 1/2) / (2 lam + 1),
+
+        k = 0:  2 Q + s (B - 2 P),
+        k = 1:  2 lam / (2 lam + 2) * (2 P - B - 2 s Q).
+
+    P climbs in a by J_a = (2a J_{a-1} - s w^a) / (2a + 1) from
+    J_0 = 1 - s or J_{-1/2} = arccos(s); B by the same step without the s
+    term, from 2 or pi.
     """
     if lam <= -0.5:
         raise ValueError("parameter must exceed -1/2")
@@ -141,18 +150,22 @@ def abs_kernel_coefficient(lam: float, k: int, s: float) -> float:
         coef = 8.0 * lam * (lam + 1.0) / (k * (k - 1.0) * (k + 2.0 * lam) * (k + 2.0 * lam + 1.0))
         return coef * (1.0 - s * s) ** (lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s)
 
-    if k == 0:
-
-        def f(x):
-            return np.abs(x - s)
-
+    if not (math.isfinite(lam) and (2.0 * lam).is_integer()):
+        raise ValueError("degrees 0 and 1 need 2 lam to be an integer")
+    w = 1.0 - s * s
+    # a climbs in unit steps to lam - 1/2, from 0 or from -1/2
+    if (2.0 * lam) % 2.0:
+        a, p, b = 0.0, 1.0 - s, 2.0
     else:
-
-        def f(x):
-            return np.abs(x - s) * (2.0 * lam * x)
-
-    qspec = replace(quadrature.DEFAULT_SPEC, kinks=(s,))
-    return integrate(f, -1.0, 1.0, qspec, weight_exponent=lam - 0.5).value
+        a, p, b = -0.5, math.acos(s), math.pi
+    while a < lam - 0.5:
+        a += 1.0
+        p = (2.0 * a * p - s * w**a) / (2.0 * a + 1.0)
+        b = 2.0 * a * b / (2.0 * a + 1.0)
+    q = w ** (lam + 0.5) / (2.0 * lam + 1.0)
+    if k == 0:
+        return 2.0 * q + s * (b - 2.0 * p)
+    return 2.0 * lam / (2.0 * lam + 2.0) * (2.0 * p - b - 2.0 * s * q)
 
 
 def gegenbauer_weighted_derivative(lam: float, k: int, x: float) -> float:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ballgrad import cli, quadrature
+from ballgrad import cli, phi, quadrature
 from ballgrad.cli import main
 from ballgrad.errors import ConvergenceError
 from ballgrad.quadrature import QuadratureSpec
@@ -70,6 +70,33 @@ class TestPhiTable:
         code, _, err = run_cli(capsys, "phi-table", "--n", "4", "--method", "closed3")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("n", [3, 4, 12])
+    def test_quad_column_matches_the_scalar_route(self, capsys, n):
+        # the column comes from one grid pass; each value must agree with
+        # the independent adaptive route within either route's estimate
+        code, out, _ = run_cli(capsys, "phi-table", "--n", str(n), "--method", "quad")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        grid = [float(row["rho"]) for row in rows]
+        _, grid_estimates = phi.phi_quad_grid(n, grid)
+        for row, rho, grid_estimate in zip(rows, grid, grid_estimates):
+            scalar = phi.phi_quad(n, rho)
+            tol = max(1e-15, grid_estimate, scalar.error_estimate)
+            assert abs(float(row["phi"]) - scalar.value) <= tol, rho
+
+    @pytest.mark.parametrize("method", ["quad", "series"])
+    @pytest.mark.parametrize("n", [3, 4, 12])
+    def test_second_derivative_cells_are_the_scalar_routes(self, capsys, n, method):
+        code, out, _ = run_cli(capsys, "phi-table", "--n", str(n), "--method", method, "--steps", "21")
+        assert code == 0
+        for row in csv.DictReader(io.StringIO(out)):
+            rho = float(row["rho"])
+            assert float(row["d2phi_series"]) == phi.phi_second_series(n, rho).value
+            if n >= 4:
+                assert float(row["d2phi_closed"]) == phi.phi_second(n, rho).value
+            else:
+                assert row["d2phi_closed"] == "nan"
 
     def test_determinism(self, capsys):
         args = ("phi-table", "--n", "4", "--steps", "7")

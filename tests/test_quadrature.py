@@ -155,6 +155,14 @@ def test_spec_rejects_non_finite_tolerances(tolerances):
         QuadratureSpec(**tolerances)
 
 
+@pytest.mark.parametrize("field", ["max_subdivisions", "base_nodes"])
+@pytest.mark.parametrize("count", [math.nan, math.inf, 1.5, True])
+def test_spec_rejects_counts_that_are_not_integers(field, count):
+    # a nan budget never compares as spent, so a hard integrand would run forever
+    with pytest.raises(ValueError, match="integer"):
+        QuadratureSpec(**{field: count})
+
+
 def test_zonal_normalization():
     assert zonal_sphere_integral(lambda t: np.ones_like(t), 5) == pytest.approx(1.0, abs=1e-12)
 

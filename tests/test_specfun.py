@@ -1,5 +1,7 @@
+import math
 from itertools import islice
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,39 @@ class TestAbsKernelCoefficient:
             assert abs_kernel_coefficient(lam, 0, 0.0) == pytest.approx(
                 2.0 / (n - 1.0), abs=1e-11
             )
+
+
+class TestHeadMoments:
+    """Degrees 0 and 1 of :func:`abs_kernel_coefficient` in closed form."""
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 20, 44, 45, 100, 200])
+    def test_match_mpmath(self, n):
+        lam = 0.5 * (n - 2)
+        with mpmath.workdps(30):
+            exponent = mpmath.mpf(n - 3) / 2
+            for s in np.linspace(-0.99, 0.99, 12):
+                s = float(s)
+
+                def moment(x, _s=mpmath.mpf(s)):
+                    return abs(x - _s) * (1 - x * x) ** exponent
+
+                oracle0 = mpmath.quad(moment, [-1, s, 1])
+                oracle1 = mpmath.quad(lambda x: moment(x) * (n - 2) * x, [-1, s, 1])
+                assert abs(abs_kernel_coefficient(lam, 0, s) - oracle0) <= 1e-14, s
+                assert abs(abs_kernel_coefficient(lam, 1, s) - oracle1) <= 1e-14, s
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("lam", [0.3, 1.25, 2.0 + 1e-9, math.nan, math.inf])
+    def test_need_half_integer_parameter(self, k, lam):
+        with pytest.raises(ValueError):
+            abs_kernel_coefficient(lam, k, 0.2)
+
+    def test_parameter_zero(self):
+        # weight (1 - x^2)^(-1/2): the k = 0 moment is 2 sqrt(1 - s^2) + s (pi - 2 arccos s)
+        s = 0.3
+        expected = 2.0 * math.sqrt(1.0 - s * s) + s * (math.pi - 2.0 * math.acos(s))
+        assert abs_kernel_coefficient(0.0, 0, s) == pytest.approx(expected, abs=1e-15)
+        assert abs_kernel_coefficient(0.0, 1, s) == 0.0
 
 
 class TestWeightedDerivative:
