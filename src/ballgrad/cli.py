@@ -54,7 +54,7 @@ def _phi_values(n, rhos, method):
     if method == "quad":
         return phi.phi_quad_grid(n, rhos)[0].tolist()
     if method == "series":
-        return [phi.phi_series(n, rho).value for rho in rhos]
+        return [e.value for e in phi.phi_series(n, rhos)]
     if method == "closed3":
         if n != 3:
             raise ValueError("method closed3 requires --n 3")
@@ -73,12 +73,12 @@ def _cmd_phi_table(args):
     # every radius the table reads, in one call: rho, rho + h, |rho - h|
     values = _phi_values(n, grid + [rho + h for rho in grid] + [abs(rho - h) for rho in grid], args.method)
     steps = len(grid)
+    second_series = phi.phi_second_series(n, grid)
     rows = []
-    for rho, value, ahead, behind in zip(grid, values, values[steps:], values[2 * steps :]):
+    for rho, value, ahead, behind, series in zip(grid, values, values[steps:], values[2 * steps :], second_series):
         dphi = (ahead - behind) / (2.0 * h)
         second_closed = phi.phi_second(n, rho).value if n >= 4 else math.nan
-        second_series = phi.phi_second_series(n, rho).value
-        rows.append((rho, value, dphi, second_closed, second_series))
+        rows.append((rho, value, dphi, second_closed, series.value))
     header = ["rho", "phi", "dphi_fd", "d2phi_closed", "d2phi_series"]
     payload = {"n": n, "rows": [dict(zip(header, row)) for row in rows]}
     return payload, header, rows, 0

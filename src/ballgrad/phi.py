@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -53,6 +54,10 @@ Method = Literal["quad", "series", "closed3", "second_closed", "second_series", 
 SECOND_CLOSED_RHO_MIN = 1e-3
 
 _ADAPTIVE_CAP = 3000
+
+# Radii per pass of the series sum, and the most degrees per block of its terms.
+_SERIES_PASS = 64
+_SERIES_BLOCK = 64
 
 # Radii per pass of phi_quad_grid: few enough that the panel arrays of one
 # pass stay small, many enough that numpy does the work.
@@ -153,55 +158,138 @@ def _phi_quad_block(n, rho, spec):
     return pieces[0::2] + pieces[1::2], estimates
 
 
-def _sum_series(head, k, pw, rho, coefficients, K):
-    """Exact sum of ``head`` and c_j rho^j over the ``coefficients`` c_k,
-    c_{k+1}, ... (``pw`` is rho^k), and the magnitude of the first omitted
-    term.  Stops after degree ``K``, or with ``K`` unset after three terms
-    in a row below 1e-12 of the running sum; also once rho^j vanishes."""
+def _series_radii(rho):
+    """``rho`` as a 1-D array of radii in [0, 1), and whether it was one
+    number rather than a sequence."""
+    radii = np.asarray(rho, dtype=float)
+    single = radii.ndim == 0
+    radii = radii.reshape(-1) if single else radii
+    if radii.ndim != 1 or radii.size == 0 or not np.all((0.0 <= radii) & (radii < 1.0)):
+        raise ValueError("the expansion requires rho in [0, 1), or a non-empty sequence of such radii")
+    return radii, single
+
+
+def _evaluations(n, radii, single, values, estimates, method):
+    """One evaluation per radius, or the only one for a one-number call."""
+    evaluations = [
+        PhiEvaluation(n, r, v, method, e) for r, v, e in zip(radii.tolist(), values, estimates)
+    ]
+    return evaluations[0] if single else evaluations
+
+
+def _sum_series(rho, head, k0, lams, s, prefactors, coefficients, K):
+    """Exact sums of ``head`` and the terms c_k rho^k, k = k0, k0 + 1, ...,
+    at every radius of ``rho``, and the magnitude of each sum's first
+    omitted term, as two lists.
+
+    The Gegenbauer values C_j^(lam)(s) for the parameters ``lams`` enter
+    degree k = k0 + j.  ``coefficients(k, c, p)`` forms c_k for a block of
+    degrees ``k`` (a column), their Gegenbauer values ``c`` (degree x
+    parameter x radius) and the columns ``p`` of ``prefactors`` (one row
+    per prefactor, one column per radius) that belong to those radii.
+
+    Each radius stops on its own: after degree ``K``, or with ``K`` unset
+    after three terms in a row below 1e-12 of its running sum or after
+    degree 3000; also once rho^k vanishes.  Its terms are ``math.fsum``med
+    and it leaves the pass.  The radii run sorted, in passes of
+    ``_SERIES_PASS``, so the slow radii near 1 share their passes.  The
+    terms of a pass are formed a block of degrees at a time, 8 at first and
+    up to ``_SERIES_BLOCK``, each term by the same operations as in a
+    one-radius sum, so no result depends on the other radii of the batch.
+    """
     cap = K if K is not None else _ADAPTIVE_CAP
-    terms = [head]
-    running = head
-    small = 0
-    for c in coefficients:
-        term = c * pw
-        if k > cap or (K is None and small >= 3) or pw == 0.0:
-            return math.fsum(terms), abs(term)
-        terms.append(term)
-        running += term
-        if K is None:
-            small = small + 1 if abs(term) <= 1e-12 * abs(running) else 0
-        pw *= rho
-        k += 1
+    values = np.empty(rho.size)
+    omitted = np.empty(rho.size)
+    order = np.argsort(rho, kind="stable")
+    for start in range(0, rho.size, _SERIES_PASS):
+        index = order[start : start + _SERIES_PASS]  # the radii of the pass still summing
+        gegenbauer = specfun.gegenbauer_iter(lams[:, None], s[index][None, :])
+        columns = np.arange(index.size)  # their columns in the Gegenbauer values
+        r, p, heads, running = rho[index], prefactors[:, index], head[index], head[index]
+        pw = np.ones(index.size)
+        for _ in range(k0):
+            pw = pw * r
+        small = np.zeros((3, index.size), dtype=bool)  # last three terms below 1e-12 of the sum
+        blocks = []  # the terms so far, one array per block of degrees
+        k, size, summed = k0, 8, 0
+        while index.size:
+            c = np.array(list(islice(gegenbauer, size)))
+            if columns.size < c.shape[2]:
+                c = c[:, :, columns]
+            # rho^k by repeated multiplication, as a one-radius loop forms it
+            pws = np.empty((size, index.size))
+            pws[0], pws[1:] = pw, r
+            np.multiply.accumulate(pws, out=pws)
+            degrees = np.arange(k, k + size, dtype=float)[:, None]
+            terms = coefficients(degrees, c, p)
+            terms *= pws
+            sums = np.empty((size + 1, index.size))
+            sums[0], sums[1:] = running, terms
+            np.add.accumulate(sums, out=sums)
+            stop = (pws == 0.0) | (degrees > cap)
+            if K is None:
+                flags = np.empty((size + 3, index.size), dtype=bool)
+                flags[:3] = small
+                np.less_equal(np.abs(terms), 1e-12 * np.abs(sums[1:]), out=flags[3:])
+                stop |= flags[:-3] & flags[1:-2] & flags[2:-1]
+                small = flags[-3:]
+            blocks.append(terms)
+            pw, running = pws[-1] * r, sums[-1]
+            k, summed = k + size, summed + size
+            size = min(2 * size, _SERIES_BLOCK)
+            done = stop.any(axis=0)
+            if not done.any():
+                continue
+            last = stop.argmax(axis=0)
+            finished = np.flatnonzero(done)
+            omitted[index[finished]] = np.abs(terms[last[finished], finished])
+            ends = (summed - terms.shape[0] + 1 + last[finished]).tolist()
+            # as many radii at a time as keep the gathered copy near 64 kB:
+            # each row is one radius's head and its terms before the stop
+            per = max(1, 8192 // summed)
+            for lo in range(0, finished.size, per):
+                group = finished[lo : lo + per]
+                rows = np.concatenate([heads[group, None], *(block[:, group].T for block in blocks)], axis=1)
+                for i, row, end in zip(index[group], rows, ends[lo : lo + per]):
+                    values[i] = math.fsum(memoryview(row)[:end])
+            keep = ~done
+            for j, block in enumerate(blocks):
+                blocks[j] = block[:, keep]
+            index, columns, r, p, heads = index[keep], columns[keep], r[keep], p[:, keep], heads[keep]
+            running, pw, small = running[keep], pw[keep], small[:, keep]
+    return values.tolist(), omitted.tolist()
 
 
-def phi_series(n: int, rho: float, K: int | None = None) -> PhiEvaluation:
+def phi_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEvaluation]:
     """Profile value by the Gegenbauer expansion in powers of rho.
 
-    The degree-0 and degree-1 moments come from the closed forms of
-    :func:`ballgrad.specfun.abs_kernel_coefficient` at lam = (n-2)/2, so
-    this route runs no quadrature; the k >= 2 tail uses the closed-form
-    coefficients
+    With s = (n-2) rho / n, the degree-0 and degree-1 terms together are
+    the head 2 (1 - s^2)^((n+1)/2) / (n - 1), and the k >= 2 tail has the
+    closed-form coefficients
 
         2 n (n-2) / (k (k-1) (k+n-2) (k+n-1))
-            * (1 - s^2)^((n+1)/2) * C_{k-2}^{(n+2)/2}(s) * rho^k
+            * (1 - s^2)^((n+1)/2) * C_{k-2}^{(n+2)/2}(s) * rho^k,
 
-    with s = (n-2) rho / n.  With ``K`` unset the sum stops adaptively; the
-    reported error estimate is the first omitted term.
+    so this route runs no quadrature.  With ``K`` unset the sum stops
+    adaptively; the reported error estimate is the first omitted term.
+    ``rho`` may be one radius or a 1-D sequence of them; a sequence gives
+    one evaluation per radius, in input order, each equal to its one-radius
+    call (see :func:`_sum_series`).
     """
     n = _check_dim(n, 3)
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("the expansion requires rho in [0, 1)")
-    s = kink_abscissa(n, rho)
-    lam = 0.5 * (n - 2)
-    head = specfun.abs_kernel_coefficient(lam, 0, s) + specfun.abs_kernel_coefficient(lam, 1, s) * rho
+    radii, single = _series_radii(rho)
+    s = kink_abscissa(n, radii)
+    # one scalar pow per radius: numpy's vector pow rounds some differently
+    wpow = np.array([(1.0 - x * x) ** (0.5 * (n + 1)) for x in s.tolist()])
+    scale = 2.0 * n * (n - 2.0)
 
-    wpow = (1.0 - s * s) ** (0.5 * (n + 1))
-    coefficients = (
-        2.0 * n * (n - 2.0) / (k * (k - 1.0) * (k + n - 2.0) * (k + n - 1.0)) * wpow * c
-        for k, c in enumerate(specfun.gegenbauer_iter(0.5 * (n + 2), s), 2)
-    )
-    value, omitted = _sum_series(head, 2, rho * rho, rho, coefficients, K)
-    return PhiEvaluation(n, rho, value, "series", omitted)
+    def coefficients(k, c, p):
+        return scale / (k * (k - 1.0) * (k + n - 2.0) * (k + n - 1.0)) * p[0] * c[:, 0]
+
+    lams = np.array([0.5 * (n + 2)])
+    head = 2.0 * wpow / (n - 1.0)
+    values, omitted = _sum_series(radii, head, 2, lams, s, wpow[None, :], coefficients, K)
+    return _evaluations(n, radii, single, values, omitted, "series")
 
 
 def phi3_closed(rho: float) -> float:
@@ -262,7 +350,7 @@ def phi_second_closed(n: int, rho: float, rel_tol: float = specfun.DEFAULT_SERIE
     return PhiEvaluation(n, rho, value, "second_closed", est)
 
 
-def phi_second_series(n: int, rho: float, K: int | None = None) -> PhiEvaluation:
+def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEvaluation]:
     """Second derivative of the profile by its three-part Gegenbauer series.
 
     The three series run over parameters (n-2)/2, n/2 and (n+2)/2 with
@@ -270,27 +358,25 @@ def phi_second_series(n: int, rho: float, K: int | None = None) -> PhiEvaluation
     ratios 1, (n-1)/(n+k-1) and n(n+1)/((n+k)(n+k+1)), and powers of
     w = 1 - s^2 with exponents (n-3)/2, (n-1)/2 and (n+1)/2.  At rho = 0
     only the degree-0 terms survive, which makes this the exact route near
-    the origin.
+    the origin.  ``rho`` may be one radius or a 1-D sequence of them, as
+    for :func:`phi_series`.
     """
     n = _check_dim(n, 3)
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("the expansion requires rho in [0, 1)")
-    s = kink_abscissa(n, rho)
-    w = 1.0 - s * s
-    a1 = 2.0 * (n - 2.0) ** 2 / (n * n) * w ** (0.5 * (n - 3))
-    a2 = -4.0 * (n - 2.0) ** 2 / (n * (n - 1.0)) * w ** (0.5 * (n - 1))
-    a3 = 2.0 * (n - 2.0) / (n + 1.0) * w ** (0.5 * (n + 1))
-    gegenbauer = zip(
-        specfun.gegenbauer_iter(0.5 * (n - 2), s),
-        specfun.gegenbauer_iter(0.5 * n, s),
-        specfun.gegenbauer_iter(0.5 * (n + 2), s),
-    )
-    coefficients = (
-        a1 * c1 + a2 * (n - 1.0) / (n + k - 1.0) * c2 + a3 * n * (n + 1.0) / ((n + k) * (n + k + 1.0)) * c3
-        for k, (c1, c2, c3) in enumerate(gegenbauer)
-    )
-    value, omitted = _sum_series(0.0, 0, 1.0, rho, coefficients, K)
-    return PhiEvaluation(n, rho, value, "second_series", omitted)
+    radii, single = _series_radii(rho)
+    s = kink_abscissa(n, radii)
+    w = (1.0 - s * s).tolist()
+    # one scalar pow per radius: numpy's vector pow rounds some differently
+    a1 = 2.0 * (n - 2.0) ** 2 / (n * n) * np.array([x ** (0.5 * (n - 3)) for x in w])
+    a2 = -4.0 * (n - 2.0) ** 2 / (n * (n - 1.0)) * np.array([x ** (0.5 * (n - 1)) for x in w])
+    a3 = 2.0 * (n - 2.0) / (n + 1.0) * np.array([x ** (0.5 * (n + 1)) for x in w])
+    prefactors = np.vstack((a1, a2 * (n - 1.0), a3 * n * (n + 1.0)))
+
+    def coefficients(k, c, p):
+        return p[0] * c[:, 0] + p[1] / (n + k - 1.0) * c[:, 1] + p[2] / ((n + k) * (n + k + 1.0)) * c[:, 2]
+
+    lams = np.array([0.5 * (n - 2), 0.5 * n, 0.5 * (n + 2)])
+    values, omitted = _sum_series(radii, np.zeros(radii.size), 0, lams, s, prefactors, coefficients, K)
+    return _evaluations(n, radii, single, values, omitted, "second_series")
 
 
 def phi_second_fd(n: int, rho: float, step: float = 1e-3) -> PhiEvaluation:
@@ -474,7 +560,16 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = (np.arange(1, grid_size + 1)) / (grid_size + 1.0)
-    values = [phi_second(n, float(r)).value for r in grid]
+    agree_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    # phi_second's routing; every series radius of the suite, the sweep's
+    # and the route-agreement ones, is summed in one batched call
+    series = grid <= SECOND_CLOSED_RHO_MIN if n >= 4 else np.ones(grid.size, dtype=bool)
+    sweep_series = grid[series].tolist()
+    summed = [e.value for e in phi_second_series(n, sweep_series + agree_grid)]
+    values = np.empty(grid.size)
+    values[series] = summed[: len(sweep_series)]
+    values[~series] = [phi_second_closed(n, r).value for r in grid[~series].tolist()]
+    values = values.tolist()
 
     checks = []
     worst = max(values)
@@ -489,12 +584,9 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
         )
     )
 
-    agree_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     errors = []
-    for r in agree_grid:
-        series = phi_second_series(n, r).value
-        fd = phi_second_fd(n, r).value
-        routes = [series, fd]
+    for r, series_value in zip(agree_grid, summed[len(sweep_series) :]):
+        routes = [series_value, phi_second_fd(n, r).value]
         if n >= 4:
             routes.append(phi_second_closed(n, r).value)
         scale = max(abs(v) for v in routes)

@@ -31,19 +31,48 @@ DEFAULT_SERIES_RTOL = 1e-13
 _SERIES_BUDGET = 10_000
 
 
-def gegenbauer_iter(lam: float, x):
-    """Yield the Gegenbauer values of degree 0, 1, 2, ... at ``x``, a float
-    or a numpy array (elementwise).  The forward recurrence is stable for
-    |x| <= 1 at the degrees used here (up to a few thousand)."""
-    c_prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
+def gegenbauer_iter(lam, x):
+    """Yield the Gegenbauer values of degree 0, 1, 2, ... for the parameter
+    ``lam`` at ``x``.  Either may be a numpy array; the values then
+    broadcast over both, elementwise equal to the float values.  The
+    forward recurrence is stable for |x| <= 1 at the degrees used here (up
+    to a few thousand).
+
+    For an array of parameters the degree factors are formed a chunk of
+    degrees at a time, by the same operations in the same order as for a
+    float parameter; chunks grow from 4 to 64 degrees, so a call that wants
+    a few low degrees pays for few."""
+    if not isinstance(lam, np.ndarray):
+        c_prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
+        yield c_prev
+        c = 2.0 * lam * x
+        yield c
+        k = 2
+        while True:
+            c, c_prev = (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k, c
+            yield c
+            k += 1
+    lam, x = lam.astype(float), np.asarray(x, dtype=float)
+    c_prev = np.ones(np.broadcast_shapes(lam.shape, x.shape))
     yield c_prev
     c = 2.0 * lam * x
     yield c
-    k = 2
+    k, size = 2, 4
     while True:
-        c, c_prev = (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k, c
-        yield c
-        k += 1
+        degrees = np.arange(k, k + size, dtype=float).reshape((size,) + (1,) * lam.ndim)
+        # each degree's value is formed in place in its row of ``ups``
+        ups = list(2.0 * (degrees + lam - 1.0) * x)
+        downs = np.empty((size,) + c.shape)
+        downs[...] = degrees + 2.0 * lam - 2.0
+        for up, down, divisor in zip(ups, downs, degrees.ravel().tolist()):
+            up *= c
+            down *= c_prev
+            up -= down
+            up /= divisor
+            c, c_prev = up, c
+            yield c
+        k += size
+        size = min(2 * size, 64)
 
 
 def _gegenbauer(lam: float, degree: int, x):

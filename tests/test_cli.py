@@ -165,6 +165,33 @@ class TestVerify:
         for check, (*_, margin, _) in zip(checks, pins):
             assert check["worst_margin"] == pytest.approx(margin, rel=0, abs=1e-12)
 
+    # (name, passed, expected, worst_margin, at) as printed when every
+    # series radius was summed by its own one-radius loop; the batched
+    # series must reproduce them exactly
+    CONCAVITY_PINS = {
+        3: [
+            ("second_derivative_negative", False, True, 0.05555553711089523, "rho=0.000998"),
+            ("route_agreement", True, False, 6.32748506684512e-08, "rho=0.2"),
+        ],
+        4: [
+            ("second_derivative_negative", True, False, -0.033333338669112374, "rho=0.000998"),
+            ("route_agreement", True, False, 9.09059934663774e-08, "rho=0.8"),
+        ],
+        12: [
+            ("second_derivative_negative", True, False, -0.10295269216100489, "rho=0.000998"),
+            ("route_agreement", True, False, 6.059501234480761e-09, "rho=0.4"),
+        ],
+    }
+
+    @pytest.mark.parametrize("n", sorted(CONCAVITY_PINS))
+    def test_concavity_output_is_pinned(self, capsys, n):
+        code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--suite", "concavity")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["passed"], c["expected"], c["worst_margin"], c["at"]) for c in checks] == (
+            self.CONCAVITY_PINS[n]
+        )
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "4", "--suite", "monotone", "--format", "csv"

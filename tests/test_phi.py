@@ -1,9 +1,13 @@
+import json
 import math
+import random
+import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballgrad import quadrature
@@ -134,6 +138,116 @@ class TestPhiSeries:
     def test_rejects_radius_one(self):
         with pytest.raises(ValueError):
             phi_series(4, 1.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 44])
+    def test_head_is_the_degree_zero_and_one_terms(self, n):
+        # M0 + M1 rho, the integral of |x - s| (1 - x^2)^((n-3)/2) (1 + (n-2) x rho),
+        # equals 2 (1 - s^2)^((n+1)/2) / (n - 1)
+        with mpmath.workdps(40):
+            for rho in (0.3, 0.9, 0.98):
+                r = mpmath.mpf(rho)
+                s = (n - 2) * r / n
+
+                def integrand(x):
+                    return abs(x - s) * (1 - x * x) ** (mpmath.mpf(n - 3) / 2) * (1 + (n - 2) * x * r)
+
+                moments = mpmath.quad(integrand, [-1, s, 1])
+                factored = 2 * (1 - s * s) ** (mpmath.mpf(n + 1) / 2) / (n - 1)
+                assert abs(moments - factored) <= 1e-20 * factored, rho
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 44, 60, 100])
+    def test_head_keeps_its_relative_precision(self, n):
+        # with K = 0 only the head is summed; the factored form stays
+        # accurate relative to itself where the moments cancel (at n = 60,
+        # rho = 0.98 it is 2.3e-32), up to the conditioning of w^((n+1)/2)
+        for rho in (0.3, 0.9, 0.98):
+            head = phi_series(n, rho, K=0).value
+            s2 = ((n - 2.0) * rho / n) ** 2
+            with mpmath.workdps(40):
+                s = (n - 2) * mpmath.mpf(rho) / n
+                exact = float(2 * (1 - s * s) ** (mpmath.mpf(n + 1) / 2) / (n - 1))
+            bound = 4 * 2.0**-53 * ((n + 1) / 2 * (1 + 2 * s2 / (1 - s2)) + 2)
+            assert head > 0.0 and abs(head - exact) <= bound * exact, rho
+
+
+SERIES_FIXTURE = json.loads((Path(__file__).parent / "series_fixture.json").read_text())
+FIXTURE_RADII = [float.fromhex(h) for h in SERIES_FIXTURE["radii"]]
+
+
+def _recorded(name, n):
+    return [tuple(map(float.fromhex, pair)) for pair in SERIES_FIXTURE[name][str(n)]]
+
+
+class TestBatchedSeries:
+    """Both series take a sequence of radii; every entry must be the value
+    and estimate of its one-radius call, which in turn are those of the
+    one-radius loop the batched sum replaced (``series_fixture.json``)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 12, 44])
+    def test_second_series_is_bit_identical_to_the_recorded_loop(self, n):
+        recorded = _recorded("phi_second_series", n)
+        batch = phi_second_series(n, FIXTURE_RADII)
+        assert [(e.value, e.error_estimate) for e in batch] == recorded
+        for rho, pair in zip(FIXTURE_RADII[::7], recorded[::7]):
+            single = phi_second_series(n, rho)
+            assert (single.value, single.error_estimate) == pair
+
+    @pytest.mark.parametrize("n", [3, 4, 12, 44])
+    def test_series_moves_only_by_the_factored_head(self, n):
+        # the head is now 2 (1 - s^2)^((n+1)/2) / (n - 1) instead of a
+        # difference of moments; the tail and its stopping degree are as before
+        batch = phi_series(n, FIXTURE_RADII)
+        for rho, e, (value, estimate) in zip(FIXTURE_RADII, batch, _recorded("phi_series", n)):
+            assert e.rho == rho and e.method == "series"
+            assert e.error_estimate == estimate, rho
+            assert abs(e.value - value) <= 4.4e-16, rho
+
+    def test_one_number_gives_one_evaluation(self):
+        single = phi_second_series(4, 0.5)
+        (batched,) = phi_second_series(4, [0.5])
+        assert single == batched
+        assert isinstance(single.value, float) and isinstance(single.rho, float)
+
+    @pytest.mark.parametrize("fn", [phi_series, phi_second_series])
+    @pytest.mark.parametrize("rhos", [[], np.zeros((2, 2)), [0.5, math.nan], [0.2, 1.0], [0.2, 1.5], [-0.1]])
+    def test_rejects_bad_radii(self, fn, rhos):
+        with pytest.raises(ValueError):
+            fn(4, rhos)
+
+    def test_memory_stays_bounded(self):
+        # passes of 64 radii hold their terms until each radius stops; a
+        # long sequence must not hold more than about one pass at a time
+        radii = np.linspace(0.0, 0.999, 10_000)
+        tracemalloc.start()
+        try:
+            result = phi_second_series(3, radii)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == radii.size
+        assert peak - held < 2_000_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 5, 12, 44]),
+    rhos=st.lists(st.floats(0.0, 0.999), max_size=196),
+    K=st.sampled_from([None, 0, 5, 300]),
+    second=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+)
+@example(n=4, rhos=np.linspace(0.0, 0.999, 196).tolist(), K=None, second=True, rng=random.Random(1))
+@example(n=12, rhos=np.linspace(0.0, 0.999, 196).tolist(), K=300, second=False, rng=random.Random(2))
+def test_batch_entries_equal_their_one_radius_calls(n, rhos, K, second, rng):
+    # unsorted, with duplicates and the origin; 200 radii span four passes
+    fn = phi_second_series if second else phi_series
+    radii = [*rhos, *rhos[:3], 0.0]
+    rng.shuffle(radii)
+    batch = fn(n, radii, K=K)
+    assert len(batch) == len(radii)
+    for rho, e in zip(radii, batch):
+        single = fn(n, rho, K=K)
+        assert (e.rho, e.value, e.error_estimate) == (single.rho, single.value, single.error_estimate)
 
 
 class TestPhi3Closed:

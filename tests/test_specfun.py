@@ -10,6 +10,7 @@ from scipy.special import eval_gegenbauer
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from ballgrad.errors import ConvergenceError
+from ballgrad.phi import phi_series
 from ballgrad.quadrature import QuadratureSpec, integrate
 from ballgrad.specfun import (
     HypergeometricInput,
@@ -49,6 +50,24 @@ class TestGegenbauer:
                 values = _gegenbauer(lam, k, xs)
                 assert values.shape == xs.shape
                 assert values.tolist() == [_gegenbauer(lam, k, float(x)) for x in xs]
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5, 7.0, 22.0])
+    def test_parameter_array_matches_the_float_path(self, lam):
+        xs = np.linspace(-0.99, 0.99, 7)
+        arrays = islice(gegenbauer_iter(np.array([lam]), xs), 3001)
+        floats = zip(*(islice(gegenbauer_iter(lam, float(x)), 3001) for x in xs))
+        for degree, (values, expected) in enumerate(zip(arrays, floats)):
+            assert values.shape == xs.shape
+            assert values.tolist() == list(expected), degree
+
+    def test_parameter_column_broadcasts_against_a_row_of_points(self):
+        lams = np.array([0.5, 2.5, 22.0])
+        xs = np.linspace(-0.95, 0.95, 5)
+        arrays = list(islice(gegenbauer_iter(lams[:, None], xs[None, :]), 3001))
+        for i, lam in enumerate(lams.tolist()):
+            for j, x in enumerate(xs.tolist()):
+                expected = list(islice(gegenbauer_iter(lam, x), 3001))
+                assert [float(values[i, j]) for values in arrays] == expected, (lam, x)
 
     @given(
         lam=st.floats(0.5, 4.0),
@@ -201,6 +220,18 @@ class TestHeadMoments:
                 oracle1 = mpmath.quad(lambda x: moment(x) * (n - 2) * x, [-1, s, 1])
                 assert abs(abs_kernel_coefficient(lam, 0, s) - oracle0) <= 1e-14, s
                 assert abs(abs_kernel_coefficient(lam, 1, s) - oracle1) <= 1e-14, s
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 20, 44])
+    def test_sum_is_the_factored_series_head(self, n):
+        # M0 + M1 rho = 2 (1 - s^2)^((n+1)/2) / (n - 1) with s = (n-2) rho / n,
+        # the head phi_series sums (alone with K = 0)
+        lam = 0.5 * (n - 2)
+        for rho in np.linspace(0.0, 0.99, 12).tolist():
+            s = (n - 2.0) * rho / n
+            moments = abs_kernel_coefficient(lam, 0, s) + abs_kernel_coefficient(lam, 1, s) * rho
+            factored = phi_series(n, rho, K=0).value
+            assert factored == 2.0 * (1.0 - s * s) ** (0.5 * (n + 1)) / (n - 1.0)
+            assert abs(moments - factored) <= 1e-15, rho
 
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("lam", [0.3, 1.25, 2.0 + 1e-9, math.nan, math.inf])
