@@ -192,6 +192,55 @@ class TestVerify:
             self.CONCAVITY_PINS[n]
         )
 
+    # (name, passed, expected, worst_margin, at) as printed when the kernel
+    # moments were brute-forced by one adaptive integral each; the grouped
+    # quadrature reproduces every margin but its own (None), which must stay
+    # within 1e-13 at the same case
+    IDENTITY_PINS = {
+        3: [
+            ("generating_relation", True, False, 1.2168044349891716e-13, "lam=0.5,x=0.90,z=0.5"),
+            ("rainville_expansion", True, False, 5.719869022868806e-13, "n=4,x=0.95,z=0.8"),
+            ("pfaff_transformation", True, False, 2.7856752943701177e-16, "a=2.0,b=1.0,c=3.5,z=0.60"),
+            ("contiguous_relation", True, False, 1.282274680535334e-14, "z=0.90"),
+            ("kernel_moment_closed_form", True, False, None, "lam=1.5,k=8,s=0.80"),
+            ("weighted_derivative_identity", True, False, 2.2876017478560362e-08, "lam=3.0,k=4,x=-0.80"),
+            ("hypergeometric_derivative_identity", True, False, 5.033074847088602e-11, "a=1.0,b=1.5,c=2.0,z=0.55"),
+        ],
+        4: [
+            ("generating_relation", True, False, 1.2168044349891716e-13, "lam=0.5,x=0.90,z=0.5"),
+            ("rainville_expansion", True, False, 5.719869022868806e-13, "n=4,x=0.95,z=0.8"),
+            ("pfaff_transformation", True, False, 2.7856752943701177e-16, "a=2.0,b=1.0,c=3.5,z=0.60"),
+            ("contiguous_relation", True, False, 1.4278418729689958e-14, "z=0.90"),
+            ("kernel_moment_closed_form", True, False, None, "lam=1.5,k=8,s=0.80"),
+            ("weighted_derivative_identity", True, False, 2.2876017478560362e-08, "lam=3.0,k=4,x=-0.80"),
+            ("hypergeometric_derivative_identity", True, False, 5.404259258377446e-11, "a=1.0,b=2.0,c=2.5,z=0.4"),
+        ],
+        12: [
+            ("generating_relation", True, False, 1.2168044349891716e-13, "lam=0.5,x=0.90,z=0.5"),
+            ("rainville_expansion", True, False, 5.6843418860808015e-11, "n=8,x=0.95,z=0.8"),
+            ("pfaff_transformation", True, False, 7.815119312043219e-16, "a=1.0,b=6.0,c=6.5,z=0.60"),
+            ("contiguous_relation", True, False, 2.2479763501681164e-14, "z=0.90"),
+            ("kernel_moment_closed_form", True, False, None, "lam=5.0,k=9,s=0.40"),
+            ("weighted_derivative_identity", True, False, 2.2876017478560362e-08, "lam=3.0,k=4,x=-0.80"),
+            ("hypergeometric_derivative_identity", True, False, 2.7016282795169506e-10, "a=1.0,b=6.0,c=6.5,z=0.1"),
+        ],
+    }
+
+    @pytest.mark.parametrize("n", sorted(IDENTITY_PINS))
+    def test_identities_output_is_pinned(self, capsys, n):
+        code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--suite", "identities")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        pins = self.IDENTITY_PINS[n]
+        assert [(c["name"], c["passed"], c["expected"], c["at"]) for c in checks] == [
+            (name, passed, expected, at) for name, passed, expected, _, at in pins
+        ]
+        for check, (name, _, _, margin, _) in zip(checks, pins):
+            if margin is None:
+                assert 0.0 <= check["worst_margin"] <= 1e-13, name
+            else:
+                assert check["worst_margin"] == margin, name
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "4", "--suite", "monotone", "--format", "csv"

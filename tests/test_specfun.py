@@ -15,6 +15,7 @@ from ballgrad.quadrature import QuadratureSpec, integrate
 from ballgrad.specfun import (
     HypergeometricInput,
     _gegenbauer,
+    _kernel_moment_quadrature,
     abs_kernel_coefficient,
     gegenbauer_iter,
     gegenbauer_weighted_derivative,
@@ -200,6 +201,40 @@ class TestAbsKernelCoefficient:
             assert abs_kernel_coefficient(lam, 0, 0.0) == pytest.approx(
                 2.0 / (n - 1.0), abs=1e-11
             )
+
+
+class TestKernelMomentQuadrature:
+    """The grouped brute-force moments behind ``kernel_moment_closed_form``."""
+
+    def test_match_mpmath(self):
+        # one batch mixing parameters, degrees and kinks, so that every group
+        # must keep its own degree; checked against 30-digit tanh-sinh in x
+        cases = [
+            (lam, k, s) for lam in (0.5, 1.0, 1.5, 5.0, 21.0) for k in (2, 5, 10) for s in (-0.8, 0.0, 0.4, 0.8)
+        ]
+        values, estimates = _kernel_moment_quadrature(cases)
+        assert values.shape == estimates.shape == (len(cases),)
+        m = 4000
+        theta = (np.arange(m) + 0.5) * math.pi / m
+        t = np.cos(theta)
+        with mpmath.workdps(30):
+            for (lam, k, s), value, estimate in zip(cases, values.tolist(), estimates.tolist()):
+                mp_lam = mpmath.mpf(lam)
+
+                def gegenbauer(x, _lam=mp_lam, _k=k):
+                    prev, cur = mpmath.mpf(1), 2 * _lam * x
+                    for j in range(2, _k + 1):
+                        prev, cur = cur, (2 * (j + _lam - 1) * x * cur - (j + 2 * _lam - 2) * prev) / j
+                    return cur
+
+                def moment(x, _lam=mp_lam, _s=mpmath.mpf(s)):
+                    return abs(x - _s) * gegenbauer(x) * (1 - x * x) ** (_lam - 0.5)
+
+                oracle = mpmath.quad(moment, [-1, s, 1])
+                # the integral of |integrand| (midpoint rule in theta), only a tolerance scale
+                integrand = (t - s) * eval_gegenbauer(k, lam, t) * np.sin(theta) ** (2 * lam)
+                scale = math.pi / m * np.sum(np.abs(integrand))
+                assert abs(value - oracle) <= max(estimate, 1e-14 * scale), (lam, k, s)
 
 
 class TestHeadMoments:
