@@ -73,12 +73,22 @@ def _cmd_phi_table(args):
     # every radius the table reads, in one call: rho, rho + h, |rho - h|
     values = _phi_values(n, grid + [rho + h for rho in grid] + [abs(rho - h) for rho in grid], args.method)
     steps = len(grid)
-    second_series = phi.phi_second_series(n, grid)
+    second_series = [e.value for e in phi.phi_second_series(n, grid)]
+    # phi_second's routing: the closed form in one batched call where it is
+    # well conditioned, the series cell below
+    second_closed = [math.nan] * steps
+    if n >= 4:
+        second_closed = list(second_series)
+        closed = [i for i, rho in enumerate(grid) if rho > phi.SECOND_CLOSED_RHO_MIN]
+        if closed:
+            for i, e in zip(closed, phi.phi_second_closed(n, [grid[i] for i in closed])):
+                second_closed[i] = e.value
     rows = []
-    for rho, value, ahead, behind, series in zip(grid, values, values[steps:], values[2 * steps :], second_series):
+    for rho, value, ahead, behind, closed_value, series_value in zip(
+        grid, values, values[steps:], values[2 * steps :], second_closed, second_series
+    ):
         dphi = (ahead - behind) / (2.0 * h)
-        second_closed = phi.phi_second(n, rho).value if n >= 4 else math.nan
-        rows.append((rho, value, dphi, second_closed, series.value))
+        rows.append((rho, value, dphi, closed_value, series_value))
     header = ["rho", "phi", "dphi_fd", "d2phi_closed", "d2phi_series"]
     payload = {"n": n, "rows": [dict(zip(header, row)) for row in rows]}
     return payload, header, rows, 0

@@ -158,6 +158,14 @@ def _phi_quad_block(n, rho, spec):
     return pieces[0::2] + pieces[1::2], estimates
 
 
+def _pow_each(x, p):
+    """``x ** p`` for a float, or for each entry of an array by one scalar
+    pow per entry: numpy's vector pow rounds some differently."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**p for v in x.tolist()])
+    return x**p
+
+
 def _series_radii(rho):
     """``rho`` as a 1-D array of radii in [0, 1), and whether it was one
     number rather than a sequence."""
@@ -279,8 +287,7 @@ def phi_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEva
     n = _check_dim(n, 3)
     radii, single = _series_radii(rho)
     s = kink_abscissa(n, radii)
-    # one scalar pow per radius: numpy's vector pow rounds some differently
-    wpow = np.array([(1.0 - x * x) ** (0.5 * (n + 1)) for x in s.tolist()])
+    wpow = _pow_each(1.0 - s * s, 0.5 * (n + 1))
     scale = 2.0 * n * (n - 2.0)
 
     def coefficients(k, c, p):
@@ -320,23 +327,31 @@ def varphi(n: int, t: float) -> float:
     return t * (1.0 - (n - 2.0) ** 2 * t / (n * n)) / (1.0 - (n - 4.0) * t / n)
 
 
-def phi_second_closed(n: int, rho: float, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> PhiEvaluation:
+def phi_second_closed(n: int, rho, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> PhiEvaluation | list[PhiEvaluation]:
     """Second derivative of the profile by the hypergeometric closed form.
 
     Valid for n >= 4 and rho above :data:`SECOND_CLOSED_RHO_MIN`; below that
     the 1/rho^2 prefactor against a vanishing brace loses too many digits
-    and :func:`phi_second_series` is exact instead.
+    and :func:`phi_second_series` is exact instead.  ``rho`` may be one
+    radius or a 1-D sequence of them; a sequence gives one evaluation per
+    radius, in input order, each equal to its one-radius call, with every
+    hypergeometric value from one batched :func:`hyp2f1` call.
     """
     n = _check_dim(n, 4)
-    if not SECOND_CLOSED_RHO_MIN < rho <= 1.0:
+    radii = np.asarray(rho, dtype=float)
+    if radii.ndim > 1 or radii.size == 0 or not np.all((SECOND_CLOSED_RHO_MIN < radii) & (radii <= 1.0)):
         raise ValueError(
             f"closed form needs rho in ({SECOND_CLOSED_RHO_MIN}, 1]; use phi_second_series below"
         )
-    r2 = rho * rho
+    single = radii.ndim == 0
+    # the same expressions on one float or elementwise on an array of radii
+    r = float(rho) if single else radii
+    r2 = r * r
     w = 1.0 - (n - 2.0) ** 2 * r2 / (n * n)
     aa = 1.0 - (n - 4.0) * r2 / n
     z = r2 * w / aa
     f_val = hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), z), rel_tol)
+    f_val = f_val if single else np.array(f_val)
     term1 = (1.0 - (n - 2.0) * (n - 3.0) * r2 / (n * n)) * aa
     term2 = (
         (1.0 - (n - 2.0) * (n - 3.0) * r2 / (n * (n - 1.0)))
@@ -344,10 +359,12 @@ def phi_second_closed(n: int, rho: float, rel_tol: float = specfun.DEFAULT_SERIE
         * (1.0 - (n - 2.0) * r2 / n)
         * f_val
     )
-    prefactor = 2.0 * (n - 2.0) / r2 * w ** (0.5 * (n - 3)) * aa ** (-0.5 * n)
+    prefactor = 2.0 * (n - 2.0) / r2 * _pow_each(w, 0.5 * (n - 3)) * _pow_each(aa, -0.5 * n)
     value = prefactor * (term1 - term2)
     est = abs(prefactor) * (rel_tol * abs(term2) + 1e-16 * (abs(term1) + abs(term2)))
-    return PhiEvaluation(n, rho, value, "second_closed", est)
+    if single:
+        return PhiEvaluation(n, r, value, "second_closed", est)
+    return _evaluations(n, radii, False, value.tolist(), est.tolist(), "second_closed")
 
 
 def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEvaluation]:
@@ -364,11 +381,10 @@ def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list
     n = _check_dim(n, 3)
     radii, single = _series_radii(rho)
     s = kink_abscissa(n, radii)
-    w = (1.0 - s * s).tolist()
-    # one scalar pow per radius: numpy's vector pow rounds some differently
-    a1 = 2.0 * (n - 2.0) ** 2 / (n * n) * np.array([x ** (0.5 * (n - 3)) for x in w])
-    a2 = -4.0 * (n - 2.0) ** 2 / (n * (n - 1.0)) * np.array([x ** (0.5 * (n - 1)) for x in w])
-    a3 = 2.0 * (n - 2.0) / (n + 1.0) * np.array([x ** (0.5 * (n + 1)) for x in w])
+    w = 1.0 - s * s
+    a1 = 2.0 * (n - 2.0) ** 2 / (n * n) * _pow_each(w, 0.5 * (n - 3))
+    a2 = -4.0 * (n - 2.0) ** 2 / (n * (n - 1.0)) * _pow_each(w, 0.5 * (n - 1))
+    a3 = 2.0 * (n - 2.0) / (n + 1.0) * _pow_each(w, 0.5 * (n + 1))
     prefactors = np.vstack((a1, a2 * (n - 1.0), a3 * n * (n + 1.0)))
 
     def coefficients(k, c, p):
@@ -562,13 +578,19 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     grid = (np.arange(1, grid_size + 1)) / (grid_size + 1.0)
     agree_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     # phi_second's routing; every series radius of the suite, the sweep's
-    # and the route-agreement ones, is summed in one batched call
+    # and the route-agreement ones, is summed in one batched call, and
+    # every closed radius in another
     series = grid <= SECOND_CLOSED_RHO_MIN if n >= 4 else np.ones(grid.size, dtype=bool)
     sweep_series = grid[series].tolist()
     summed = [e.value for e in phi_second_series(n, sweep_series + agree_grid)]
     values = np.empty(grid.size)
     values[series] = summed[: len(sweep_series)]
-    values[~series] = [phi_second_closed(n, r).value for r in grid[~series].tolist()]
+    routes = [summed[len(sweep_series) :], [phi_second_fd(n, r).value for r in agree_grid]]
+    if n >= 4:
+        sweep_closed = grid[~series].tolist()
+        closed = [e.value for e in phi_second_closed(n, sweep_closed + agree_grid)]
+        values[~series] = closed[: len(sweep_closed)]
+        routes.append(closed[len(sweep_closed) :])
     values = values.tolist()
 
     checks = []
@@ -585,12 +607,9 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     )
 
     errors = []
-    for r, series_value in zip(agree_grid, summed[len(sweep_series) :]):
-        routes = [series_value, phi_second_fd(n, r).value]
-        if n >= 4:
-            routes.append(phi_second_closed(n, r).value)
-        scale = max(abs(v) for v in routes)
-        errors.append(((max(routes) - min(routes)) / scale, f"rho={r}"))
+    for r, *at_r in zip(agree_grid, *routes):
+        scale = max(abs(v) for v in at_r)
+        errors.append(((max(at_r) - min(at_r)) / scale, f"rho={r}"))
     checks.append(worst_error_check("route_agreement", errors, 1e-6))
 
     return VerificationReport("concavity", n, tuple(checks))
@@ -608,9 +627,11 @@ def verify_technical(n: int, grid_size: int = 1001) -> VerificationReport:
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = [float(t) for t in np.linspace(0.0, 1.0, grid_size)]
-    # one hypergeometric value per grid point serves both the gap and psi
-    hyp = [_varphi_hyp2f1(n, t) for t in grid]
-    gaps = [f_val - _technical_rhs(n, t) for t, (_, f_val) in zip(grid, hyp)]
+    # one hypergeometric value per grid point serves both the gap and psi,
+    # all of them from one batched call
+    phs = [varphi(n, t) for t in grid]
+    f_vals = hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), phs))
+    gaps = [f_val - _technical_rhs(n, t) for t, f_val in zip(grid, f_vals)]
 
     checks = []
     at0 = abs(gaps[0])
@@ -623,7 +644,7 @@ def verify_technical(n: int, grid_size: int = 1001) -> VerificationReport:
         checks.append(
             CheckResult("gap_positive", worst > 0.0, float(worst), f"t={grid[idx]:.6f}")
         )
-        psis = [_psi_from(n, t, ph, f_val) for t, (ph, f_val) in zip(grid[1:], hyp[1:])]
+        psis = [_psi_from(n, t, ph, f_val) for t, ph, f_val in zip(grid[1:], phs[1:], f_vals[1:])]
         worst_psi = min(psis)
         idxp = 1 + int(np.argmin(psis))
         checks.append(

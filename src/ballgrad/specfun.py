@@ -31,6 +31,10 @@ __all__ = [
 DEFAULT_SERIES_RTOL = 1e-13
 _SERIES_BUDGET = 10_000
 
+# Arguments per pass of a batched hyp2f1, and the most degrees per block of its terms.
+_GAUSS_PASS = 128
+_GAUSS_BLOCK = 64
+
 
 def gegenbauer_iter(lam, x):
     """Yield the Gegenbauer values of degree 0, 1, 2, ... for the parameter
@@ -85,19 +89,32 @@ def _gegenbauer(lam: float, degree: int, x):
 class HypergeometricInput:
     """Arguments of a real Gauss hypergeometric evaluation.
 
-    The series diverges at z >= 1 and the function has poles when c is zero
-    or a negative integer; both are rejected at construction.
+    ``z`` is one argument or a non-empty 1-D sequence of them, kept as a
+    tuple of floats.  Every parameter and argument must be finite; the
+    series diverges at z >= 1 and the function has poles when c is zero or
+    a negative integer.  All of these are rejected at construction, for
+    every entry of a sequence.
     """
 
     a: float
     b: float
     c: float
-    z: float
+    z: float | tuple[float, ...]
 
     def __post_init__(self):
+        lo = hi = self.z
+        if not isinstance(self.z, float):
+            z = np.asarray(self.z, dtype=float)
+            if z.ndim > 1 or z.size == 0:
+                raise ValueError("z must be a number or a non-empty 1-D sequence")
+            object.__setattr__(self, "z", tuple(z.tolist()) if z.ndim else float(z))
+            lo, hi = z.min(), z.max()  # a NaN entry makes both NaN
+        isfinite = math.isfinite
+        if not (isfinite(self.a) and isfinite(self.b) and isfinite(self.c) and isfinite(lo) and isfinite(hi)):
+            raise ValueError("non-finite: a, b, c and z must be finite")
         if self.c <= 0.0 and self.c == round(self.c):
             raise ValueError("pole: c must not be zero or a negative integer")
-        if self.z >= 1.0:
+        if hi >= 1.0:
             raise ValueError("divergent: argument must satisfy z < 1")
 
 
@@ -106,14 +123,18 @@ def _gauss_series(a, b, c, z, rel_tol):
         return 1.0
     term = 1.0
     terms = [term]
+    append = terms.append
     running = term
     small = 0
-    for k in range(_SERIES_BUDGET):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+    k = 0.0  # the degree, as a float: the same sums as an int would give
+    for _ in range(_SERIES_BUDGET):
+        k1 = k + 1.0
+        term *= (a + k) * (b + k) / ((c + k) * k1) * z
+        k = k1
         if term == 0.0:
             # one of the upper parameters is a nonpositive integer: polynomial case
             return math.fsum(terms)
-        terms.append(term)
+        append(term)
         running += term
         if abs(term) <= rel_tol * abs(running):
             small += 1
@@ -121,15 +142,90 @@ def _gauss_series(a, b, c, z, rel_tol):
                 return math.fsum(terms)
         else:
             small = 0
+    raise _budget_error(term, z, terms)
+
+
+def _budget_error(term, z, terms):
     tail = abs(term) * abs(z) / max(1.0 - abs(z), 1e-6)
-    raise ConvergenceError(
+    return ConvergenceError(
         f"hypergeometric series did not converge within {_SERIES_BUDGET} terms",
         value=math.fsum(terms),
         error_estimate=tail,
     )
 
 
-def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> float:
+def _gauss_series_batch(a, b, c, z, rel_tol):
+    """:func:`_gauss_series` at every argument of the array ``z`` (each in
+    [0, 1)), as an array of values in the order of ``z``.
+
+    The arguments run sorted, in passes of ``_GAUSS_PASS``, so the slow
+    arguments near 1 share their passes.  A pass forms its terms a block of
+    degrees at a time, 8 at first and up to ``_GAUSS_BLOCK``: the degree
+    ratios (a+k)(b+k)/((c+k)(k+1)), shared by the pass, times each z, turned
+    into terms by a running product and into partial sums by a running sum,
+    in the order of the scalar loop.  Each argument stops on the scalar
+    loop's tests (a zero term, or three terms in a row within ``rel_tol``
+    of the partial sum), is ``math.fsum``med and leaves its pass, so every
+    value equals its scalar call bit for bit.  An argument still summing
+    after ``_SERIES_BUDGET`` terms raises the scalar loop's
+    ``ConvergenceError``: the first such argument of the first pass to run
+    out.
+    """
+    values = np.empty(z.size)
+    order = np.argsort(z, kind="stable")
+    for start in range(0, z.size, _GAUSS_PASS):
+        index = order[start : start + _GAUSS_PASS]  # the arguments of the pass still summing
+        x = z[index]
+        term, running = np.ones(index.size), np.ones(index.size)
+        small = np.zeros((2, index.size), dtype=bool)  # whether the last two terms were small
+        blocks = [np.ones((1, index.size))]  # the terms so far, the leading 1 first
+        k, size = 0, 8
+        while index.size:
+            if k == _SERIES_BUDGET:
+                raise _budget_error(term[0], x[0], np.concatenate([block[:, 0] for block in blocks]).tolist())
+            size = min(size, _SERIES_BUDGET - k)
+            degrees = np.arange(k, k + size, dtype=float)
+            ratios = (a + degrees) * (b + degrees) / ((c + degrees) * (degrees + 1.0))
+            # row 0 is the last term so far; the running product turns the
+            # ratios times z into the terms, as the scalar loop's ``*=`` does
+            terms = np.empty((size + 1, index.size))
+            terms[0] = term
+            np.multiply(ratios[:, None], x, out=terms[1:])
+            np.multiply.accumulate(terms, out=terms)
+            sums = np.empty_like(terms)
+            sums[0], sums[1:] = running, terms[1:]
+            np.add.accumulate(sums, out=sums)
+            terms, sums = terms[1:], sums[1:]
+            flags = np.empty((size + 2, index.size), dtype=bool)
+            flags[:2] = small
+            np.less_equal(np.abs(terms), rel_tol * np.abs(sums), out=flags[2:])
+            zero = terms == 0.0
+            stop = zero | (flags[:-2] & flags[1:-1] & flags[2:])
+            blocks.append(terms)
+            term, running, small = terms[-1], sums[-1], flags[-2:]
+            k += size
+            size = min(2 * size, _GAUSS_BLOCK)
+            done = stop.any(axis=0)
+            if not done.any():
+                continue
+            finished = np.flatnonzero(done)
+            last = stop.argmax(axis=0)[finished]
+            # the leading 1 and every term up to the stop, a zero term left out
+            ends = (k - terms.shape[0] + 2 + last - zero[last, finished]).tolist()
+            # as many arguments at a time as keep the gathered copy near 64 kB
+            per = max(1, 8192 // (k + 1))
+            for lo in range(0, finished.size, per):
+                group = finished[lo : lo + per]
+                rows = np.concatenate([block[:, group].T for block in blocks], axis=1)
+                for i, row, end in zip(index[group].tolist(), rows, ends[lo : lo + per]):
+                    values[i] = math.fsum(memoryview(row)[:end])
+            keep = ~done
+            blocks = [block[:, keep] for block in blocks]
+            index, x, term, running, small = index[keep], x[keep], term[keep], running[keep], small[:, keep]
+    return values
+
+
+def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> float | list[float]:
     """Gauss hypergeometric function for real parameters and argument z < 1.
 
     The power series is summed directly for z in [0, 1), where all in-scope
@@ -139,12 +235,27 @@ def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> fl
     picks up the factor (1-z)^(-b) and the upper parameter a becomes c - a.
     The series is stopped once three consecutive terms fall below ``rel_tol``
     relative to the partial sum; terms are accumulated exactly at the end.
+
+    For one argument ``inp.z`` the result is a float.  For a sequence of
+    arguments it is a list of floats in input order, summed as one batch
+    (:func:`_gauss_series_batch`), each equal to its one-argument call.
     """
     a, b, c, z = inp.a, inp.b, inp.c, inp.z
-    if z < 0.0:
-        w = z / (z - 1.0)
-        return (1.0 - z) ** (-b) * _gauss_series(c - a, b, c, w, rel_tol)
-    return _gauss_series(a, b, c, z, rel_tol)
+    if not isinstance(z, tuple):
+        if z < 0.0:
+            w = z / (z - 1.0)
+            return (1.0 - z) ** (-b) * _gauss_series(c - a, b, c, w, rel_tol)
+        return _gauss_series(a, b, c, z, rel_tol)
+    z = np.array(z)
+    values = np.empty(z.size)
+    negative = z < 0.0
+    values[~negative] = _gauss_series_batch(a, b, c, z[~negative], rel_tol)
+    if negative.any():
+        zn = z[negative]
+        series = _gauss_series_batch(c - a, b, c, zn / (zn - 1.0), rel_tol)
+        # one scalar pow per argument: numpy's vector pow rounds some differently
+        values[negative] = [(1.0 - x) ** (-b) * v for x, v in zip(zn.tolist(), series.tolist())]
+    return values.tolist()
 
 
 def abs_kernel_coefficient(lam: float, k: int, s: float) -> float:

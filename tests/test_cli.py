@@ -241,6 +241,40 @@ class TestVerify:
             else:
                 assert check["worst_margin"] == margin, name
 
+    # (name, passed, expected, worst_margin, at) as printed when every grid
+    # point's hypergeometric value was its own scalar series; the batched
+    # series must reproduce them exactly
+    TECHNICAL_PINS = {
+        3: [
+            ("sides_equal_at_origin", True, False, 0.0, "t=0"),
+            ("gap_reversed", True, False, -2.7794759025701055e-05, "t=0.001000"),
+            ("psi_zero_at_origin", True, False, 0.0, "t=0"),
+        ],
+        4: [
+            ("sides_equal_at_origin", True, False, 0.0, "t=0"),
+            ("gap_positive", True, False, 8.34336087640608e-06, "t=0.001000"),
+            ("psi_positive", True, False, 2.636094325342438e-10, "t=0.001000"),
+            ("quadratic_positive", True, False, 128.0, "t=0.000000"),
+            ("psi_zero_at_origin", True, False, 0.0, "t=0"),
+        ],
+        12: [
+            ("sides_equal_at_origin", True, False, 0.0, "t=0"),
+            ("gap_positive", True, False, 5.158995247889209e-06, "t=0.001000"),
+            ("psi_positive", True, False, 1.630352381567942e-22, "t=0.001000"),
+            ("quadratic_positive", True, False, 31488.0, "t=1.000000"),
+            ("psi_zero_at_origin", True, False, 0.0, "t=0"),
+        ],
+    }
+
+    @pytest.mark.parametrize("n", sorted(TECHNICAL_PINS))
+    def test_technical_output_is_pinned(self, capsys, n):
+        code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--suite", "technical")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["passed"], c["expected"], c["worst_margin"], c["at"]) for c in checks] == (
+            self.TECHNICAL_PINS[n]
+        )
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "4", "--suite", "monotone", "--format", "csv"

@@ -250,6 +250,30 @@ def test_batch_entries_equal_their_one_radius_calls(n, rhos, K, second, rng):
         assert (e.rho, e.value, e.error_estimate) == (single.rho, single.value, single.error_estimate)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 44),
+    rhos=st.lists(st.floats(SECOND_CLOSED_RHO_MIN, 1.0, exclude_min=True), min_size=1, max_size=150),
+    rng=st.randoms(use_true_random=False),
+)
+@example(n=4, rhos=[1.0, 0.5, 0.0010000000000000002], rng=random.Random(3))
+def test_closed_batch_entries_equal_their_one_radius_calls(n, rhos, rng):
+    # unsorted and with duplicates; the hypergeometric values of the batch
+    # come from one batched hyp2f1 call
+    radii = [*rhos, *rhos[:3]]
+    rng.shuffle(radii)
+    batch = phi_second_closed(n, radii)
+    assert len(batch) == len(radii)
+    for rho, e in zip(radii, batch):
+        single = phi_second_closed(n, rho)
+        assert (e.rho, e.value, e.error_estimate, e.method) == (
+            single.rho,
+            single.value,
+            single.error_estimate,
+            single.method,
+        )
+
+
 class TestPhi3Closed:
     def test_origin_limit(self):
         assert phi3_closed(0.0) == 1.0
@@ -309,6 +333,19 @@ class TestSecondDerivative:
             phi_second_closed(3, 0.5)
         with pytest.raises(ValueError):
             phi_second_closed(4, 0.5 * SECOND_CLOSED_RHO_MIN)
+
+    @pytest.mark.parametrize(
+        "rhos", [[], np.full((2, 2), 0.5), [0.5, math.nan], [0.5, SECOND_CLOSED_RHO_MIN], [0.5, 1.5]]
+    )
+    def test_closed_form_guard_on_sequences(self, rhos):
+        with pytest.raises(ValueError):
+            phi_second_closed(4, rhos)
+
+    def test_closed_one_number_gives_one_evaluation(self):
+        single = phi_second_closed(4, 0.5)
+        (batched,) = phi_second_closed(4, [0.5])
+        assert single == batched
+        assert isinstance(single.value, float) and isinstance(single.error_estimate, float)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_three_routes_agree(self, n):

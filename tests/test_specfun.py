@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice
 
 import mpmath
@@ -124,6 +125,90 @@ class TestHyp2F1:
         err = excinfo.value
         assert err.value > 1.0
         assert err.error_estimate > 0.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, 2.0, 2.5, math.nan),
+            (1.0, 2.0, 2.5, -math.inf),
+            (math.nan, 2.0, 2.5, 0.5),
+            (1.0, math.inf, 2.5, 0.5),
+            (1.0, 2.0, math.inf, 0.5),
+            (1.0, 2.0, math.nan, 0.5),
+            (1.0, 2.0, 2.5, [0.1, math.nan, 0.2]),
+            (1.0, 2.0, 2.5, [0.1, -math.inf]),
+            (1.0, 2.0, math.inf, [0.1, 0.2]),
+        ],
+    )
+    def test_non_finite_input_rejected(self, args):
+        # a NaN argument used to run the whole term budget into a
+        # ConvergenceError, and c = inf to return 1.0
+        with pytest.raises(ValueError, match="non-finite"):
+            HypergeometricInput(*args)
+
+
+class TestBatchedHyp2F1:
+    """A sequence of arguments is summed as one batch; every entry must be
+    its one-argument call, bit for bit."""
+
+    def test_sequence_gives_a_list_in_input_order(self):
+        zs = np.array([0.5, -2.0, 0.0, 0.25])
+        inp = HypergeometricInput(1.0, 2.0, 2.5, zs)
+        assert inp.z == (0.5, -2.0, 0.0, 0.25)
+        values = hyp2f1(inp)
+        assert isinstance(values, list) and all(isinstance(v, float) for v in values)
+        assert values == [hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, z)) for z in zs.tolist()]
+        assert hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, [0.5])) == [values[0]]
+
+    @pytest.mark.parametrize("zs", [[], np.zeros((2, 2)), [0.2, 1.0], [0.5, 1.5]])
+    def test_bad_sequences_rejected(self, zs):
+        with pytest.raises(ValueError):
+            HypergeometricInput(1.0, 2.0, 2.5, zs)
+
+    def test_convergence_failure_matches_the_scalar_call(self):
+        with pytest.raises(ConvergenceError) as scalar:
+            hyp2f1(HypergeometricInput(1.0, 1.0, 2.0, 0.9999995))
+        with pytest.raises(ConvergenceError) as batch:
+            hyp2f1(HypergeometricInput(1.0, 1.0, 2.0, [0.5, 0.9999995, 0.0]))
+        assert str(batch.value) == str(scalar.value)
+        assert batch.value.value == scalar.value.value
+        assert batch.value.error_estimate == scalar.value.error_estimate
+
+    def test_memory_stays_bounded(self):
+        # passes of arguments hold their terms until each argument stops; a
+        # long sequence must not hold more than about one pass at a time
+        inp = HypergeometricInput(1.0, 2.0, 2.5, np.linspace(-1.0, 0.75, 10_000))
+        tracemalloc.start()
+        try:
+            result = hyp2f1(inp)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 10_000
+        assert peak - held < 2_000_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 44),
+    upper=st.sampled_from(["one", "c-1", "polynomial"]),
+    degree=st.integers(0, 6),
+    zs=st.lists(st.floats(-4.0, 0.99), max_size=150),
+    rng=st.randoms(use_true_random=False),
+)
+def test_batch_entries_equal_their_scalar_calls(n, upper, degree, zs, rng):
+    # the parameters of the package's 2F1(1, n/2; (n+1)/2; z) and of its
+    # Pfaff image (a = c - 1), and a nonpositive integer a, where a zero
+    # term stops the sum; unsorted and duplicate arguments, zero, and
+    # negative arguments through the Pfaff map
+    b, c = 0.5 * n, 0.5 * (n + 1)
+    a = {"one": 1.0, "c-1": c - 1.0, "polynomial": -float(degree)}[upper]
+    args = [*zs, *zs[:3], 0.0]
+    rng.shuffle(args)
+    batch = hyp2f1(HypergeometricInput(a, b, c, args))
+    assert len(batch) == len(args)
+    for z, value in zip(args, batch):
+        assert value.hex() == hyp2f1(HypergeometricInput(a, b, c, z)).hex(), z
 
 
 class TestPfaffTransformation:
