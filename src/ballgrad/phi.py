@@ -330,14 +330,14 @@ def varphi(n: int, t: float) -> float:
 def phi_second_closed(n: int, rho, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> PhiEvaluation | list[PhiEvaluation]:
     """Second derivative of the profile by the hypergeometric closed form.
 
-    Valid for n >= 4 and rho above :data:`SECOND_CLOSED_RHO_MIN`; below that
+    Valid for n >= 3 and rho above :data:`SECOND_CLOSED_RHO_MIN`; below that
     the 1/rho^2 prefactor against a vanishing brace loses too many digits
     and :func:`phi_second_series` is exact instead.  ``rho`` may be one
     radius or a 1-D sequence of them; a sequence gives one evaluation per
     radius, in input order, each equal to its one-radius call, with every
     hypergeometric value from one batched :func:`hyp2f1` call.
     """
-    n = _check_dim(n, 4)
+    n = _check_dim(n, 3)
     radii = np.asarray(rho, dtype=float)
     if radii.ndim > 1 or radii.size == 0 or not np.all((SECOND_CLOSED_RHO_MIN < radii) & (radii <= 1.0)):
         raise ValueError(
@@ -400,12 +400,15 @@ def phi_second_fd(n: int, rho: float, step: float = 1e-3) -> PhiEvaluation:
     the quadrature route.
 
     Uses the symmetric second difference at widths ``step`` and ``step/2``
-    combined as (4 D(h/2) - D(h)) / 3.  The profile is even in rho, so
+    combined as (4 D(h/2) - D(h)) / 3; ``step`` must be finite and positive,
+    with rho + step <= 1.  The profile is even in rho, so
     points reflected below the origin reuse the positive-radius value.  The
     quadrature runs at the binary64 floor, since the difference quotient
     amplifies per-evaluation noise by 4/h^2.
     """
     n = _check_dim(n, 2)
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be finite and positive")
     if not 0.0 <= rho <= 1.0 - step:
         raise ValueError("need rho + step <= 1")
 
@@ -426,9 +429,9 @@ def phi_second_fd(n: int, rho: float, step: float = 1e-3) -> PhiEvaluation:
 
 def phi_second(n: int, rho: float) -> PhiEvaluation:
     """Second derivative of the profile by the closed form where it is well
-    conditioned (n >= 4, rho above :data:`SECOND_CLOSED_RHO_MIN`), by the
-    series otherwise."""
-    if n >= 4 and rho > SECOND_CLOSED_RHO_MIN:
+    conditioned (rho above :data:`SECOND_CLOSED_RHO_MIN`), by the series at
+    and below it, in every dimension n >= 3."""
+    if rho > SECOND_CLOSED_RHO_MIN:
         return phi_second_closed(n, rho)
     return phi_second_series(n, rho)
 
@@ -568,9 +571,11 @@ def verify_monotone(n: int, grid_size: int = 1001) -> VerificationReport:
 def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     """Concavity sweep of the profile on an interior grid of (0, 1).
 
-    For n >= 4 the second derivative must stay below -1e-12 everywhere and
-    the closed, series and finite-difference routes must agree; for n = 3
-    the second derivative is positive, recorded as an expected failure.
+    The sweep takes :func:`phi_second`'s routing in every dimension.  For
+    n >= 4 the second derivative must stay below -1e-12 everywhere and the
+    closed, series and finite-difference routes must agree; for n = 3 the
+    second derivative is positive, recorded as an expected failure, and the
+    route agreement compares the series and finite-difference routes only.
     """
     n = _check_dim(n, 3)
     if grid_size < 3:
@@ -580,18 +585,18 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     # phi_second's routing; every series radius of the suite, the sweep's
     # and the route-agreement ones, is summed in one batched call, and
     # every closed radius in another
-    series = grid <= SECOND_CLOSED_RHO_MIN if n >= 4 else np.ones(grid.size, dtype=bool)
-    sweep_series = grid[series].tolist()
+    series = grid <= SECOND_CLOSED_RHO_MIN
+    sweep_series, sweep_closed = grid[series].tolist(), grid[~series].tolist()
+    closed_agree = agree_grid if n >= 4 else []
     summed = [e.value for e in phi_second_series(n, sweep_series + agree_grid)]
+    closed = [e.value for e in phi_second_closed(n, sweep_closed + closed_agree)]
     values = np.empty(grid.size)
     values[series] = summed[: len(sweep_series)]
-    routes = [summed[len(sweep_series) :], [phi_second_fd(n, r).value for r in agree_grid]]
-    if n >= 4:
-        sweep_closed = grid[~series].tolist()
-        closed = [e.value for e in phi_second_closed(n, sweep_closed + agree_grid)]
-        values[~series] = closed[: len(sweep_closed)]
-        routes.append(closed[len(sweep_closed) :])
+    values[~series] = closed[: len(sweep_closed)]
     values = values.tolist()
+    routes = [summed[len(sweep_series) :], [phi_second_fd(n, r).value for r in agree_grid]]
+    if closed_agree:
+        routes.append(closed[len(sweep_closed) :])
 
     checks = []
     worst = max(values)

@@ -239,7 +239,10 @@ def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> fl
     For one argument ``inp.z`` the result is a float.  For a sequence of
     arguments it is a list of floats in input order, summed as one batch
     (:func:`_gauss_series_batch`), each equal to its one-argument call.
+    ``rel_tol`` must be finite and positive.
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be finite and positive")
     a, b, c, z = inp.a, inp.b, inp.c, inp.z
     if not isinstance(z, tuple):
         if z < 0.0:

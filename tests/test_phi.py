@@ -18,6 +18,7 @@ from ballgrad.phi import (
     phi3_closed,
     phi_quad,
     phi_quad_grid,
+    phi_second,
     phi_second_closed,
     phi_second_fd,
     phi_second_series,
@@ -303,6 +304,14 @@ class TestVarphi:
         assert varphi(6, 1.0) == pytest.approx(5.0 / 6.0, rel=1e-15)
 
 
+def _phi3_second_exact(rho):
+    """Second derivative of the closed form of phi3_closed, at 40 digits."""
+    with mpmath.workdps(40):
+        return float(
+            mpmath.diff(lambda r: 2 * ((1 + r * r / 3) ** 1.5 - 1 + r * r) / (3 * r * r), mpmath.mpf(rho), 2)
+        )
+
+
 class TestSecondDerivative:
     def test_closed_matches_finite_difference(self):
         c = phi_second_closed(4, 0.5).value
@@ -330,7 +339,7 @@ class TestSecondDerivative:
 
     def test_closed_form_guard(self):
         with pytest.raises(ValueError):
-            phi_second_closed(3, 0.5)
+            phi_second_closed(2, 0.5)
         with pytest.raises(ValueError):
             phi_second_closed(4, 0.5 * SECOND_CLOSED_RHO_MIN)
 
@@ -347,7 +356,31 @@ class TestSecondDerivative:
         assert single == batched
         assert isinstance(single.value, float) and isinstance(single.error_estimate, float)
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_closed_matches_mpmath_n3(self):
+        # one batched call, geometric near SECOND_CLOSED_RHO_MIN and linear up to 1
+        radii = [*(SECOND_CLOSED_RHO_MIN * np.geomspace(1.01, 100.0, 20)), *np.linspace(0.1, 1.0, 41)[1:]]
+        for rho, e in zip(radii, phi_second_closed(3, radii)):
+            assert abs(e.value - _phi3_second_exact(rho)) <= e.error_estimate
+
+    def test_routing_n3(self):
+        # the series stops at its 3,000-degree cap here, 4.8e-4 off
+        assert abs(phi_second(3, 0.999).value - _phi3_second_exact(0.999)) <= 1e-12
+        for rho in (0.0, 1e-4, 0.000998, SECOND_CLOSED_RHO_MIN):
+            assert phi_second(3, rho) == phi_second_series(3, rho)
+
+    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_closed_form_rejects_bad_tolerance(self, rel_tol):
+        for rho in (0.5, [0.5, 0.9]):
+            with pytest.raises(ValueError, match="rel_tol"):
+                phi_second_closed(4, rho, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+    def test_finite_difference_rejects_bad_step(self, step):
+        # step = 0 used to raise ZeroDivisionError, and a negative step ran
+        with pytest.raises(ValueError, match="step"):
+            phi_second_fd(4, 0.5, step=step)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
     def test_three_routes_agree(self, n):
         for rho in (0.05, 0.35, 0.65, 0.95):
             c = phi_second_closed(n, rho).value
@@ -382,6 +415,11 @@ class TestPsi:
     def test_quadratic_factor_n5_at_one(self):
         # 1000 - 330 + 18
         assert psi_prime_quadratic(5, 1.0) == 688.0
+
+    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            psi(5, 0.5, rel_tol=rel_tol)
 
     def test_prime_domain(self):
         with pytest.raises(ValueError):

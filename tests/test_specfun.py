@@ -146,6 +146,15 @@ class TestHyp2F1:
         with pytest.raises(ValueError, match="non-finite"):
             HypergeometricInput(*args)
 
+    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, rel_tol):
+        # a negative tolerance used to give a negative error estimate from
+        # phi_second_closed, NaN a NaN one, and inf a value far off with an
+        # infinite estimate
+        for z in (0.5, -2.0, [0.5, -2.0]):
+            with pytest.raises(ValueError, match="rel_tol"):
+                hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, z), rel_tol)
+
 
 class TestBatchedHyp2F1:
     """A sequence of arguments is summed as one batch; every entry must be
