@@ -11,7 +11,9 @@ the harmonic extension of data bounded by 1 is itself bounded by 1.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,22 +111,63 @@ def radial_derivative_sign_change(n: int, rho: float) -> float:
     return rho * (n + 2.0 - (n - 2.0) * rho * rho) / (n - (n - 4.0) * rho * rho)
 
 
-def _zonal_extension(kernel, n, data, rho):
-    """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``.
+def _band_midpoints(cuts):
+    edges = np.concatenate(([-1.0], cuts, [1.0]))
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+def _band_matrix(data):
+    """Cut set of ``data`` and its band matrix.
 
     The breakpoints of all data form one cut set; every datum is constant
-    on each band between cuts, so its value is the dot product of its band
-    values (read at the band midpoints) with the kernel's band integrals,
-    computed once for the whole batch by
-    :func:`ballgrad.quadrature.zonal_band_integrals`.  Each value is within
-    the engine's error estimate, which bounds every datum with sup <= 1.
+    on each band between cuts, so row i of the matrix holds datum i's band
+    values, read at the band midpoints.
     """
     cuts = np.array(sorted(set().union(*(datum.breakpoints for datum in data))))
-    edges = np.concatenate(([-1.0], cuts, [1.0]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    band_values = np.array([datum(mids) for datum in data])
+    mids = _band_midpoints(cuts)
+    return cuts, np.array([datum(mids) for datum in data])
+
+
+def _band_extension(kernel, n, rho, cuts, band_values):
+    """Integrals of ``kernel(n, rho, t)`` against every row of a band
+    matrix: the rows times the kernel's band integrals, computed once for
+    the whole batch by :func:`ballgrad.quadrature.zonal_band_integrals`.
+    Each value is within the engine's error estimate, which bounds every
+    datum with sup <= 1."""
     integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), n, cuts)
     return (band_values @ integrals).tolist()
+
+
+def _zonal_extension(kernel, n, data, rho):
+    """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``:
+    the batch's band matrix (:func:`_band_matrix`), then its integrals
+    (:func:`_band_extension`).  The probes build the matrix once and
+    reuse it at every radius."""
+    return _band_extension(kernel, n, rho, *_band_matrix(data))
+
+
+def _splice(cuts, band_values, datum):
+    """Cut set and band matrix of the batch with ``datum``, a datum with a
+    single breakpoint such as the extremal sign datum, appended as the last
+    row; built from the batch's own ``cuts`` and ``band_values``.
+
+    Equal to :func:`_band_matrix` of the whole batch, row for row.  A cut
+    already in the set adds nothing.  A new cut splits one band in two,
+    and every earlier datum is constant across that band, so its column is
+    repeated.  The matrix is written in C order, as :func:`_band_matrix`
+    builds it: the product with the band integrals is a BLAS dgemv whose
+    rounding depends on the layout, and the same values in Fortran order
+    move the last digits.
+    """
+    (cut,) = datum.breakpoints
+    k = int(np.searchsorted(cuts, cut))
+    present = k < cuts.size and cuts[k] == cut
+    spliced = cuts if present else np.insert(cuts, k, cut)
+    matrix = np.empty((band_values.shape[0] + 1, spliced.size + 1))
+    matrix[:-1, : k + 1] = band_values[:, : k + 1]
+    matrix[:-1, k + 1 :] = band_values[:, k + 1 if present else k :]
+    matrix[-1] = datum(_band_midpoints(spliced))
+    return spliced, matrix
 
 
 def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint) -> float:
@@ -183,24 +226,46 @@ def _random_zonal_from_rng(rng, pieces: int) -> ZonalBoundaryData:
     return ZonalBoundaryData(tuple(bps), values)
 
 
+def _seeded_rng(seed):
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return np.random.default_rng(seed)
+
+
 def random_zonal_data(seed: int, pieces: int) -> ZonalBoundaryData:
     """Deterministic piecewise-constant datum; identical seeds give
     identical data."""
     if pieces < 1:
         raise ValueError("need at least one piece")
-    return _random_zonal_from_rng(np.random.default_rng(seed), pieces)
+    return _random_zonal_from_rng(_seeded_rng(seed), pieces)
 
 
-def _probe_data(seed: int, samples: int):
-    """Hemisphere datum first, then seeded random data of mixed widths."""
+# one entry: the two probes of one command share a single draw.  Typed, so
+# that a float seed equal to a cached integer one is still checked.
+@functools.lru_cache(maxsize=1, typed=True)
+def _probe_data(seed: int, samples: int) -> tuple[ZonalBoundaryData, ...]:
+    """Hemisphere datum first, then seeded random data of mixed widths.
+
+    Memoised for the last (seed, samples); the data are immutable, so the
+    callers share one tuple."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     data = [hemisphere_datum()]
     for _ in range(samples - 1):
         pieces = int(rng.integers(1, 9))
         data.append(_random_zonal_from_rng(rng, pieces))
-    return data
+    return tuple(data)
+
+
+def _probe_radii(rho_grid):
+    """The probe radii as floats, each checked to lie in [0, 1)."""
+    if rho_grid is None:
+        rho_grid = np.linspace(0.0, 0.9, 11)
+    radii = [AxisPoint(float(rho)).rho for rho in rho_grid]
+    if not radii:
+        raise ValueError("rho_grid must hold at least one radius")
+    return radii
 
 
 def probe_schwarz_pick(
@@ -215,12 +280,17 @@ def probe_schwarz_pick(
     |du/drho| (1 - rho^2) must stay below the sharp constant (with 1e-9
     slack for quadrature); the per-radius extremal sign datum must attain
     the pointwise bound of :func:`ballgrad.bounds.capital_c`.
+
+    The data's band matrix is built once.  At each radius the extremal
+    datum's cut is spliced in (:func:`_splice`) and its row rides last in
+    the same batch as the samples, so the matrix that meets the integrals
+    is the one :func:`_zonal_extension` would build for that batch.  An
+    empty ``rho_grid`` raises ``ValueError``.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if rho_grid is None:
-        rho_grid = np.linspace(0.0, 0.9, 11)
-    data = _probe_data(seed, samples)
+    radii = _probe_radii(rho_grid)
+    cuts, band_values = _band_matrix(_probe_data(seed, samples))
 
     worst_margin = -math.inf
     worst_at = ""
@@ -228,13 +298,10 @@ def probe_schwarz_pick(
     ratio_at = ""
     worst_gap = 0.0
     gap_at = ""
-    for rho in rho_grid:
-        rho = AxisPoint(float(rho)).rho
+    for rho in radii:
         const = bounds.gradient_bound(n, rho) * (1.0 - rho * rho)
-        # the per-radius extremal datum rides in the same batch as the samples
-        *slopes, attained = _zonal_extension(
-            radial_derivative_kernel, n, [*data, extremal_sign_datum(n, rho)], rho
-        )
+        spliced = _splice(cuts, band_values, extremal_sign_datum(n, rho))
+        *slopes, attained = _band_extension(radial_derivative_kernel, n, rho, *spliced)
         for i, slope in enumerate(slopes):
             lhs = abs(slope) * (1.0 - rho * rho)
             margin = lhs - const
@@ -269,20 +336,22 @@ def probe_conjecture(
     violation is recorded but marked expected rather than failing the
     report); for n = 2 the refined disk inequality is a theorem and a
     violation fails the report.  Dimension three is excluded.
+
+    The data's band matrix is built once and meets both kernels' band
+    integrals at every radius.  An empty ``rho_grid`` raises
+    ``ValueError``.
     """
     if n == 3 or n < 2:
         raise ValueError("the probe applies to n = 2 or n >= 4")
-    if rho_grid is None:
-        rho_grid = np.linspace(0.0, 0.9, 11)
-    data = _probe_data(seed, samples)
+    radii = _probe_radii(rho_grid)
+    cuts, band_values = _band_matrix(_probe_data(seed, samples))
     sp = bounds.schwarz_pick_constant(n)
 
     max_ratio = -math.inf
     at = ""
-    for rho in rho_grid:
-        rho = AxisPoint(float(rho)).rho
-        values = _zonal_extension(poisson_kernel, n, data, rho)
-        slopes = _zonal_extension(radial_derivative_kernel, n, data, rho)
+    for rho in radii:
+        values = _band_extension(poisson_kernel, n, rho, cuts, band_values)
+        slopes = _band_extension(radial_derivative_kernel, n, rho, cuts, band_values)
         for i, (u, du) in enumerate(zip(values, slopes)):
             ratio = abs(du) * (1.0 - rho * rho) / ((1.0 - u * u) * sp)
             if ratio > max_ratio:

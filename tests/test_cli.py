@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -313,6 +314,34 @@ class TestProbe:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_negative_seed_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "probe", "--n", "3", "--samples", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer\n"
+
+    # sha256 of stdout as printed when every radius and kernel rebuilt its
+    # band matrix from the data; a change that moves any printed digit of
+    # the probes must update these on purpose
+    PROBE_SHA256 = {
+        (2, 200, 7): "7d664dedf2dfce6f13715e62e40056979b3ab02f045e3df30c699a06ce6ef0ab",
+        (3, 200, 7): "154903f65d4d7daa9398e2848cbb57ac64559ef82db7f1caf715b7fef8b16c19",
+        (4, 200, 7): "c9baa0dd48298bea6c6143e196a8106e8167449365f3f560b4fd8f59fd1b439a",
+        (12, 200, 7): "2a2e1e4980c9b66f05e3262985b66b8fd85ba38ee74a38decde0fc80602605dc",
+        (2, 25, 1): "cf1809d67eacf59ba00bb7149dc809e42b5381090217a305765be54fd4c90da6",
+        (2, 25, 2): "15f3dd214c882afecfa8b3c8dab2375731f6714badf559a0d10f178b6151fa86",
+        (4, 25, 1): "c6201ea0d632ea853fd9966e7e514ab78491206efc658fdd72fc52ae2d10fc07",
+        (4, 25, 2): "83e170a87db4bbc10d49df0f95cdbe3bb607126b09820d92b3f9d2eb4c049015",
+        (12, 25, 1): "fd61a80a01a2b893283ae949eed7e8f3e10927f1b4b00a19047e3292f8bda185",
+        (12, 25, 2): "5adf2eb18d0f3b5e406073a5b6a8ada0e5383dbede091e68acf4d03fd1c9a5fa",
+    }
+
+    @pytest.mark.parametrize("n, samples, seed", sorted(PROBE_SHA256))
+    def test_probe_output_is_pinned(self, capsys, n, samples, seed):
+        code, out, _ = run_cli(capsys, "probe", "--n", str(n), "--samples", str(samples), "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PROBE_SHA256[n, samples, seed]
 
 
 class TestBound:

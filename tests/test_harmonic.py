@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ballgrad import harmonic
 from ballgrad.bounds import (
     BoundQuery,
     capital_c,
@@ -26,7 +29,8 @@ from ballgrad.harmonic import (
     verify_theorem_b,
     zonal_poisson_value,
 )
-from ballgrad.quadrature import zonal_sphere_integral
+from ballgrad.cli import main
+from ballgrad.quadrature import zonal_band_integrals, zonal_sphere_integral
 
 
 class TestZonalBoundaryData:
@@ -228,6 +232,12 @@ class TestRandomZonalData:
         with pytest.raises(ValueError):
             random_zonal_data(0, 0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            random_zonal_data(-1, 3)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            harmonic._probe_data(-1, 3)
+
 
 class TestProbes:
     def test_schwarz_pick_probe_passes(self):
@@ -266,6 +276,30 @@ class TestProbes:
         with pytest.raises(ValueError):
             probe_conjecture(3, samples=5, seed=0)
 
+    @pytest.mark.parametrize("probe", [probe_schwarz_pick, probe_conjecture])
+    def test_empty_radius_grid_is_refused(self, probe):
+        # no radius means no evidence: a pass would be a silent verdict
+        with pytest.raises(ValueError, match="rho_grid"):
+            probe(4, samples=3, rho_grid=[])
+
+    def test_probes_of_one_command_share_one_draw(self, capsys, monkeypatch):
+        cached = harmonic._probe_data
+        draws = []
+
+        def recording(seed, samples):
+            draws.append(cached(seed, samples))
+            return draws[-1]
+
+        monkeypatch.setattr(harmonic, "_probe_data", recording)
+        assert main(["probe", "--n", "4", "--samples", "5", "--seed", "11"]) == 0
+        assert len(draws) == 2 and draws[0] is draws[1]
+        assert main(["probe", "--n", "4", "--samples", "5", "--seed", "12"]) == 0
+        assert draws[2] is not draws[0]
+        capsys.readouterr()
+        # the cache holds one draw: the second seed evicted the first
+        again = cached(11, 5)
+        assert again is not draws[0] and again == draws[0]
+
     def test_hemisphere_equality_case(self):
         # ratio exactly 1 at the origin: u(0) = 0 and the gradient attains
         # the constant
@@ -280,3 +314,50 @@ def test_theorem_b_report(n):
     assert report.passed
     if n == 3:
         assert any(c.name == "matches_khavinson_radial" for c in report.checks)
+
+
+def _per_batch_extension(kernel, n, data, rho):
+    """The probes' former route: the cut set and band matrix rebuilt from
+    the data for every batch, then met with the kernel's band integrals."""
+    cuts = np.array(sorted(set().union(*(datum.breakpoints for datum in data))))
+    edges = np.concatenate(([-1.0], cuts, [1.0]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    band_values = np.array([datum(mids) for datum in data])
+    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), n, cuts)
+    return (band_values @ integrals).tolist()
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    samples=st.integers(1, 40),
+    n=st.sampled_from([2, 3, 4, 5, 12]),
+    rho=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    shares_cut=st.booleans(),
+)
+@example(seed=7, samples=25, n=4, rho=0.0, shares_cut=False)  # t* = 0 is the hemisphere's cut
+@example(seed=7, samples=25, n=4, rho=0.45, shares_cut=False)  # t* splits a band
+@example(seed=7, samples=25, n=12, rho=0.45, shares_cut=True)  # a datum's breakpoint is t*
+def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho, shares_cut):
+    # the one band matrix per probe, spliced per radius, must give every
+    # slope, value and attained supremum bit for bit as the batch built anew
+    data = list(harmonic._probe_data(seed, samples))
+    extremal = extremal_sign_datum(n, rho)
+    if shares_cut:
+        data.append(ZonalBoundaryData(extremal.breakpoints, (0.25, -0.5)))
+    cuts, band_values = harmonic._band_matrix(data)
+
+    spliced_cuts, spliced = harmonic._splice(cuts, band_values, extremal)
+    assert spliced.flags["C_CONTIGUOUS"]
+    want = _per_batch_extension(radial_derivative_kernel, n, [*data, extremal], rho)
+    got = harmonic._band_extension(radial_derivative_kernel, n, rho, spliced_cuts, spliced)
+    assert _hex(got) == _hex(want)
+    assert _hex(harmonic._zonal_extension(radial_derivative_kernel, n, [*data, extremal], rho)) == _hex(want)
+
+    for kernel in (poisson_kernel, radial_derivative_kernel):
+        want = _per_batch_extension(kernel, n, data, rho)
+        assert _hex(harmonic._band_extension(kernel, n, rho, cuts, band_values)) == _hex(want)
