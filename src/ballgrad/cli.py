@@ -74,15 +74,8 @@ def _cmd_phi_table(args):
     values = _phi_values(n, grid + [rho + h for rho in grid] + [abs(rho - h) for rho in grid], args.method)
     steps = len(grid)
     second_series = [e.value for e in phi.phi_second_series(n, grid)]
-    # phi_second's routing: the closed form in one batched call where it is
-    # well conditioned, the series cell below
-    second_closed = [math.nan] * steps
-    if n >= 4:
-        second_closed = list(second_series)
-        closed = [i for i, rho in enumerate(grid) if rho > phi.SECOND_CLOSED_RHO_MIN]
-        if closed:
-            for i, e in zip(closed, phi.phi_second_closed(n, [grid[i] for i in closed])):
-                second_closed[i] = e.value
+    # the routed second derivative; not tabulated at n = 3
+    second_closed = [e.value for e in phi.phi_second(n, grid)] if n >= 4 else [math.nan] * steps
     rows = []
     for rho, value, ahead, behind, closed_value, series_value in zip(
         grid, values, values[steps:], values[2 * steps :], second_closed, second_series

@@ -23,7 +23,7 @@ from typing import Literal
 import numpy as np
 
 from . import quadrature, specfun
-from .quadrature import QuadratureSpec, group_integrals, integrate
+from .quadrature import QuadratureSpec, integrate
 from .report import CheckResult, VerificationReport, worst_error_check
 from .specfun import HypergeometricInput, hyp2f1
 
@@ -150,31 +150,34 @@ def _phi_quad_block(n, rho, spec):
         kernel = (1.0 - 2.0 * t * r + r * r) ** (-d_exp)
         return np.abs(t - s[group][:, None]) * kernel * np.sin(theta) ** (n - 2)
 
-    # piece 2i is t in [-1, s_i], theta in [arccos s_i, pi]; piece 2i+1 is t in [s_i, 1]
-    kink = np.arccos(s)
-    lo = np.column_stack((kink, np.zeros_like(kink))).ravel()
-    hi = np.column_stack((np.full_like(kink, math.pi), kink)).ravel()
-    pieces, estimates = group_integrals(g, lo, hi, np.repeat(np.arange(rho.size), 2), spec)
-    return pieces[0::2] + pieces[1::2], estimates
+    return quadrature.kink_integrals(g, s, spec)
 
 
 def _pow_each(x, p):
-    """``x ** p`` for a float, or for each entry of an array by one scalar
-    pow per entry: numpy's vector pow rounds some differently."""
-    if isinstance(x, np.ndarray):
-        return np.array([v**p for v in x.tolist()])
-    return x**p
+    """``x ** p`` for each entry of an array, by one scalar pow per entry:
+    numpy's vector pow rounds some differently."""
+    return np.array([v**p for v in x.tolist()])
 
 
-def _series_radii(rho):
-    """``rho`` as a 1-D array of radii in [0, 1), and whether it was one
-    number rather than a sequence."""
+def _radii(rho, valid, message):
+    """``rho`` as a 1-D array of radii, and whether it was one number
+    rather than a sequence.  ``valid`` tests an array of radii entrywise;
+    an empty, deeper or failing ``rho`` raises ``ValueError(message)``."""
     radii = np.asarray(rho, dtype=float)
     single = radii.ndim == 0
     radii = radii.reshape(-1) if single else radii
-    if radii.ndim != 1 or radii.size == 0 or not np.all((0.0 <= radii) & (radii < 1.0)):
-        raise ValueError("the expansion requires rho in [0, 1), or a non-empty sequence of such radii")
+    if radii.ndim != 1 or radii.size == 0 or not np.all(valid(radii)):
+        raise ValueError(message)
     return radii, single
+
+
+def _series_radii(rho):
+    """:func:`_radii` in the domain [0, 1) of both series."""
+    return _radii(
+        rho,
+        lambda r: (0.0 <= r) & (r < 1.0),
+        "the expansion requires rho in [0, 1), or a non-empty sequence of such radii",
+    )
 
 
 def _evaluations(n, radii, single, values, estimates, method):
@@ -334,24 +337,20 @@ def phi_second_closed(n: int, rho, rel_tol: float = specfun.DEFAULT_SERIES_RTOL)
     the 1/rho^2 prefactor against a vanishing brace loses too many digits
     and :func:`phi_second_series` is exact instead.  ``rho`` may be one
     radius or a 1-D sequence of them; a sequence gives one evaluation per
-    radius, in input order, each equal to its one-radius call, with every
-    hypergeometric value from one batched :func:`hyp2f1` call.
+    radius, in input order, with every hypergeometric value from one
+    batched :func:`hyp2f1` call, and one radius is a batch of one.
     """
     n = _check_dim(n, 3)
-    radii = np.asarray(rho, dtype=float)
-    if radii.ndim > 1 or radii.size == 0 or not np.all((SECOND_CLOSED_RHO_MIN < radii) & (radii <= 1.0)):
-        raise ValueError(
-            f"closed form needs rho in ({SECOND_CLOSED_RHO_MIN}, 1]; use phi_second_series below"
-        )
-    single = radii.ndim == 0
-    # the same expressions on one float or elementwise on an array of radii
-    r = float(rho) if single else radii
+    r, single = _radii(
+        rho,
+        lambda r: (SECOND_CLOSED_RHO_MIN < r) & (r <= 1.0),
+        f"closed form needs rho in ({SECOND_CLOSED_RHO_MIN}, 1]; use phi_second_series below",
+    )
     r2 = r * r
     w = 1.0 - (n - 2.0) ** 2 * r2 / (n * n)
     aa = 1.0 - (n - 4.0) * r2 / n
     z = r2 * w / aa
-    f_val = hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), z), rel_tol)
-    f_val = f_val if single else np.array(f_val)
+    f_val = np.array(hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), z), rel_tol))
     term1 = (1.0 - (n - 2.0) * (n - 3.0) * r2 / (n * n)) * aa
     term2 = (
         (1.0 - (n - 2.0) * (n - 3.0) * r2 / (n * (n - 1.0)))
@@ -362,9 +361,7 @@ def phi_second_closed(n: int, rho, rel_tol: float = specfun.DEFAULT_SERIES_RTOL)
     prefactor = 2.0 * (n - 2.0) / r2 * _pow_each(w, 0.5 * (n - 3)) * _pow_each(aa, -0.5 * n)
     value = prefactor * (term1 - term2)
     est = abs(prefactor) * (rel_tol * abs(term2) + 1e-16 * (abs(term1) + abs(term2)))
-    if single:
-        return PhiEvaluation(n, r, value, "second_closed", est)
-    return _evaluations(n, radii, False, value.tolist(), est.tolist(), "second_closed")
+    return _evaluations(n, r, single, value.tolist(), est.tolist(), "second_closed")
 
 
 def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEvaluation]:
@@ -427,13 +424,24 @@ def phi_second_fd(n: int, rho: float, step: float = 1e-3) -> PhiEvaluation:
     return PhiEvaluation(n, rho, val, "second_fd", max(abs(d_h - d_h2) / 3.0, noise))
 
 
-def phi_second(n: int, rho: float) -> PhiEvaluation:
+def phi_second(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
     """Second derivative of the profile by the closed form where it is well
     conditioned (rho above :data:`SECOND_CLOSED_RHO_MIN`), by the series at
-    and below it, in every dimension n >= 3."""
-    if rho > SECOND_CLOSED_RHO_MIN:
-        return phi_second_closed(n, rho)
-    return phi_second_series(n, rho)
+    and below it, in every dimension n >= 3.
+
+    ``rho`` may be one radius in [0, 1] or a 1-D sequence of them; a
+    sequence gives one evaluation per radius, in input order, from one
+    series call for its radii at or below the threshold and one closed call
+    for the rest."""
+    radii, single = _radii(rho, lambda r: (0.0 <= r) & (r <= 1.0), "rho must lie in [0, 1]")
+    closed = radii > SECOND_CLOSED_RHO_MIN
+    evaluations = [None] * radii.size
+    for route, where in ((phi_second_series, ~closed), (phi_second_closed, closed)):
+        index = np.flatnonzero(where)
+        if index.size:
+            for i, e in zip(index.tolist(), route(n, radii[index])):
+                evaluations[i] = e
+    return evaluations[0] if single else evaluations
 
 
 def psi(n: int, t: float, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> float:
@@ -571,7 +579,7 @@ def verify_monotone(n: int, grid_size: int = 1001) -> VerificationReport:
 def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     """Concavity sweep of the profile on an interior grid of (0, 1).
 
-    The sweep takes :func:`phi_second`'s routing in every dimension.  For
+    The sweep runs through :func:`phi_second` in every dimension.  For
     n >= 4 the second derivative must stay below -1e-12 everywhere and the
     closed, series and finite-difference routes must agree; for n = 3 the
     second derivative is positive, recorded as an expected failure, and the
@@ -582,21 +590,17 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
         raise ValueError("grid_size must be at least 3")
     grid = (np.arange(1, grid_size + 1)) / (grid_size + 1.0)
     agree_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    # phi_second's routing; every series radius of the suite, the sweep's
-    # and the route-agreement ones, is summed in one batched call, and
-    # every closed radius in another
-    series = grid <= SECOND_CLOSED_RHO_MIN
-    sweep_series, sweep_closed = grid[series].tolist(), grid[~series].tolist()
+    # the sweep and, at n >= 4, the closed route's agreement values in one
+    # routed call; the series route's agreement values in one more
     closed_agree = agree_grid if n >= 4 else []
-    summed = [e.value for e in phi_second_series(n, sweep_series + agree_grid)]
-    closed = [e.value for e in phi_second_closed(n, sweep_closed + closed_agree)]
-    values = np.empty(grid.size)
-    values[series] = summed[: len(sweep_series)]
-    values[~series] = closed[: len(sweep_closed)]
-    values = values.tolist()
-    routes = [summed[len(sweep_series) :], [phi_second_fd(n, r).value for r in agree_grid]]
+    second = [e.value for e in phi_second(n, grid.tolist() + closed_agree)]
+    values = second[: grid.size]
+    routes = [
+        [e.value for e in phi_second_series(n, agree_grid)],
+        [phi_second_fd(n, r).value for r in agree_grid],
+    ]
     if closed_agree:
-        routes.append(closed[len(sweep_closed) :])
+        routes.append(second[grid.size :])
 
     checks = []
     worst = max(values)
@@ -668,7 +672,7 @@ def verify_technical(n: int, grid_size: int = 1001) -> VerificationReport:
             CheckResult("gap_reversed", worst < 0.0, float(worst), f"t={grid[idx]:.6f}")
         )
 
-    psi0 = abs(psi(n, 0.0))
+    psi0 = abs(_psi_from(n, 0.0, phs[0], f_vals[0]))
     checks.append(CheckResult("psi_zero_at_origin", psi0 <= 1e-12, psi0, "t=0"))
 
     return VerificationReport("technical", n, tuple(checks))

@@ -42,6 +42,7 @@ __all__ = [
     "zonal_sphere_integral",
     "zonal_band_integrals",
     "group_integrals",
+    "kink_integrals",
     "zonal_weight_normalization",
 ]
 
@@ -351,6 +352,23 @@ def group_integrals(g: Callable, lo, hi, piece_group, spec: QuadratureSpec | Non
         whole = np.concatenate((whole[keep], left[split], right[split]))
         left = np.concatenate((left[keep], child_left))
         right = np.concatenate((right[keep], child_right))
+
+
+def kink_integrals(g: Callable, s, spec: QuadratureSpec | None = None):
+    """Integrals over t in [-1, 1], one per kink ``s[i]``, each cut there.
+
+    Integral i is group i of :func:`group_integrals`, in theta = arccos t:
+    its piece for t in [-1, s_i] runs over theta in [arccos s_i, pi] and its
+    piece for t in [s_i, 1] over [0, arccos s_i].  ``g(theta, group)`` is
+    the integrand in theta, Jacobian and weight included, as for
+    :func:`group_integrals`.  Returns ``(values, estimates)``, one of each
+    per kink.
+    """
+    kink = np.arccos(s)
+    lo = np.column_stack((kink, np.zeros_like(kink))).ravel()
+    hi = np.column_stack((np.full_like(kink, math.pi), kink)).ravel()
+    pieces, estimates = group_integrals(g, lo, hi, np.repeat(np.arange(kink.size), 2), spec)
+    return pieces[0::2] + pieces[1::2], estimates
 
 
 def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None = None):

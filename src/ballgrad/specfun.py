@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -89,108 +89,86 @@ def _gegenbauer(lam: float, degree: int, x):
 class HypergeometricInput:
     """Arguments of a real Gauss hypergeometric evaluation.
 
-    ``z`` is one argument or a non-empty 1-D sequence of them, kept as a
-    tuple of floats.  Every parameter and argument must be finite; the
-    series diverges at z >= 1 and the function has poles when c is zero or
-    a negative integer.  All of these are rejected at construction, for
-    every entry of a sequence.
+    Each of ``a``, ``b``, ``c`` and ``z`` is one number or a non-empty 1-D
+    sequence, kept as a float or a tuple of floats.  The sequences must have
+    equal lengths, and a number stands for every entry of them.  Every
+    parameter and argument must be finite; the series diverges at z >= 1 and
+    the function has poles when c is zero or a negative integer.  All of
+    these are rejected at construction, for every entry of a sequence.
     """
 
-    a: float
-    b: float
-    c: float
+    a: float | tuple[float, ...]
+    b: float | tuple[float, ...]
+    c: float | tuple[float, ...]
     z: float | tuple[float, ...]
 
     def __post_init__(self):
-        lo = hi = self.z
-        if not isinstance(self.z, float):
-            z = np.asarray(self.z, dtype=float)
-            if z.ndim > 1 or z.size == 0:
-                raise ValueError("z must be a number or a non-empty 1-D sequence")
-            object.__setattr__(self, "z", tuple(z.tolist()) if z.ndim else float(z))
-            lo, hi = z.min(), z.max()  # a NaN entry makes both NaN
-        isfinite = math.isfinite
-        if not (isfinite(self.a) and isfinite(self.b) and isfinite(self.c) and isfinite(lo) and isfinite(hi)):
+        entries, lengths = [], set()  # every field as a tuple; the lengths of the sequences
+        for name in ("a", "b", "c", "z"):
+            value = getattr(self, name)
+            if not isinstance(value, float):
+                column = np.asarray(value, dtype=float)
+                if column.ndim > 1 or column.size == 0:
+                    raise ValueError(f"{name} must be a number or a non-empty 1-D sequence")
+                value = tuple(column.tolist()) if column.ndim else float(column)
+                object.__setattr__(self, name, value)
+            if isinstance(value, tuple):
+                lengths.add(len(value))
+            entries.append(value if isinstance(value, tuple) else (value,))
+        if len(lengths) > 1:
+            raise ValueError("the sequences of parameters and arguments must have equal lengths")
+        _, _, c, z = entries
+        if not all(map(math.isfinite, chain(*entries))):
             raise ValueError("non-finite: a, b, c and z must be finite")
-        if self.c <= 0.0 and self.c == round(self.c):
+        if any(x <= 0.0 and x == round(x) for x in c):
             raise ValueError("pole: c must not be zero or a negative integer")
-        if hi >= 1.0:
+        if max(z) >= 1.0:
             raise ValueError("divergent: argument must satisfy z < 1")
 
 
-def _gauss_series(a, b, c, z, rel_tol):
-    if z == 0.0:
-        return 1.0
-    term = 1.0
-    terms = [term]
-    append = terms.append
-    running = term
-    small = 0
-    k = 0.0  # the degree, as a float: the same sums as an int would give
-    for _ in range(_SERIES_BUDGET):
-        k1 = k + 1.0
-        term *= (a + k) * (b + k) / ((c + k) * k1) * z
-        k = k1
-        if term == 0.0:
-            # one of the upper parameters is a nonpositive integer: polynomial case
-            return math.fsum(terms)
-        append(term)
-        running += term
-        if abs(term) <= rel_tol * abs(running):
-            small += 1
-            if small >= 3:
-                return math.fsum(terms)
-        else:
-            small = 0
-    raise _budget_error(term, z, terms)
-
-
-def _budget_error(term, z, terms):
-    tail = abs(term) * abs(z) / max(1.0 - abs(z), 1e-6)
-    return ConvergenceError(
-        f"hypergeometric series did not converge within {_SERIES_BUDGET} terms",
-        value=math.fsum(terms),
-        error_estimate=tail,
-    )
-
-
-def _gauss_series_batch(a, b, c, z, rel_tol):
-    """:func:`_gauss_series` at every argument of the array ``z`` (each in
-    [0, 1)), as an array of values in the order of ``z``.
+def _gauss_series_batch(params, z, rel_tol):
+    """The Gauss series at every argument of the array ``z`` (each in
+    [0, 1)), as an array of values in the order of ``z``.  ``params`` holds
+    the rows a, b and c: one column per argument, or one column for all.
 
     The arguments run sorted, in passes of ``_GAUSS_PASS``, so the slow
     arguments near 1 share their passes.  A pass forms its terms a block of
-    degrees at a time, 8 at first and up to ``_GAUSS_BLOCK``: the degree
-    ratios (a+k)(b+k)/((c+k)(k+1)), shared by the pass, times each z, turned
-    into terms by a running product and into partial sums by a running sum,
-    in the order of the scalar loop.  Each argument stops on the scalar
-    loop's tests (a zero term, or three terms in a row within ``rel_tol``
-    of the partial sum), is ``math.fsum``med and leaves its pass, so every
-    value equals its scalar call bit for bit.  An argument still summing
-    after ``_SERIES_BUDGET`` terms raises the scalar loop's
-    ``ConvergenceError``: the first such argument of the first pass to run
-    out.
+    degrees at a time, 32 at first and up to ``_GAUSS_BLOCK``: each
+    argument's degree ratios (a+k)(b+k)/((c+k)(k+1)) times its z, turned
+    into terms by a running product and into partial sums by a running sum.
+    Each argument stops on a zero term (an upper parameter is a nonpositive
+    integer) or on three terms in a row within ``rel_tol`` of the partial
+    sum, is ``math.fsum``med and leaves its pass.  Every operation on an
+    argument's terms reads that argument alone, so no value depends on the
+    rest of the batch.  An argument still summing after ``_SERIES_BUDGET``
+    terms raises ``ConvergenceError``: the first such argument of the first
+    pass to run out.
     """
     values = np.empty(z.size)
     order = np.argsort(z, kind="stable")
     for start in range(0, z.size, _GAUSS_PASS):
         index = order[start : start + _GAUSS_PASS]  # the arguments of the pass still summing
         x = z[index]
+        pa, pb, pc = params if params.shape[1] == 1 else params[:, index]
         term, running = np.ones(index.size), np.ones(index.size)
         small = np.zeros((2, index.size), dtype=bool)  # whether the last two terms were small
         blocks = [np.ones((1, index.size))]  # the terms so far, the leading 1 first
-        k, size = 0, 8
+        k, size = 0, 32
         while index.size:
             if k == _SERIES_BUDGET:
-                raise _budget_error(term[0], x[0], np.concatenate([block[:, 0] for block in blocks]).tolist())
+                terms = np.concatenate([block[:, 0] for block in blocks]).tolist()
+                raise ConvergenceError(
+                    f"hypergeometric series did not converge within {_SERIES_BUDGET} terms",
+                    value=math.fsum(terms),
+                    error_estimate=abs(term[0]) * abs(x[0]) / max(1.0 - abs(x[0]), 1e-6),
+                )
             size = min(size, _SERIES_BUDGET - k)
-            degrees = np.arange(k, k + size, dtype=float)
-            ratios = (a + degrees) * (b + degrees) / ((c + degrees) * (degrees + 1.0))
+            degrees = np.arange(k, k + size, dtype=float)[:, None]
             # row 0 is the last term so far; the running product turns the
-            # ratios times z into the terms, as the scalar loop's ``*=`` does
+            # ratios times z into the terms
             terms = np.empty((size + 1, index.size))
             terms[0] = term
-            np.multiply(ratios[:, None], x, out=terms[1:])
+            np.multiply((pa + degrees) * (pb + degrees) / ((pc + degrees) * (degrees + 1.0)), x, out=terms[1:])
             np.multiply.accumulate(terms, out=terms)
             sums = np.empty_like(terms)
             sums[0], sums[1:] = running, terms[1:]
@@ -222,6 +200,8 @@ def _gauss_series_batch(a, b, c, z, rel_tol):
             keep = ~done
             blocks = [block[:, keep] for block in blocks]
             index, x, term, running, small = index[keep], x[keep], term[keep], running[keep], small[:, keep]
+            if params.shape[1] > 1:
+                pa, pb, pc = pa[keep], pb[keep], pc[keep]
     return values
 
 
@@ -236,29 +216,29 @@ def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> fl
     The series is stopped once three consecutive terms fall below ``rel_tol``
     relative to the partial sum; terms are accumulated exactly at the end.
 
-    For one argument ``inp.z`` the result is a float.  For a sequence of
-    arguments it is a list of floats in input order, summed as one batch
-    (:func:`_gauss_series_batch`), each equal to its one-argument call.
-    ``rel_tol`` must be finite and positive.
+    Every call is summed as one batch (:func:`_gauss_series_batch`), each
+    argument with its own parameters.  When ``inp.a``, ``inp.b``, ``inp.c``
+    and ``inp.z`` are all numbers the result is a float; otherwise it is a
+    list of floats in input order, each equal to the call with that entry's
+    numbers.  ``rel_tol`` must be finite and positive.
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be finite and positive")
-    a, b, c, z = inp.a, inp.b, inp.c, inp.z
-    if not isinstance(z, tuple):
-        if z < 0.0:
-            w = z / (z - 1.0)
-            return (1.0 - z) ** (-b) * _gauss_series(c - a, b, c, w, rel_tol)
-        return _gauss_series(a, b, c, z, rel_tol)
-    z = np.array(z)
-    values = np.empty(z.size)
+    fields = (inp.a, inp.b, inp.c, inp.z)
+    size = max(len(field) if isinstance(field, tuple) else 1 for field in fields)
+    a, b, c, z = (np.array(field) if isinstance(field, tuple) else np.full(size, field) for field in fields)
     negative = z < 0.0
-    values[~negative] = _gauss_series_batch(a, b, c, z[~negative], rel_tol)
+    params = np.stack((np.where(negative, c - a, a), b, c))
+    if (params == params[:, :1]).all():
+        params = params[:, :1]  # one parameter set, shared by every argument
+    values = _gauss_series_batch(params, np.where(negative, z / (z - 1.0), z), rel_tol)
     if negative.any():
-        zn = z[negative]
-        series = _gauss_series_batch(c - a, b, c, zn / (zn - 1.0), rel_tol)
         # one scalar pow per argument: numpy's vector pow rounds some differently
-        values[negative] = [(1.0 - x) ** (-b) * v for x, v in zip(zn.tolist(), series.tolist())]
-    return values.tolist()
+        mapped = zip(z[negative].tolist(), b[negative].tolist(), values[negative].tolist())
+        values[negative] = [(1.0 - x) ** (-p) * v for x, p, v in mapped]
+    if any(isinstance(field, tuple) for field in fields):
+        return values.tolist()
+    return float(values[0])
 
 
 def abs_kernel_coefficient(lam: float, k: int, s: float) -> float:
@@ -383,7 +363,7 @@ def _rainville_check(n: int) -> CheckResult:
     n = min(max(n, 4), 8)
     nu = float(n - 1)
     lam = 0.5 * n
-    errors = []
+    cases = []  # (x, z, partial sum)
     for x in np.linspace(-0.95, 0.95, 8):
         for z in (0.0, 0.2, 0.4, 0.6, 0.8):
             acc = []
@@ -402,55 +382,54 @@ def _rainville_check(n: int) -> CheckResult:
                 pw *= z
                 bound = next_bound
                 k += 1
-            partial = math.fsum(acc)
-            if z == 0.0:
-                closed = 1.0
-            else:
-                arg = z * z * (x * x - 1.0) / (1.0 - x * z) ** 2
-                closed = (1.0 - x * z) ** (-nu) * hyp2f1(
-                    HypergeometricInput(0.5 * nu, 0.5 * (nu + 1.0), lam + 0.5, arg)
-                )
-            errors.append((abs(partial - closed), f"n={n},x={x:.2f},z={z}"))
+            cases.append((x, z, math.fsum(acc)))
+    args = [z * z * (x * x - 1.0) / (1.0 - x * z) ** 2 for x, z, _ in cases]
+    f_vals = hyp2f1(HypergeometricInput(0.5 * nu, 0.5 * (nu + 1.0), lam + 0.5, args))
+    errors = []
+    for (x, z, partial), f_val in zip(cases, f_vals):
+        closed = 1.0 if z == 0.0 else (1.0 - x * z) ** (-nu) * f_val
+        errors.append((abs(partial - closed), f"n={n},x={x:.2f},z={z}"))
     return worst_error_check("rainville_expansion", errors, 1e-9)
 
 
 def _pfaff_check(n: int) -> CheckResult:
     params = [(1.0, 0.5 * n, 0.5 * (n + 1.0)), (0.5, 1.5, 2.5), (2.0, 1.0, 3.5)]
+    cases = [(a, b, c, z) for a, b, c in params for z in np.linspace(0.0, 0.9, 10)]
+    # every left side, then every transformed side, in one call
+    rows = [(a, b, c, float(z)) for a, b, c, z in cases] + [
+        (c - a, b, c, float(z / (z - 1.0))) for a, b, c, z in cases
+    ]
+    values = hyp2f1(HypergeometricInput(*zip(*rows)))
     errors = []
-    for a, b, c in params:
-        for z in np.linspace(0.0, 0.9, 10):
-            lhs = hyp2f1(HypergeometricInput(a, b, c, float(z)))
-            if z == 0.0:
-                rhs = lhs
-            else:
-                rhs = (1.0 - z) ** (-b) * hyp2f1(HypergeometricInput(c - a, b, c, float(z / (z - 1.0))))
-            errors.append((abs(lhs - rhs) / abs(lhs), f"a={a},b={b},c={c},z={z:.2f}"))
+    for (a, b, c, z), lhs, image in zip(cases, values, values[len(cases) :]):
+        rhs = lhs if z == 0.0 else (1.0 - z) ** (-b) * image
+        errors.append((abs(lhs - rhs) / abs(lhs), f"a={a},b={b},c={c},z={z:.2f}"))
     return worst_error_check("pfaff_transformation", errors, 1e-12)
 
 
 def _contiguous_check(n: int) -> CheckResult:
     a, b, c = 1.0, 0.5 * n, 0.5 * (n + 1.0)
-    errors = []
+    zs = np.linspace(0.05, 0.9, 9).tolist()
+    rows = [row for z in zs for row in ((a, b, c + 1.0, z), (a - 1.0, b, c, z), (a, b, c, z))]
     tight = 1e-15  # the two sides cancel near z = 1, so sum well past the check tolerance
-    for z in np.linspace(0.05, 0.9, 9):
-        z = float(z)
-        lhs = (c - b) * z * hyp2f1(HypergeometricInput(a, b, c + 1.0, z), tight)
-        rhs = c * hyp2f1(HypergeometricInput(a - 1.0, b, c, z), tight) - c * (1.0 - z) * hyp2f1(
-            HypergeometricInput(a, b, c, z), tight
-        )
+    values = hyp2f1(HypergeometricInput(*zip(*rows)), tight)
+    errors = []
+    for i, z in enumerate(zs):
+        raised, lowered, plain = values[3 * i : 3 * i + 3]
+        lhs = (c - b) * z * raised
+        rhs = c * lowered - c * (1.0 - z) * plain
         errors.append((abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0), f"z={z:.2f}"))
     return worst_error_check("contiguous_relation", errors, 1e-12)
 
 
 def _kernel_moment_quadrature(cases):
     """Brute-force :func:`abs_kernel_coefficient` for each (lam, k, s) in
-    ``cases``, as the groups of one :func:`quadrature.group_integrals` call
+    ``cases``, as the groups of one :func:`quadrature.kink_integrals` call
     under ``quadrature.DEFAULT_SPEC``.  Returns ``(values, estimates)``, one
     of each per case.
 
     In theta = arccos x the moment is the integral over [0, pi] of
-    |cos theta - s| C_k^lam(cos theta) sin(theta)^(2 lam); each case is cut
-    at its kink theta = arccos s into two pieces."""
+    |cos theta - s| C_k^lam(cos theta) sin(theta)^(2 lam), cut at its kink."""
     lam, k, s = (np.array(column, dtype=float) for column in zip(*cases))
     degree = k.astype(int)
 
@@ -464,12 +443,7 @@ def _kernel_moment_quadrature(cases):
             gegenbauer[rows] = c[rows]
         return np.abs(t - s[group][:, None]) * gegenbauer * np.sin(theta) ** (2.0 * row_lam)
 
-    # piece 2i is x in [-1, s_i], theta in [arccos s_i, pi]; piece 2i+1 is x in [s_i, 1]
-    kink = np.arccos(s)
-    lo = np.column_stack((kink, np.zeros_like(kink))).ravel()
-    hi = np.column_stack((np.full_like(kink, math.pi), kink)).ravel()
-    pieces, estimates = quadrature.group_integrals(g, lo, hi, np.repeat(np.arange(s.size), 2))
-    return pieces[0::2] + pieces[1::2], estimates
+    return quadrature.kink_integrals(g, s)
 
 
 def _kernel_moment_check(n: int) -> CheckResult:
@@ -505,22 +479,21 @@ def _weighted_derivative_check(n: int) -> CheckResult:
 
 def _hyp_derivative_check(n: int) -> CheckResult:
     params = [(1.0, 0.5 * n, 0.5 * (n + 1.0)), (2.0, 1.5, 3.0)]
-    errors = []
+    cases = [(a, b, c, z) for a, b, c in params for z in (0.1, 0.25, 0.4, 0.55, 0.7)]
     h = 1e-6
-    for a, b, c in params:
-        for z in (0.1, 0.25, 0.4, 0.55, 0.7):
+    # per case: 2F1 at z + h and z - h, and the lowered 2F1 at z
+    rows = [row for a, b, c, z in cases for row in ((a, b, c, z + h), (a, b, c, z - h), (a - 1.0, b, c, z))]
+    values = hyp2f1(HypergeometricInput(*zip(*rows)))
+    errors = []
+    for i, (a, b, c, z) in enumerate(cases):
+        ahead, behind, lowered = values[3 * i : 3 * i + 3]
 
-            def lhs_fun(t):
-                return t ** (c - a) * (1.0 - t) ** (a + b - c) * hyp2f1(HypergeometricInput(a, b, c, t))
+        def lhs(t, f_val):
+            return t ** (c - a) * (1.0 - t) ** (a + b - c) * f_val
 
-            fd = (lhs_fun(z + h) - lhs_fun(z - h)) / (2.0 * h)
-            rhs = (
-                (c - a)
-                * z ** (c - a - 1.0)
-                * (1.0 - z) ** (a + b - c - 1.0)
-                * hyp2f1(HypergeometricInput(a - 1.0, b, c, z))
-            )
-            errors.append((abs(fd - rhs) / max(abs(rhs), 1e-12), f"a={a},b={b},c={c},z={z}"))
+        fd = (lhs(z + h, ahead) - lhs(z - h, behind)) / (2.0 * h)
+        rhs = (c - a) * z ** (c - a - 1.0) * (1.0 - z) ** (a + b - c - 1.0) * lowered
+        errors.append((abs(fd - rhs) / max(abs(rhs), 1e-12), f"a={a},b={b},c={c},z={z}"))
     return worst_error_check("hypergeometric_derivative_identity", errors, 1e-6)
 
 

@@ -23,9 +23,9 @@ from ballgrad.harmonic import (
     sharp_radial_sup,
 )
 from ballgrad.phi import (
-    SECOND_CLOSED_RHO_MIN,
     phi3_closed,
     phi_quad,
+    phi_second,
     phi_second_closed,
     phi_second_fd,
     phi_second_series,
@@ -91,15 +91,9 @@ def test_criterion_03_second_derivative_routes():
 
 def test_criterion_04_concavity():
     worst = -math.inf
+    grid = np.arange(1, 1002) / 1002.0
     for n in range(4, 13):
-        grid = np.arange(1, 1002) / 1002.0
-        for rho in grid:
-            rho = float(rho)
-            if rho > SECOND_CLOSED_RHO_MIN:
-                val = phi_second_closed(n, rho).value
-            else:
-                val = phi_second_series(n, rho).value
-            worst = max(worst, val)
+        worst = max(worst, *(e.value for e in phi_second(n, grid)))
     origin3 = phi_second_series(3, 0.0).value
     rel3 = abs(origin3 - 1.0 / 18.0) / (1.0 / 18.0)
     ok = worst <= -1e-12 and rel3 <= 1e-10

@@ -99,6 +99,30 @@ class TestPhiTable:
             else:
                 assert row["d2phi_closed"] == "nan"
 
+    # sha256 of stdout at the default 101 steps as printed when
+    # d2phi_closed was routed in the CLI itself and hyp2f1 had a scalar
+    # loop; a change that moves any printed digit must update these on purpose
+    TABLE_SHA256 = {
+        (3, "quad", "csv"): "9646de1f2de690c04c022726e9bc7519f1c49d09e87cd45ac11f1c7df1f42e7c",
+        (3, "quad", "json"): "024cc08bb42a7c3c921c459ed59598cee0b3702938a82caf403658e24ec5da46",
+        (3, "series", "csv"): "e08eef9c5568016429e43e5ea1ad583fbd7c8f7fab3c584211ea4599f70ce1cd",
+        (3, "series", "json"): "4e79f0154fb81904f289735b21ccf82262aa729d760444443082cd12a45dddab",
+        (4, "quad", "csv"): "7d15db597b239045469a5270e66c2b4db3af653d0fdac5b70f548801c1142275",
+        (4, "quad", "json"): "05685dc09e5149047a092c0c4ca82b2992a6046c5a7bad4c1f1f5796c5368142",
+        (4, "series", "csv"): "f6d821dbee20beede5a9fbd592a0abbbae8f212b5557e3798fa4d53cbd2cdfe2",
+        (4, "series", "json"): "fc9d895ae90fd19500cf8f9d644eea3791295b83aafe0c8e19151e704fceda17",
+        (12, "quad", "csv"): "46bb5809e2ab31b7e9813bfedc93220593d6b0b29542c21f6db4c98ee7d442f8",
+        (12, "quad", "json"): "21b0e7c5ae5fda36bb6938f52e32d49b43b5c6a6c92f7a093cc29ee197daf7d7",
+        (12, "series", "csv"): "4f25a53dcd3909d5e8a3f77cb1abb1c3e9392f2f9ba267e455d1391a8486fbec",
+        (12, "series", "json"): "2a0bbc75b44605a98ab53cbf3bb99a426cc321518c92ba142144b18ecdba3e35",
+    }
+
+    @pytest.mark.parametrize("n, method, fmt", sorted(TABLE_SHA256))
+    def test_output_is_pinned(self, capsys, n, method, fmt):
+        code, out, _ = run_cli(capsys, "phi-table", "--n", str(n), "--method", method, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_SHA256[n, method, fmt]
+
     def test_determinism(self, capsys):
         args = ("phi-table", "--n", "4", "--steps", "7")
         _, first, _ = run_cli(capsys, *args)

@@ -368,6 +368,24 @@ class TestSecondDerivative:
         for rho in (0.0, 1e-4, 0.000998, SECOND_CLOSED_RHO_MIN):
             assert phi_second(3, rho) == phi_second_series(3, rho)
 
+    @pytest.mark.parametrize("n", [3, 4, 12])
+    def test_router_sequence_equals_its_one_radius_calls(self, n):
+        # unsorted, with duplicates, the origin, the threshold and rho = 1
+        radii = [0.5, SECOND_CLOSED_RHO_MIN, 0.0, 1.0, 0.999, 1e-4, 0.5, 0.0010000000000000002, 0.0]
+        routed = phi_second(n, radii)
+        assert len(routed) == len(radii)
+        for rho, e in zip(radii, routed):
+            assert e == phi_second(n, rho)
+            if rho > SECOND_CLOSED_RHO_MIN:
+                assert e == phi_second_closed(n, rho)
+            else:
+                assert e == phi_second_series(n, rho)
+
+    @pytest.mark.parametrize("rhos", [[], np.full((2, 2), 0.5), [0.5, math.nan], [0.5, -0.1], [0.5, 1.5], 1.5])
+    def test_router_rejects_bad_radii(self, rhos):
+        with pytest.raises(ValueError):
+            phi_second(4, rhos)
+
     @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, math.nan, math.inf])
     def test_closed_form_rejects_bad_tolerance(self, rel_tol):
         for rho in (0.5, [0.5, 0.9]):

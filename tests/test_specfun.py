@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ from ballgrad.errors import ConvergenceError
 from ballgrad.phi import phi_series
 from ballgrad.quadrature import QuadratureSpec, integrate
 from ballgrad.specfun import (
+    DEFAULT_SERIES_RTOL,
     HypergeometricInput,
     _gegenbauer,
     _kernel_moment_quadrature,
@@ -156,9 +159,28 @@ class TestHyp2F1:
                 hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, z), rel_tol)
 
 
+HYP_FIXTURE = json.loads((Path(__file__).parent / "hyp2f1_fixture.json").read_text())
+# (a, b, c, rel_tol) -> {z: value} as the one-argument scalar loop summed them
+RECORDED = {
+    tuple(map(float.fromhex, (rec["a"], rec["b"], rec["c"], rec["rel_tol"]))): dict(
+        zip(map(float.fromhex, rec["z"]), map(float.fromhex, rec["values"]))
+    )
+    for rec in HYP_FIXTURE["sets"]
+}
+# the z grid recorded for every package parameter set
+GRID = [float.fromhex(z) for z in HYP_FIXTURE["grid"]]
+
+
+def _package_set(n, upper, degree):
+    """The package's 2F1(1, n/2; (n+1)/2; z), its Pfaff image (a = c - 1)
+    or a nonpositive integer a, where a zero term stops the sum."""
+    b, c = 0.5 * n, 0.5 * (n + 1)
+    return {"one": 1.0, "c-1": c - 1.0, "polynomial": -float(degree)}[upper], b, c
+
+
 class TestBatchedHyp2F1:
-    """A sequence of arguments is summed as one batch; every entry must be
-    its one-argument call, bit for bit."""
+    """Every call is summed as one batch; every entry must be the value the
+    one-argument scalar loop gave (``hyp2f1_fixture.json``), bit for bit."""
 
     def test_sequence_gives_a_list_in_input_order(self):
         zs = np.array([0.5, -2.0, 0.0, 0.25])
@@ -166,22 +188,64 @@ class TestBatchedHyp2F1:
         assert inp.z == (0.5, -2.0, 0.0, 0.25)
         values = hyp2f1(inp)
         assert isinstance(values, list) and all(isinstance(v, float) for v in values)
-        assert values == [hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, z)) for z in zs.tolist()]
+        recorded = RECORDED[(1.0, 2.0, 2.5, DEFAULT_SERIES_RTOL)]
+        assert [v.hex() for v in values] == [recorded[z].hex() for z in zs.tolist()]
         assert hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, [0.5])) == [values[0]]
+
+    def test_four_numbers_give_a_float(self):
+        value = hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, -2.0))
+        assert type(value) is float
+        assert value.hex() == RECORDED[(1.0, 2.0, 2.5, DEFAULT_SERIES_RTOL)][-2.0].hex()
+
+    def test_every_recorded_set_alone(self):
+        for (a, b, c, rel_tol), recorded in RECORDED.items():
+            values = hyp2f1(HypergeometricInput(a, b, c, list(recorded)), rel_tol)
+            assert [v.hex() for v in values] == [v.hex() for v in recorded.values()], (a, b, c, rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", sorted({key[3] for key in RECORDED}))
+    def test_all_recorded_sets_in_one_mixed_call(self, rel_tol):
+        rows = [(a, b, c, z) for (a, b, c, t), values in RECORDED.items() if t == rel_tol for z in values]
+        values = hyp2f1(HypergeometricInput(*zip(*rows)), rel_tol)
+        assert [v.hex() for v in values] == [RECORDED[(a, b, c, rel_tol)][z].hex() for a, b, c, z in rows]
 
     @pytest.mark.parametrize("zs", [[], np.zeros((2, 2)), [0.2, 1.0], [0.5, 1.5]])
     def test_bad_sequences_rejected(self, zs):
         with pytest.raises(ValueError):
             HypergeometricInput(1.0, 2.0, 2.5, zs)
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (([1.0, 2.0], 2.0, 2.5, [0.1, 0.2, 0.3]), "equal lengths"),
+            ((1.0, [2.0, 2.5], [2.5, 3.0, 3.5], 0.5), "equal lengths"),
+            (([1.0], 2.0, 2.5, [0.1, 0.2]), "equal lengths"),
+            (([1.0, math.nan], 2.0, 2.5, [0.1, 0.2]), "non-finite"),
+            ((1.0, [2.0, math.inf], 2.5, 0.5), "non-finite"),
+            ((1.0, 2.0, [2.5, -3.0], [0.1, 0.2]), "pole"),
+            ((1.0, 2.0, [2.5, 0.0], 0.5), "pole"),
+            (([1.0, 2.0], 2.0, 2.5, [0.1, 1.0]), "divergent"),
+            ((np.zeros((2, 2)), 2.0, 2.5, 0.5), "a must be"),
+            ((1.0, [], 2.5, 0.5), "b must be"),
+        ],
+    )
+    def test_parameter_sequences_are_validated_entrywise(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            HypergeometricInput(*args)
+
+    def test_numbers_stand_for_every_entry(self):
+        inp = HypergeometricInput([1.0, 2.0], 1.5, np.float64(3.0), [0.1, 0.7])
+        assert (inp.a, inp.b, inp.c, inp.z) == ((1.0, 2.0), 1.5, 3.0, (0.1, 0.7))
+        assert hyp2f1(inp) == [hyp2f1(HypergeometricInput(a, 1.5, 3.0, z)) for a, z in [(1.0, 0.1), (2.0, 0.7)]]
+
     def test_convergence_failure_matches_the_scalar_call(self):
-        with pytest.raises(ConvergenceError) as scalar:
-            hyp2f1(HypergeometricInput(1.0, 1.0, 2.0, 0.9999995))
-        with pytest.raises(ConvergenceError) as batch:
-            hyp2f1(HypergeometricInput(1.0, 1.0, 2.0, [0.5, 0.9999995, 0.0]))
-        assert str(batch.value) == str(scalar.value)
-        assert batch.value.value == scalar.value.value
-        assert batch.value.error_estimate == scalar.value.error_estimate
+        recorded = HYP_FIXTURE["convergence_error"]
+        a, b, c = recorded["a"], recorded["b"], recorded["c"]
+        for z in (recorded["z"], [0.5, recorded["z"], 0.0]):
+            with pytest.raises(ConvergenceError) as failure:
+                hyp2f1(HypergeometricInput(a, b, c, z))
+            assert str(failure.value) == recorded["message"]
+            assert failure.value.value.hex() == recorded["value"]
+            assert float(failure.value.error_estimate).hex() == recorded["error_estimate"]
 
     def test_memory_stays_bounded(self):
         # passes of arguments hold their terms until each argument stops; a
@@ -199,25 +263,51 @@ class TestBatchedHyp2F1:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(3, 44),
+    n=st.sampled_from([3, 4, 5, 7, 12, 20, 44, 45]),
     upper=st.sampled_from(["one", "c-1", "polynomial"]),
-    degree=st.integers(0, 6),
-    zs=st.lists(st.floats(-4.0, 0.99), max_size=150),
+    degree=st.sampled_from([0, 2, 5]),
+    zs=st.lists(st.sampled_from(GRID), max_size=150),
     rng=st.randoms(use_true_random=False),
 )
 def test_batch_entries_equal_their_scalar_calls(n, upper, degree, zs, rng):
-    # the parameters of the package's 2F1(1, n/2; (n+1)/2; z) and of its
-    # Pfaff image (a = c - 1), and a nonpositive integer a, where a zero
-    # term stops the sum; unsorted and duplicate arguments, zero, and
-    # negative arguments through the Pfaff map
-    b, c = 0.5 * n, 0.5 * (n + 1)
-    a = {"one": 1.0, "c-1": c - 1.0, "polynomial": -float(degree)}[upper]
+    # every recorded package parameter set; unsorted and duplicate
+    # arguments, zero, and negative arguments through the Pfaff map, each
+    # equal to the value the one-argument scalar loop recorded
+    a, b, c = _package_set(n, upper, degree)
     args = [*zs, *zs[:3], 0.0]
     rng.shuffle(args)
     batch = hyp2f1(HypergeometricInput(a, b, c, args))
     assert len(batch) == len(args)
+    recorded = RECORDED[(a, b, c, DEFAULT_SERIES_RTOL)]
     for z, value in zip(args, batch):
-        assert value.hex() == hyp2f1(HypergeometricInput(a, b, c, z)).hex(), z
+        assert value.hex() == recorded[z].hex(), z
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cases=st.lists(
+        st.tuples(
+            st.integers(3, 44),
+            st.sampled_from(["one", "c-1", "polynomial"]),
+            st.integers(0, 6),
+            st.floats(-4.0, 0.99),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    rel_tol=st.sampled_from([DEFAULT_SERIES_RTOL, 1e-15]),
+)
+def test_mixed_parameter_batch_equals_its_per_set_batches(cases, rel_tol):
+    # one call with a parameter set per argument against one call per
+    # parameter set; 200 arguments span two passes
+    rows = [(*_package_set(n, upper, degree), z) for n, upper, degree, z in cases]
+    mixed = hyp2f1(HypergeometricInput(*zip(*rows)), rel_tol)
+    by_set = {}
+    for i, (a, b, c, z) in enumerate(rows):
+        by_set.setdefault((a, b, c), []).append(i)
+    for (a, b, c), index in by_set.items():
+        alone = hyp2f1(HypergeometricInput(a, b, c, [rows[i][3] for i in index]), rel_tol)
+        assert [mixed[i].hex() for i in index] == [v.hex() for v in alone], (a, b, c)
 
 
 class TestPfaffTransformation:
