@@ -327,6 +327,11 @@ def varphi(n: int, t: float) -> float:
     n = _check_dim(n, 3)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
+    return _varphi(n, t)
+
+
+def _varphi(n, t):
+    """:func:`varphi` without the checks, for one t or an array of them."""
     return t * (1.0 - (n - 2.0) ** 2 * t / (n * n)) / (1.0 - (n - 4.0) * t / n)
 
 
@@ -392,36 +397,33 @@ def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list
     return _evaluations(n, radii, single, values, omitted, "second_series")
 
 
-def phi_second_fd(n: int, rho: float, step: float = 1e-3) -> PhiEvaluation:
+def phi_second_fd(n: int, rho, step: float = 1e-3) -> PhiEvaluation | list[PhiEvaluation]:
     """Second derivative by a Richardson-extrapolated central difference of
     the quadrature route.
 
     Uses the symmetric second difference at widths ``step`` and ``step/2``
     combined as (4 D(h/2) - D(h)) / 3; ``step`` must be finite and positive,
-    with rho + step <= 1.  The profile is even in rho, so
-    points reflected below the origin reuse the positive-radius value.  The
-    quadrature runs at the binary64 floor, since the difference quotient
-    amplifies per-evaluation noise by 4/h^2.
+    with rho + step <= 1.  The profile is even in rho, so points reflected
+    below the origin take the value at their mirror radius.  ``rho`` may be
+    one radius or a 1-D sequence of them; a sequence gives one evaluation
+    per radius, in input order, and one radius is a batch of one.  The five
+    abscissae of every radius go through one :func:`phi_quad_grid` call at
+    the binary64 floor, since the difference quotient amplifies
+    per-evaluation noise by 4/h^2.
     """
     n = _check_dim(n, 2)
     if not 0.0 < step < math.inf:
         raise ValueError("step must be finite and positive")
-    if not 0.0 <= rho <= 1.0 - step:
-        raise ValueError("need rho + step <= 1")
-
-    def value(r):
-        return phi_quad(n, abs(r), _TIGHT_SPEC).value
-
-    center = value(rho)
-
-    def second_difference(h):
-        return (value(rho + h) - 2.0 * center + value(rho - h)) / (h * h)
-
-    d_h = second_difference(step)
-    d_h2 = second_difference(0.5 * step)
-    val = (4.0 * d_h2 - d_h) / 3.0
+    radii, single = _radii(rho, lambda r: (0.0 <= r) & (r <= 1.0 - step), "need rho + step <= 1")
+    half = 0.5 * step
+    abscissae = np.abs(np.stack((radii, radii + step, radii - step, radii + half, radii - half)))
+    center, up, down, up_half, down_half = phi_quad_grid(n, abscissae.ravel(), _TIGHT_SPEC)[0].reshape(5, -1)
+    d_h = (up - 2.0 * center + down) / (step * step)
+    d_h2 = (up_half - 2.0 * center + down_half) / (half * half)
+    values = (4.0 * d_h2 - d_h) / 3.0
     noise = 16.0 * 1e-15 / (step * step)
-    return PhiEvaluation(n, rho, val, "second_fd", max(abs(d_h - d_h2) / 3.0, noise))
+    estimates = np.maximum(np.abs(d_h - d_h2) / 3.0, noise)
+    return _evaluations(n, radii, single, values.tolist(), estimates.tolist(), "second_fd")
 
 
 def phi_second(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
@@ -444,33 +446,47 @@ def phi_second(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
     return evaluations[0] if single else evaluations
 
 
-def psi(n: int, t: float, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> float:
+def _unit_points(t):
+    """:func:`_radii` for points t of [0, 1]."""
+    return _radii(t, lambda x: (0.0 <= x) & (x <= 1.0), "t must lie in [0, 1]")
+
+
+def _one_or_list(values, single):
+    """The only value of an array for a one-number call, else a list."""
+    return float(values[0]) if single else values.tolist()
+
+
+def psi(n: int, t, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> float | list[float]:
     """Difference whose sign settles the auxiliary inequality.
 
     Vanishes at t = 0; positive on (0, 1) for n >= 4 and negative for n = 3,
-    mirroring the reversal of the inequality in dimension three.
+    mirroring the reversal of the inequality in dimension three.  ``t`` may
+    be one number or a 1-D sequence of them; a sequence gives a list in
+    input order, with every hypergeometric value from one batched
+    :func:`hyp2f1` call, and one number is a batch of one.
     """
     n = _check_dim(n, 3)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    return _psi_from(n, t, *_varphi_hyp2f1(n, t, rel_tol))
+    ts, single = _unit_points(t)
+    return _one_or_list(_psi_from(n, ts, *_varphi_hyp2f1(n, ts, rel_tol)), single)
 
 
 def _varphi_hyp2f1(n, t, rel_tol=specfun.DEFAULT_SERIES_RTOL):
-    """varphi(n, t) and 2F1(1, n/2; (n+1)/2; varphi(n, t)), the value that
-    :func:`psi` and :func:`technical_gap` share."""
-    ph = varphi(n, t)
-    return ph, hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), ph), rel_tol)
+    """varphi(n, t) and 2F1(1, n/2; (n+1)/2; varphi(n, t)) at an array of
+    t, the values that :func:`psi` and :func:`technical_gap` share, as two
+    arrays from one :func:`hyp2f1` call."""
+    ph = _varphi(n, t)
+    return ph, np.array(hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), ph), rel_tol))
 
 
 def _psi_from(n, t, ph, f_val):
-    first = ph ** (0.5 * (n - 1)) * math.sqrt(1.0 - ph) * f_val
+    """:func:`psi` at an array of t, from its varphi and 2F1 values."""
+    first = _pow_each(ph, 0.5 * (n - 1)) * np.sqrt(1.0 - ph) * f_val
     num = (
-        t ** (0.5 * (n - 1))
-        * (1.0 - (n - 2.0) ** 2 * t / (n * n)) ** (0.5 * (n - 3))
+        _pow_each(t, 0.5 * (n - 1))
+        * _pow_each(1.0 - (n - 2.0) ** 2 * t / (n * n), 0.5 * (n - 3))
         * (1.0 - (n - 2.0) * (n - 3.0) * t / (n * n))
     )
-    den = (1.0 - (n - 4.0) * t / n) ** (0.5 * (n - 2)) * (
+    den = _pow_each(1.0 - (n - 4.0) * t / n, 0.5 * (n - 2)) * (
         1.0 - (n - 2.0) * (n - 3.0) * t / (n * (n - 1.0))
     )
     return first - num / den
@@ -480,7 +496,8 @@ def psi_prime_quadratic(n: int, t: float) -> float:
     """Quadratic factor of the closed-form derivative of :func:`psi`.
 
     Constant 128 for n = 4 (the linear and quadratic coefficients carry a
-    factor n - 4); positive on [0, 1] for every n >= 4.
+    factor n - 4); positive on [0, 1] for every n >= 4.  ``t`` may also be
+    an array, which gives an array.
     """
     n = _check_dim(n, 3)
     return (
@@ -517,16 +534,16 @@ def _technical_rhs(n, t):
     )
 
 
-def technical_gap(n: int, t: float) -> float:
+def technical_gap(n: int, t) -> float | list[float]:
     """Hypergeometric side minus rational side of the auxiliary inequality.
 
     Both sides equal 1 at t = 0; the gap is positive on (0, 1] for n >= 4
-    and negative for n = 3.
+    and negative for n = 3.  ``t`` may be one number or a 1-D sequence of
+    them, as for :func:`psi`.
     """
     n = _check_dim(n, 3)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    return _varphi_hyp2f1(n, t)[1] - _technical_rhs(n, t)
+    ts, single = _unit_points(t)
+    return _one_or_list(_varphi_hyp2f1(n, ts)[1] - _technical_rhs(n, ts), single)
 
 
 def verify_monotone(n: int, grid_size: int = 1001) -> VerificationReport:
@@ -597,7 +614,7 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     values = second[: grid.size]
     routes = [
         [e.value for e in phi_second_series(n, agree_grid)],
-        [phi_second_fd(n, r).value for r in agree_grid],
+        [e.value for e in phi_second_fd(n, agree_grid)],
     ]
     if closed_agree:
         routes.append(second[grid.size :])
@@ -635,44 +652,36 @@ def verify_technical(n: int, grid_size: int = 1001) -> VerificationReport:
     n = _check_dim(n, 3)
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
-    grid = [float(t) for t in np.linspace(0.0, 1.0, grid_size)]
+    grid = np.linspace(0.0, 1.0, grid_size)
     # one hypergeometric value per grid point serves both the gap and psi,
     # all of them from one batched call
-    phs = [varphi(n, t) for t in grid]
-    f_vals = hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), phs))
-    gaps = [f_val - _technical_rhs(n, t) for t, f_val in zip(grid, f_vals)]
+    phs, f_vals = _varphi_hyp2f1(n, grid)
+    gaps = f_vals - _technical_rhs(n, grid)
 
     checks = []
-    at0 = abs(gaps[0])
+    at0 = float(abs(gaps[0]))
     checks.append(CheckResult("sides_equal_at_origin", at0 <= 1e-12, at0, "t=0"))
 
-    interior = gaps[1:]
+    # psi on the whole grid for n >= 4, at t = 0 alone for n = 3
+    m = grid.size if n >= 4 else 1
+    psis = _psi_from(n, grid[:m], phs[:m], f_vals[:m])
     if n >= 4:
-        worst = min(interior)
-        idx = 1 + int(np.argmin(interior))
-        checks.append(
-            CheckResult("gap_positive", worst > 0.0, float(worst), f"t={grid[idx]:.6f}")
-        )
-        psis = [_psi_from(n, t, ph, f_val) for t, ph, f_val in zip(grid[1:], phs[1:], f_vals[1:])]
-        worst_psi = min(psis)
-        idxp = 1 + int(np.argmin(psis))
-        checks.append(
-            CheckResult("psi_positive", worst_psi > 0.0, float(worst_psi), f"t={grid[idxp]:.6f}")
-        )
-        quads = [psi_prime_quadratic(n, t) for t in grid]
-        worst_q = min(quads)
+        idx = 1 + int(np.argmin(gaps[1:]))
+        worst = float(gaps[idx])
+        checks.append(CheckResult("gap_positive", worst > 0.0, worst, f"t={grid[idx]:.6f}"))
+        idxp = 1 + int(np.argmin(psis[1:]))
+        worst_psi = float(psis[idxp])
+        checks.append(CheckResult("psi_positive", worst_psi > 0.0, worst_psi, f"t={grid[idxp]:.6f}"))
+        quads = psi_prime_quadratic(n, grid)
         idxq = int(np.argmin(quads))
-        checks.append(
-            CheckResult("quadratic_positive", worst_q > 0.0, float(worst_q), f"t={grid[idxq]:.6f}")
-        )
+        worst_q = float(quads[idxq])
+        checks.append(CheckResult("quadratic_positive", worst_q > 0.0, worst_q, f"t={grid[idxq]:.6f}"))
     else:
-        worst = max(interior)
-        idx = 1 + int(np.argmax(interior))
-        checks.append(
-            CheckResult("gap_reversed", worst < 0.0, float(worst), f"t={grid[idx]:.6f}")
-        )
+        idx = 1 + int(np.argmax(gaps[1:]))
+        worst = float(gaps[idx])
+        checks.append(CheckResult("gap_reversed", worst < 0.0, worst, f"t={grid[idx]:.6f}"))
 
-    psi0 = abs(_psi_from(n, 0.0, phs[0], f_vals[0]))
+    psi0 = float(abs(psis[0]))
     checks.append(CheckResult("psi_zero_at_origin", psi0 <= 1e-12, psi0, "t=0"))
 
     return VerificationReport("technical", n, tuple(checks))

@@ -110,19 +110,21 @@ def test_criterion_05_auxiliary_inequality():
     worst_gap = math.inf
     origin_gap = 0.0
     for n in range(4, 13):
-        gaps = [technical_gap(n, float(t)) for t in grid[1:]]
+        origin, *gaps = technical_gap(n, grid)
         worst_gap = min(worst_gap, min(gaps))
-        origin_gap = max(origin_gap, abs(technical_gap(n, 0.0)))
-    reversed_ok = all(technical_gap(3, float(t)) < 0.0 for t in grid[1:])
+        origin_gap = max(origin_gap, abs(origin))
+    reversed_ok = all(g < 0.0 for g in technical_gap(3, grid[1:]))
 
     psi_origin = max(abs(psi(n, 0.0)) for n in range(3, 13))
 
     worst_prime = 0.0
     h = 1e-6
+    ts = [float(t) for t in np.linspace(0.1, 0.9, 9)]
     for n in range(4, 9):
-        for t in np.linspace(0.1, 0.9, 9):
-            t = float(t)
-            fd = (psi(n, t + h) - psi(n, t - h)) / (2.0 * h)
+        # the values at t + h and t - h, interleaved, from one call
+        pairs = psi(n, [x for t in ts for x in (t + h, t - h)])
+        for t, plus, minus in zip(ts, pairs[0::2], pairs[1::2]):
+            fd = (plus - minus) / (2.0 * h)
             closed = psi_prime_closed(n, t)
             worst_prime = max(worst_prime, abs(closed - fd) / abs(closed))
 

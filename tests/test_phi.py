@@ -33,6 +33,7 @@ from ballgrad.phi import (
     verify_technical,
 )
 from ballgrad.quadrature import QuadratureSpec
+from ballgrad.specfun import HypergeometricInput, hyp2f1
 
 
 class TestPhiQuad:
@@ -395,8 +396,9 @@ class TestSecondDerivative:
     @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
     def test_finite_difference_rejects_bad_step(self, step):
         # step = 0 used to raise ZeroDivisionError, and a negative step ran
-        with pytest.raises(ValueError, match="step"):
-            phi_second_fd(4, 0.5, step=step)
+        for rho in (0.5, [0.1, 0.5]):
+            with pytest.raises(ValueError, match="step must be finite and positive"):
+                phi_second_fd(4, rho, step=step)
 
     @pytest.mark.parametrize("n", [3, 4, 6, 8])
     def test_three_routes_agree(self, n):
@@ -407,6 +409,124 @@ class TestSecondDerivative:
             scale = abs(c)
             assert abs(c - s) / scale <= 1e-6
             assert abs(c - f) / scale <= 1e-6
+
+
+# The five-call adaptive route phi_second_fd took before it moved onto one
+# grid quadrature call, kept as its oracle: every profile value by its own
+# phi_quad at the binary64 floor.
+_FD_TIGHT = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
+
+
+def _adaptive_fd(n, rho, step=1e-3):
+    def value(r):
+        return phi_quad(n, abs(r), _FD_TIGHT).value
+
+    center = value(rho)
+
+    def second_difference(h):
+        return (value(rho + h) - 2.0 * center + value(rho - h)) / (h * h)
+
+    d_h = second_difference(step)
+    d_h2 = second_difference(0.5 * step)
+    return (4.0 * d_h2 - d_h) / 3.0, max(abs(d_h - d_h2) / 3.0, 16.0 * 1e-15 / (step * step))
+
+
+class TestFiniteDifferenceRoute:
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 20, 44])
+    def test_matches_the_adaptive_route(self, n):
+        radii = [i / 20 for i in range(20)]
+        for rho, e in zip(radii, phi_second_fd(n, radii)):
+            value, estimate = _adaptive_fd(n, rho)
+            assert e.rho == rho
+            assert abs(e.value - value) <= min(e.error_estimate, estimate)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 20, 44])
+    def test_both_routes_evaluate_up_to_0_99(self, n):
+        # neither route refuses a radius here; at rho = 0.998 both raise
+        # ConvergenceError at n = 4, 5, 12 and 20, and the grid route also
+        # at n = 44
+        for rho in (0.96, 0.97, 0.98, 0.99):
+            assert math.isfinite(_adaptive_fd(n, rho)[0])
+            assert math.isfinite(phi_second_fd(n, rho).value)
+
+    def test_one_radius_is_a_batch_of_one(self):
+        for n, rho in ((2, 0.3), (3, 0.0), (4, 0.5), (44, 0.99)):
+            single = phi_second_fd(n, rho)
+            (batched,) = phi_second_fd(n, [rho])
+            assert single == batched
+            assert isinstance(single.value, float) and isinstance(single.error_estimate, float)
+
+    @pytest.mark.parametrize(
+        "rhos", [[], np.full((2, 2), 0.5), [0.5, math.nan], [0.5, -0.1], [0.5, 0.9995], 0.9995, -0.1]
+    )
+    def test_rejects_bad_radii(self, rhos):
+        with pytest.raises(ValueError, match=r"need rho \+ step <= 1"):
+            phi_second_fd(4, rhos)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4, 5, 12, 44]),
+    rhos=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=8),
+    rng=st.randoms(use_true_random=False),
+)
+@example(n=4, rhos=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], rng=random.Random(4))
+def test_fd_batch_entries_agree_with_their_one_radius_calls(n, rhos, rng):
+    # in input order, unsorted and with duplicates.  Not bit for bit: a
+    # profile value of phi_quad_grid depends in its last bits on the other
+    # radii of its call (ROADMAP item 6(a)), and 4/h^2 magnifies that, so
+    # each entry must agree within the smaller of the two error estimates
+    radii = [*rhos, *rhos[:2]]
+    rng.shuffle(radii)
+    batch = phi_second_fd(n, radii)
+    assert len(batch) == len(radii)
+    for rho, e in zip(radii, batch):
+        single = phi_second_fd(n, rho)
+        assert (e.n, e.rho, e.method) == (single.n, single.rho, single.method)
+        assert abs(e.value - single.value) <= min(e.error_estimate, single.error_estimate)
+
+
+def _scalar_psi(n, t):
+    """psi at one t as it was formed before the array form: every power by
+    the scalar ``**``, which numpy's vector pow does not always match."""
+    ph = varphi(n, t)
+    f_val = hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), ph))
+    first = ph ** (0.5 * (n - 1)) * math.sqrt(1.0 - ph) * f_val
+    num = (
+        t ** (0.5 * (n - 1))
+        * (1.0 - (n - 2.0) ** 2 * t / (n * n)) ** (0.5 * (n - 3))
+        * (1.0 - (n - 2.0) * (n - 3.0) * t / (n * n))
+    )
+    den = (1.0 - (n - 4.0) * t / n) ** (0.5 * (n - 2)) * (1.0 - (n - 2.0) * (n - 3.0) * t / (n * (n - 1.0)))
+    return first - num / den
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 44),
+    ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    rng=st.randoms(use_true_random=False),
+)
+@example(n=3, ts=[0.0, 1.0, 0.5], rng=random.Random(5))
+@example(n=4, ts=[1.0, 5e-324, 0.0], rng=random.Random(6))
+def test_psi_and_gap_batches_equal_their_one_point_calls(n, ts, rng):
+    # in input order, unsorted and with duplicates, bit for bit; psi also
+    # equals its scalar formula
+    points = [*ts, *ts[:2]]
+    rng.shuffle(points)
+    psis = psi(n, points)
+    gaps = technical_gap(n, points)
+    assert len(psis) == len(gaps) == len(points)
+    for t, p, g in zip(points, psis, gaps):
+        assert p.hex() == psi(n, t).hex() == _scalar_psi(n, t).hex()
+        assert g.hex() == technical_gap(n, t).hex()
+
+
+@pytest.mark.parametrize("ts", [[], np.full((2, 2), 0.5), [0.5, math.nan], [0.5, -0.1], [0.5, 1.5], 1.5, -0.1, math.nan])
+@pytest.mark.parametrize("fn", [psi, technical_gap])
+def test_psi_and_gap_reject_bad_points(fn, ts):
+    with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+        fn(5, ts)
 
 
 class TestPsi:
