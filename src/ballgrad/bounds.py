@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .phi import phi_quad
+from .phi import _check_dim, phi_quad
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -44,8 +44,7 @@ def ball_volume(n: int) -> float:
 
 def schwarz_pick_constant(n: int) -> float:
     """Constant 2 m_{n-1} / m_n: the sharp gradient bound at the origin."""
-    if n < 2 or n != int(n):
-        raise ValueError("dimension must be an integer >= 2")
+    _check_dim(n, 2)
     return 2.0 * ball_volume(n - 1) / ball_volume(n)
 
 
@@ -77,8 +76,7 @@ class BoundQuery:
     rho: float
 
     def __post_init__(self):
-        if self.n < 2 or self.n != int(self.n):
-            raise ValueError("dimension must be an integer >= 2")
+        _check_dim(self.n, 2)
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
 
@@ -101,8 +99,7 @@ def gradient_bound(n: int, rho: float) -> float:
     The constant is 2 m_{n-1}/m_n except in dimension three, which takes
     8 / (3 sqrt 3); there the bound is sharp but strict at every point.
     """
-    if n < 2 or n != int(n):
-        raise ValueError("dimension must be an integer >= 2")
+    _check_dim(n, 2)
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
     const = khavinson_sharp_constant_3d() if n == 3 else schwarz_pick_constant(n)
@@ -111,8 +108,7 @@ def gradient_bound(n: int, rho: float) -> float:
 
 def pw_bound(n: int, dist: float, osc: float) -> float:
     """Oscillation gradient estimate m_{n-1}/m_n * osc / dist."""
-    if n < 2 or n != int(n):
-        raise ValueError("dimension must be an integer >= 2")
+    _check_dim(n, 2)
     if not dist > 0.0:
         raise ValueError("distance to the boundary must be positive")
     if not osc >= 0.0:
@@ -123,8 +119,7 @@ def pw_bound(n: int, dist: float, osc: float) -> float:
 def halfspace_constant(n: int) -> float:
     """Sharp constant of the half-space gradient estimate,
     4 (n-1)^((n+1)/2) m_{n-1} / (n^((n+2)/2) m_n)."""
-    if n < 2 or n != int(n):
-        raise ValueError("dimension must be an integer >= 2")
+    _check_dim(n, 2)
     return (
         4.0
         * (n - 1.0) ** (0.5 * (n + 1))

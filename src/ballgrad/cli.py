@@ -149,37 +149,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, run, n_min=2):
+    def command(name, help_text, run, n_min=2, fmt="json"):
         p = sub.add_parser(name, help=help_text)
         # by name, so a parser built once runs the module's current function
         p.set_defaults(run=run.__name__)
         p.add_argument("--n", type=int, required=True, help=f"ambient dimension (>= {n_min})")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=fmt)
         return p
 
-    p = command("constants", "emit every bound constant at dimension n", _cmd_constants)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
+    command("constants", "emit every bound constant at dimension n", _cmd_constants)
 
-    p = command("phi-table", "tabulate the profile and its derivatives", _cmd_phi_table, 3)
+    p = command("phi-table", "tabulate the profile and its derivatives", _cmd_phi_table, 3, fmt="csv")
     p.add_argument("--steps", type=int, default=101, help="grid points on [0, 0.99]")
     p.add_argument("--method", choices=("quad", "series", "closed3"), default="quad")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
     p = command("verify", "run a verification suite", _cmd_verify, 3)
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
 
-    p = command("extremal", "hemisphere-datum gradient at the origin vs the constant", _cmd_extremal)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
+    command("extremal", "hemisphere-datum gradient at the origin vs the constant", _cmd_extremal)
 
     p = command("probe", "Monte-Carlo probes of the bounds", _cmd_probe)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
 
-    p = command("bound", "one bound-table row", _cmd_bound)
+    p = command("bound", "one bound-table row", _cmd_bound, fmt="csv")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
     return parser
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import quadrature, specfun
 from .quadrature import QuadratureSpec, integrate
 from .report import CheckResult, VerificationReport, worst_error_check
-from .specfun import HypergeometricInput, hyp2f1
+from .specfun import HypergeometricInput, _one_or_list, _pow_each, _radii, hyp2f1
 
 __all__ = [
     "PhiEvaluation",
@@ -79,7 +79,7 @@ class PhiEvaluation:
 
 
 def _check_dim(n, minimum):
-    if n != int(n) or n < minimum:
+    if n < minimum or n != int(n):
         raise ValueError(f"dimension must be an integer >= {minimum}")
     return int(n)
 
@@ -151,24 +151,6 @@ def _phi_quad_block(n, rho, spec):
         return np.abs(t - s[group][:, None]) * kernel * np.sin(theta) ** (n - 2)
 
     return quadrature.kink_integrals(g, s, spec)
-
-
-def _pow_each(x, p):
-    """``x ** p`` for each entry of an array, by one scalar pow per entry:
-    numpy's vector pow rounds some differently."""
-    return np.array([v**p for v in x.tolist()])
-
-
-def _radii(rho, valid, message):
-    """``rho`` as a 1-D array of radii, and whether it was one number
-    rather than a sequence.  ``valid`` tests an array of radii entrywise;
-    an empty, deeper or failing ``rho`` raises ``ValueError(message)``."""
-    radii = np.asarray(rho, dtype=float)
-    single = radii.ndim == 0
-    radii = radii.reshape(-1) if single else radii
-    if radii.ndim != 1 or radii.size == 0 or not np.all(valid(radii)):
-        raise ValueError(message)
-    return radii, single
 
 
 def _series_radii(rho):
@@ -449,11 +431,6 @@ def phi_second(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
 def _unit_points(t):
     """:func:`_radii` for points t of [0, 1]."""
     return _radii(t, lambda x: (0.0 <= x) & (x <= 1.0), "t must lie in [0, 1]")
-
-
-def _one_or_list(values, single):
-    """The only value of an array for a one-number call, else a list."""
-    return float(values[0]) if single else values.tolist()
 
 
 def psi(n: int, t, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> float | list[float]:

@@ -38,33 +38,23 @@ _GAUSS_BLOCK = 64
 
 def gegenbauer_iter(lam, x):
     """Yield the Gegenbauer values of degree 0, 1, 2, ... for the parameter
-    ``lam`` at ``x``.  Either may be a numpy array; the values then
-    broadcast over both, elementwise equal to the float values.  The
+    ``lam`` at ``x``.  Each may be a number or a numpy array, and the values
+    broadcast over both: a column of parameters against a row of points
+    gives one value per pair, each equal to that pair's own call.  The
     forward recurrence is stable for |x| <= 1 at the degrees used here (up
     to a few thousand).
 
-    For an array of parameters the degree factors are formed a chunk of
-    degrees at a time, by the same operations in the same order as for a
-    float parameter; chunks grow from 4 to 64 degrees, so a call that wants
-    a few low degrees pays for few."""
-    if not isinstance(lam, np.ndarray):
-        c_prev = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
-        yield c_prev
-        c = 2.0 * lam * x
-        yield c
-        k = 2
-        while True:
-            c, c_prev = (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k, c
-            yield c
-            k += 1
-    lam, x = lam.astype(float), np.asarray(x, dtype=float)
+    The degree factors are formed a chunk of degrees at a time; chunks grow
+    from 4 to 64 degrees, so a call that wants a few low degrees pays for
+    few."""
+    lam, x = np.asarray(lam, dtype=float), np.asarray(x, dtype=float)
     c_prev = np.ones(np.broadcast_shapes(lam.shape, x.shape))
     yield c_prev
     c = 2.0 * lam * x
     yield c
     k, size = 2, 4
     while True:
-        degrees = np.arange(k, k + size, dtype=float).reshape((size,) + (1,) * lam.ndim)
+        degrees = np.arange(k, k + size, dtype=float).reshape((size,) + (1,) * c.ndim)
         # each degree's value is formed in place in its row of ``ups``
         ups = list(2.0 * (degrees + lam - 1.0) * x)
         downs = np.empty((size,) + c.shape)
@@ -80,9 +70,36 @@ def gegenbauer_iter(lam, x):
         size = min(2 * size, 64)
 
 
-def _gegenbauer(lam: float, degree: int, x):
-    """Degree-``degree`` value of :func:`gegenbauer_iter`."""
-    return next(islice(gegenbauer_iter(lam, x), degree, None))
+def _gegenbauer(lam, degree, x):
+    """The values of :func:`gegenbauer_iter` at ``degree``: one integer, or
+    an integer array broadcasting with ``x`` that gives each entry its own
+    degree.  One recurrence runs up to the largest degree."""
+    degree = np.asarray(degree)
+    values = np.array(list(islice(gegenbauer_iter(lam, x), int(degree.max(initial=0)) + 1)))
+    return np.take_along_axis(values, np.broadcast_to(degree, values.shape[1:])[None], 0)[0]
+
+
+def _pow_each(x, p):
+    """``x ** p`` for each entry of an array, by one scalar pow per entry:
+    numpy's vector pow rounds some differently."""
+    return np.array([v**p for v in x.tolist()])
+
+
+def _radii(rho, valid, message):
+    """``rho`` as a 1-D array of points, and whether it was one number
+    rather than a sequence.  ``valid`` tests an array of points entrywise;
+    an empty, deeper or failing ``rho`` raises ``ValueError(message)``."""
+    radii = np.asarray(rho, dtype=float)
+    single = radii.ndim == 0
+    radii = radii.reshape(-1) if single else radii
+    if radii.ndim != 1 or radii.size == 0 or not np.all(valid(radii)):
+        raise ValueError(message)
+    return radii, single
+
+
+def _one_or_list(values, single):
+    """The only value of an array for a one-number call, else a list."""
+    return float(values[0]) if single else values.tolist()
 
 
 @dataclass(frozen=True)
@@ -241,7 +258,21 @@ def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> fl
     return float(values[0])
 
 
-def abs_kernel_coefficient(lam: float, k: int, s: float) -> float:
+def _degrees_and_points(k, x, name):
+    """Nonnegative integer degrees ``k`` and points ``x`` inside (-1, 1) as
+    two 1-D float arrays of one length, and whether both were numbers.  Each
+    is a number or a non-empty 1-D sequence; a number stands for every entry."""
+    k, single_k = _radii(
+        k, lambda d: np.isfinite(d) & (d >= 0.0) & (d == np.floor(d)), "degree must be a nonnegative integer"
+    )
+    x, single_x = _radii(x, lambda v: (-1.0 < v) & (v < 1.0), f"{name} must lie strictly inside (-1, 1)")
+    if not (single_k or single_x or k.size == x.size):
+        raise ValueError("the sequences of degrees and points must have equal lengths")
+    k, x = np.broadcast_arrays(k, x)
+    return k, x, single_k and single_x
+
+
+def abs_kernel_coefficient(lam: float, k, s) -> float | list[float]:
     """Weighted moment of |x - s| against one Gegenbauer polynomial.
 
     Returns the integral over [-1, 1] of
@@ -262,37 +293,43 @@ def abs_kernel_coefficient(lam: float, k: int, s: float) -> float:
     P climbs in a by J_a = (2a J_{a-1} - s w^a) / (2a + 1) from
     J_0 = 1 - s or J_{-1/2} = arccos(s); B by the same step without the s
     term, from 2 or pi.
+
+    ``k`` and ``s`` are each one number or a non-empty 1-D sequence
+    (:func:`_degrees_and_points`).  Two numbers give a float, anything else
+    a list in input order, each entry equal to the call with its own
+    numbers; one value is a batch of one.
     """
     if lam <= -0.5:
         raise ValueError("parameter must exceed -1/2")
-    if k < 0 or k != int(k):
-        raise ValueError("degree must be a nonnegative integer")
-    if not -1.0 < s < 1.0:
-        raise ValueError("s must lie strictly inside (-1, 1)")
-    k = int(k)
-    if k >= 2:
-        coef = 8.0 * lam * (lam + 1.0) / (k * (k - 1.0) * (k + 2.0 * lam) * (k + 2.0 * lam + 1.0))
-        return coef * (1.0 - s * s) ** (lam + 1.5) * _gegenbauer(lam + 2.0, k - 2, s)
-
-    if not (math.isfinite(lam) and (2.0 * lam).is_integer()):
+    k, s, single = _degrees_and_points(k, s, "s")
+    head = k < 2
+    if head.any() and not (math.isfinite(lam) and (2.0 * lam).is_integer()):
         raise ValueError("degrees 0 and 1 need 2 lam to be an integer")
+    k2, s2 = k[~head], s[~head]
+    coef = 8.0 * lam * (lam + 1.0) / (k2 * (k2 - 1.0) * (k2 + 2.0 * lam) * (k2 + 2.0 * lam + 1.0))
+    values = np.empty(s.size)
+    values[~head] = coef * _pow_each(1.0 - s2 * s2, lam + 1.5) * _gegenbauer(lam + 2.0, k2.astype(int) - 2, s2)
+    if not head.any():
+        return _one_or_list(values, single)
+
+    s = s[head]
     w = 1.0 - s * s
     # a climbs in unit steps to lam - 1/2, from 0 or from -1/2
     if (2.0 * lam) % 2.0:
         a, p, b = 0.0, 1.0 - s, 2.0
     else:
-        a, p, b = -0.5, math.acos(s), math.pi
+        a, p, b = -0.5, np.array([math.acos(v) for v in s.tolist()]), math.pi
     while a < lam - 0.5:
         a += 1.0
-        p = (2.0 * a * p - s * w**a) / (2.0 * a + 1.0)
+        p = (2.0 * a * p - s * _pow_each(w, a)) / (2.0 * a + 1.0)
         b = 2.0 * a * b / (2.0 * a + 1.0)
-    q = w ** (lam + 0.5) / (2.0 * lam + 1.0)
-    if k == 0:
-        return 2.0 * q + s * (b - 2.0 * p)
-    return 2.0 * lam / (2.0 * lam + 2.0) * (2.0 * p - b - 2.0 * s * q)
+    q = _pow_each(w, lam + 0.5) / (2.0 * lam + 1.0)
+    zeroth, first = 2.0 * q + s * (b - 2.0 * p), 2.0 * lam / (2.0 * lam + 2.0) * (2.0 * p - b - 2.0 * s * q)
+    values[head] = np.where(k[head] == 0.0, zeroth, first)
+    return _one_or_list(values, single)
 
 
-def gegenbauer_weighted_derivative(lam: float, k: int, x: float) -> float:
+def gegenbauer_weighted_derivative(lam: float, k, x) -> float | list[float]:
     """d/dx of (1 - x^2)^(lam - 1/2) * C_k(x) for parameter ``lam`` != 1.
 
     Evaluated through the lowered-parameter identity
@@ -300,16 +337,15 @@ def gegenbauer_weighted_derivative(lam: float, k: int, x: float) -> float:
         -(k+1)(k + 2 lam - 1) / (2 (lam - 1))
             * (1 - x^2)^(lam - 3/2) * C_{k+1}^{lam-1}(x),
 
-    whose derivation excludes lam = 1.
+    whose derivation excludes lam = 1.  ``k`` and ``x`` are each one number
+    or a non-empty 1-D sequence, as for :func:`abs_kernel_coefficient`.
     """
     if lam == 1.0:
         raise ValueError("lam = 1 is excluded")
-    if k < 0 or k != int(k):
-        raise ValueError("degree must be a nonnegative integer")
-    if not -1.0 < x < 1.0:
-        raise ValueError("x must lie strictly inside (-1, 1)")
+    k, x, single = _degrees_and_points(k, x, "x")
     lead = -(k + 1.0) * (k + 2.0 * lam - 1.0) / (2.0 * (lam - 1.0))
-    return lead * (1.0 - x * x) ** (lam - 1.5) * _gegenbauer(lam - 1.0, int(k) + 1, x)
+    values = lead * _pow_each(1.0 - x * x, lam - 1.5) * _gegenbauer(lam - 1.0, k.astype(int) + 1, x)
+    return _one_or_list(values, single)
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +373,20 @@ def _truncation_degree(lam: float, z: float, tol: float) -> int:
 def _generating_relation_check() -> CheckResult:
     xs = np.linspace(-0.9, 0.9, 10)
     zs = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+    lams = (0.5, 1.0, 1.5, 2.5)
+    kmaxes = [[_truncation_degree(lam, z, 1e-12) for z in zs] for lam in lams]
+    # every parameter's values at every point, as one column against one row
+    values = np.array(list(islice(gegenbauer_iter(np.array(lams)[:, None], xs), max(map(max, kmaxes)) + 1)))
     errors = []
-    for lam in (0.5, 1.0, 1.5, 2.5):
-        kmaxes = [_truncation_degree(lam, z, 1e-12) for z in zs]
-        values = np.array(list(islice(gegenbauer_iter(lam, xs), max(kmaxes) + 1)))
-        powers = []
-        for z, kmax in zip(zs, kmaxes):
-            pw, column = 1.0, []
-            for _ in range(kmax + 1):
-                column.append(pw)
-                pw *= z
-            powers.append(np.array(column))
+    for j, lam in enumerate(lams):
+        partials = []  # per z, the partial sum at every point
+        for z, kmax in zip(zs, kmaxes[j]):
+            powers = np.cumprod(np.r_[1.0, np.full(kmax, z)])  # z^k as a running product
+            partials.append([math.fsum(row) for row in (values[: kmax + 1, j] * powers[:, None]).T.tolist()])
         for i, x in enumerate(xs):
-            for z, pws in zip(zs, powers):
-                partial = math.fsum(values[: pws.size, i] * pws)
+            for z, partial in zip(zs, partials):
                 closed = (1.0 - 2.0 * x * z + z * z) ** (-lam)
-                errors.append((abs(partial - closed), f"lam={lam},x={x:.2f},z={z}"))
+                errors.append((abs(partial[i] - closed), f"lam={lam},x={x:.2f},z={z}"))
     return worst_error_check("generating_relation", errors, 1e-10)
 
 
@@ -363,26 +397,29 @@ def _rainville_check(n: int) -> CheckResult:
     n = min(max(n, 4), 8)
     nu = float(n - 1)
     lam = 0.5 * n
-    cases = []  # (x, z, partial sum)
-    for x in np.linspace(-0.95, 0.95, 8):
-        for z in (0.0, 0.2, 0.4, 0.6, 0.8):
-            acc = []
-            it = gegenbauer_iter(lam, float(x))
-            ratio = 1.0
-            pw = 1.0
-            bound = 1.0  # majorant (nu)_k / k! z^k of the current term
-            k = 0
-            while True:
-                acc.append(ratio * next(it) * pw)
-                next_bound = bound * z * (nu + k) / (k + 1.0)
-                r_next = z * (nu + k + 1.0) / (k + 2.0)
-                if z == 0.0 or (r_next < 0.95 and next_bound / (1.0 - r_next) < 1e-13) or k > 4000:
-                    break
-                ratio *= (nu + k) / (2.0 * lam + k)
-                pw *= z
-                bound = next_bound
-                k += 1
-            cases.append((x, z, math.fsum(acc)))
+    xs = np.linspace(-0.95, 0.95, 8)
+    zs = (0.0, 0.2, 0.4, 0.6, 0.8)
+    factors = []  # per z, one row (ratio_k, z^k) per term; the stop depends on z alone
+    for z in zs:
+        ratio, pw, bound = 1.0, 1.0, 1.0  # bound: majorant (nu)_k / k! z^k of the current term
+        rows = []
+        k = 0
+        while True:
+            rows.append((ratio, pw))
+            next_bound = bound * z * (nu + k) / (k + 1.0)
+            r_next = z * (nu + k + 1.0) / (k + 2.0)
+            if z == 0.0 or (r_next < 0.95 and next_bound / (1.0 - r_next) < 1e-13) or k > 4000:
+                break
+            ratio *= (nu + k) / (2.0 * lam + k)
+            pw *= z
+            bound = next_bound
+            k += 1
+        factors.append(np.array(rows)[:, :, None])
+    # the Gegenbauer values at every x, up to the largest degree any z needs
+    values = np.array(list(islice(gegenbauer_iter(lam, xs), max(map(len, factors)))))
+    # each term as ratio * C * z^k, in that order
+    partials = [[math.fsum(row) for row in (f[:, 0] * values[: len(f)] * f[:, 1]).T.tolist()] for f in factors]
+    cases = [(x, z, partials[j][i]) for i, x in enumerate(xs) for j, z in enumerate(zs)]
     args = [z * z * (x * x - 1.0) / (1.0 - x * z) ** 2 for x, z, _ in cases]
     f_vals = hyp2f1(HypergeometricInput(0.5 * nu, 0.5 * (nu + 1.0), lam + 0.5, args))
     errors = []
@@ -436,11 +473,7 @@ def _kernel_moment_quadrature(cases):
     def g(theta, group):
         t = np.cos(theta)
         row_lam = lam[group][:, None]
-        row_degree = degree[group]
-        gegenbauer = np.empty_like(t)
-        for j, c in enumerate(islice(gegenbauer_iter(row_lam, t), int(row_degree.max()) + 1)):
-            rows = row_degree == j
-            gegenbauer[rows] = c[rows]
+        gegenbauer = _gegenbauer(row_lam, degree[group][:, None], t)
         return np.abs(t - s[group][:, None]) * gegenbauer * np.sin(theta) ** (2.0 * row_lam)
 
     return quadrature.kink_integrals(g, s)
@@ -448,32 +481,30 @@ def _kernel_moment_quadrature(cases):
 
 def _kernel_moment_check(n: int) -> CheckResult:
     lams = sorted({0.5, 1.5, 0.5 * (n - 2)})
-    cases = [(lam, k, float(s)) for lam in lams for k in range(2, 11) for s in np.linspace(-0.8, 0.8, 5)]
+    ks, kinks = np.repeat(np.arange(2, 11), 5), np.tile(np.linspace(-0.8, 0.8, 5), 9)
+    cases = [(lam, k, s) for lam in lams for k, s in zip(ks.tolist(), kinks.tolist())]
     brute, _ = _kernel_moment_quadrature(cases)
+    # one closed-form call per parameter, over all its degrees and kinks
+    closed = [value for lam in lams for value in abs_kernel_coefficient(lam, ks, kinks)]
     errors = [
-        (abs(abs_kernel_coefficient(lam, k, s) - value), f"lam={lam},k={k},s={s:.2f}")
-        for (lam, k, s), value in zip(cases, brute.tolist())
+        (abs(value - oracle), f"lam={lam},k={k},s={s:.2f}")
+        for (lam, k, s), value, oracle in zip(cases, closed, brute.tolist())
     ]
     return worst_error_check("kernel_moment_closed_form", errors, 1e-9)
 
 
 def _weighted_derivative_check(n: int) -> CheckResult:
-    lams = {0.5, 2.0, 3.0, 0.5 * (n - 2)}
     errors = []
     h = 1e-5
-    for lam in sorted(lams):
-        if lam == 1.0 or lam <= -0.5 or lam == 0.0:
-            continue
-        for k in range(0, 6):
-            for x in np.linspace(-0.8, 0.8, 5):
-                x = float(x)
-                val = gegenbauer_weighted_derivative(lam, k, x)
-
-                def wfun(t):
-                    return (1.0 - t * t) ** (lam - 0.5) * _gegenbauer(lam, k, t)
-
-                fd = (wfun(x + h) - wfun(x - h)) / (2.0 * h)
-                errors.append((abs(val - fd) / max(abs(val), abs(fd), 1e-12), f"lam={lam},k={k},x={x:.2f}"))
+    ks, xs = np.repeat(np.arange(6), 5), np.tile(np.linspace(-0.8, 0.8, 5), 6)
+    for lam in sorted({0.5, 2.0, 3.0, 0.5 * (n - 2)} - {1.0}):  # the identity excludes lam = 1
+        values = gegenbauer_weighted_derivative(lam, ks, xs)
+        # the weighted polynomial at every x + h, then at every x - h
+        t = np.concatenate((xs + h, xs - h))
+        weighted = (_pow_each(1.0 - t * t, lam - 0.5) * _gegenbauer(lam, np.tile(ks, 2), t)).tolist()
+        for k, x, val, ahead, behind in zip(ks.tolist(), xs.tolist(), values, weighted, weighted[xs.size :]):
+            fd = (ahead - behind) / (2.0 * h)
+            errors.append((abs(val - fd) / max(abs(val), abs(fd), 1e-12), f"lam={lam},k={k},x={x:.2f}"))
     return worst_error_check("weighted_derivative_identity", errors, 1e-6)
 
 

@@ -170,3 +170,25 @@ class TestBoundTable:
         assert rows[0].capital_c == pytest.approx(rows[0].schwarz_pick_over_1mr2, abs=1e-9)
         for row in rows[1:]:
             assert row.capital_c < row.schwarz_pick_over_1mr2 - 1e-6
+
+
+class TestDimensionCheck:
+    """Every bound that takes a dimension refuses the same inputs with the same message."""
+
+    CALLS = [
+        schwarz_pick_constant,
+        halfspace_constant,
+        lambda n: BoundQuery(n, 0.5),
+        lambda n: gradient_bound(n, 0.5),
+        lambda n: pw_bound(n, 1.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("n", [1, 0, -3, 2.5, 4.000001, -math.inf])
+    def test_rejects_bad_dimensions(self, call, n):
+        with pytest.raises(ValueError, match=r"dimension must be an integer >= 2"):
+            call(n)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_accepts_a_whole_float(self, call):
+        assert call(4.0) == call(4)

@@ -388,6 +388,28 @@ class TestBound:
         assert rows[1][4] == ""  # khavinson column empty away from n = 3
 
 
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, fmt",
+        [
+            (["constants", "--n", "3"], "json"),
+            (["phi-table", "--n", "3"], "csv"),
+            (["verify", "--n", "3"], "json"),
+            (["extremal", "--n", "3"], "json"),
+            (["probe", "--n", "3"], "json"),
+            (["bound", "--n", "3", "--rho", "0.5"], "csv"),
+        ],
+    )
+    def test_format_defaults_and_choices(self, capsys, argv, fmt):
+        parser = cli.build_parser()
+        assert parser.parse_args(argv).fmt == fmt
+        for choice in ("csv", "json"):
+            assert parser.parse_args(argv + ["--format", choice]).fmt == choice
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--format", "xml"])
+        capsys.readouterr()
+
+
 class TestErrors:
     def test_domain_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--n", "1")

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import re
+import struct
 import tracemalloc
 from itertools import islice
 from pathlib import Path
@@ -56,14 +59,30 @@ class TestGegenbauer:
                 assert values.shape == xs.shape
                 assert values.tolist() == [_gegenbauer(lam, k, float(x)) for x in xs]
 
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5, 7.0, 22.0])
-    def test_parameter_array_matches_the_float_path(self, lam):
+    # sha256 of the values of the former float-parameter path (one float
+    # parameter, one float point per call), recorded before it was folded
+    # into the array path: degrees 0..3000 at linspace(-0.99, 0.99, 7),
+    # degree-major, each degree's seven values as little-endian float64
+    FLOAT_PATH_SHA256 = {
+        0.5: "53967cd0c32a48745deb8e8faa0be6e3d65e70a1cea4219eea7bc02f25f861f0",
+        1.0: "15287a761894b27d1936cb18616ef880c6d4c151c33bc19efcc06c75c53413d0",
+        1.5: "77af88900c6e7e3cd82dffe4c94633f1fbca60df5ec377ecbac78602ac1afa55",
+        2.5: "3b17ee56d2df2174dabac7e8a6b4aa50c797fcc1c30b010764fbf7cf26a79327",
+        7.0: "00e59451bcce7455ec92359848f3cd98c9e6791ef414f7ae7573b96ec31d3bf7",
+        22.0: "135180447bb98b14614b9b4f677c71c395cfd99bdd73ab3215f02742673c3f74",
+    }
+
+    @pytest.mark.parametrize("lam", sorted(FLOAT_PATH_SHA256))
+    def test_reproduces_the_recorded_float_path(self, lam):
         xs = np.linspace(-0.99, 0.99, 7)
-        arrays = islice(gegenbauer_iter(np.array([lam]), xs), 3001)
-        floats = zip(*(islice(gegenbauer_iter(lam, float(x)), 3001) for x in xs))
-        for degree, (values, expected) in enumerate(zip(arrays, floats)):
-            assert values.shape == xs.shape
-            assert values.tolist() == list(expected), degree
+        one_point_calls = np.array(list(zip(*(islice(gegenbauer_iter(lam, x), 3001) for x in xs.tolist()))))
+        oracle = np.array(list(zip(*(islice(_float_path(lam, x), 3001) for x in xs.tolist()))))
+        assert oracle.tobytes() == one_point_calls.tobytes()
+        for parameter, points in ((lam, xs), (np.array([lam]), xs), (lam, xs.tolist())):
+            values = np.array(list(islice(gegenbauer_iter(parameter, points), 3001)))
+            assert values.shape == (3001, 7)
+            assert values.tobytes() == one_point_calls.tobytes()
+        assert hashlib.sha256(one_point_calls.astype("<f8").tobytes()).hexdigest() == self.FLOAT_PATH_SHA256[lam]
 
     def test_parameter_column_broadcasts_against_a_row_of_points(self):
         lams = np.array([0.5, 2.5, 22.0])
@@ -485,6 +504,145 @@ class TestWeightedDerivative:
     def test_parameter_one_excluded(self):
         with pytest.raises(ValueError):
             gegenbauer_weighted_derivative(1.0, 2, 0.3)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _float_path(lam, x):
+    """The former float-parameter path of ``gegenbauer_iter``: a test-only
+    oracle for one float parameter at one float point."""
+    c_prev, c = 1.0, 2.0 * lam * x
+    yield c_prev
+    yield c
+    k = 2
+    while True:
+        c, c_prev = (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k, c
+        yield c
+        k += 1
+
+
+def _scalar_moment(lam, k, s):
+    """The former one-value ``abs_kernel_coefficient``, on the float path."""
+    if k >= 2:
+        coef = 8.0 * lam * (lam + 1.0) / (k * (k - 1.0) * (k + 2.0 * lam) * (k + 2.0 * lam + 1.0))
+        return coef * (1.0 - s * s) ** (lam + 1.5) * next(islice(_float_path(lam + 2.0, s), k - 2, None))
+    w = 1.0 - s * s
+    if (2.0 * lam) % 2.0:
+        a, p, b = 0.0, 1.0 - s, 2.0
+    else:
+        a, p, b = -0.5, math.acos(s), math.pi
+    while a < lam - 0.5:
+        a += 1.0
+        p = (2.0 * a * p - s * w**a) / (2.0 * a + 1.0)
+        b = 2.0 * a * b / (2.0 * a + 1.0)
+    q = w ** (lam + 0.5) / (2.0 * lam + 1.0)
+    if k == 0:
+        return 2.0 * q + s * (b - 2.0 * p)
+    return 2.0 * lam / (2.0 * lam + 2.0) * (2.0 * p - b - 2.0 * s * q)
+
+
+def _scalar_derivative(lam, k, x):
+    """The former one-value ``gegenbauer_weighted_derivative``, on the float path."""
+    lead = -(k + 1.0) * (k + 2.0 * lam - 1.0) / (2.0 * (lam - 1.0))
+    return lead * (1.0 - x * x) ** (lam - 1.5) * next(islice(_float_path(lam - 1.0, x), k + 1, None))
+
+
+class TestSequenceForms:
+    """``abs_kernel_coefficient`` and ``gegenbauer_weighted_derivative`` on
+    one value or on sequences of degrees and points."""
+
+    POINTS = np.linspace(-0.95, 0.95, 9).tolist()
+    # sha256 of the former scalar paths' one-value calls, recorded before the
+    # sequence forms: every (lam, k, point) of the loops below in loop order,
+    # as little-endian float64
+    MOMENT_SHA256 = "851ecc23acc61a841975665e9a014d3112d09e7f6d80bcaf4e5168dbaaa9701f"
+    DERIVATIVE_SHA256 = "7444c46d4921c79f705347295ce3749cb3e4c47f4de650e667b3bf96cb41d5a2"
+
+    def test_one_value_calls_reproduce_the_recorded_scalar_paths(self):
+        lams = (0.0, 0.5, 1.0, 1.5, 4.5, 21.0)
+        moments = [abs_kernel_coefficient(lam, k, s) for lam in lams for k in range(9) for s in self.POINTS]
+        lams = (0.5, 2.0, 3.0, 4.5, 21.0)
+        derivatives = [gegenbauer_weighted_derivative(lam, k, x) for lam in lams for k in range(9) for x in self.POINTS]
+        assert all(type(v) is float for v in moments + derivatives)
+        for values, digest in ((moments, self.MOMENT_SHA256), (derivatives, self.DERIVATIVE_SHA256)):
+            assert hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest() == digest
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5, 2.0, 4.5, 7.0, 21.0])
+    def test_sequences_equal_the_scalar_oracle_on_a_dense_grid(self, lam):
+        # about one power in twenty rounds differently under numpy's vector pow
+        s = np.random.default_rng(7).uniform(-0.999, 0.999, 300)
+        for k in range(12):
+            assert _hexes(abs_kernel_coefficient(lam, k, s)) == _hexes(_scalar_moment(lam, k, v) for v in s.tolist())
+            if lam != 1.0:
+                derivatives = gegenbauer_weighted_derivative(lam, k, s)
+                assert _hexes(derivatives) == _hexes(_scalar_derivative(lam, k, v) for v in s.tolist())
+
+    @given(
+        lam_and_degrees=st.one_of(
+            # degrees 0 and 1 need 2 lam to be an integer
+            st.tuples(st.integers(0, 60).map(lambda m: 0.5 * m), st.just(0)),
+            st.tuples(st.floats(-0.49, 30.0), st.just(2)),
+        ),
+        entries=st.lists(st.tuples(st.integers(0, 14), st.floats(-0.999, 0.999)), min_size=1, max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_moment_batches_equal_their_one_value_calls(self, lam_and_degrees, entries):
+        lam, lowest = lam_and_degrees
+        ks, ss = zip(*((max(k, lowest), s) for k, s in entries))
+        batch = abs_kernel_coefficient(lam, list(ks), np.array(ss))
+        assert _hexes(batch) == _hexes(abs_kernel_coefficient(lam, k, s) for k, s in zip(ks, ss))
+        assert _hexes(batch) == _hexes(_scalar_moment(lam, k, s) for k, s in zip(ks, ss))
+        # one degree against many points, and many degrees against one point
+        by_point = abs_kernel_coefficient(lam, ks[0], ss)
+        assert _hexes(by_point) == _hexes(abs_kernel_coefficient(lam, ks[0], s) for s in ss)
+        by_degree = abs_kernel_coefficient(lam, ks, ss[0])
+        assert _hexes(by_degree) == _hexes(abs_kernel_coefficient(lam, k, ss[0]) for k in ks)
+
+    @given(
+        lam=st.floats(-0.49, 30.0).filter(lambda v: v != 1.0),
+        entries=st.lists(st.tuples(st.integers(0, 14), st.floats(-0.999, 0.999)), min_size=1, max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_derivative_batches_equal_their_one_value_calls(self, lam, entries):
+        ks, xs = zip(*entries)
+        batch = gegenbauer_weighted_derivative(lam, ks, list(xs))
+        assert _hexes(batch) == _hexes(gegenbauer_weighted_derivative(lam, k, x) for k, x in entries)
+        assert _hexes(batch) == _hexes(_scalar_derivative(lam, k, x) for k, x in entries)
+        assert _hexes(gegenbauer_weighted_derivative(lam, ks[0], xs)) == _hexes(
+            gegenbauer_weighted_derivative(lam, ks[0], x) for x in xs
+        )
+
+    def test_a_sequence_of_one_gives_a_list(self):
+        assert abs_kernel_coefficient(1.5, [4], 0.3) == [abs_kernel_coefficient(1.5, 4, 0.3)]
+        assert gegenbauer_weighted_derivative(2.0, 3, [0.3]) == [gegenbauer_weighted_derivative(2.0, 3, 0.3)]
+
+    FUNCTIONS = [(abs_kernel_coefficient, "s"), (gegenbauer_weighted_derivative, "x")]
+
+    @pytest.mark.parametrize("function, name", FUNCTIONS)
+    @pytest.mark.parametrize(
+        "points", [1.0, -1.0, math.nan, [], [[0.1, 0.2]], [0.1, 1.0], [-1.0], [0.2, math.nan], [0.3, -1.5]]
+    )
+    def test_bad_points_rejected(self, function, name, points):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie strictly inside (-1, 1)")):
+            function(1.5, 3, points)
+
+    @pytest.mark.parametrize("function", [abs_kernel_coefficient, gegenbauer_weighted_derivative])
+    @pytest.mark.parametrize("degrees", [-1, 2.5, math.inf, math.nan, [], [[2, 3]], [2, -1], [3, 2.5], [math.inf]])
+    def test_bad_degrees_rejected(self, function, degrees):
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+            function(1.5, degrees, [0.1, 0.2])
+
+    @pytest.mark.parametrize("function", [abs_kernel_coefficient, gegenbauer_weighted_derivative])
+    def test_unequal_lengths_rejected(self, function):
+        with pytest.raises(ValueError, match="equal lengths"):
+            function(1.5, [2, 3, 4], [0.1, 0.2])
+
+    def test_head_degrees_in_a_sequence_need_half_integer_parameter(self):
+        assert len(abs_kernel_coefficient(1.25, [2, 5], 0.2)) == 2
+        with pytest.raises(ValueError, match="2 lam to be an integer"):
+            abs_kernel_coefficient(1.25, [2, 1], 0.2)
 
 
 def test_identity_suite_passes():
