@@ -193,7 +193,11 @@ def main(argv=None) -> int:
         if args.n < 2:
             raise ValueError("dimension must be at least 2")
         payload, header, rows, code = globals()[args.run](args)
-    except (ValueError, OverflowError, ConvergenceError) as exc:
+    except OverflowError:
+        # float and math overflows carry errno tuples or "math range error"
+        print(f"error: numerical overflow at n = {args.n}: a value exceeds the binary64 range", file=sys.stderr)
+        return 2
+    except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.fmt == "json":

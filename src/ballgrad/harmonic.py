@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .quadrature import zonal_band_integrals, zonal_sphere_integral
+from .quadrature import band_node_table, zonal_band_integrals, zonal_sphere_integral
 from .report import CheckResult, VerificationReport, worst_error_check
 
 __all__ = [
@@ -116,25 +116,27 @@ def _band_midpoints(cuts):
     return 0.5 * (edges[:-1] + edges[1:])
 
 
-def _band_matrix(data):
-    """Cut set of ``data`` and its band matrix.
+def _band_matrix(n, data):
+    """Cut set of ``data``, its band matrix and its node table.
 
     The breakpoints of all data form one cut set; every datum is constant
     on each band between cuts, so row i of the matrix holds datum i's band
-    values, read at the band midpoints.
+    values, read at the band midpoints.  The node table
+    (:func:`ballgrad.quadrature.band_node_table`) holds the band engine's
+    first-round geometry in dimension n, shared by every kernel and radius.
     """
     cuts = np.array(sorted(set().union(*(datum.breakpoints for datum in data))))
     mids = _band_midpoints(cuts)
-    return cuts, np.array([datum(mids) for datum in data])
+    return cuts, np.array([datum(mids) for datum in data]), band_node_table(n, cuts)
 
 
-def _band_extension(kernel, n, rho, cuts, band_values):
+def _band_extension(kernel, n, rho, cuts, band_values, table):
     """Integrals of ``kernel(n, rho, t)`` against every row of a band
     matrix: the rows times the kernel's band integrals, computed once for
-    the whole batch by :func:`ballgrad.quadrature.zonal_band_integrals`.
-    Each value is within the engine's error estimate, which bounds every
-    datum with sup <= 1."""
-    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), n, cuts)
+    the whole batch by :func:`ballgrad.quadrature.zonal_band_integrals`
+    on the cut set's node ``table``.  Each value is within the engine's
+    error estimate, which bounds every datum with sup <= 1."""
+    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), n, cuts, table=table)
     return (band_values @ integrals).tolist()
 
 
@@ -143,19 +145,22 @@ def _zonal_extension(kernel, n, data, rho):
     the batch's band matrix (:func:`_band_matrix`), then its integrals
     (:func:`_band_extension`).  The probes build the matrix once and
     reuse it at every radius."""
-    return _band_extension(kernel, n, rho, *_band_matrix(data))
+    return _band_extension(kernel, n, rho, *_band_matrix(n, data))
 
 
-def _splice(cuts, band_values, datum):
-    """Cut set and band matrix of the batch with ``datum``, a datum with a
-    single breakpoint such as the extremal sign datum, appended as the last
-    row; built from the batch's own ``cuts`` and ``band_values``.
+def _splice(n, cuts, band_values, table, datum):
+    """Cut set, band matrix and node table of the batch with ``datum``, a
+    datum with a single breakpoint such as the extremal sign datum,
+    appended as the last row; built from the batch's own ``cuts``,
+    ``band_values`` and ``table`` in dimension n.
 
-    Equal to :func:`_band_matrix` of the whole batch, row for row.  A cut
-    already in the set adds nothing.  A new cut splits one band in two,
-    and every earlier datum is constant across that band, so its column is
-    repeated.  The matrix is written in C order, as :func:`_band_matrix`
-    builds it: the product with the band integrals is a BLAS dgemv whose
+    Equal to :func:`_band_matrix` of the whole batch, bit for bit.  A cut
+    already in the set adds nothing.  A new cut splits one band in two:
+    every earlier datum is constant across that band, so its column is
+    repeated, and the band's node table rows are replaced by the two new
+    bands' rows, computed afresh.  The matrix and the table are written in
+    C order, as :func:`_band_matrix` builds them: the products with the
+    band integrals and the Gauss weights are BLAS dgemv calls whose
     rounding depends on the layout, and the same values in Fortran order
     move the last digits.
     """
@@ -167,7 +172,10 @@ def _splice(cuts, band_values, datum):
     matrix[:-1, : k + 1] = band_values[:, : k + 1]
     matrix[:-1, k + 1 :] = band_values[:, k + 1 if present else k :]
     matrix[-1] = datum(_band_midpoints(spliced))
-    return spliced, matrix
+    if not present:
+        rows = band_node_table(n, spliced, bands=slice(k, k + 2))
+        table = tuple(np.concatenate((old[:, :k], new, old[:, k + 1 :]), axis=1) for old, new in zip(table, rows))
+    return spliced, matrix, table
 
 
 def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint) -> float:
@@ -281,16 +289,17 @@ def probe_schwarz_pick(
     slack for quadrature); the per-radius extremal sign datum must attain
     the pointwise bound of :func:`ballgrad.bounds.capital_c`.
 
-    The data's band matrix is built once.  At each radius the extremal
-    datum's cut is spliced in (:func:`_splice`) and its row rides last in
-    the same batch as the samples, so the matrix that meets the integrals
-    is the one :func:`_zonal_extension` would build for that batch.  An
-    empty ``rho_grid`` raises ``ValueError``.
+    The data's band matrix and node table are built once.  At each radius
+    the extremal datum's cut is spliced into both (:func:`_splice`, which
+    computes the node rows of at most two bands) and its row rides last in
+    the same batch as the samples, so the matrix and table that meet the
+    integrals are the ones :func:`_zonal_extension` would build for that
+    batch.  An empty ``rho_grid`` raises ``ValueError``.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
     radii = _probe_radii(rho_grid)
-    cuts, band_values = _band_matrix(_probe_data(seed, samples))
+    batch = _band_matrix(n, _probe_data(seed, samples))
 
     worst_margin = -math.inf
     worst_at = ""
@@ -300,7 +309,7 @@ def probe_schwarz_pick(
     gap_at = ""
     for rho in radii:
         const = bounds.gradient_bound(n, rho) * (1.0 - rho * rho)
-        spliced = _splice(cuts, band_values, extremal_sign_datum(n, rho))
+        spliced = _splice(n, *batch, extremal_sign_datum(n, rho))
         *slopes, attained = _band_extension(radial_derivative_kernel, n, rho, *spliced)
         for i, slope in enumerate(slopes):
             lhs = abs(slope) * (1.0 - rho * rho)
@@ -337,21 +346,21 @@ def probe_conjecture(
     report); for n = 2 the refined disk inequality is a theorem and a
     violation fails the report.  Dimension three is excluded.
 
-    The data's band matrix is built once and meets both kernels' band
-    integrals at every radius.  An empty ``rho_grid`` raises
+    The data's band matrix and node table are built once and serve both
+    kernels' band integrals at every radius.  An empty ``rho_grid`` raises
     ``ValueError``.
     """
     if n == 3 or n < 2:
         raise ValueError("the probe applies to n = 2 or n >= 4")
     radii = _probe_radii(rho_grid)
-    cuts, band_values = _band_matrix(_probe_data(seed, samples))
+    batch = _band_matrix(n, _probe_data(seed, samples))
     sp = bounds.schwarz_pick_constant(n)
 
     max_ratio = -math.inf
     at = ""
     for rho in radii:
-        values = _band_extension(poisson_kernel, n, rho, cuts, band_values)
-        slopes = _band_extension(radial_derivative_kernel, n, rho, cuts, band_values)
+        values = _band_extension(poisson_kernel, n, rho, *batch)
+        slopes = _band_extension(radial_derivative_kernel, n, rho, *batch)
         for i, (u, du) in enumerate(zip(values, slopes)):
             ratio = abs(du) * (1.0 - rho * rho) / ((1.0 - u * u) * sp)
             if ratio > max_ratio:

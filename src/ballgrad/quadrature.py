@@ -15,7 +15,12 @@ A second, batched route serves integrands that are multiplied by
 piecewise-constant zonal data: :func:`zonal_band_integrals` integrates one
 kernel over every height band between given cuts in a few vectorised
 passes, so the integral of any datum constant on those bands is a dot
-product.  :func:`integrate` stays the independent adaptive route.
+product.  Its first round reads the cut set's node table
+(:func:`band_node_table`), the Gauss-node geometry of every band, which
+does not depend on the kernel: a caller that integrates several kernels or
+radii over one cut set builds it once, and a caller that adds one cut
+rebuilds only the two bands beside it.  :func:`integrate` stays the
+independent adaptive route.
 
 Integrands must accept numpy arrays and evaluate elementwise.  Everything in
 this module is pure and re-entrant.
@@ -41,6 +46,7 @@ __all__ = [
     "integrate",
     "zonal_sphere_integral",
     "zonal_band_integrals",
+    "band_node_table",
     "group_integrals",
     "kink_integrals",
     "zonal_weight_normalization",
@@ -141,6 +147,13 @@ def _weighted(f, weight_exponent):
         return f(t) * ((1.0 - t) * (1.0 + t)) ** weight_exponent
 
     return g
+
+
+def _panel_theta(lo, hi, nodes):
+    """Half widths of the theta panels from ``lo`` to ``hi`` and their Gauss
+    abscissae, with one more axis, of nodes, than ``lo`` and ``hi``."""
+    half = 0.5 * (hi - lo)
+    return half, (0.5 * (lo + hi))[..., None] + half[..., None] * nodes
 
 
 def _panel(g, lo, hi, nodes, weights):
@@ -249,7 +262,9 @@ def zonal_sphere_integral(g: Callable, n: int, spec: QuadratureSpec | None = Non
     return c * integrate(g, -1.0, 1.0, spec, weight_exponent=0.5 * (n - 3)).value
 
 
-def group_integrals(g: Callable, lo, hi, piece_group, spec: QuadratureSpec | None = None, scale: float = 1.0):
+def group_integrals(
+    g: Callable, lo, hi, piece_group, spec: QuadratureSpec | None = None, scale: float = 1.0, first=None
+):
     """Batch of independent integrals ("groups") in theta, bisected together.
 
     Piece i is the theta interval from ``lo[i]`` to ``hi[i]`` and belongs to
@@ -262,8 +277,12 @@ def group_integrals(g: Callable, lo, hi, piece_group, spec: QuadratureSpec | Non
     group.
 
     Each round evaluates the halves of every new panel in one numpy pass
-    per half.  A panel's error is the gap between its whole-panel value and
-    the sum of its halves, as in :func:`integrate`.  Each group stops on its
+    per half.  ``first``, if given, holds the integrand's values at the
+    first round's nodes: three (pieces, nodes) arrays for every piece's
+    whole panel, its left half and its right half, in place of the three
+    calls of ``g`` that would compute them; later rounds call ``g``.  A
+    panel's error is the gap between its whole-panel value and the sum of
+    its halves, as in :func:`integrate`.  Each group stops on its
     own once its summed gap is within the largest of ``spec.abs_tol``,
     ``spec.rel_tol`` times the sum of its pieces' ``|values|`` and its summed
     roundoff floor; its estimate is its summed gap plus that floor, and it
@@ -284,10 +303,12 @@ def group_integrals(g: Callable, lo, hi, piece_group, spec: QuadratureSpec | Non
     n_pieces = piece_group.size
     n_groups = int(piece_group.max()) + 1
 
+    def weigh(half, values):
+        return scale * half * (values @ weights)
+
     def panels(lo, hi, group):
-        half = 0.5 * (hi - lo)
-        theta = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
-        return scale * half * (g(theta, group) @ weights)
+        half, theta = _panel_theta(lo, hi, nodes)
+        return weigh(half, g(theta, group))
 
     def halves(lo, hi, group):
         mid = 0.5 * (lo + hi)
@@ -295,8 +316,11 @@ def group_integrals(g: Callable, lo, hi, piece_group, spec: QuadratureSpec | Non
 
     piece = np.arange(n_pieces)
     group = piece_group
-    whole = panels(lo, hi, group)
-    left, right = halves(lo, hi, group)
+    mid = 0.5 * (lo + hi)
+    spans = ((lo, hi), (lo, mid), (mid, hi))
+    if first is None:
+        first = [g(_panel_theta(a, b, nodes)[1], group) for a, b in spans]
+    whole, left, right = (weigh(0.5 * (b - a), values) for (a, b), values in zip(spans, first))
 
     settled = np.zeros(n_pieces)  # values of the pieces of finished groups
     estimates = np.zeros(n_groups)
@@ -371,7 +395,35 @@ def kink_integrals(g: Callable, s, spec: QuadratureSpec | None = None):
     return pieces[0::2] + pieces[1::2], estimates
 
 
-def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None = None):
+def _band_edges(cuts):
+    # theta decreases as t increases, so band j spans [theta_{j+1}, theta_j]
+    return np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
+
+
+def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None, bands=slice(None)):
+    """First-round node table of :func:`zonal_band_integrals` for a cut set.
+
+    Returns ``(cos_theta, sin_power)``, two C-ordered (3, bands, nodes)
+    arrays: cos(theta) and sin(theta)^(n-2) at the Gauss nodes of every
+    band's whole theta panel (index 0), its left half (1) and its right
+    half (2), with the arithmetic :func:`group_integrals` uses for its own
+    first round.  They depend only on n, the cuts and ``spec.base_nodes``,
+    so one table serves every kernel and radius integrated over the same
+    bands.  ``bands`` selects the rows to build: a cut set with one cut
+    more has the same rows except the two on either side of that cut.
+    ``cuts`` is not checked here; :func:`zonal_band_integrals` checks it.
+    """
+    if spec is None:
+        spec = DEFAULT_SPEC
+    nodes, _ = _gauss_rule(spec.base_nodes)
+    edges = _band_edges(cuts)
+    lo, hi = edges[1:][bands], edges[:-1][bands]
+    mid = 0.5 * (lo + hi)
+    _, theta = _panel_theta(np.stack((lo, lo, mid)), np.stack((hi, mid, hi)), nodes)
+    return np.cos(theta), np.sin(theta) ** (n - 2)
+
+
+def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None = None, table=None):
     """Normalized zonal integrals of ``f`` over the height bands between cuts.
 
     Returns ``(values, error_estimate)``.  ``values[j]`` is
@@ -390,20 +442,33 @@ def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None 
     the relative test in :func:`integrate`.  ``spec.kinks`` is not read: the
     cuts are the kinks.
 
+    The first round evaluates ``f`` once, on ``table``, the cut set's node
+    table (:func:`band_node_table`, built here when none is given); only
+    panels bisected later compute their own nodes.
+
     Raises :class:`ConvergenceError`, carrying the band values so far, once
     the splits would exceed ``spec.max_subdivisions``.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
+    if spec is None:
+        spec = DEFAULT_SPEC
     cuts = np.asarray(cuts, dtype=float)
     if cuts.ndim != 1 or not (np.all(np.abs(cuts) < 1.0) and np.all(np.diff(cuts) > 0.0)):
         raise ValueError("cuts must be strictly increasing inside (-1, 1)")
+    if table is None:
+        table = band_node_table(n, cuts, spec)
+    cos_theta, sin_power = table
+    if cos_theta.shape != (3, cuts.size + 1, spec.base_nodes):
+        raise ValueError("node table does not match the cuts and nodes")
 
     def g(theta, group):
         return f(np.cos(theta)) * np.sin(theta) ** (n - 2)
 
-    # theta decreases as t increases, so band j spans [theta_{j+1}, theta_j]
-    edges = np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
+    edges = _band_edges(cuts)
     one_group = np.zeros(edges.size - 1, dtype=int)
-    values, estimates = group_integrals(g, edges[1:], edges[:-1], one_group, spec, zonal_weight_normalization(n))
+    first = f(cos_theta) * sin_power
+    values, estimates = group_integrals(
+        g, edges[1:], edges[:-1], one_group, spec, zonal_weight_normalization(n), first
+    )
     return values, float(estimates[0])

@@ -86,6 +86,73 @@ class TestEngine:
         assert err.error_estimate > spec.abs_tol
 
 
+class TestNodeTable:
+    CUTS = (-0.7, -0.1, 0.0, 0.55, 0.9)
+
+    @staticmethod
+    def _per_panel_route(f, n, cuts, spec=None):
+        # the engine's first round as group_integrals computes it from the
+        # integrand, with no node table
+        def g(theta, group):
+            return f(np.cos(theta)) * np.sin(theta) ** (n - 2)
+
+        edges = np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
+        values, estimates = group_integrals(
+            g, edges[1:], edges[:-1], np.zeros(len(cuts) + 1, dtype=int), spec, zonal_weight_normalization(n)
+        )
+        return values, float(estimates[0])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 12])
+    def test_one_table_serves_every_kernel_and_radius(self, n):
+        table = quadrature.band_node_table(n, self.CUTS)
+        rounds = []
+        for kernel in KERNELS.values():
+            for rho in (0.0, 0.4, 0.9):
+
+                def f(t):
+                    return kernel(n, rho, t)
+
+                def counted(t):
+                    rounds.append(np.shape(t))
+                    return f(t)
+
+                rounds.clear()
+                with_table = zonal_band_integrals(counted, n, self.CUTS, table=table)
+                # one evaluation on the whole table, then one per bisected half
+                assert rounds[0] == (3, len(self.CUTS) + 1, 15)
+                if n == 12 and rho == 0.9:
+                    assert len(rounds) > 1
+                without = zonal_band_integrals(f, n, self.CUTS)
+                per_panel = self._per_panel_route(f, n, self.CUTS)
+                for other in (without, per_panel):
+                    assert with_table[0].tobytes() == other[0].tobytes()
+                    assert with_table[1] == other[1]
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_exhausted_budget_carries_the_same_values(self, kernel):
+        spec = QuadratureSpec(max_subdivisions=1)
+
+        def f(t):
+            return KERNELS[kernel](12, 0.9, t)
+
+        carried = []
+        for run in (
+            lambda: zonal_band_integrals(f, 12, (0.0,), spec, quadrature.band_node_table(12, (0.0,), spec)),
+            lambda: zonal_band_integrals(f, 12, (0.0,), spec),
+            lambda: self._per_panel_route(f, 12, (0.0,), spec),
+        ):
+            with pytest.raises(ConvergenceError) as excinfo:
+                run()
+            carried.append((excinfo.value.value.tobytes(), excinfo.value.error_estimate))
+        assert carried[0] == carried[1] == carried[2]
+
+    @pytest.mark.parametrize("base_nodes, cuts", [(15, (0.1,)), (7, ())])
+    def test_rejects_a_table_of_other_bands_or_nodes(self, base_nodes, cuts):
+        table = quadrature.band_node_table(4, cuts, QuadratureSpec(base_nodes=base_nodes))
+        with pytest.raises(ValueError, match="node table"):
+            zonal_band_integrals(np.ones_like, 4, (), table=table)
+
+
 class TestGroups:
     @staticmethod
     def _peak(theta, group):

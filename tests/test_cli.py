@@ -445,7 +445,19 @@ class TestErrors:
         code, out, err = run_cli(capsys, "constants", "--n", "3")
         assert code == 2
         assert out == ""
-        assert err == f"error: {error}\n"
+        if isinstance(error, OverflowError):
+            assert err == "error: numerical overflow at n = 3: a value exceeds the binary64 range\n"
+        else:
+            assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("n", ["300", "400"])
+    def test_constants_overflow_names_the_dimension(self, capsys, n):
+        # n = 300 overflows a float power in halfspace_constant (an errno
+        # tuple), n = 400 math.gamma in ball_volume ("math range error")
+        code, out, err = run_cli(capsys, "constants", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: numerical overflow at n = {n}: a value exceeds the binary64 range\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballgrad import harmonic
+from ballgrad import harmonic, quadrature
 from ballgrad.bounds import (
     BoundQuery,
     capital_c,
@@ -349,15 +349,67 @@ def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho, shares_
     extremal = extremal_sign_datum(n, rho)
     if shares_cut:
         data.append(ZonalBoundaryData(extremal.breakpoints, (0.25, -0.5)))
-    cuts, band_values = harmonic._band_matrix(data)
+    batch = harmonic._band_matrix(n, data)
 
-    spliced_cuts, spliced = harmonic._splice(cuts, band_values, extremal)
-    assert spliced.flags["C_CONTIGUOUS"]
+    spliced = harmonic._splice(n, *batch, extremal)
+    assert spliced[1].flags["C_CONTIGUOUS"]
     want = _per_batch_extension(radial_derivative_kernel, n, [*data, extremal], rho)
-    got = harmonic._band_extension(radial_derivative_kernel, n, rho, spliced_cuts, spliced)
+    got = harmonic._band_extension(radial_derivative_kernel, n, rho, *spliced)
     assert _hex(got) == _hex(want)
     assert _hex(harmonic._zonal_extension(radial_derivative_kernel, n, [*data, extremal], rho)) == _hex(want)
 
     for kernel in (poisson_kernel, radial_derivative_kernel):
         want = _per_batch_extension(kernel, n, data, rho)
-        assert _hex(harmonic._band_extension(kernel, n, rho, cuts, band_values)) == _hex(want)
+        assert _hex(harmonic._band_extension(kernel, n, rho, *batch)) == _hex(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12])
+@pytest.mark.parametrize(
+    "breakpoints, cut",
+    [
+        ((-0.5, 0.1, 0.6), -0.8),  # splits the first band
+        ((-0.5, 0.1, 0.6), 0.9),  # splits the last band
+        ((-0.5, 0.1, 0.6), 0.3),  # splits an interior band
+        ((-0.5, 0.1, 0.6), 0.1),  # already a cut
+        ((), 0.2),  # splits the only band
+    ],
+)
+def test_splice_extends_the_node_table_bit_for_bit(n, breakpoints, cut):
+    # the spliced table and matrix are the ones built from the spliced
+    # batch, bytes and C layout included: the band engine's and the probe's
+    # dgemv rounding depends on both
+    data = [ZonalBoundaryData(breakpoints, (0.5,) * (len(breakpoints) + 1))]
+    extremal = ZonalBoundaryData((cut,), (-1.0, 1.0))
+    cuts, matrix, table = harmonic._splice(n, *harmonic._band_matrix(n, data), extremal)
+    want_cuts, want_matrix, want_table = harmonic._band_matrix(n, [*data, extremal])
+    assert cuts.tobytes() == want_cuts.tobytes()
+    assert matrix.flags["C_CONTIGUOUS"] and matrix.tobytes() == want_matrix.tobytes()
+    for got, want in zip(table, want_table, strict=True):
+        assert got.flags["C_CONTIGUOUS"] and all(rows.flags["C_CONTIGUOUS"] for rows in got)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_each_probe_builds_one_node_table(monkeypatch, capsys, n):
+    # one full table per probe; the Schwarz-Pick probe adds at most one
+    # two-band splice per radius, and no engine call builds its own
+    built = []
+    build = quadrature.band_node_table
+
+    def recording(n, cuts, spec=None, bands=slice(None)):
+        built.append(len(range(np.asarray(cuts).size + 1)[bands]))
+        return build(n, cuts, spec, bands)
+
+    monkeypatch.setattr(quadrature, "band_node_table", recording)
+    monkeypatch.setattr(harmonic, "band_node_table", recording)
+    data = harmonic._probe_data(3, 25)
+    full = len(harmonic._band_matrix(n, data)[0]) + 1
+    built.clear()
+
+    probe_conjecture(n, samples=25, seed=3)
+    assert built == [full]
+
+    built.clear()
+    probe_schwarz_pick(n, samples=25, seed=3)
+    assert built[0] == full
+    assert set(built[1:]) <= {2} and len(built) - 1 <= 11
