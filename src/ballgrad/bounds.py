@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .phi import _check_dim, phi_quad
+from .errors import check_dim
+from .phi import phi_quad
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -37,14 +38,13 @@ _SQRT3 = math.sqrt(3.0)
 
 def ball_volume(n: int) -> float:
     """Volume of the unit ball in dimension n (1 for n = 0)."""
-    if n < 0 or n != int(n):
-        raise ValueError("dimension must be a nonnegative integer")
+    check_dim(n, 0)
     return math.pi ** (0.5 * n) / math.gamma(0.5 * n + 1.0)
 
 
 def schwarz_pick_constant(n: int) -> float:
     """Constant 2 m_{n-1} / m_n: the sharp gradient bound at the origin."""
-    _check_dim(n, 2)
+    check_dim(n, 2)
     return 2.0 * ball_volume(n - 1) / ball_volume(n)
 
 
@@ -76,7 +76,7 @@ class BoundQuery:
     rho: float
 
     def __post_init__(self):
-        _check_dim(self.n, 2)
+        check_dim(self.n, 2)
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
 
@@ -99,7 +99,7 @@ def gradient_bound(n: int, rho: float) -> float:
     The constant is 2 m_{n-1}/m_n except in dimension three, which takes
     8 / (3 sqrt 3); there the bound is sharp but strict at every point.
     """
-    _check_dim(n, 2)
+    check_dim(n, 2)
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
     const = khavinson_sharp_constant_3d() if n == 3 else schwarz_pick_constant(n)
@@ -108,7 +108,7 @@ def gradient_bound(n: int, rho: float) -> float:
 
 def pw_bound(n: int, dist: float, osc: float) -> float:
     """Oscillation gradient estimate m_{n-1}/m_n * osc / dist."""
-    _check_dim(n, 2)
+    check_dim(n, 2)
     if not dist > 0.0:
         raise ValueError("distance to the boundary must be positive")
     if not osc >= 0.0:
@@ -119,7 +119,7 @@ def pw_bound(n: int, dist: float, osc: float) -> float:
 def halfspace_constant(n: int) -> float:
     """Sharp constant of the half-space gradient estimate,
     4 (n-1)^((n+1)/2) m_{n-1} / (n^((n+2)/2) m_n)."""
-    _check_dim(n, 2)
+    check_dim(n, 2)
     return (
         4.0
         * (n - 1.0) ** (0.5 * (n + 1))

@@ -22,10 +22,19 @@ from dataclasses import asdict
 import numpy as np
 
 from . import bounds, harmonic, phi, specfun
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_dim
 from .report import VerificationReport, merge_reports
 
-SUITES = ("all", "monotone", "concavity", "technical", "identities", "theoremB")
+# suite -> module and name of its function, looked up at call time, so a
+# rebound module attribute (a tracer's wrapper, say) is the one that runs
+_SUITE_RUNS = {
+    "monotone": (phi, "verify_monotone"),
+    "concavity": (phi, "verify_concavity"),
+    "technical": (phi, "verify_technical"),
+    "identities": (specfun, "verify_identities"),
+    "theoremB": (harmonic, "verify_theorem_b"),
+}
+SUITES = ("all", *_SUITE_RUNS)
 
 
 def _constants_payload(n: int):
@@ -41,13 +50,14 @@ def _constants_payload(n: int):
     ]
 
 
-# Each ``_cmd_*`` returns its JSON payload, its CSV header and rows, and its
-# exit code; main renders one of the two forms and writes it once.
+# Each ``_cmd_*`` returns its JSON payload, its CSV rows as dicts (the keys
+# are the header) and its exit code; main renders one of the two forms and
+# writes it once.
 
 
 def _cmd_constants(args):
     pairs = _constants_payload(args.n)
-    return dict(pairs), ["name", "value"], [(k, float(v)) for k, v in pairs], 0
+    return dict(pairs), [{"name": k, "value": float(v)} for k, v in pairs], 0
 
 
 def _phi_values(n, rhos, method):
@@ -59,13 +69,10 @@ def _phi_values(n, rhos, method):
         if n != 3:
             raise ValueError("method closed3 requires --n 3")
         return [phi.phi3_closed(rho) for rho in rhos]
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _cmd_phi_table(args):
     n = args.n
-    if n < 3:
-        raise ValueError("phi-table requires n >= 3")
     if args.steps < 1:
         raise ValueError("phi-table requires --steps >= 1")
     grid = np.linspace(0.0, 0.99, args.steps).tolist()
@@ -76,40 +83,28 @@ def _cmd_phi_table(args):
     second_series = [e.value for e in phi.phi_second_series(n, grid)]
     # the routed second derivative; not tabulated at n = 3
     second_closed = [e.value for e in phi.phi_second(n, grid)] if n >= 4 else [math.nan] * steps
-    rows = []
-    for rho, value, ahead, behind, closed_value, series_value in zip(
-        grid, values, values[steps:], values[2 * steps :], second_closed, second_series
-    ):
-        dphi = (ahead - behind) / (2.0 * h)
-        rows.append((rho, value, dphi, closed_value, series_value))
-    header = ["rho", "phi", "dphi_fd", "d2phi_closed", "d2phi_series"]
-    payload = {"n": n, "rows": [dict(zip(header, row)) for row in rows]}
-    return payload, header, rows, 0
+    rows = [
+        {"rho": rho, "phi": value, "dphi_fd": (up - down) / (2.0 * h), "d2phi_closed": closed, "d2phi_series": series}
+        for rho, value, up, down, closed, series in zip(
+            grid, values, values[steps:], values[2 * steps :], second_closed, second_series
+        )
+    ]
+    return {"n": n, "rows": rows}, rows, 0
 
 
 def _report_result(report: VerificationReport):
-    rows = [(c.name, c.passed, c.expected, float(c.worst_margin), c.at) for c in report.checks]
-    header = ["name", "passed", "expected", "worst_margin", "at"]
-    return report.as_dict(), header, rows, 0 if report.passed else 1
+    payload = report.as_dict()
+    return payload, payload["checks"], 0 if report.passed else 1
 
 
 def _run_suite(name: str, n: int) -> VerificationReport:
-    if name == "monotone":
-        return phi.verify_monotone(n)
-    if name == "concavity":
-        return phi.verify_concavity(n)
-    if name == "technical":
-        return phi.verify_technical(n)
-    if name == "identities":
-        return specfun.verify_identities(n)
-    if name == "theoremB":
-        return harmonic.verify_theorem_b(n)
-    raise ValueError(f"unknown suite {name!r}")
+    module, function = _SUITE_RUNS[name]
+    return getattr(module, function)(n)
 
 
 def _cmd_verify(args):
     if args.suite == "all":
-        reports = [_run_suite(s, args.n) for s in SUITES if s != "all"]
+        reports = [_run_suite(s, args.n) for s in _SUITE_RUNS]
         return _report_result(merge_reports("all", args.n, reports))
     return _report_result(_run_suite(args.suite, args.n))
 
@@ -126,7 +121,7 @@ def _cmd_extremal(args):
         "abs_error": err,
         "passed": err <= 1e-8,
     }
-    return payload, list(payload), [tuple(payload.values())], 0 if payload["passed"] else 1
+    return payload, [payload], 0 if payload["passed"] else 1
 
 
 def _cmd_probe(args):
@@ -139,7 +134,7 @@ def _cmd_probe(args):
 def _cmd_bound(args):
     (row,) = bounds.bound_table(args.n, [args.rho])
     d = asdict(row)
-    return {"n": args.n, **d}, list(d), [tuple(d.values())], 0
+    return {"n": args.n, **d}, [d], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,8 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, help_text, run, n_min=2, fmt="json"):
         p = sub.add_parser(name, help=help_text)
-        # by name, so a parser built once runs the module's current function
-        p.set_defaults(run=run.__name__)
+        # by name, so a parser built once runs the module's current function;
+        # n_min is the one dimension check of the command line, made in main
+        p.set_defaults(run=run.__name__, n_min=n_min)
         p.add_argument("--n", type=int, required=True, help=f"ambient dimension (>= {n_min})")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=fmt)
@@ -190,9 +186,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.n < 2:
-            raise ValueError("dimension must be at least 2")
-        payload, header, rows, code = globals()[args.run](args)
+        check_dim(args.n, args.n_min)
+        payload, rows, code = globals()[args.run](args)
     except OverflowError:
         # float and math overflows carry errno tuples or "math range error"
         print(f"error: numerical overflow at n = {args.n}: a value exceeds the binary64 range", file=sys.stderr)
@@ -205,9 +200,9 @@ def main(argv=None) -> int:
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row])
+            writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row.values()])
         text = buf.getvalue()
     if args.output is None:
         sys.stdout.write(text)

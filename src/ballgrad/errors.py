@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the package's one dimension check."""
+
+import math
 
 
 class ConvergenceError(RuntimeError):
@@ -12,3 +14,12 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+
+
+def check_dim(n, minimum):
+    """``n`` as an int if it is a whole number >= ``minimum``; otherwise
+    ``ValueError("dimension must be an integer >= minimum")``, the same
+    message for a fraction, a number below the minimum, NaN and +-inf."""
+    if not minimum <= n < math.inf or n != int(n):
+        raise ValueError(f"dimension must be an integer >= {minimum}")
+    return int(n)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
+from .errors import check_dim
 from .quadrature import band_node_table, zonal_band_integrals, zonal_sphere_integral
 from .report import CheckResult, VerificationReport, worst_error_check
 
@@ -108,6 +109,7 @@ def radial_derivative_kernel(n: int, rho: float, t):
 def radial_derivative_sign_change(n: int, rho: float) -> float:
     """Unique zero of the kernel-derivative numerator; negative below,
     positive above.  Lies in [0, 1) for rho in [0, 1)."""
+    n = check_dim(n, 2)
     return rho * (n + 2.0 - (n - 2.0) * rho * rho) / (n - (n - 4.0) * rho * rho)
 
 
@@ -141,10 +143,11 @@ def _band_extension(kernel, n, rho, cuts, band_values, table):
 
 
 def _zonal_extension(kernel, n, data, rho):
-    """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``:
-    the batch's band matrix (:func:`_band_matrix`), then its integrals
-    (:func:`_band_extension`).  The probes build the matrix once and
-    reuse it at every radius."""
+    """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``,
+    after the dimension check: the batch's band matrix (:func:`_band_matrix`),
+    then its integrals (:func:`_band_extension`).  The probes build the
+    matrix once and reuse it at every radius."""
+    n = check_dim(n, 2)
     return _band_extension(kernel, n, rho, *_band_matrix(n, data))
 
 
@@ -158,11 +161,11 @@ def _splice(n, cuts, band_values, table, datum):
     already in the set adds nothing.  A new cut splits one band in two:
     every earlier datum is constant across that band, so its column is
     repeated, and the band's node table rows are replaced by the two new
-    bands' rows, computed afresh.  The matrix and the table are written in
-    C order, as :func:`_band_matrix` builds them: the products with the
-    band integrals and the Gauss weights are BLAS dgemv calls whose
-    rounding depends on the layout, and the same values in Fortran order
-    move the last digits.
+    bands' rows, computed afresh with the spliced set's check and edges.
+    The matrix and the table are written in C order, as :func:`_band_matrix`
+    builds them: the products with the band integrals and the Gauss weights
+    are BLAS dgemv calls whose rounding depends on the layout, and the same
+    values in Fortran order move the last digits.
     """
     (cut,) = datum.breakpoints
     k = int(np.searchsorted(cuts, cut))
@@ -173,8 +176,8 @@ def _splice(n, cuts, band_values, table, datum):
     matrix[:-1, k + 1 :] = band_values[:, k + 1 if present else k :]
     matrix[-1] = datum(_band_midpoints(spliced))
     if not present:
-        rows = band_node_table(n, spliced, bands=slice(k, k + 2))
-        table = tuple(np.concatenate((old[:, :k], new, old[:, k + 1 :]), axis=1) for old, new in zip(table, rows))
+        *rows, edges = band_node_table(n, spliced, bands=slice(k, k + 2))
+        table = (*(np.concatenate((old[:, :k], new, old[:, k + 1 :]), axis=1) for old, new in zip(table, rows)), edges)
     return spliced, matrix, table
 
 
@@ -296,8 +299,7 @@ def probe_schwarz_pick(
     integrals are the ones :func:`_zonal_extension` would build for that
     batch.  An empty ``rho_grid`` raises ``ValueError``.
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    n = check_dim(n, 2)
     radii = _probe_radii(rho_grid)
     batch = _band_matrix(n, _probe_data(seed, samples))
 
@@ -350,7 +352,8 @@ def probe_conjecture(
     kernels' band integrals at every radius.  An empty ``rho_grid`` raises
     ``ValueError``.
     """
-    if n == 3 or n < 2:
+    n = check_dim(n, 2)
+    if n == 3:
         raise ValueError("the probe applies to n = 2 or n >= 4")
     radii = _probe_radii(rho_grid)
     batch = _band_matrix(n, _probe_data(seed, samples))
@@ -381,8 +384,7 @@ def verify_theorem_b(n: int) -> VerificationReport:
     profile quadrature, so the comparison checks one route against the
     other; kernel normalization also runs on the adaptive route.
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    n = check_dim(n, 2)
     checks = []
 
     errors = []

@@ -23,6 +23,7 @@ from typing import Literal
 import numpy as np
 
 from . import quadrature, specfun
+from .errors import check_dim
 from .quadrature import QuadratureSpec, integrate
 from .report import CheckResult, VerificationReport, worst_error_check
 from .specfun import HypergeometricInput, _one_or_list, _pow_each, _radii, hyp2f1
@@ -78,12 +79,6 @@ class PhiEvaluation:
     error_estimate: float
 
 
-def _check_dim(n, minimum):
-    if n < minimum or n != int(n):
-        raise ValueError(f"dimension must be an integer >= {minimum}")
-    return int(n)
-
-
 def kink_abscissa(n: int, rho: float) -> float:
     """Interior point where the defining integrand loses smoothness."""
     return (n - 2.0) * rho / n
@@ -96,7 +91,7 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
     run in the cosine-substituted variable, so rho = 1 (where the kernel
     factor has an integrable endpoint singularity) is allowed.
     """
-    n = _check_dim(n, 2)
+    n = check_dim(n, 2)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     s = kink_abscissa(n, rho)
@@ -130,7 +125,7 @@ def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None):
     the panel arrays stay bounded however many radii are asked for.
     :func:`phi_quad` stays the independent adaptive route.
     """
-    n = _check_dim(n, 2)
+    n = check_dim(n, 2)
     rho = np.asarray(rhos, dtype=float)
     if rho.ndim != 1 or rho.size == 0 or not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError("rhos must be a non-empty sequence in [0, 1]")
@@ -269,7 +264,7 @@ def phi_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEva
     one evaluation per radius, in input order, each equal to its one-radius
     call (see :func:`_sum_series`).
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     radii, single = _series_radii(rho)
     s = kink_abscissa(n, radii)
     wpow = _pow_each(1.0 - s * s, 0.5 * (n + 1))
@@ -306,7 +301,7 @@ def varphi(n: int, t: float) -> float:
     Increases from 0 to (n-1)/n, which is the largest hypergeometric
     argument used anywhere in the package.
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     return _varphi(n, t)
@@ -327,7 +322,7 @@ def phi_second_closed(n: int, rho, rel_tol: float = specfun.DEFAULT_SERIES_RTOL)
     radius, in input order, with every hypergeometric value from one
     batched :func:`hyp2f1` call, and one radius is a batch of one.
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     r, single = _radii(
         rho,
         lambda r: (SECOND_CLOSED_RHO_MIN < r) & (r <= 1.0),
@@ -362,7 +357,7 @@ def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list
     the origin.  ``rho`` may be one radius or a 1-D sequence of them, as
     for :func:`phi_series`.
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     radii, single = _series_radii(rho)
     s = kink_abscissa(n, radii)
     w = 1.0 - s * s
@@ -393,7 +388,7 @@ def phi_second_fd(n: int, rho, step: float = 1e-3) -> PhiEvaluation | list[PhiEv
     the binary64 floor, since the difference quotient amplifies
     per-evaluation noise by 4/h^2.
     """
-    n = _check_dim(n, 2)
+    n = check_dim(n, 2)
     if not 0.0 < step < math.inf:
         raise ValueError("step must be finite and positive")
     radii, single = _radii(rho, lambda r: (0.0 <= r) & (r <= 1.0 - step), "need rho + step <= 1")
@@ -442,7 +437,7 @@ def psi(n: int, t, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> float | list
     input order, with every hypergeometric value from one batched
     :func:`hyp2f1` call, and one number is a batch of one.
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     ts, single = _unit_points(t)
     return _one_or_list(_psi_from(n, ts, *_varphi_hyp2f1(n, ts, rel_tol)), single)
 
@@ -476,7 +471,7 @@ def psi_prime_quadratic(n: int, t: float) -> float:
     factor n - 4); positive on [0, 1] for every n >= 4.  ``t`` may also be
     an array, which gives an array.
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     return (
         n**3 * (n * n - 3.0 * n - 2.0)
         - 2.0 * n * (n - 2.0) * (n - 4.0) * (n * n - 3.0 * n + 1.0) * t
@@ -486,7 +481,7 @@ def psi_prime_quadratic(n: int, t: float) -> float:
 
 def psi_prime_closed(n: int, t: float) -> float:
     """Closed form of the derivative of :func:`psi` for n >= 4."""
-    n = _check_dim(n, 4)
+    n = check_dim(n, 4)
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
     pref = t ** (0.5 * (n - 1)) / (2.0 * n**5 * (n - 1.0))
@@ -518,7 +513,7 @@ def technical_gap(n: int, t) -> float | list[float]:
     and negative for n = 3.  ``t`` may be one number or a 1-D sequence of
     them, as for :func:`psi`.
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     ts, single = _unit_points(t)
     return _one_or_list(_varphi_hyp2f1(n, ts)[1] - _technical_rhs(n, ts), single)
 
@@ -531,7 +526,7 @@ def verify_monotone(n: int, grid_size: int = 1001) -> VerificationReport:
     one-sided derivative at the origin.  Strictness carries a 1e-12 margin
     to stay clear of float noise.
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = np.linspace(0.0, 1.0, grid_size)
@@ -579,7 +574,7 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     second derivative is positive, recorded as an expected failure, and the
     route agreement compares the series and finite-difference routes only.
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = (np.arange(1, grid_size + 1)) / (grid_size + 1.0)
@@ -626,7 +621,7 @@ def verify_technical(n: int, grid_size: int = 1001) -> VerificationReport:
     the difference :func:`psi` and the quadratic factor must all be
     positive; for n = 3 the gap has the opposite sign.
     """
-    n = _check_dim(n, 3)
+    n = check_dim(n, 3)
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     grid = np.linspace(0.0, 1.0, grid_size)

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_dim
 
 __all__ = [
     "QuadratureSpec",
@@ -243,8 +243,7 @@ def integrate(
 
 def zonal_weight_normalization(n: int) -> float:
     """Constant c_n with c_n * integral of (1-t^2)^((n-3)/2) over [-1,1] = 1."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    n = check_dim(n, 2)
     return math.exp(math.lgamma(0.5 * n) - math.lgamma(0.5 * (n - 1))) / math.sqrt(math.pi)
 
 
@@ -256,8 +255,6 @@ def zonal_sphere_integral(g: Callable, n: int, spec: QuadratureSpec | None = Non
     weight is singular at the endpoints; the cosine substitution inside
     :func:`integrate` absorbs it.
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
     c = zonal_weight_normalization(n)
     return c * integrate(g, -1.0, 1.0, spec, weight_exponent=0.5 * (n - 3)).value
 
@@ -395,32 +392,34 @@ def kink_integrals(g: Callable, s, spec: QuadratureSpec | None = None):
     return pieces[0::2] + pieces[1::2], estimates
 
 
-def _band_edges(cuts):
-    # theta decreases as t increases, so band j spans [theta_{j+1}, theta_j]
-    return np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
-
-
 def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None, bands=slice(None)):
     """First-round node table of :func:`zonal_band_integrals` for a cut set.
 
-    Returns ``(cos_theta, sin_power)``, two C-ordered (3, bands, nodes)
-    arrays: cos(theta) and sin(theta)^(n-2) at the Gauss nodes of every
-    band's whole theta panel (index 0), its left half (1) and its right
-    half (2), with the arithmetic :func:`group_integrals` uses for its own
-    first round.  They depend only on n, the cuts and ``spec.base_nodes``,
-    so one table serves every kernel and radius integrated over the same
-    bands.  ``bands`` selects the rows to build: a cut set with one cut
-    more has the same rows except the two on either side of that cut.
-    ``cuts`` is not checked here; :func:`zonal_band_integrals` checks it.
+    Checks that ``cuts`` is strictly increasing inside (-1, 1) and returns
+    ``(cos_theta, sin_power, edges)``: cos(theta) and sin(theta)^(n-2), two
+    C-ordered (3, bands, nodes) arrays, at the Gauss nodes of every band's
+    whole theta panel (index 0), its left half (1) and its right half (2),
+    with the arithmetic :func:`group_integrals` uses for its own first
+    round, and the theta edges of all bands (band j spans ``edges[j + 1]``
+    to ``edges[j]``).  They depend only on n, the cuts and
+    ``spec.base_nodes``, so one table serves every kernel and radius
+    integrated over the same bands.  ``bands`` selects the node rows to
+    build: a cut set with one cut more has the same rows except the two on
+    either side of that cut.
     """
+    n = check_dim(n, 2)
     if spec is None:
         spec = DEFAULT_SPEC
+    cuts = np.asarray(cuts, dtype=float)
+    if cuts.ndim != 1 or not (np.all(np.abs(cuts) < 1.0) and np.all(np.diff(cuts) > 0.0)):
+        raise ValueError("cuts must be strictly increasing inside (-1, 1)")
     nodes, _ = _gauss_rule(spec.base_nodes)
-    edges = _band_edges(cuts)
+    # theta decreases as t increases
+    edges = np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
     lo, hi = edges[1:][bands], edges[:-1][bands]
     mid = 0.5 * (lo + hi)
     _, theta = _panel_theta(np.stack((lo, lo, mid)), np.stack((hi, mid, hi)), nodes)
-    return np.cos(theta), np.sin(theta) ** (n - 2)
+    return np.cos(theta), np.sin(theta) ** (n - 2), edges
 
 
 def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None = None, table=None):
@@ -444,28 +443,24 @@ def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None 
 
     The first round evaluates ``f`` once, on ``table``, the cut set's node
     table (:func:`band_node_table`, built here when none is given); only
-    panels bisected later compute their own nodes.
+    panels bisected later compute their own nodes.  A given table stands
+    for its checked cuts and their edges; only its shape is checked here.
 
     Raises :class:`ConvergenceError`, carrying the band values so far, once
     the splits would exceed ``spec.max_subdivisions``.
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    n = check_dim(n, 2)
     if spec is None:
         spec = DEFAULT_SPEC
-    cuts = np.asarray(cuts, dtype=float)
-    if cuts.ndim != 1 or not (np.all(np.abs(cuts) < 1.0) and np.all(np.diff(cuts) > 0.0)):
-        raise ValueError("cuts must be strictly increasing inside (-1, 1)")
     if table is None:
         table = band_node_table(n, cuts, spec)
-    cos_theta, sin_power = table
-    if cos_theta.shape != (3, cuts.size + 1, spec.base_nodes):
+    cos_theta, sin_power, edges = table
+    if cos_theta.shape != (3, np.size(cuts) + 1, spec.base_nodes):
         raise ValueError("node table does not match the cuts and nodes")
 
     def g(theta, group):
         return f(np.cos(theta)) * np.sin(theta) ** (n - 2)
 
-    edges = _band_edges(cuts)
     one_group = np.zeros(edges.size - 1, dtype=int)
     first = f(cos_theta) * sin_power
     values, estimates = group_integrals(

@@ -14,7 +14,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import quadrature
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_dim
 # unused here, but perfbench's tracer rebinds and restores ``specfun.integrate``
 from .quadrature import integrate  # noqa: F401
 from .report import CheckResult, VerificationReport, worst_error_check
@@ -530,8 +530,7 @@ def _hyp_derivative_check(n: int) -> CheckResult:
 
 def verify_identities(n: int = 5) -> VerificationReport:
     """Run the classical-identity sweeps at dimension ``n`` where one enters."""
-    if n < 3:
-        raise ValueError("identity sweeps need n >= 3")
+    n = check_dim(n, 3)
     checks = (
         _generating_relation_check(),
         _rainville_check(n),

@@ -15,7 +15,20 @@ from ballgrad.bounds import (
     pw_bound,
     schwarz_pick_constant,
 )
-from ballgrad.quadrature import QuadratureSpec
+from ballgrad.harmonic import (
+    AxisPoint,
+    extremal_gradient_at_origin,
+    hemisphere_datum,
+    probe_conjecture,
+    probe_schwarz_pick,
+    radial_derivative,
+    sharp_radial_sup,
+    verify_theorem_b,
+    zonal_poisson_value,
+)
+from ballgrad.phi import phi_quad, phi_series, psi
+from ballgrad.quadrature import QuadratureSpec, zonal_band_integrals, zonal_sphere_integral, zonal_weight_normalization
+from ballgrad.specfun import verify_identities
 
 TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
 
@@ -172,23 +185,55 @@ class TestBoundTable:
             assert row.capital_c < row.schwarz_pick_over_1mr2 - 1e-6
 
 
+# Public entries that take a dimension, with the smallest each accepts.  The
+# first five keep the ids pytest gives them by position.
+_BOUND_CALLS = [
+    schwarz_pick_constant,
+    halfspace_constant,
+    lambda n: BoundQuery(n, 0.5),
+    lambda n: gradient_bound(n, 0.5),
+    lambda n: pw_bound(n, 1.0, 1.0),
+]
+_ENTRIES = [
+    *zip(
+        ("schwarz_pick_constant", "halfspace_constant", "<lambda>0", "<lambda>1", "<lambda>2"),
+        _BOUND_CALLS,
+        (2,) * len(_BOUND_CALLS),
+    ),
+    ("ball_volume", ball_volume, 0),
+    ("phi_quad", lambda n: phi_quad(n, 0.5), 2),
+    ("phi_series", lambda n: phi_series(n, 0.5), 3),
+    ("psi", lambda n: psi(n, 0.5), 3),
+    ("zonal_poisson_value", lambda n: zonal_poisson_value(n, hemisphere_datum(), AxisPoint(0.3)), 2),
+    ("radial_derivative", lambda n: radial_derivative(n, hemisphere_datum(), AxisPoint(0.3)), 2),
+    ("extremal_gradient_at_origin", extremal_gradient_at_origin, 2),
+    ("sharp_radial_sup", lambda n: sharp_radial_sup(n, AxisPoint(0.3)), 2),
+    ("probe_schwarz_pick", lambda n: probe_schwarz_pick(n, samples=2), 2),
+    ("probe_conjecture", lambda n: probe_conjecture(n, samples=2), 2),
+    ("verify_theorem_b", verify_theorem_b, 2),
+    ("zonal_sphere_integral", lambda n: zonal_sphere_integral(np.ones_like, n), 2),
+    ("zonal_weight_normalization", zonal_weight_normalization, 2),
+    ("zonal_band_integrals", lambda n: zonal_band_integrals(np.ones_like, n, ()), 2),
+    ("verify_identities", verify_identities, 3),
+]
+
+
 class TestDimensionCheck:
-    """Every bound that takes a dimension refuses the same inputs with the same message."""
+    """Every public entry that takes a dimension refuses a number below its
+    minimum, a fraction, NaN and +-inf with the same message."""
 
-    CALLS = [
-        schwarz_pick_constant,
-        halfspace_constant,
-        lambda n: BoundQuery(n, 0.5),
-        lambda n: gradient_bound(n, 0.5),
-        lambda n: pw_bound(n, 1.0, 1.0),
-    ]
-
-    @pytest.mark.parametrize("call", CALLS)
-    @pytest.mark.parametrize("n", [1, 0, -3, 2.5, 4.000001, -math.inf])
-    def test_rejects_bad_dimensions(self, call, n):
-        with pytest.raises(ValueError, match=r"dimension must be an integer >= 2"):
+    @pytest.mark.parametrize(
+        "call, n, minimum",
+        [
+            pytest.param(call, n, minimum, id=f"{n}-{name}")
+            for name, call, minimum in _ENTRIES
+            for n in (minimum - 1, minimum - 2, -3, 2.5, 4.000001, 4.5, math.nan, -math.inf, math.inf)
+        ],
+    )
+    def test_rejects_bad_dimensions(self, call, n, minimum):
+        with pytest.raises(ValueError, match=rf"^dimension must be an integer >= {minimum}$"):
             call(n)
 
-    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("call", _BOUND_CALLS)
     def test_accepts_a_whole_float(self, call):
         assert call(4.0) == call(4)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -303,6 +304,15 @@ class TestVerify:
             self.TECHNICAL_PINS[n]
         )
 
+    def test_suites_run_the_current_module_attribute(self, capsys, monkeypatch):
+        # a wrapper bound on the module after import (a tracer's) is the one that runs
+        calls = []
+        original = phi.verify_monotone
+        monkeypatch.setattr(phi, "verify_monotone", lambda n: calls.append(n) or original(n, grid_size=3))
+        code, _, _ = run_cli(capsys, "verify", "--n", "4", "--suite", "all")
+        assert code == 0
+        assert calls == [4]
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "4", "--suite", "monotone", "--format", "csv"
@@ -415,6 +425,33 @@ class TestErrors:
         code, _, err = run_cli(capsys, "constants", "--n", "1")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, minimum",
+        [
+            (["constants"], 2),
+            (["phi-table"], 3),
+            (["verify"], 3),
+            (["extremal"], 2),
+            (["probe"], 2),
+            (["bound", "--rho", "0.5"], 2),
+        ],
+    )
+    def test_dimension_below_the_declared_minimum_exit_two(self, capsys, monkeypatch, argv, minimum):
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], "--help"])
+        assert excinfo.value.code == 0
+        assert re.search(r"ambient dimension \(>=\s+(\d+)\)", capsys.readouterr().out).group(1) == str(minimum)
+        # refused before the command does any work
+        run = cli.build_parser().parse_args([*argv, "--n", str(minimum)]).run
+        monkeypatch.setattr(cli, run, lambda args: pytest.fail(f"{run} ran"))
+        code, out, err = run_cli(capsys, *argv, "--n", str(minimum - 1))
+        assert (code, out, err) == (2, "", f"error: dimension must be an integer >= {minimum}\n")
+
+    def test_theorem_b_in_dimension_two_exit_two(self, capsys):
+        # the suite runs in dimension two from the library, not from the command line
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--suite", "theoremB")
+        assert (code, out, err) == (2, "", "error: dimension must be an integer >= 3\n")
 
     @pytest.mark.parametrize(
         "argv",

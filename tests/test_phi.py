@@ -36,14 +36,6 @@ from ballgrad.quadrature import QuadratureSpec
 from ballgrad.specfun import HypergeometricInput, hyp2f1
 
 
-@pytest.mark.parametrize("n", [-math.inf, 1, 2.5])
-@pytest.mark.parametrize("call", [lambda n: phi_quad(n, 0.5), lambda n: phi_series(n, 0.5), lambda n: psi(n, 0.5)])
-def test_bad_dimensions_are_refused_with_one_message(call, n):
-    # a dimension below the minimum is refused before int() sees it, so -inf too
-    with pytest.raises(ValueError, match="dimension must be an integer >= "):
-        call(n)
-
-
 class TestPhiQuad:
     def test_value_at_origin(self):
         assert phi_quad(4, 0.0).value == pytest.approx(2.0 / 3.0, abs=1e-12)
