@@ -108,77 +108,45 @@ def radial_derivative_kernel(n: int, rho: float, t):
 
 def radial_derivative_sign_change(n: int, rho: float) -> float:
     """Unique zero of the kernel-derivative numerator; negative below,
-    positive above.  Lies in [0, 1) for rho in [0, 1)."""
+    positive above.  Lies in [0, 1) for rho in [0, 1); any other rho,
+    NaN included, is refused as by :class:`AxisPoint`."""
     n = check_dim(n, 2)
+    rho = AxisPoint(rho).rho
     return rho * (n + 2.0 - (n - 2.0) * rho * rho) / (n - (n - 4.0) * rho * rho)
 
 
-def _band_midpoints(cuts):
-    edges = np.concatenate(([-1.0], cuts, [1.0]))
-    return 0.5 * (edges[:-1] + edges[1:])
-
-
 def _band_matrix(n, data):
-    """Cut set of ``data``, its band matrix and its node table.
+    """Band matrix of ``data`` and the node table of its cut set.
 
     The breakpoints of all data form one cut set; every datum is constant
     on each band between cuts, so row i of the matrix holds datum i's band
     values, read at the band midpoints.  The node table
-    (:func:`ballgrad.quadrature.band_node_table`) holds the band engine's
-    first-round geometry in dimension n, shared by every kernel and radius.
+    (:func:`ballgrad.quadrature.band_node_table`, which checks n) is the
+    band engine's whole geometry in dimension n, shared by every kernel and
+    radius.
     """
     cuts = np.array(sorted(set().union(*(datum.breakpoints for datum in data))))
-    mids = _band_midpoints(cuts)
-    return cuts, np.array([datum(mids) for datum in data]), band_node_table(n, cuts)
+    edges = np.concatenate(([-1.0], cuts, [1.0]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return np.array([datum(mids) for datum in data]), band_node_table(n, cuts)
 
 
-def _band_extension(kernel, n, rho, cuts, band_values, table):
+def _band_extension(kernel, n, rho, band_values, table):
     """Integrals of ``kernel(n, rho, t)`` against every row of a band
     matrix: the rows times the kernel's band integrals, computed once for
     the whole batch by :func:`ballgrad.quadrature.zonal_band_integrals`
     on the cut set's node ``table``.  Each value is within the engine's
     error estimate, which bounds every datum with sup <= 1."""
-    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), n, cuts, table=table)
+    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), table)
     return (band_values @ integrals).tolist()
 
 
 def _zonal_extension(kernel, n, data, rho):
-    """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``,
-    after the dimension check: the batch's band matrix (:func:`_band_matrix`),
-    then its integrals (:func:`_band_extension`).  The probes build the
-    matrix once and reuse it at every radius."""
-    n = check_dim(n, 2)
+    """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``:
+    the batch's band matrix and node table (:func:`_band_matrix`), then its
+    integrals (:func:`_band_extension`).  The probes build the matrix once
+    and reuse it at every radius."""
     return _band_extension(kernel, n, rho, *_band_matrix(n, data))
-
-
-def _splice(n, cuts, band_values, table, datum):
-    """Cut set, band matrix and node table of the batch with ``datum``, a
-    datum with a single breakpoint such as the extremal sign datum,
-    appended as the last row; built from the batch's own ``cuts``,
-    ``band_values`` and ``table`` in dimension n.
-
-    Equal to :func:`_band_matrix` of the whole batch, bit for bit.  A cut
-    already in the set adds nothing.  A new cut splits one band in two:
-    every earlier datum is constant across that band, so its column is
-    repeated, and the band's node table rows are replaced by the two new
-    bands' rows, computed afresh with the spliced set's check and edges.
-    The matrix and the table are written in C order, as :func:`_band_matrix`
-    builds them: the products with the band integrals and the Gauss weights
-    are BLAS dgemv calls whose rounding depends on the layout, and the same
-    values in Fortran order move the last digits.
-    """
-    (cut,) = datum.breakpoints
-    k = int(np.searchsorted(cuts, cut))
-    present = k < cuts.size and cuts[k] == cut
-    spliced = cuts if present else np.insert(cuts, k, cut)
-    matrix = np.empty((band_values.shape[0] + 1, spliced.size + 1))
-    matrix[:-1, : k + 1] = band_values[:, : k + 1]
-    matrix[:-1, k + 1 :] = band_values[:, k + 1 if present else k :]
-    matrix[-1] = datum(_band_midpoints(spliced))
-    if not present:
-        *rows, edges = band_node_table(n, spliced, bands=slice(k, k + 2))
-        table = (*(np.concatenate((old[:, :k], new, old[:, k + 1 :]), axis=1) for old, new in zip(table, rows)), edges)
-    return spliced, matrix, table
 
 
 def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint) -> float:
@@ -292,16 +260,15 @@ def probe_schwarz_pick(
     slack for quadrature); the per-radius extremal sign datum must attain
     the pointwise bound of :func:`ballgrad.bounds.capital_c`.
 
-    The data's band matrix and node table are built once.  At each radius
-    the extremal datum's cut is spliced into both (:func:`_splice`, which
-    computes the node rows of at most two bands) and its row rides last in
-    the same batch as the samples, so the matrix and table that meet the
-    integrals are the ones :func:`_zonal_extension` would build for that
-    batch.  An empty ``rho_grid`` raises ``ValueError``.
+    One band matrix and node table are built, once, for the samples
+    followed by the extremal datum of every radius; at radius j the row
+    after the samples' j-th is the attained value.  An empty ``rho_grid``
+    raises ``ValueError``.
     """
     n = check_dim(n, 2)
     radii = _probe_radii(rho_grid)
-    batch = _band_matrix(n, _probe_data(seed, samples))
+    data = _probe_data(seed, samples)
+    batch = _band_matrix(n, [*data, *(extremal_sign_datum(n, rho) for rho in radii)])
 
     worst_margin = -math.inf
     worst_at = ""
@@ -309,11 +276,11 @@ def probe_schwarz_pick(
     ratio_at = ""
     worst_gap = 0.0
     gap_at = ""
-    for rho in radii:
+    for j, rho in enumerate(radii):
         const = bounds.gradient_bound(n, rho) * (1.0 - rho * rho)
-        spliced = _splice(n, *batch, extremal_sign_datum(n, rho))
-        *slopes, attained = _band_extension(radial_derivative_kernel, n, rho, *spliced)
-        for i, slope in enumerate(slopes):
+        slopes = _band_extension(radial_derivative_kernel, n, rho, *batch)
+        attained = slopes[len(data) + j]
+        for i, slope in enumerate(slopes[: len(data)]):
             lhs = abs(slope) * (1.0 - rho * rho)
             margin = lhs - const
             if margin > worst_margin:

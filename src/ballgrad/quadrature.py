@@ -15,12 +15,11 @@ A second, batched route serves integrands that are multiplied by
 piecewise-constant zonal data: :func:`zonal_band_integrals` integrates one
 kernel over every height band between given cuts in a few vectorised
 passes, so the integral of any datum constant on those bands is a dot
-product.  Its first round reads the cut set's node table
-(:func:`band_node_table`), the Gauss-node geometry of every band, which
-does not depend on the kernel: a caller that integrates several kernels or
-radii over one cut set builds it once, and a caller that adds one cut
-rebuilds only the two bands beside it.  :func:`integrate` stays the
-independent adaptive route.
+product.  Its only geometry input is the cut set's node table
+(:func:`band_node_table`): the dimension and the Gauss-node geometry of
+every band, which do not depend on the kernel, so a caller that integrates
+several kernels or radii over one cut set builds it once.
+:func:`integrate` stays the independent adaptive route.
 
 Integrands must accept numpy arrays and evaluate elementwise.  Everything in
 this module is pure and re-entrant.
@@ -392,20 +391,18 @@ def kink_integrals(g: Callable, s, spec: QuadratureSpec | None = None):
     return pieces[0::2] + pieces[1::2], estimates
 
 
-def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None, bands=slice(None)):
-    """First-round node table of :func:`zonal_band_integrals` for a cut set.
+def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None):
+    """Node table of :func:`zonal_band_integrals` for a cut set in dimension n.
 
-    Checks that ``cuts`` is strictly increasing inside (-1, 1) and returns
-    ``(cos_theta, sin_power, edges)``: cos(theta) and sin(theta)^(n-2), two
-    C-ordered (3, bands, nodes) arrays, at the Gauss nodes of every band's
-    whole theta panel (index 0), its left half (1) and its right half (2),
-    with the arithmetic :func:`group_integrals` uses for its own first
-    round, and the theta edges of all bands (band j spans ``edges[j + 1]``
-    to ``edges[j]``).  They depend only on n, the cuts and
-    ``spec.base_nodes``, so one table serves every kernel and radius
-    integrated over the same bands.  ``bands`` selects the node rows to
-    build: a cut set with one cut more has the same rows except the two on
-    either side of that cut.
+    Checks n and that ``cuts`` is strictly increasing inside (-1, 1), and
+    returns ``(n, cos_theta, sin_power, edges)``: the checked dimension;
+    cos(theta) and sin(theta)^(n-2), two (3, bands, nodes) arrays, at the
+    Gauss nodes of every band's whole theta panel (index 0), its left half
+    (1) and its right half (2), with the arithmetic :func:`group_integrals`
+    uses for its own first round; and the theta edges of all bands (band j
+    spans ``edges[j + 1]`` to ``edges[j]``).  They depend only on n, the
+    cuts and ``spec.base_nodes``, so one table serves every kernel and
+    radius integrated over the same bands.
     """
     n = check_dim(n, 2)
     if spec is None:
@@ -416,22 +413,22 @@ def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None, bands=slic
     nodes, _ = _gauss_rule(spec.base_nodes)
     # theta decreases as t increases
     edges = np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
-    lo, hi = edges[1:][bands], edges[:-1][bands]
+    lo, hi = edges[1:], edges[:-1]
     mid = 0.5 * (lo + hi)
     _, theta = _panel_theta(np.stack((lo, lo, mid)), np.stack((hi, mid, hi)), nodes)
-    return np.cos(theta), np.sin(theta) ** (n - 2), edges
+    return n, np.cos(theta), np.sin(theta) ** (n - 2), edges
 
 
-def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None = None, table=None):
-    """Normalized zonal integrals of ``f`` over the height bands between cuts.
+def zonal_band_integrals(f: Callable, table, spec: QuadratureSpec | None = None):
+    """Normalized zonal integrals of ``f`` over the height bands of a node table.
 
-    Returns ``(values, error_estimate)``.  ``values[j]`` is
+    ``table`` is the node table (:func:`band_node_table`) of dimension n and
+    a cut set.  Returns ``(values, error_estimate)``.  ``values[j]`` is
     ``c_n * integral of f(t) (1-t^2)^((n-3)/2) dt`` over band j, which runs
     from ``cuts[j-1]`` to ``cuts[j]``; band 0 starts at -1 and the last band
-    ends at +1.  ``cuts`` must be strictly increasing inside (-1, 1).  A
-    datum that is constant on every band integrates as the dot product of
-    its band values with ``values``, and ``error_estimate`` bounds the error
-    of that dot product for every datum with sup <= 1.
+    ends at +1.  A datum that is constant on every band integrates as the
+    dot product of its band values with ``values``, and ``error_estimate``
+    bounds the error of that dot product for every datum with sup <= 1.
 
     The bands are integrated in theta = arccos(t), where the weight and the
     Jacobian become sin(theta)^(n-2), smooth for every n >= 2, as the
@@ -441,22 +438,19 @@ def zonal_band_integrals(f: Callable, n: int, cuts, spec: QuadratureSpec | None 
     the relative test in :func:`integrate`.  ``spec.kinks`` is not read: the
     cuts are the kinks.
 
-    The first round evaluates ``f`` once, on ``table``, the cut set's node
-    table (:func:`band_node_table`, built here when none is given); only
-    panels bisected later compute their own nodes.  A given table stands
-    for its checked cuts and their edges; only its shape is checked here.
+    n, the weight, the normalization and the bands are read from the table
+    alone, whose builder checked them; here only its node count is checked
+    against ``spec.base_nodes``.  The first round evaluates ``f`` once, on
+    the table's nodes; only panels bisected later compute their own nodes.
 
     Raises :class:`ConvergenceError`, carrying the band values so far, once
     the splits would exceed ``spec.max_subdivisions``.
     """
-    n = check_dim(n, 2)
     if spec is None:
         spec = DEFAULT_SPEC
-    if table is None:
-        table = band_node_table(n, cuts, spec)
-    cos_theta, sin_power, edges = table
-    if cos_theta.shape != (3, np.size(cuts) + 1, spec.base_nodes):
-        raise ValueError("node table does not match the cuts and nodes")
+    n, cos_theta, sin_power, edges = table
+    if cos_theta.shape[-1] != spec.base_nodes:
+        raise ValueError("node table does not match the nodes of spec")
 
     def g(theta, group):
         return f(np.cos(theta)) * np.sin(theta) ** (n - 2)

@@ -26,6 +26,7 @@ from ballgrad.harmonic import (
 from ballgrad.phi import phi_quad_grid
 from ballgrad.quadrature import (
     QuadratureSpec,
+    band_node_table,
     group_integrals,
     integrate,
     zonal_band_integrals,
@@ -36,7 +37,7 @@ KERNELS = {"poisson": poisson_kernel, "derivative": radial_derivative_kernel}
 
 
 def _engine_value(kernel, n, rho, datum):
-    bands, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), n, datum.breakpoints)
+    bands, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, datum.breakpoints))
     return float(np.dot(datum.values, bands)), estimate
 
 
@@ -44,29 +45,29 @@ class TestEngine:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
     def test_bands_of_the_constant_sum_to_one(self, n):
         cuts = (-0.6, 0.1, 0.95)
-        bands, estimate = zonal_band_integrals(np.ones_like, n, cuts)
+        bands, estimate = zonal_band_integrals(np.ones_like, band_node_table(n, cuts))
         assert bands.shape == (4,)
         assert math.fsum(bands) == pytest.approx(1.0, abs=1e-13)
         assert estimate <= 1e-12
 
     def test_hemisphere_bands_dimension_three(self):
         # c_3 = 1/2 and the weight is 1, so |t| gives 1/4 on each side of 0
-        bands, _ = zonal_band_integrals(np.abs, 3, (0.0,))
+        bands, _ = zonal_band_integrals(np.abs, band_node_table(3, (0.0,)))
         np.testing.assert_allclose(bands, [0.25, 0.25], rtol=0, atol=1e-15)
 
     def test_no_cuts_is_one_band(self):
-        bands, _ = zonal_band_integrals(lambda t: t * t, 4, ())
+        bands, _ = zonal_band_integrals(lambda t: t * t, band_node_table(4, ()))
         # c_4 * integral of t^2 sqrt(1-t^2) = (2/pi) * (pi/8)
         assert bands.tolist() == pytest.approx([0.25], abs=1e-15)
 
     @pytest.mark.parametrize("cuts", [(0.5, 0.2), (0.1, 0.1), (-1.0,), (0.3, 1.0), (float("nan"),), ((0.1, 0.2),)])
     def test_rejects_bad_cuts(self, cuts):
         with pytest.raises(ValueError):
-            zonal_band_integrals(np.ones_like, 4, cuts)
+            zonal_band_integrals(np.ones_like, band_node_table(4, cuts))
 
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
-            zonal_band_integrals(np.ones_like, 1, ())
+            zonal_band_integrals(np.ones_like, band_node_table(1, ()))
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_success_meets_the_tolerance(self, kernel):
@@ -74,13 +75,13 @@ class TestEngine:
         # max(abs_tol, rel_tol * sum |values|), and the roundoff floor added
         # to it is far below that here
         spec = QuadratureSpec()
-        bands, estimate = zonal_band_integrals(lambda t: KERNELS[kernel](12, 0.9, t), 12, (0.0,), spec)
+        bands, estimate = zonal_band_integrals(lambda t: KERNELS[kernel](12, 0.9, t), band_node_table(12, (0.0,)), spec)
         assert 0.0 < estimate <= 2.0 * max(spec.abs_tol, spec.rel_tol * np.abs(bands).sum())
 
     def test_exhausted_budget_carries_band_values(self):
         spec = QuadratureSpec(max_subdivisions=1)
         with pytest.raises(ConvergenceError) as excinfo:
-            zonal_band_integrals(lambda t: radial_derivative_kernel(12, 0.9, t), 12, (0.0,), spec)
+            zonal_band_integrals(lambda t: radial_derivative_kernel(12, 0.9, t), band_node_table(12, (0.0,)), spec)
         err = excinfo.value
         assert np.shape(err.value) == (2,)
         assert err.error_estimate > spec.abs_tol
@@ -104,7 +105,7 @@ class TestNodeTable:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 12])
     def test_one_table_serves_every_kernel_and_radius(self, n):
-        table = quadrature.band_node_table(n, self.CUTS)
+        table = band_node_table(n, self.CUTS)
         rounds = []
         for kernel in KERNELS.values():
             for rho in (0.0, 0.4, 0.9):
@@ -117,12 +118,12 @@ class TestNodeTable:
                     return f(t)
 
                 rounds.clear()
-                with_table = zonal_band_integrals(counted, n, self.CUTS, table=table)
+                with_table = zonal_band_integrals(counted, table)
                 # one evaluation on the whole table, then one per bisected half
                 assert rounds[0] == (3, len(self.CUTS) + 1, 15)
                 if n == 12 and rho == 0.9:
                     assert len(rounds) > 1
-                without = zonal_band_integrals(f, n, self.CUTS)
+                without = zonal_band_integrals(f, band_node_table(n, self.CUTS))
                 per_panel = self._per_panel_route(f, n, self.CUTS)
                 for other in (without, per_panel):
                     assert with_table[0].tobytes() == other[0].tobytes()
@@ -137,20 +138,32 @@ class TestNodeTable:
 
         carried = []
         for run in (
-            lambda: zonal_band_integrals(f, 12, (0.0,), spec, quadrature.band_node_table(12, (0.0,), spec)),
-            lambda: zonal_band_integrals(f, 12, (0.0,), spec),
+            lambda: zonal_band_integrals(f, band_node_table(12, (0.0,), spec), spec),
             lambda: self._per_panel_route(f, 12, (0.0,), spec),
         ):
             with pytest.raises(ConvergenceError) as excinfo:
                 run()
             carried.append((excinfo.value.value.tobytes(), excinfo.value.error_estimate))
-        assert carried[0] == carried[1] == carried[2]
+        assert carried[0] == carried[1]
 
     @pytest.mark.parametrize("base_nodes, cuts", [(15, (0.1,)), (7, ())])
     def test_rejects_a_table_of_other_bands_or_nodes(self, base_nodes, cuts):
-        table = quadrature.band_node_table(4, cuts, QuadratureSpec(base_nodes=base_nodes))
+        # the table carries its own bands; only its node count can disagree
+        # with the spec it is integrated under
+        table = band_node_table(4, cuts, QuadratureSpec(base_nodes=base_nodes))
         with pytest.raises(ValueError, match="node table"):
-            zonal_band_integrals(np.ones_like, 4, (), table=table)
+            zonal_band_integrals(np.ones_like, table, QuadratureSpec(base_nodes=11))
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_weight_and_normalization_follow_the_table(self, n):
+        # n reaches the engine only through its table: the constant datum
+        # sums to 1 and t^2 to 1/n, the second moment of one coordinate on
+        # the sphere, and the Poisson kernel at rho = 0.9, which needs later
+        # rounds, still sums to 1
+        table = band_node_table(n, (0.1,))
+        for f, exact in ((np.ones_like, 1.0), (lambda t: t * t, 1.0 / n), (lambda t: poisson_kernel(n, 0.9, t), 1.0)):
+            bands, estimate = zonal_band_integrals(f, table)
+            assert abs(math.fsum(bands) - exact) <= max(1e-14, estimate)
 
 
 class TestGroups:
@@ -268,8 +281,11 @@ class TestBudget:
             probe_schwarz_pick(12, samples=1, rho_grid=[0.9])
 
     def test_probe_exits_two(self, capsys):
-        # the hemisphere datum alone needs more than one split at rho = 0.9
-        code = main(["probe", "--n", "12", "--samples", "1"])
+        # the conjecture probe's hemisphere datum alone needs more than one
+        # split at rho = 0.9.  In the Schwarz-Pick probe every radius's cut
+        # narrows the bands; at n = 2 its pointwise bound is closed-form, so
+        # the band engine's budget is the one that runs out
+        code = main(["probe", "--n", "2", "--samples", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -27,7 +27,13 @@ from ballgrad.harmonic import (
     zonal_poisson_value,
 )
 from ballgrad.phi import phi_quad, phi_series, psi
-from ballgrad.quadrature import QuadratureSpec, zonal_band_integrals, zonal_sphere_integral, zonal_weight_normalization
+from ballgrad.quadrature import (
+    QuadratureSpec,
+    band_node_table,
+    zonal_band_integrals,
+    zonal_sphere_integral,
+    zonal_weight_normalization,
+)
 from ballgrad.specfun import verify_identities
 
 TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
@@ -213,7 +219,9 @@ _ENTRIES = [
     ("verify_theorem_b", verify_theorem_b, 2),
     ("zonal_sphere_integral", lambda n: zonal_sphere_integral(np.ones_like, n), 2),
     ("zonal_weight_normalization", zonal_weight_normalization, 2),
-    ("zonal_band_integrals", lambda n: zonal_band_integrals(np.ones_like, n, ()), 2),
+    # n reaches the band engine only through its node table, which checks it
+    ("band_node_table", lambda n: band_node_table(n, ()), 2),
+    ("zonal_band_integrals", lambda n: zonal_band_integrals(np.ones_like, band_node_table(n, ())), 2),
     ("verify_identities", verify_identities, 3),
 ]
 

@@ -358,18 +358,19 @@ class TestProbe:
         assert out == ""
         assert err == "error: seed must be a non-negative integer\n"
 
-    # sha256 of stdout as printed when every radius and kernel rebuilt its
-    # band matrix from the data; a change that moves any printed digit of
-    # the probes must update these on purpose
+    # sha256 of stdout as printed when the Schwarz-Pick probe meets one cut
+    # set, made of the data and every radius's extremal cut, at every
+    # radius; a change that moves any printed digit of the probes must
+    # update these on purpose
     PROBE_SHA256 = {
-        (2, 200, 7): "7d664dedf2dfce6f13715e62e40056979b3ab02f045e3df30c699a06ce6ef0ab",
-        (3, 200, 7): "154903f65d4d7daa9398e2848cbb57ac64559ef82db7f1caf715b7fef8b16c19",
-        (4, 200, 7): "c9baa0dd48298bea6c6143e196a8106e8167449365f3f560b4fd8f59fd1b439a",
-        (12, 200, 7): "2a2e1e4980c9b66f05e3262985b66b8fd85ba38ee74a38decde0fc80602605dc",
-        (2, 25, 1): "cf1809d67eacf59ba00bb7149dc809e42b5381090217a305765be54fd4c90da6",
-        (2, 25, 2): "15f3dd214c882afecfa8b3c8dab2375731f6714badf559a0d10f178b6151fa86",
-        (4, 25, 1): "c6201ea0d632ea853fd9966e7e514ab78491206efc658fdd72fc52ae2d10fc07",
-        (4, 25, 2): "83e170a87db4bbc10d49df0f95cdbe3bb607126b09820d92b3f9d2eb4c049015",
+        (2, 200, 7): "00ac6e1b5ee9e754c6c46b087889a092dc685238c16ac7bd859cde36fff1c88e",
+        (3, 200, 7): "93491bb048b23f4b38666854fa53fb4bb0d257d2551a7c1a36ccf4bc1503b592",
+        (4, 200, 7): "7bd60f54d5b43d759ba84df2ec179415c73bcdca1e143b8656b5fe7ccc4e45f8",
+        (12, 200, 7): "500475638c4e0a805d408575993e9310be12bca628c1153f9584dbba46fe4ae7",
+        (2, 25, 1): "ab2934401781fdf73cf7273028f520cae17482e7308f86af2a4491ae5b290d6a",
+        (2, 25, 2): "e7e16eb157f7f8ddb227db5fbc7b7af2523ccac88594df57eaf1f1edc65d0cfa",
+        (4, 25, 1): "ad65554cd8c530c6604c43a02b2c81725e5397b5576dbb58be7f15169605e12c",
+        (4, 25, 2): "e8da39f01a51619feee14c41c116dd52768cbd614f0fed789d073b81952d9cf8",
         (12, 25, 1): "fd61a80a01a2b893283ae949eed7e8f3e10927f1b4b00a19047e3292f8bda185",
         (12, 25, 2): "5adf2eb18d0f3b5e406073a5b6a8ada0e5383dbede091e68acf4d03fd1c9a5fa",
     }

@@ -30,7 +30,7 @@ from ballgrad.harmonic import (
     zonal_poisson_value,
 )
 from ballgrad.cli import main
-from ballgrad.quadrature import zonal_band_integrals, zonal_sphere_integral
+from ballgrad.quadrature import band_node_table, zonal_band_integrals, zonal_sphere_integral
 
 
 class TestZonalBoundaryData:
@@ -155,6 +155,12 @@ class TestRadialDerivativeKernel:
                 assert float(radial_derivative_kernel(n, rho, ts)) == pytest.approx(
                     0.0, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("call", [radial_derivative_sign_change, extremal_sign_datum])
+    @pytest.mark.parametrize("rho", [5.0, 1.0, -0.5, -1e-300, math.nan, math.inf])
+    def test_refuses_rho_outside_the_unit_interval(self, call, rho):
+        with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\)$"):
+            call(4, rho)
 
 
 class TestRadialDerivative:
@@ -317,13 +323,14 @@ def test_theorem_b_report(n):
 
 
 def _per_batch_extension(kernel, n, data, rho):
-    """The probes' former route: the cut set and band matrix rebuilt from
-    the data for every batch, then met with the kernel's band integrals."""
+    """The probes' former route: the cut set, band matrix and node table
+    rebuilt from the data for every batch, then met with the kernel's band
+    integrals."""
     cuts = np.array(sorted(set().union(*(datum.breakpoints for datum in data))))
     edges = np.concatenate(([-1.0], cuts, [1.0]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     band_values = np.array([datum(mids) for datum in data])
-    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), n, cuts)
+    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, cuts))
     return (band_values @ integrals).tolist()
 
 
@@ -337,79 +344,73 @@ def _hex(values):
     samples=st.integers(1, 40),
     n=st.sampled_from([2, 3, 4, 5, 12]),
     rho=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
-    shares_cut=st.booleans(),
 )
-@example(seed=7, samples=25, n=4, rho=0.0, shares_cut=False)  # t* = 0 is the hemisphere's cut
-@example(seed=7, samples=25, n=4, rho=0.45, shares_cut=False)  # t* splits a band
-@example(seed=7, samples=25, n=12, rho=0.45, shares_cut=True)  # a datum's breakpoint is t*
-def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho, shares_cut):
-    # the one band matrix per probe, spliced per radius, must give every
-    # slope, value and attained supremum bit for bit as the batch built anew
-    data = list(harmonic._probe_data(seed, samples))
-    extremal = extremal_sign_datum(n, rho)
-    if shares_cut:
-        data.append(ZonalBoundaryData(extremal.breakpoints, (0.25, -0.5)))
+@example(seed=7, samples=25, n=4, rho=0.0)  # t* = 0 is the hemisphere's cut
+@example(seed=7, samples=25, n=4, rho=0.45)  # t* splits a band
+@example(seed=7, samples=25, n=12, rho=0.9)  # later rounds bisect panels
+def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho):
+    # one band matrix and node table, built as the Schwarz-Pick probe
+    # builds them and reused across kernels and radii, must give every
+    # value bit for bit as a batch built anew for each call
+    radii = (rho, 0.0, 0.9)
+    data = [*harmonic._probe_data(seed, samples), *(extremal_sign_datum(n, r) for r in radii)]
     batch = harmonic._band_matrix(n, data)
-
-    spliced = harmonic._splice(n, *batch, extremal)
-    assert spliced[1].flags["C_CONTIGUOUS"]
-    want = _per_batch_extension(radial_derivative_kernel, n, [*data, extremal], rho)
-    got = harmonic._band_extension(radial_derivative_kernel, n, rho, *spliced)
-    assert _hex(got) == _hex(want)
-    assert _hex(harmonic._zonal_extension(radial_derivative_kernel, n, [*data, extremal], rho)) == _hex(want)
-
-    for kernel in (poisson_kernel, radial_derivative_kernel):
-        want = _per_batch_extension(kernel, n, data, rho)
-        assert _hex(harmonic._band_extension(kernel, n, rho, *batch)) == _hex(want)
-
-
-@pytest.mark.parametrize("n", [2, 3, 12])
-@pytest.mark.parametrize(
-    "breakpoints, cut",
-    [
-        ((-0.5, 0.1, 0.6), -0.8),  # splits the first band
-        ((-0.5, 0.1, 0.6), 0.9),  # splits the last band
-        ((-0.5, 0.1, 0.6), 0.3),  # splits an interior band
-        ((-0.5, 0.1, 0.6), 0.1),  # already a cut
-        ((), 0.2),  # splits the only band
-    ],
-)
-def test_splice_extends_the_node_table_bit_for_bit(n, breakpoints, cut):
-    # the spliced table and matrix are the ones built from the spliced
-    # batch, bytes and C layout included: the band engine's and the probe's
-    # dgemv rounding depends on both
-    data = [ZonalBoundaryData(breakpoints, (0.5,) * (len(breakpoints) + 1))]
-    extremal = ZonalBoundaryData((cut,), (-1.0, 1.0))
-    cuts, matrix, table = harmonic._splice(n, *harmonic._band_matrix(n, data), extremal)
-    want_cuts, want_matrix, want_table = harmonic._band_matrix(n, [*data, extremal])
-    assert cuts.tobytes() == want_cuts.tobytes()
-    assert matrix.flags["C_CONTIGUOUS"] and matrix.tobytes() == want_matrix.tobytes()
-    for got, want in zip(table, want_table, strict=True):
-        assert got.flags["C_CONTIGUOUS"] and all(rows.flags["C_CONTIGUOUS"] for rows in got)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for r in radii:
+        for kernel in (poisson_kernel, radial_derivative_kernel):
+            want = _hex(_per_batch_extension(kernel, n, data, r))
+            assert _hex(harmonic._band_extension(kernel, n, r, *batch)) == want
+            assert _hex(harmonic._zonal_extension(kernel, n, data, r)) == want
 
 
 @pytest.mark.parametrize("n", [2, 4, 12])
 def test_each_probe_builds_one_node_table(monkeypatch, capsys, n):
-    # one full table per probe; the Schwarz-Pick probe adds at most one
-    # two-band splice per radius, and no engine call builds its own
+    # one table per probe, none per radius, and no engine call builds its own
     built = []
     build = quadrature.band_node_table
 
-    def recording(n, cuts, spec=None, bands=slice(None)):
-        built.append(len(range(np.asarray(cuts).size + 1)[bands]))
-        return build(n, cuts, spec, bands)
+    def recording(n, cuts, spec=None):
+        built.append(np.size(cuts))
+        return build(n, cuts, spec)
 
     monkeypatch.setattr(quadrature, "band_node_table", recording)
     monkeypatch.setattr(harmonic, "band_node_table", recording)
-    data = harmonic._probe_data(3, 25)
-    full = len(harmonic._band_matrix(n, data)[0]) + 1
-    built.clear()
-
     probe_conjecture(n, samples=25, seed=3)
-    assert built == [full]
+    assert len(built) == 1
 
     built.clear()
     probe_schwarz_pick(n, samples=25, seed=3)
-    assert built[0] == full
-    assert set(built[1:]) <= {2} and len(built) - 1 <= 11
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
+def test_probe_attains_the_sharp_radial_sup_at_every_radius(monkeypatch, n):
+    # at radius j the row after the samples' j-th is the extremal datum's:
+    # it must agree with sharp_radial_sup, the datum's own single-cut
+    # route, within the two engine estimates
+    samples = 25
+    engine = harmonic.zonal_band_integrals
+    extension = harmonic._band_extension
+    estimates, attained = [], []
+
+    def engine_recording(f, table, spec=None):
+        integrals, estimate = engine(f, table, spec)
+        estimates.append(estimate)
+        return integrals, estimate
+
+    def extension_recording(kernel, n, rho, band_values, table):
+        values = extension(kernel, n, rho, band_values, table)
+        attained.append((rho, values[samples + len(attained)], estimates[-1]))
+        return values
+
+    monkeypatch.setattr(harmonic, "zonal_band_integrals", engine_recording)
+    monkeypatch.setattr(harmonic, "_band_extension", extension_recording)
+    assert probe_schwarz_pick(n, samples=samples, seed=5).passed
+    monkeypatch.undo()
+
+    assert [rho for rho, _, _ in attained] == [float(rho) for rho in np.linspace(0.0, 0.9, 11)]
+    for rho, value, estimate in attained:
+        cut = extremal_sign_datum(n, rho).breakpoints
+        _, own_estimate = zonal_band_integrals(
+            lambda t: radial_derivative_kernel(n, rho, t), band_node_table(n, cut)
+        )
+        assert abs(value - sharp_radial_sup(n, AxisPoint(rho))) <= estimate + own_estimate
