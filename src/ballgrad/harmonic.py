@@ -135,18 +135,17 @@ def _band_extension(kernel, n, rho, band_values, table):
     """Integrals of ``kernel(n, rho, t)`` against every row of a band
     matrix: the rows times the kernel's band integrals, computed once for
     the whole batch by :func:`ballgrad.quadrature.zonal_band_integrals`
-    on the cut set's node ``table``.  Each value is within the engine's
+    on the cut set's node ``table``.  Returns the values and the engine's
     error estimate, which bounds every datum with sup <= 1."""
-    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), table)
-    return (band_values @ integrals).tolist()
+    integrals, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), table)
+    return (band_values @ integrals).tolist(), estimate
 
 
 def _zonal_extension(kernel, n, data, rho):
     """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``:
-    the batch's band matrix and node table (:func:`_band_matrix`), then its
-    integrals (:func:`_band_extension`).  The probes build the matrix once
-    and reuse it at every radius."""
-    return _band_extension(kernel, n, rho, *_band_matrix(n, data))
+    the data's band matrix and node table (:func:`_band_matrix`), then
+    their integrals (:func:`_band_extension`)."""
+    return _band_extension(kernel, n, rho, *_band_matrix(n, data))[0]
 
 
 def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint) -> float:
@@ -219,29 +218,33 @@ def random_zonal_data(seed: int, pieces: int) -> ZonalBoundaryData:
     return _random_zonal_from_rng(_seeded_rng(seed), pieces)
 
 
-# one entry: the two probes of one command share a single draw.  Typed, so
-# that a float seed equal to a cached integer one is still checked.
+# one entry: the two probes of one command share a single batch, computed
+# under the quadrature default in force when it is built.  Typed, so that
+# a float seed equal to a cached integer one is still checked.
 @functools.lru_cache(maxsize=1, typed=True)
-def _probe_data(seed: int, samples: int) -> tuple[ZonalBoundaryData, ...]:
-    """Hemisphere datum first, then seeded random data of mixed widths.
-
-    Memoised for the last (seed, samples); the data are immutable, so the
-    callers share one tuple."""
+def _probe_batch(n: int, seed: int, samples: int, radii: tuple[float, ...]):
+    """The work both probes share, memoised for the last (n, seed, samples,
+    radii): the data (the hemisphere datum, then seeded random data of
+    mixed widths), the band matrix and node table (:func:`_band_matrix`) of
+    the data followed by the extremal sign datum of every radius, and per
+    radius every row's radial derivative and the engine's error estimate,
+    which bounds each of them.  The callers share these and never write to
+    them."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = _seeded_rng(seed)
-    data = [hemisphere_datum()]
-    for _ in range(samples - 1):
-        pieces = int(rng.integers(1, 9))
-        data.append(_random_zonal_from_rng(rng, pieces))
-    return tuple(data)
+    data = (hemisphere_datum(), *(_random_zonal_from_rng(rng, int(rng.integers(1, 9))) for _ in range(samples - 1)))
+    band_values, table = _band_matrix(n, [*data, *(extremal_sign_datum(n, rho) for rho in radii)])
+    band_values.flags.writeable = False
+    slopes, estimates = zip(*(_band_extension(radial_derivative_kernel, n, rho, band_values, table) for rho in radii))
+    return data, band_values, table, tuple(map(tuple, slopes)), estimates
 
 
 def _probe_radii(rho_grid):
-    """The probe radii as floats, each checked to lie in [0, 1)."""
+    """The probe radii as a tuple of floats, each checked to lie in [0, 1)."""
     if rho_grid is None:
         rho_grid = np.linspace(0.0, 0.9, 11)
-    radii = [AxisPoint(float(rho)).rho for rho in rho_grid]
+    radii = tuple(AxisPoint(float(rho)).rho for rho in rho_grid)
     if not radii:
         raise ValueError("rho_grid must hold at least one radius")
     return radii
@@ -260,15 +263,14 @@ def probe_schwarz_pick(
     slack for quadrature); the per-radius extremal sign datum must attain
     the pointwise bound of :func:`ballgrad.bounds.capital_c`.
 
-    One band matrix and node table are built, once, for the samples
-    followed by the extremal datum of every radius; at radius j the row
-    after the samples' j-th is the attained value.  An empty ``rho_grid``
-    raises ``ValueError``.
+    The slopes come from the command's batch (:func:`_probe_batch`), whose
+    rows are the samples followed by the extremal datum of every radius;
+    at radius j the row after the samples' j-th is the attained value.  An
+    empty ``rho_grid`` raises ``ValueError``.
     """
     n = check_dim(n, 2)
     radii = _probe_radii(rho_grid)
-    data = _probe_data(seed, samples)
-    batch = _band_matrix(n, [*data, *(extremal_sign_datum(n, rho) for rho in radii)])
+    data, _, _, slopes_at, _ = _probe_batch(n, seed, samples, radii)
 
     worst_margin = -math.inf
     worst_at = ""
@@ -276,9 +278,8 @@ def probe_schwarz_pick(
     ratio_at = ""
     worst_gap = 0.0
     gap_at = ""
-    for j, rho in enumerate(radii):
+    for j, (rho, slopes) in enumerate(zip(radii, slopes_at)):
         const = bounds.gradient_bound(n, rho) * (1.0 - rho * rho)
-        slopes = _band_extension(radial_derivative_kernel, n, rho, *batch)
         attained = slopes[len(data) + j]
         for i, slope in enumerate(slopes[: len(data)]):
             lhs = abs(slope) * (1.0 - rho * rho)
@@ -315,23 +316,23 @@ def probe_conjecture(
     report); for n = 2 the refined disk inequality is a theorem and a
     violation fails the report.  Dimension three is excluded.
 
-    The data's band matrix and node table are built once and serve both
-    kernels' band integrals at every radius.  An empty ``rho_grid`` raises
-    ``ValueError``.
+    The data's slopes come from the command's batch
+    (:func:`_probe_batch`), shared with :func:`probe_schwarz_pick`; only
+    the Poisson kernel is integrated here, on the batch's node table.  An
+    empty ``rho_grid`` raises ``ValueError``.
     """
     n = check_dim(n, 2)
     if n == 3:
         raise ValueError("the probe applies to n = 2 or n >= 4")
     radii = _probe_radii(rho_grid)
-    batch = _band_matrix(n, _probe_data(seed, samples))
+    data, band_values, table, slopes_at, _ = _probe_batch(n, seed, samples, radii)
     sp = bounds.schwarz_pick_constant(n)
 
     max_ratio = -math.inf
     at = ""
-    for rho in radii:
-        values = _band_extension(poisson_kernel, n, rho, *batch)
-        slopes = _band_extension(radial_derivative_kernel, n, rho, *batch)
-        for i, (u, du) in enumerate(zip(values, slopes)):
+    for rho, slopes in zip(radii, slopes_at):
+        values, _ = _band_extension(poisson_kernel, n, rho, band_values, table)
+        for i, (u, du) in enumerate(zip(values[: len(data)], slopes)):
             ratio = abs(du) * (1.0 - rho * rho) / ((1.0 - u * u) * sp)
             if ratio > max_ratio:
                 max_ratio, at = ratio, f"sample={i},rho={rho:.3f}"

@@ -395,7 +395,8 @@ def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None):
     """Node table of :func:`zonal_band_integrals` for a cut set in dimension n.
 
     Checks n and that ``cuts`` is strictly increasing inside (-1, 1), and
-    returns ``(n, cos_theta, sin_power, edges)``: the checked dimension;
+    returns ``(n, c_n, cos_theta, sin_power, edges)``: the checked
+    dimension and its weight normalization, computed once per table;
     cos(theta) and sin(theta)^(n-2), two (3, bands, nodes) arrays, at the
     Gauss nodes of every band's whole theta panel (index 0), its left half
     (1) and its right half (2), with the arithmetic :func:`group_integrals`
@@ -416,7 +417,7 @@ def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None):
     lo, hi = edges[1:], edges[:-1]
     mid = 0.5 * (lo + hi)
     _, theta = _panel_theta(np.stack((lo, lo, mid)), np.stack((hi, mid, hi)), nodes)
-    return n, np.cos(theta), np.sin(theta) ** (n - 2), edges
+    return n, zonal_weight_normalization(n), np.cos(theta), np.sin(theta) ** (n - 2), edges
 
 
 def zonal_band_integrals(f: Callable, table, spec: QuadratureSpec | None = None):
@@ -448,7 +449,7 @@ def zonal_band_integrals(f: Callable, table, spec: QuadratureSpec | None = None)
     """
     if spec is None:
         spec = DEFAULT_SPEC
-    n, cos_theta, sin_power, edges = table
+    n, c_n, cos_theta, sin_power, edges = table
     if cos_theta.shape[-1] != spec.base_nodes:
         raise ValueError("node table does not match the nodes of spec")
 
@@ -457,7 +458,5 @@ def zonal_band_integrals(f: Callable, table, spec: QuadratureSpec | None = None)
 
     one_group = np.zeros(edges.size - 1, dtype=int)
     first = f(cos_theta) * sin_power
-    values, estimates = group_integrals(
-        g, edges[1:], edges[:-1], one_group, spec, zonal_weight_normalization(n), first
-    )
+    values, estimates = group_integrals(g, edges[1:], edges[:-1], one_group, spec, c_n, first)
     return values, float(estimates[0])

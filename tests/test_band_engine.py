@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballgrad import quadrature
+from ballgrad import harmonic, quadrature
 from ballgrad.cli import main
 from ballgrad.errors import ConvergenceError
 from ballgrad.harmonic import (
@@ -267,10 +267,11 @@ def test_relative_tolerance_reaches_near_the_boundary(rho):
 
 class TestBudget:
     # the engine takes its budget from the one default the quadrature
-    # module owns
+    # module owns; a batch the probes cached under another budget is dropped
     @pytest.fixture(autouse=True)
     def one_split(self, monkeypatch):
         monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
+        harmonic._probe_batch.cache_clear()
 
     def test_radial_derivative_raises(self):
         with pytest.raises(ConvergenceError):
@@ -281,11 +282,11 @@ class TestBudget:
             probe_schwarz_pick(12, samples=1, rho_grid=[0.9])
 
     def test_probe_exits_two(self, capsys):
-        # the conjecture probe's hemisphere datum alone needs more than one
-        # split at rho = 0.9.  In the Schwarz-Pick probe every radius's cut
-        # narrows the bands; at n = 2 its pointwise bound is closed-form, so
-        # the band engine's budget is the one that runs out
-        code = main(["probe", "--n", "2", "--samples", "1"])
+        # the command's batch integrates the slopes before any pointwise
+        # bound is computed; at n = 44 one split is too few for them even
+        # on bands cut at every radius's extremal cut, so the band engine's
+        # budget is the one that runs out
+        code = main(["probe", "--n", "44", "--samples", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

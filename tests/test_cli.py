@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from ballgrad import cli, phi, quadrature
+from ballgrad import cli, harmonic, phi, quadrature
 from ballgrad.cli import main
 from ballgrad.errors import ConvergenceError
 from ballgrad.quadrature import QuadratureSpec
@@ -358,20 +358,20 @@ class TestProbe:
         assert out == ""
         assert err == "error: seed must be a non-negative integer\n"
 
-    # sha256 of stdout as printed when the Schwarz-Pick probe meets one cut
-    # set, made of the data and every radius's extremal cut, at every
-    # radius; a change that moves any printed digit of the probes must
-    # update these on purpose
+    # sha256 of stdout as printed when both probes of a command read one
+    # batch: one cut set, made of the data and every radius's extremal cut,
+    # whose slopes they share; a change that moves any printed digit of the
+    # probes must update these on purpose
     PROBE_SHA256 = {
         (2, 200, 7): "00ac6e1b5ee9e754c6c46b087889a092dc685238c16ac7bd859cde36fff1c88e",
         (3, 200, 7): "93491bb048b23f4b38666854fa53fb4bb0d257d2551a7c1a36ccf4bc1503b592",
-        (4, 200, 7): "7bd60f54d5b43d759ba84df2ec179415c73bcdca1e143b8656b5fe7ccc4e45f8",
-        (12, 200, 7): "500475638c4e0a805d408575993e9310be12bca628c1153f9584dbba46fe4ae7",
-        (2, 25, 1): "ab2934401781fdf73cf7273028f520cae17482e7308f86af2a4491ae5b290d6a",
-        (2, 25, 2): "e7e16eb157f7f8ddb227db5fbc7b7af2523ccac88594df57eaf1f1edc65d0cfa",
-        (4, 25, 1): "ad65554cd8c530c6604c43a02b2c81725e5397b5576dbb58be7f15169605e12c",
-        (4, 25, 2): "e8da39f01a51619feee14c41c116dd52768cbd614f0fed789d073b81952d9cf8",
-        (12, 25, 1): "fd61a80a01a2b893283ae949eed7e8f3e10927f1b4b00a19047e3292f8bda185",
+        (4, 200, 7): "ef96e2e0e37f89a4cdc4f432cfd3fbf3823dac43d77486e214311059361c60ff",
+        (12, 200, 7): "4184a322109aa21223d18db0e2703f9fff169c595a172e185800393664d89154",
+        (2, 25, 1): "3aaec14ad58caf83e95718fd89ae6984936dcc4184da22eb4d8749ec5969cc34",
+        (2, 25, 2): "f1e47178e913bd22cab660ebad0c9dc7b5f48ef2c4ba381a03eb639b72a22a19",
+        (4, 25, 1): "46b40a503adcbbe3b4a41c373bca1d128c7a42f01cb780f3d78e642ccc9c6e73",
+        (4, 25, 2): "07ac8d886c1ea4f408735c4157d29b8be3d60a99ebdb74fffe634711d97c85b9",
+        (12, 25, 1): "a61fa4ebe8e31bc04ffdd60a15e468033e5013369b9307a5ee2616a87d2593c2",
         (12, 25, 2): "5adf2eb18d0f3b5e406073a5b6a8ada0e5383dbede091e68acf4d03fd1c9a5fa",
     }
 
@@ -508,8 +508,10 @@ class TestErrors:
     )
     def test_every_route_reads_the_default_spec(self, capsys, monkeypatch, argv):
         # the quadrature module owns the default settings; a budget of one
-        # split set there must reach the profile, engine and sphere routes
+        # split set there must reach the profile, engine and sphere routes,
+        # none of them read from the probes' cached batch
         monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
+        harmonic._probe_batch.cache_clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballgrad import harmonic, quadrature
+from ballgrad import harmonic
 from ballgrad.bounds import (
     BoundQuery,
     capital_c,
@@ -242,7 +242,7 @@ class TestRandomZonalData:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             random_zonal_data(-1, 3)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            harmonic._probe_data(-1, 3)
+            harmonic._probe_batch(4, -1, 3, (0.0,))
 
 
 class TestProbes:
@@ -288,24 +288,6 @@ class TestProbes:
         with pytest.raises(ValueError, match="rho_grid"):
             probe(4, samples=3, rho_grid=[])
 
-    def test_probes_of_one_command_share_one_draw(self, capsys, monkeypatch):
-        cached = harmonic._probe_data
-        draws = []
-
-        def recording(seed, samples):
-            draws.append(cached(seed, samples))
-            return draws[-1]
-
-        monkeypatch.setattr(harmonic, "_probe_data", recording)
-        assert main(["probe", "--n", "4", "--samples", "5", "--seed", "11"]) == 0
-        assert len(draws) == 2 and draws[0] is draws[1]
-        assert main(["probe", "--n", "4", "--samples", "5", "--seed", "12"]) == 0
-        assert draws[2] is not draws[0]
-        capsys.readouterr()
-        # the cache holds one draw: the second seed evicted the first
-        again = cached(11, 5)
-        assert again is not draws[0] and again == draws[0]
-
     def test_hemisphere_equality_case(self):
         # ratio exactly 1 at the origin: u(0) = 0 and the gradient attains
         # the constant
@@ -325,13 +307,13 @@ def test_theorem_b_report(n):
 def _per_batch_extension(kernel, n, data, rho):
     """The probes' former route: the cut set, band matrix and node table
     rebuilt from the data for every batch, then met with the kernel's band
-    integrals."""
+    integrals.  Returns the values and the engine's estimate."""
     cuts = np.array(sorted(set().union(*(datum.breakpoints for datum in data))))
     edges = np.concatenate(([-1.0], cuts, [1.0]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     band_values = np.array([datum(mids) for datum in data])
-    integrals, _ = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, cuts))
-    return (band_values @ integrals).tolist()
+    integrals, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, cuts))
+    return (band_values @ integrals).tolist(), estimate
 
 
 def _hex(values):
@@ -349,68 +331,131 @@ def _hex(values):
 @example(seed=7, samples=25, n=4, rho=0.45)  # t* splits a band
 @example(seed=7, samples=25, n=12, rho=0.9)  # later rounds bisect panels
 def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho):
-    # one band matrix and node table, built as the Schwarz-Pick probe
-    # builds them and reused across kernels and radii, must give every
-    # value bit for bit as a batch built anew for each call
+    # the probes' batch: one band matrix and node table of the data and
+    # every radius's extremal datum, reused across kernels and radii, must
+    # give every value bit for bit as a batch built anew for each call,
+    # and its slopes must be those values
     radii = (rho, 0.0, 0.9)
-    data = [*harmonic._probe_data(seed, samples), *(extremal_sign_datum(n, r) for r in radii)]
-    batch = harmonic._band_matrix(n, data)
-    for r in radii:
+    probe_data, band_values, table, slopes_at, estimates = harmonic._probe_batch(n, seed, samples, radii)
+    data = [*probe_data, *(extremal_sign_datum(n, r) for r in radii)]
+    for r, slopes, estimate in zip(radii, slopes_at, estimates):
+        want, want_estimate = _per_batch_extension(radial_derivative_kernel, n, data, r)
+        assert _hex(slopes) == _hex(want) and estimate == want_estimate
         for kernel in (poisson_kernel, radial_derivative_kernel):
-            want = _hex(_per_batch_extension(kernel, n, data, r))
-            assert _hex(harmonic._band_extension(kernel, n, r, *batch)) == want
+            want = _hex(_per_batch_extension(kernel, n, data, r)[0])
+            assert _hex(harmonic._band_extension(kernel, n, r, band_values, table)[0]) == want
             assert _hex(harmonic._zonal_extension(kernel, n, data, r)) == want
 
 
-@pytest.mark.parametrize("n", [2, 4, 12])
-def test_each_probe_builds_one_node_table(monkeypatch, capsys, n):
-    # one table per probe, none per radius, and no engine call builds its own
-    built = []
-    build = quadrature.band_node_table
-
-    def recording(n, cuts, spec=None):
-        built.append(np.size(cuts))
-        return build(n, cuts, spec)
-
-    monkeypatch.setattr(quadrature, "band_node_table", recording)
-    monkeypatch.setattr(harmonic, "band_node_table", recording)
-    probe_conjecture(n, samples=25, seed=3)
-    assert len(built) == 1
-
-    built.clear()
-    probe_schwarz_pick(n, samples=25, seed=3)
-    assert len(built) == 1
+RADII = tuple(float(rho) for rho in np.linspace(0.0, 0.9, 11))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12])
-def test_probe_attains_the_sharp_radial_sup_at_every_radius(monkeypatch, n):
+def test_probe_command_builds_one_table_and_draws_once(monkeypatch, capsys, n):
+    # both probes of a command read one batch: one draw, one node table,
+    # and per radius one engine call for the shared slopes plus, where the
+    # conjecture probe runs (n != 3), one for the Poisson kernel
+    counts = dict.fromkeys(("draws", "tables", "engine"), 0)
+
+    def counting(key, f):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(harmonic, "_seeded_rng", counting("draws", harmonic._seeded_rng))
+    monkeypatch.setattr(harmonic, "band_node_table", counting("tables", band_node_table))
+    monkeypatch.setattr(harmonic, "zonal_band_integrals", counting("engine", zonal_band_integrals))
+    harmonic._probe_batch.cache_clear()
+    argv = ["probe", "--n", str(n), "--samples", "25", "--seed", "3"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert counts == {"draws": 1, "tables": 1, "engine": len(RADII) * (1 if n == 3 else 2)}
+
+    # the cache holds one batch: another seed evicts it, and the command
+    # drawn again prints the same bytes
+    assert main([*argv[:-1], "4"]) == 0
+    assert main(argv) == 0
+    assert counts["draws"] == 3 and counts["tables"] == 3
+    assert harmonic._probe_batch.cache_info().currsize == 1
+    assert capsys.readouterr().out.endswith(first)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
+def test_probe_attains_the_sharp_radial_sup_at_every_radius(n):
     # at radius j the row after the samples' j-th is the extremal datum's:
     # it must agree with sharp_radial_sup, the datum's own single-cut
     # route, within the two engine estimates
     samples = 25
-    engine = harmonic.zonal_band_integrals
-    extension = harmonic._band_extension
-    estimates, attained = [], []
-
-    def engine_recording(f, table, spec=None):
-        integrals, estimate = engine(f, table, spec)
-        estimates.append(estimate)
-        return integrals, estimate
-
-    def extension_recording(kernel, n, rho, band_values, table):
-        values = extension(kernel, n, rho, band_values, table)
-        attained.append((rho, values[samples + len(attained)], estimates[-1]))
-        return values
-
-    monkeypatch.setattr(harmonic, "zonal_band_integrals", engine_recording)
-    monkeypatch.setattr(harmonic, "_band_extension", extension_recording)
     assert probe_schwarz_pick(n, samples=samples, seed=5).passed
-    monkeypatch.undo()
-
-    assert [rho for rho, _, _ in attained] == [float(rho) for rho in np.linspace(0.0, 0.9, 11)]
-    for rho, value, estimate in attained:
+    _, _, _, slopes_at, estimates = harmonic._probe_batch(n, 5, samples, RADII)
+    assert harmonic._probe_batch.cache_info().hits >= 1
+    for j, (rho, slopes, estimate) in enumerate(zip(RADII, slopes_at, estimates)):
         cut = extremal_sign_datum(n, rho).breakpoints
         _, own_estimate = zonal_band_integrals(
             lambda t: radial_derivative_kernel(n, rho, t), band_node_table(n, cut)
         )
-        assert abs(value - sharp_radial_sup(n, AxisPoint(rho))) <= estimate + own_estimate
+        assert abs(slopes[samples + j] - sharp_radial_sup(n, AxisPoint(rho))) <= estimate + own_estimate
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), samples=st.integers(1, 30), n=st.sampled_from([2, 4, 5, 12]))
+@example(seed=7, samples=25, n=12)
+def test_shared_batch_agrees_with_the_data_only_route(seed, samples, n):
+    # the oracle is the conjecture probe's former cut set, made of its data
+    # alone: both kernels' values on the shared batch, whose cuts add every
+    # radius's extremal cut, must agree with it within the two estimates
+    harmonic._probe_batch.cache_clear()
+    alone = probe_conjecture(n, samples, seed=seed)
+    harmonic._probe_batch.cache_clear()
+    probe_schwarz_pick(n, samples, seed=seed)
+    hits = harmonic._probe_batch.cache_info().hits
+    assert probe_conjecture(n, samples, seed=seed) == alone
+    assert harmonic._probe_batch.cache_info().hits == hits + 1
+
+    data, band_values, table, slopes_at, estimates = harmonic._probe_batch(n, seed, samples, RADII)
+    for rho, slopes, estimate in zip(RADII, slopes_at, estimates):
+        shared = (
+            (radial_derivative_kernel, slopes, estimate),
+            (poisson_kernel, *harmonic._band_extension(poisson_kernel, n, rho, band_values, table)),
+        )
+        for kernel, values, shared_estimate in shared:
+            own, own_estimate = _per_batch_extension(kernel, n, data, rho)
+            for value, want in zip(values, own):
+                assert abs(value - want) <= shared_estimate + own_estimate
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12, 44])
+@pytest.mark.parametrize("samples, seed", [(200, 7), (25, 1), (25, 2)])
+def test_probe_slack_exceeds_the_engine_error(n, samples, seed):
+    # the 1e-9 slack of each probe verdict must exceed what the engine's
+    # estimates can move its margin.  bound_dominates: (1 - rho^2) times
+    # the slope estimate.  no_counterexample: the first-order error that
+    # the slope and value estimates carry into each ratio
+    # |du| (1 - rho^2) / ((1 - u^2) C_n), and so into their largest.  The
+    # (samples, seed) pairs are those of the pinned commands.
+    data, band_values, table, slopes_at, estimates = harmonic._probe_batch(n, seed, samples, RADII)
+    sp = schwarz_pick_constant(n)
+    worst_bound = 0.0
+    ratios, errors = [], []
+    for rho, slopes, slope_estimate in zip(RADII, slopes_at, estimates):
+        worst_bound = max(worst_bound, (1.0 - rho * rho) * slope_estimate)
+        if n == 3:
+            continue
+        values, value_estimate = harmonic._band_extension(poisson_kernel, n, rho, band_values, table)
+        for u, du in zip(values[: len(data)], slopes):
+            # the probe's own expression, so that the largest is its max_ratio
+            ratios.append(abs(du) * (1.0 - rho * rho) / ((1.0 - u * u) * sp))
+            scale = (1.0 - rho * rho) / ((1.0 - u * u) * sp)
+            errors.append(scale * slope_estimate + ratios[-1] * 2.0 * abs(u) / (1.0 - u * u) * value_estimate)
+    assert 0.0 < worst_bound < 1e-9
+    if n == 3:
+        return
+    ratios, errors = np.array(ratios), np.array(errors)
+    top = ratios.max()
+    assert probe_conjecture(n, samples, seed=seed).checks[0].worst_margin == top
+    # a row whose ratio is far below the largest cannot move it, however
+    # ill-conditioned (u near +-1): at n = 44 the hemisphere datum at
+    # rho = 0.9 has 1 - u^2 ~ 2e-7 and carries ~1e-7 into its ratio 0.56
+    assert max((ratios + errors).max() - top, top - (ratios - errors).max()) < 1e-9
