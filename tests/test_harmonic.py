@@ -288,6 +288,36 @@ class TestProbes:
         with pytest.raises(ValueError, match="rho_grid"):
             probe(4, samples=3, rho_grid=[])
 
+    def test_probes_of_one_command_share_one_draw(self, capsys, monkeypatch):
+        cached, seeded = harmonic._probe_batch, harmonic._seeded_rng
+        batches = []
+        draws = []
+
+        def recording(*args):
+            batches.append(cached(*args))
+            return batches[-1]
+
+        def drawing(seed):
+            draws.append(seed)
+            return seeded(seed)
+
+        monkeypatch.setattr(harmonic, "_probe_batch", recording)
+        monkeypatch.setattr(harmonic, "_seeded_rng", drawing)
+        cached.cache_clear()
+        argv = ["probe", "--n", "4", "--samples", "5", "--seed", "11"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert len(batches) == 2 and batches[0] is batches[1] and draws == [11]
+        assert main([*argv[:-1], "12"]) == 0
+        assert batches[2] is not batches[0] and draws == [11, 12]
+        # the cache holds one batch: the second seed evicted the first, which
+        # is drawn again, equal to it, and prints the same bytes
+        assert main(argv) == 0
+        assert batches[4] is not batches[0] and draws == [11, 12, 11]
+        assert batches[4][0] == batches[0][0] and batches[4][3] == batches[0][3]
+        assert cached.cache_info().currsize == 1
+        assert capsys.readouterr().out.endswith(first)
+
     def test_hemisphere_equality_case(self):
         # ratio exactly 1 at the origin: u(0) = 0 and the gradient attains
         # the constant
@@ -350,36 +380,39 @@ def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho):
 RADII = tuple(float(rho) for rho in np.linspace(0.0, 0.9, 11))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 12])
-def test_probe_command_builds_one_table_and_draws_once(monkeypatch, capsys, n):
-    # both probes of a command read one batch: one draw, one node table,
-    # and per radius one engine call for the shared slopes plus, where the
-    # conjecture probe runs (n != 3), one for the Poisson kernel
-    counts = dict.fromkeys(("draws", "tables", "engine"), 0)
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_each_probe_builds_one_node_table(monkeypatch, n):
+    # either probe run first builds the batch's one node table, over the
+    # data's and every radius's extremal cuts; the other, run after it,
+    # builds none, and no engine call builds its own.  Per radius the batch
+    # makes one engine call for the shared slopes and the conjecture probe
+    # one for the Poisson kernel
+    built = []
+    engine = []
 
-    def counting(key, f):
-        def wrapped(*args, **kwargs):
-            counts[key] += 1
-            return f(*args, **kwargs)
+    def building(n, cuts, spec=None):
+        built.append(np.asarray(cuts).size + 1)
+        return band_node_table(n, cuts, spec)
 
-        return wrapped
+    def integrating(f, table, spec=None):
+        engine.append(len(table[4]) - 1)
+        return zonal_band_integrals(f, table, spec)
 
-    monkeypatch.setattr(harmonic, "_seeded_rng", counting("draws", harmonic._seeded_rng))
-    monkeypatch.setattr(harmonic, "band_node_table", counting("tables", band_node_table))
-    monkeypatch.setattr(harmonic, "zonal_band_integrals", counting("engine", zonal_band_integrals))
+    monkeypatch.setattr(harmonic, "band_node_table", building)
+    monkeypatch.setattr(harmonic, "zonal_band_integrals", integrating)
     harmonic._probe_batch.cache_clear()
-    argv = ["probe", "--n", str(n), "--samples", "25", "--seed", "3"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert counts == {"draws": 1, "tables": 1, "engine": len(RADII) * (1 if n == 3 else 2)}
-
-    # the cache holds one batch: another seed evicts it, and the command
-    # drawn again prints the same bytes
-    assert main([*argv[:-1], "4"]) == 0
-    assert main(argv) == 0
-    assert counts["draws"] == 3 and counts["tables"] == 3
-    assert harmonic._probe_batch.cache_info().currsize == 1
-    assert capsys.readouterr().out.endswith(first)
+    full = harmonic._probe_batch(n, 3, 25, RADII)[1].shape[1]
+    for first, second, calls in (
+        (probe_conjecture, probe_schwarz_pick, (2 * len(RADII), 0)),
+        (probe_schwarz_pick, probe_conjecture, (len(RADII), len(RADII))),
+    ):
+        harmonic._probe_batch.cache_clear()
+        built.clear()
+        engine.clear()
+        first(n, samples=25, seed=3)
+        assert built == [full] and engine == [full] * calls[0]
+        second(n, samples=25, seed=3)
+        assert built == [full] and engine == [full] * sum(calls)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12])
