@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -56,9 +55,8 @@ SECOND_CLOSED_RHO_MIN = 1e-3
 
 _ADAPTIVE_CAP = 3000
 
-# Radii per pass of the series sum, and the most degrees per block of its terms.
+# Radii per pass of the series sum.
 _SERIES_PASS = 64
-_SERIES_BLOCK = 64
 
 # Radii per pass of phi_quad_grid: few enough that the panel arrays of one
 # pass stay small, many enough that numpy does the work.
@@ -178,37 +176,42 @@ def _sum_series(rho, head, k0, lams, s, prefactors, coefficients, K):
 
     Each radius stops on its own: after degree ``K``, or with ``K`` unset
     after three terms in a row below 1e-12 of its running sum or after
-    degree 3000; also once rho^k vanishes.  Its terms are ``math.fsum``med
-    and it leaves the pass.  The radii run sorted, in passes of
-    ``_SERIES_PASS``, so the slow radii near 1 share their passes.  The
-    terms of a pass are formed a block of degrees at a time, 8 at first and
-    up to ``_SERIES_BLOCK``, each term by the same operations as in a
-    one-radius sum, so no result depends on the other radii of the batch.
+    degree 3000; also once rho^k vanishes.  ``K`` must be unset or an
+    integer in [0, 3000], else ``ValueError``.  A radius that stops has
+    its terms ``math.fsum``med and leaves the pass.  The radii run sorted,
+    in passes of ``_SERIES_PASS``, so the slow radii near 1 share them.  The
+    terms of a pass are formed a block of degrees at a time, one block per
+    block of :func:`specfun.gegenbauer_iter`.  When radii leave, the
+    recurrence restarts on the radii still summing, from their last two
+    Gegenbauer values.  Each term is formed by the same operations as in a
+    one-radius sum, so no result depends on the other radii of the batch
+    or on the block sizes.
     """
-    cap = K if K is not None else _ADAPTIVE_CAP
+    if K is not None and (isinstance(K, bool) or not 0 <= K <= _ADAPTIVE_CAP or K != int(K)):
+        raise ValueError(f"K must be an integer in [0, {_ADAPTIVE_CAP}]")
+    cap = _ADAPTIVE_CAP if K is None else int(K)
     values = np.empty(rho.size)
     omitted = np.empty(rho.size)
     order = np.argsort(rho, kind="stable")
+    column = lams[:, None]
     for start in range(0, rho.size, _SERIES_PASS):
         index = order[start : start + _SERIES_PASS]  # the radii of the pass still summing
-        gegenbauer = specfun.gegenbauer_iter(lams[:, None], s[index][None, :])
-        columns = np.arange(index.size)  # their columns in the Gegenbauer values
+        gegenbauer = specfun.gegenbauer_iter(column, s[index])
         r, p, heads, running = rho[index], prefactors[:, index], head[index], head[index]
         pw = np.ones(index.size)
         for _ in range(k0):
             pw = pw * r
         small = np.zeros((3, index.size), dtype=bool)  # last three terms below 1e-12 of the sum
         blocks = []  # the terms so far, one array per block of degrees
-        k, size, summed = k0, 8, 0
+        j = 0  # the Gegenbauer degree of the next block
         while index.size:
-            c = np.array(list(islice(gegenbauer, size)))
-            if columns.size < c.shape[2]:
-                c = c[:, :, columns]
+            c = next(gegenbauer)
+            size = c.shape[0]
             # rho^k by repeated multiplication, as a one-radius loop forms it
             pws = np.empty((size, index.size))
             pws[0], pws[1:] = pw, r
             np.multiply.accumulate(pws, out=pws)
-            degrees = np.arange(k, k + size, dtype=float)[:, None]
+            degrees = np.arange(k0 + j, k0 + j + size, dtype=float)[:, None]
             terms = coefficients(degrees, c, p)
             terms *= pws
             sums = np.empty((size + 1, index.size))
@@ -223,28 +226,30 @@ def _sum_series(rho, head, k0, lams, s, prefactors, coefficients, K):
                 small = flags[-3:]
             blocks.append(terms)
             pw, running = pws[-1] * r, sums[-1]
-            k, summed = k + size, summed + size
-            size = min(2 * size, _SERIES_BLOCK)
+            j += size
             done = stop.any(axis=0)
             if not done.any():
                 continue
             last = stop.argmax(axis=0)
             finished = np.flatnonzero(done)
             omitted[index[finished]] = np.abs(terms[last[finished], finished])
-            ends = (summed - terms.shape[0] + 1 + last[finished]).tolist()
+            ends = (j - size + 1 + last[finished]).tolist()
             # as many radii at a time as keep the gathered copy near 64 kB:
             # each row is one radius's head and its terms before the stop
-            per = max(1, 8192 // summed)
+            per = max(1, 8192 // j)
             for lo in range(0, finished.size, per):
                 group = finished[lo : lo + per]
                 rows = np.concatenate([heads[group, None], *(block[:, group].T for block in blocks)], axis=1)
                 for i, row, end in zip(index[group], rows, ends[lo : lo + per]):
                     values[i] = math.fsum(memoryview(row)[:end])
             keep = ~done
-            for j, block in enumerate(blocks):
-                blocks[j] = block[:, keep]
-            index, columns, r, p, heads = index[keep], columns[keep], r[keep], p[:, keep], heads[keep]
+            for b, block in enumerate(blocks):
+                blocks[b] = block[:, keep]  # in place: the old copy of each block goes at once
+            index, r, p, heads = index[keep], r[keep], p[:, keep], heads[keep]
             running, pw, small = running[keep], pw[keep], small[:, keep]
+            if index.size:
+                state = (j, c[-2][:, keep], c[-1][:, keep])
+                gegenbauer = specfun.gegenbauer_iter(column, s[index], state=state)
     return values.tolist(), omitted.tolist()
 
 
@@ -260,8 +265,9 @@ def phi_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEva
 
     so this route runs no quadrature.  With ``K`` unset the sum stops
     adaptively; the reported error estimate is the first omitted term.
-    ``rho`` may be one radius or a 1-D sequence of them; a sequence gives
-    one evaluation per radius, in input order, each equal to its one-radius
+    ``K`` is the last degree summed, an integer in [0, 3000].  ``rho`` may
+    be one radius or a 1-D sequence of them; a sequence gives one
+    evaluation per radius, in input order, each equal to its one-radius
     call (see :func:`_sum_series`).
     """
     n = check_dim(n, 3)
@@ -354,8 +360,7 @@ def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list
     ratios 1, (n-1)/(n+k-1) and n(n+1)/((n+k)(n+k+1)), and powers of
     w = 1 - s^2 with exponents (n-3)/2, (n-1)/2 and (n+1)/2.  At rho = 0
     only the degree-0 terms survive, which makes this the exact route near
-    the origin.  ``rho`` may be one radius or a 1-D sequence of them, as
-    for :func:`phi_series`.
+    the origin.  ``rho`` and ``K`` are as for :func:`phi_series`.
     """
     n = check_dim(n, 3)
     radii, single = _series_radii(rho)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -31,43 +31,62 @@ __all__ = [
 DEFAULT_SERIES_RTOL = 1e-13
 _SERIES_BUDGET = 10_000
 
+# The most degrees per block of gegenbauer_iter; at least 2, since a restart
+# reads the last two rows of a block.
+_GEGENBAUER_BLOCK = 128
+
 # Arguments per pass of a batched hyp2f1, and the most degrees per block of its terms.
 _GAUSS_PASS = 128
 _GAUSS_BLOCK = 64
 
 
-def gegenbauer_iter(lam, x):
+def gegenbauer_iter(lam, x, stop=None, state=None):
     """Yield the Gegenbauer values of degree 0, 1, 2, ... for the parameter
-    ``lam`` at ``x``.  Each may be a number or a numpy array, and the values
-    broadcast over both: a column of parameters against a row of points
-    gives one value per pair, each equal to that pair's own call.  The
-    forward recurrence is stable for |x| <= 1 at the degrees used here (up
-    to a few thousand).
+    ``lam`` at ``x``, in blocks of consecutive degrees: each block is one
+    array whose leading axis runs over its degrees.  ``lam`` and ``x`` may
+    each be a number or a numpy array, and the values broadcast over both:
+    a column of parameters against a row of points gives one value per
+    pair, each equal to that pair's own call.  The forward recurrence is
+    stable for |x| <= 1 at the degrees used here (up to a few thousand).
+    A caller that wants one value per degree chains the blocks
+    (``itertools.chain.from_iterable``).
 
-    The degree factors are formed a chunk of degrees at a time; chunks grow
-    from 4 to 64 degrees, so a call that wants a few low degrees pays for
-    few."""
+    Degrees 0 and 1 form the first block; a block starting at degree k
+    holds min(k + 2, ``_GEGENBAUER_BLOCK``) degrees, so blocks grow from 2
+    to 4, 8, ... and a call that wants a few low degrees pays for few.
+    With ``stop`` set, the last block is cut at degree ``stop``.
+    ``state = (k, previous, current)`` restarts the recurrence at degree
+    k >= 2 from the values of degrees k - 2 and k - 1, arrays of the
+    broadcast shape of ``lam`` and ``x``; its first block starts at k.
+    Every value is formed by the same four operations on its own entry as
+    in one uninterrupted call, so neither a restart nor a cut changes a
+    value.  The next block is formed from the last two rows of the one
+    before, so a caller must not write into a block it was given."""
     lam, x = np.asarray(lam, dtype=float), np.asarray(x, dtype=float)
-    c_prev = np.ones(np.broadcast_shapes(lam.shape, x.shape))
-    yield c_prev
-    c = 2.0 * lam * x
-    yield c
-    k, size = 2, 4
-    while True:
-        degrees = np.arange(k, k + size, dtype=float).reshape((size,) + (1,) * c.ndim)
-        # each degree's value is formed in place in its row of ``ups``
-        ups = list(2.0 * (degrees + lam - 1.0) * x)
-        downs = np.empty((size,) + c.shape)
+    shape = np.broadcast_shapes(lam.shape, x.shape)
+    last = math.inf if stop is None else stop
+    if state is None:
+        block = np.empty((2,) + shape)
+        block[0], block[1] = 1.0, 2.0 * lam * x
+        yield block[: 1 if stop == 0 else 2]
+        k, (previous, current) = 2, block.reshape(2, -1)
+    else:
+        k, previous, current = state[0], np.reshape(state[1], -1), np.reshape(state[2], -1)
+    while k <= last:
+        size = int(min(k + 2, _GEGENBAUER_BLOCK, last + 1 - k))
+        degrees = np.arange(k, k + size, dtype=float).reshape((size,) + (1,) * len(shape))
+        # each degree's value is formed in place in its row of ``block``
+        block = 2.0 * (degrees + lam - 1.0) * x
+        downs = np.empty(block.shape)
         downs[...] = degrees + 2.0 * lam - 2.0
-        for up, down, divisor in zip(ups, downs, degrees.ravel().tolist()):
-            up *= c
-            down *= c_prev
+        for up, down, divisor in zip(block.reshape(size, -1), downs.reshape(size, -1), degrees.ravel().tolist()):
+            up *= current
+            down *= previous
             up -= down
             up /= divisor
-            c, c_prev = up, c
-            yield c
+            previous, current = current, up
+        yield block
         k += size
-        size = min(2 * size, 64)
 
 
 def _gegenbauer(lam, degree, x):
@@ -75,7 +94,7 @@ def _gegenbauer(lam, degree, x):
     an integer array broadcasting with ``x`` that gives each entry its own
     degree.  One recurrence runs up to the largest degree."""
     degree = np.asarray(degree)
-    values = np.array(list(islice(gegenbauer_iter(lam, x), int(degree.max(initial=0)) + 1)))
+    values = np.concatenate(list(gegenbauer_iter(lam, x, stop=int(degree.max(initial=0)))))
     return np.take_along_axis(values, np.broadcast_to(degree, values.shape[1:])[None], 0)[0]
 
 
@@ -376,7 +395,7 @@ def _generating_relation_check() -> CheckResult:
     lams = (0.5, 1.0, 1.5, 2.5)
     kmaxes = [[_truncation_degree(lam, z, 1e-12) for z in zs] for lam in lams]
     # every parameter's values at every point, as one column against one row
-    values = np.array(list(islice(gegenbauer_iter(np.array(lams)[:, None], xs), max(map(max, kmaxes)) + 1)))
+    values = np.concatenate(list(gegenbauer_iter(np.array(lams)[:, None], xs, stop=max(map(max, kmaxes)))))
     errors = []
     for j, lam in enumerate(lams):
         partials = []  # per z, the partial sum at every point
@@ -416,7 +435,7 @@ def _rainville_check(n: int) -> CheckResult:
             k += 1
         factors.append(np.array(rows)[:, :, None])
     # the Gegenbauer values at every x, up to the largest degree any z needs
-    values = np.array(list(islice(gegenbauer_iter(lam, xs), max(map(len, factors)))))
+    values = np.concatenate(list(gegenbauer_iter(lam, xs, stop=max(map(len, factors)) - 1)))
     # each term as ratio * C * z^k, in that order
     partials = [[math.fsum(row) for row in (f[:, 0] * values[: len(f)] * f[:, 1]).T.tolist()] for f in factors]
     cases = [(x, z, partials[j][i]) for i, x in enumerate(xs) for j, z in enumerate(zs)]

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -10,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballgrad import quadrature
+from ballgrad import phi as phi_module
+from ballgrad import quadrature, specfun
 from ballgrad.cli import main
 from ballgrad.errors import ConvergenceError
 from ballgrad.phi import (
@@ -216,18 +216,71 @@ class TestBatchedSeries:
         with pytest.raises(ValueError):
             fn(4, rhos)
 
-    def test_memory_stays_bounded(self):
+    def test_memory_stays_bounded(self, traced_growth):
         # passes of 64 radii hold their terms until each radius stops; a
         # long sequence must not hold more than about one pass at a time
         radii = np.linspace(0.0, 0.999, 10_000)
-        tracemalloc.start()
-        try:
-            result = phi_second_series(3, radii)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, growth = traced_growth(lambda: phi_second_series(3, radii), lambda: phi_second_series(3, [0.5]))
         assert len(result) == radii.size
-        assert peak - held < 2_000_000
+        assert growth < 2_000_000
+
+    @pytest.mark.parametrize("fn", [phi_series, phi_second_series])
+    @pytest.mark.parametrize("K", [-1, 1.5, True, False, math.nan, math.inf, -math.inf, 3001, 10**9])
+    def test_rejects_bad_truncation_degree(self, fn, K):
+        # an unbounded K ran for minutes, and a NaN or huge one reported an
+        # error estimate of 0.0 after rho^k underflowed
+        with pytest.raises(ValueError, match="K must be an integer"):
+            fn(4, 0.999, K=K)
+
+    @pytest.mark.parametrize("fn", [phi_series, phi_second_series])
+    def test_accepts_truncation_degrees_up_to_the_cap(self, fn):
+        assert fn(4, 0.5, K=np.int64(5)) == fn(4, 0.5, K=5.0) == fn(4, 0.5, K=5)
+        assert fn(4, [0.0, 0.2, 0.9], K=3000) == fn(4, [0.0, 0.2, 0.9], K=3000.0)
+
+
+# the origin, radii at the 3000-degree cap at n = 12, and radii that stop
+# at many degrees, most of them inside a block of the recurrence
+LAYOUT_RADII = [0.0, 0.99, 0.99 + 1e-5, 0.99 - 1e-5, *np.linspace(0.05, 0.95, 19).tolist(), 0.5, 0.0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 44])
+def test_entries_do_not_depend_on_pass_size_or_block_cap(monkeypatch, n):
+    # one radius per pass up to one pass for all; blocks of at most 2 (the
+    # least a restart can read from) up to 1000 degrees
+    expected = {
+        fn: [(e.value.hex(), e.error_estimate.hex()) for e in (fn(n, rho) for rho in LAYOUT_RADII)]
+        for fn in (phi_series, phi_second_series)
+    }
+    for per_pass, cap in ((1, 2), (5, 3), (64, 128), (30, 1000)):
+        monkeypatch.setattr(phi_module, "_SERIES_PASS", per_pass)
+        monkeypatch.setattr(specfun, "_GEGENBAUER_BLOCK", cap)
+        for fn, pairs in expected.items():
+            batch = fn(n, LAYOUT_RADII)
+            assert [(e.value.hex(), e.error_estimate.hex()) for e in batch] == pairs, (fn.__name__, per_pass, cap)
+
+
+def test_recurrence_runs_only_on_the_radii_still_summing(monkeypatch):
+    # a batch forms, for each radius, the Gegenbauer values its one-radius
+    # call forms and none after the radius stops: the recurrence restarts on
+    # the radii still summing
+    formed = []
+    blocks = specfun.gegenbauer_iter
+
+    def counting(lam, x, **kwargs):
+        for block in blocks(lam, x, **kwargs):
+            formed.append(block.shape[0] * np.size(x))
+            yield block
+
+    monkeypatch.setattr(specfun, "gegenbauer_iter", counting)
+    radii = [0.1, 0.5, 0.8, 0.9, 0.97, 0.0, 0.5]
+    for fn in (phi_series, phi_second_series):
+        formed.clear()
+        for rho in radii:
+            fn(4, rho)
+        alone = sum(formed)
+        formed.clear()
+        fn(4, radii)
+        assert sum(formed) == alone, fn.__name__
 
 
 @settings(max_examples=40, deadline=None)

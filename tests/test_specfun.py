@@ -3,8 +3,7 @@ import json
 import math
 import re
 import struct
-import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import mpmath
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
+from ballgrad import specfun
 from ballgrad.errors import ConvergenceError
 from ballgrad.phi import phi_series
 from ballgrad.quadrature import QuadratureSpec, integrate
@@ -31,9 +31,14 @@ from ballgrad.specfun import (
 )
 
 
+def _per_degree(lam, x, **kwargs):
+    """The values of ``gegenbauer_iter`` one degree at a time."""
+    return chain.from_iterable(gegenbauer_iter(lam, x, **kwargs))
+
+
 class TestGegenbauer:
     def test_degree_zero_is_one(self):
-        assert next(gegenbauer_iter(1.3, 0.4)) == 1.0
+        assert next(_per_degree(1.3, 0.4)) == 1.0
 
     def test_degree_one_linear(self):
         # parameter (n-2)/2 at n = 5: value (n-2) x
@@ -46,7 +51,7 @@ class TestGegenbauer:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5, 4.0])
     def test_against_scipy(self, lam):
         for x in np.linspace(-1.0, 1.0, 9):
-            ours = list(islice(gegenbauer_iter(lam, float(x)), 12))
+            ours = list(islice(_per_degree(lam, float(x)), 12))
             for k in range(0, 12):
                 ref = eval_gegenbauer(k, lam, float(x))
                 assert ours[k] == pytest.approx(ref, rel=1e-10, abs=1e-10)
@@ -75,11 +80,11 @@ class TestGegenbauer:
     @pytest.mark.parametrize("lam", sorted(FLOAT_PATH_SHA256))
     def test_reproduces_the_recorded_float_path(self, lam):
         xs = np.linspace(-0.99, 0.99, 7)
-        one_point_calls = np.array(list(zip(*(islice(gegenbauer_iter(lam, x), 3001) for x in xs.tolist()))))
+        one_point_calls = np.array(list(zip(*(islice(_per_degree(lam, x), 3001) for x in xs.tolist()))))
         oracle = np.array(list(zip(*(islice(_float_path(lam, x), 3001) for x in xs.tolist()))))
         assert oracle.tobytes() == one_point_calls.tobytes()
         for parameter, points in ((lam, xs), (np.array([lam]), xs), (lam, xs.tolist())):
-            values = np.array(list(islice(gegenbauer_iter(parameter, points), 3001)))
+            values = np.array(list(islice(_per_degree(parameter, points), 3001)))
             assert values.shape == (3001, 7)
             assert values.tobytes() == one_point_calls.tobytes()
         assert hashlib.sha256(one_point_calls.astype("<f8").tobytes()).hexdigest() == self.FLOAT_PATH_SHA256[lam]
@@ -87,11 +92,36 @@ class TestGegenbauer:
     def test_parameter_column_broadcasts_against_a_row_of_points(self):
         lams = np.array([0.5, 2.5, 22.0])
         xs = np.linspace(-0.95, 0.95, 5)
-        arrays = list(islice(gegenbauer_iter(lams[:, None], xs[None, :]), 3001))
+        arrays = list(islice(_per_degree(lams[:, None], xs[None, :]), 3001))
         for i, lam in enumerate(lams.tolist()):
             for j, x in enumerate(xs.tolist()):
-                expected = list(islice(gegenbauer_iter(lam, x), 3001))
+                expected = list(islice(_per_degree(lam, x), 3001))
                 assert [float(values[i, j]) for values in arrays] == expected, (lam, x)
+
+    def test_blocks_double_up_to_the_cap(self, monkeypatch):
+        sizes = [block.shape[0] for block in islice(gegenbauer_iter(1.5, np.zeros(3)), 10)]
+        assert sizes == [2, 4, 8, 16, 32, 64, 128, 128, 128, 128]
+        monkeypatch.setattr(specfun, "_GEGENBAUER_BLOCK", 5)
+        assert [block.shape for block in islice(gegenbauer_iter(1.5, 0.3), 4)] == [(2,), (4,), (5,), (5,)]
+
+    @pytest.mark.parametrize("stop", [0, 1, 2, 5, 6, 300, 3000])
+    def test_stop_cuts_the_last_block(self, stop):
+        lams, xs = np.array([[0.5], [7.0]]), np.linspace(-0.99, 0.99, 7)
+        blocks = list(gegenbauer_iter(lams, xs, stop=stop))
+        assert [block.shape[1:] for block in blocks] == [(2, 7)] * len(blocks)
+        values = np.concatenate(blocks)
+        assert values.tobytes() == np.array(list(islice(_per_degree(lams, xs), stop + 1))).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 133, 2000])
+    def test_restart_from_two_values_repeats_the_recurrence(self, k):
+        # restarted on some of the points from their values at degrees
+        # k - 2 and k - 1, the recurrence gives the same bits as one call
+        lams, xs = np.array([[0.5], [2.5], [22.0]]), np.linspace(-0.99, 0.99, 9)
+        values = np.array(list(islice(_per_degree(lams, xs), k + 400)))
+        some = [0, 4, 5, 8]
+        state = (k, values[k - 2][:, some], values[k - 1][:, some])
+        restarted = list(islice(_per_degree(lams, xs[some], state=state), 400))
+        assert np.array(restarted).tobytes() == values[k:][:, :, some].tobytes()
 
     @given(
         lam=st.floats(0.5, 4.0),
@@ -266,18 +296,15 @@ class TestBatchedHyp2F1:
             assert failure.value.value.hex() == recorded["value"]
             assert float(failure.value.error_estimate).hex() == recorded["error_estimate"]
 
-    def test_memory_stays_bounded(self):
+    def test_memory_stays_bounded(self, traced_growth):
         # passes of arguments hold their terms until each argument stops; a
         # long sequence must not hold more than about one pass at a time
         inp = HypergeometricInput(1.0, 2.0, 2.5, np.linspace(-1.0, 0.75, 10_000))
-        tracemalloc.start()
-        try:
-            result = hyp2f1(inp)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, growth = traced_growth(
+            lambda: hyp2f1(inp), lambda: hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, [-0.5, 0.5]))
+        )
         assert len(result) == 10_000
-        assert peak - held < 2_000_000
+        assert growth < 2_000_000
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,7 +387,7 @@ class TestGeneratingRelation:
             for z in (0.1, 0.4, 0.7):
                 acc = 0.0
                 pw = 1.0
-                for value in islice(gegenbauer_iter(lam, float(x)), 400):
+                for value in islice(_per_degree(lam, float(x)), 400):
                     acc += value * pw
                     pw *= z
                 closed = (1.0 - 2.0 * x * z + z * z) ** (-lam)
