@@ -8,6 +8,7 @@ All functions are pure, deterministic and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -34,6 +35,9 @@ _SERIES_BUDGET = 10_000
 # The most degrees per block of gegenbauer_iter; at least 2, since a restart
 # reads the last two rows of a block.
 _GEGENBAUER_BLOCK = 128
+# Blocks of gegenbauer_iter with at most this many values per degree run
+# column by column on Python floats; wider blocks run one numpy row per degree.
+_GEGENBAUER_NARROW = 12
 
 # Arguments per pass of a batched hyp2f1, and the most degrees per block of its terms.
 _GAUSS_PASS = 128
@@ -58,11 +62,38 @@ def gegenbauer_iter(lam, x, stop=None, state=None):
     ``state = (k, previous, current)`` restarts the recurrence at degree
     k >= 2 from the values of degrees k - 2 and k - 1, arrays of the
     broadcast shape of ``lam`` and ``x``; its first block starts at k.
-    Every value is formed by the same four operations on its own entry as
-    in one uninterrupted call, so neither a restart nor a cut changes a
-    value.  The next block is formed from the last two rows of the one
-    before, so a caller must not write into a block it was given."""
+
+    A block of at most ``_GEGENBAUER_NARROW`` values per degree runs one
+    Python-float loop over its degrees in each column; a wider block runs
+    one numpy row per degree.  Either way every value is formed as
+    (up * current - down * previous) / k, the same four IEEE operations in
+    the same order on its own entry as in one uninterrupted call, so
+    neither the loop order, a restart nor a cut changes a value.  The next
+    block is formed from the last two values of the one before, so a
+    caller must not write into a block it was given.
+
+    Raises ``ValueError`` for a non-finite ``lam`` or ``x``, a ``stop``
+    that is not an integer of at least 0, or a ``state`` whose degree is
+    not an integer of at least 2 or whose values are not one per entry."""
     lam, x = np.asarray(lam, dtype=float), np.asarray(x, dtype=float)
+    if not (np.isfinite(lam).all() and np.isfinite(x).all()):
+        raise ValueError("lam and x must be finite")
+    if stop is not None and not _is_degree(stop, 0):
+        raise ValueError("stop must be None or an integer of at least 0")
+    if state is not None and not (
+        _is_degree(state[0], 2) and np.size(state[1]) == np.size(state[2]) == np.broadcast(lam, x).size
+    ):
+        raise ValueError("state must be (k, previous, current): k an integer of at least 2, one value per entry")
+    return _gegenbauer_blocks(lam, x, stop, state)
+
+
+def _is_degree(k, least):
+    """Whether ``k`` is an integer (not a bool) of at least ``least``."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= least
+
+
+def _gegenbauer_blocks(lam, x, stop, state):
+    """The blocks of :func:`gegenbauer_iter`, for checked arguments."""
     shape = np.broadcast_shapes(lam.shape, x.shape)
     last = math.inf if stop is None else stop
     if state is None:
@@ -72,19 +103,37 @@ def gegenbauer_iter(lam, x, stop=None, state=None):
         k, (previous, current) = 2, block.reshape(2, -1)
     else:
         k, previous, current = state[0], np.reshape(state[1], -1), np.reshape(state[2], -1)
+    narrow = 0 < previous.size <= _GEGENBAUER_NARROW
+    if narrow:
+        previous, current = previous.tolist(), current.tolist()
     while k <= last:
         size = int(min(k + 2, _GEGENBAUER_BLOCK, last + 1 - k))
         degrees = np.arange(k, k + size, dtype=float).reshape((size,) + (1,) * len(shape))
-        # each degree's value is formed in place in its row of ``block``
-        block = 2.0 * (degrees + lam - 1.0) * x
+        # each row of ``block`` holds its degree's up factors, then its values;
+        # C order, so that the rows below are views of the block
+        block = np.multiply(2.0 * (degrees + lam - 1.0), x, order="C")
         downs = np.empty(block.shape)
         downs[...] = degrees + 2.0 * lam - 2.0
-        for up, down, divisor in zip(block.reshape(size, -1), downs.reshape(size, -1), degrees.ravel().tolist()):
-            up *= current
-            down *= previous
-            up -= down
-            up /= divisor
-            previous, current = current, up
+        rows, divisors = block.reshape(size, -1), degrees.ravel().tolist()
+        if narrow:
+            # one Python-float loop over the block's degrees per column
+            columns = []
+            for i, (ups, column_downs) in enumerate(zip(rows.T.tolist(), downs.reshape(size, -1).T.tolist())):
+                p, c = previous[i], current[i]
+                column = []
+                for up, down, divisor in zip(ups, column_downs, divisors):
+                    p, c = c, (up * c - down * p) / divisor
+                    column.append(c)
+                previous[i], current[i] = p, c
+                columns.append(column)
+            rows.T[...] = columns
+        else:
+            for up, down, divisor in zip(rows, downs.reshape(size, -1), divisors):
+                up *= current
+                down *= previous
+                up -= down
+                up /= divisor
+                previous, current = current, up
         yield block
         k += size
 

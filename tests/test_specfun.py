@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
-from ballgrad import specfun
+from ballgrad import cli, specfun
 from ballgrad.errors import ConvergenceError
-from ballgrad.phi import phi_series
+from ballgrad.phi import phi_second_series, phi_series
 from ballgrad.quadrature import QuadratureSpec, integrate
 from ballgrad.specfun import (
     DEFAULT_SERIES_RTOL,
@@ -133,6 +133,100 @@ class TestGegenbauer:
         plus = _gegenbauer(lam, k, x)
         minus = _gegenbauer(lam, k, -x)
         assert minus == pytest.approx((-1.0) ** k * plus, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("width", [4, 40])
+    def test_point_layout_does_not_change_values(self, width):
+        # a Fortran-ordered or reversed array of points gives the values of its C-ordered copy
+        xs = np.linspace(-0.9, 0.9, width)
+        expected = np.concatenate(list(gegenbauer_iter(1.5, xs.reshape(2, -1), stop=300)))
+        for points in (np.asfortranarray(xs.reshape(2, -1)), xs[::-1].reshape(2, -1)[::-1, ::-1]):
+            values = np.concatenate(list(gegenbauer_iter(1.5, points, stop=300)))
+            assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"stop": -1},
+            {"stop": -300},
+            {"stop": 2.5},
+            {"stop": True},
+            {"state": (1, [1.0], [0.6])},
+            {"state": (0, [1.0], [0.6])},
+            {"state": (2.0, [1.0], [0.6])},
+            {"state": (False, [1.0], [0.6])},
+            {"state": (3, [1.0, 1.0], [0.6, 0.6])},
+            {"state": (3, [1.0], [])},
+        ],
+    )
+    def test_rejects_bad_stop_or_state(self, kwargs):
+        with pytest.raises(ValueError):
+            gegenbauer_iter(1.5, [0.3], **kwargs)
+
+    @pytest.mark.parametrize(
+        "lam, x",
+        [(math.nan, 0.3), (math.inf, 0.3), (1.5, -math.inf), (1.5, [0.3, math.nan]), ([[1.5], [math.inf]], [0.3])],
+    )
+    def test_rejects_non_finite_parameters_or_points(self, lam, x):
+        with pytest.raises(ValueError):
+            gegenbauer_iter(lam, x)
+
+
+# points appended to a call's row to make its blocks wider than the narrow cut
+_WIDE_FILL = np.linspace(-0.97, 0.97, specfun._GEGENBAUER_NARROW + 1)
+_CUT_WIDTHS = sorted({1, specfun._GEGENBAUER_NARROW - 1, specfun._GEGENBAUER_NARROW, specfun._GEGENBAUER_NARROW + 1})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lams=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=3),
+    width=st.sampled_from(_CUT_WIDTHS),
+    points=st.lists(st.floats(-1.0, 1.0), min_size=max(_CUT_WIDTHS), max_size=max(_CUT_WIDTHS)),
+    stop=st.integers(0, 500),
+    restart=st.integers(0, 500),
+)
+def test_narrow_columns_equal_their_columns_in_a_wide_call(lams, width, points, stop, restart):
+    # a column of parameters against a row of ``width`` points, so one
+    # parameter gives a flattened width at the cut, just below or above it
+    lam, xs = np.array(lams)[:, None], np.array(points[:width])
+    narrow = np.concatenate(list(gegenbauer_iter(lam, xs, stop=stop)))
+    wide = np.concatenate(list(gegenbauer_iter(lam, np.r_[xs, _WIDE_FILL], stop=stop)))
+    assert narrow.shape == (stop + 1, len(lams), width)
+    assert narrow.tobytes() == np.ascontiguousarray(wide[:, :, :width]).tobytes()
+    if stop >= 2:
+        # restarted at degree k from the values of degrees k - 2 and k - 1
+        k = 2 + restart % (stop - 1)
+        restarted = gegenbauer_iter(lam, xs, stop=stop, state=(k, narrow[k - 2], narrow[k - 1]))
+        assert np.concatenate(list(restarted)).tobytes() == narrow[k:].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(0.0, 25.0), x=st.floats(-1.0, 1.0), stop=st.integers(0, 500))
+def test_zero_d_call_equals_its_column_in_a_wide_call(lam, x, stop):
+    values = np.concatenate(list(gegenbauer_iter(lam, x, stop=stop)))
+    wide = np.concatenate(list(gegenbauer_iter(lam, np.r_[x, _WIDE_FILL], stop=stop)))
+    assert values.shape == (stop + 1,)
+    assert values.tobytes() == np.ascontiguousarray(wide[:, 0]).tobytes()
+
+
+def test_series_and_table_do_not_depend_on_the_narrow_cut(monkeypatch, capsys):
+    # every block wide (cut 0), every block narrow (a huge cut) and the default
+    radii = [0.0, 0.3, 0.9, 0.97, 0.99]
+    outputs = []
+    for cut in (specfun._GEGENBAUER_NARROW, 0, 10**9):
+        monkeypatch.setattr(specfun, "_GEGENBAUER_NARROW", cut)
+        runs = [
+            [(e.value.hex(), e.error_estimate.hex()) for e in fn(n, radii)]
+            for fn in (phi_series, phi_second_series)
+            for n in (3, 4, 12)
+        ]
+        runs.append([fn(4, 0.5).value.hex() for fn in (phi_series, phi_second_series)])
+        for n in (3, 4, 12):
+            for method in ("quad", "series"):
+                assert cli.main(["phi-table", "--n", str(n), "--method", method, "--steps", "34"]) == 0
+                runs.append(capsys.readouterr().out)
+        outputs.append(runs)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 class TestHyp2F1:
