@@ -12,7 +12,6 @@ the harmonic extension of data bounded by 1 is itself bounded by 1.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import bounds
 from .errors import check_dim
-from .quadrature import band_node_table, zonal_band_integrals, zonal_sphere_integral
+from .quadrature import band_node_table, row_sums, zonal_band_integrals, zonal_sphere_integral
 from .report import CheckResult, VerificationReport, worst_error_check
 
 __all__ = [
@@ -135,17 +134,19 @@ def _band_extension(kernel, n, rho, band_values, table):
     """Integrals of ``kernel(n, rho, t)`` against every row of a band
     matrix: the rows times the kernel's band integrals, computed once for
     the whole batch by :func:`ballgrad.quadrature.zonal_band_integrals`
-    on the cut set's node ``table``.  Returns the values and the engine's
-    error estimate, which bounds every datum with sup <= 1."""
+    on the cut set's node ``table``, summed row by row
+    (:func:`ballgrad.quadrature.row_sums`).  Returns the values as an
+    array and the engine's error estimate, which bounds every datum with
+    sup <= 1."""
     integrals, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), table)
-    return (band_values @ integrals).tolist(), estimate
+    return row_sums(band_values, integrals), estimate
 
 
 def _zonal_extension(kernel, n, data, rho):
     """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``:
     the data's band matrix and node table (:func:`_band_matrix`), then
-    their integrals (:func:`_band_extension`)."""
-    return _band_extension(kernel, n, rho, *_band_matrix(n, data))[0]
+    their integrals (:func:`_band_extension`), as a list."""
+    return _band_extension(kernel, n, rho, *_band_matrix(n, data))[0].tolist()
 
 
 def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint) -> float:
@@ -223,21 +224,35 @@ def random_zonal_data(seed: int, pieces: int) -> ZonalBoundaryData:
 # a float seed equal to a cached integer one is still checked.
 @functools.lru_cache(maxsize=1, typed=True)
 def _probe_batch(n: int, seed: int, samples: int, radii: tuple[float, ...]):
-    """The work both probes share, memoised for the last (n, seed, samples,
-    radii): the data (the hemisphere datum, then seeded random data of
-    mixed widths), the band matrix and node table (:func:`_band_matrix`) of
-    the data followed by the extremal sign datum of every radius, and per
-    radius every row's radial derivative and the engine's error estimate,
-    which bounds each of them.  The callers share these and never write to
-    them."""
+    """All band-engine work of a probe command, memoised for the last (n,
+    seed, samples, radii).  The data are the hemisphere datum, then seeded
+    random data of mixed widths; the batch's rows, on one band matrix and
+    node table (:func:`_band_matrix`), are the data and then the extremal
+    sign datum of every radius.  Returns ``(data, slopes, slope_estimates,
+    values, value_estimates)``: ``slopes[j, i]`` is row i's radial
+    derivative at radius j and ``values[j, i]`` its Poisson value (None at
+    n = 3, where the conjecture probe does not run), with one engine
+    estimate per radius.  The callers share these read-only arrays."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = _seeded_rng(seed)
     data = (hemisphere_datum(), *(_random_zonal_from_rng(rng, int(rng.integers(1, 9))) for _ in range(samples - 1)))
     band_values, table = _band_matrix(n, [*data, *(extremal_sign_datum(n, rho) for rho in radii)])
-    band_values.flags.writeable = False
-    slopes, estimates = zip(*(_band_extension(radial_derivative_kernel, n, rho, band_values, table) for rho in radii))
-    return data, band_values, table, tuple(map(tuple, slopes)), estimates
+
+    def integrals(kernel):
+        parts = zip(*(_band_extension(kernel, n, rho, band_values, table) for rho in radii))
+        rows, estimates = (np.array(part) for part in parts)
+        rows.flags.writeable = estimates.flags.writeable = False
+        return rows, estimates
+
+    return data, *integrals(radial_derivative_kernel), *((None, None) if n == 3 else integrals(poisson_kernel))
+
+
+def _worst(entries, radii):
+    """The largest entry of a (radius, sample) array and its label; the
+    first in radius-major order among equals."""
+    j, i = np.unravel_index(np.argmax(entries), entries.shape)
+    return entries[j, i], f"sample={i},rho={radii[j]:.3f}"
 
 
 def _probe_radii(rho_grid):
@@ -265,39 +280,25 @@ def probe_schwarz_pick(
 
     The slopes come from the command's batch (:func:`_probe_batch`), whose
     rows are the samples followed by the extremal datum of every radius;
-    at radius j the row after the samples' j-th is the attained value.  An
+    at radius j the row after the samples' j-th is the attained value.
+    Each check reports its first worst entry in radius-major order.  An
     empty ``rho_grid`` raises ``ValueError``.
     """
     n = check_dim(n, 2)
     radii = _probe_radii(rho_grid)
-    data, _, _, slopes_at, _ = _probe_batch(n, seed, samples, radii)
-
-    worst_margin = -math.inf
-    worst_at = ""
-    max_ratio = -math.inf
-    ratio_at = ""
-    worst_gap = 0.0
-    gap_at = ""
-    for j, (rho, slopes) in enumerate(zip(radii, slopes_at)):
-        const = bounds.gradient_bound(n, rho) * (1.0 - rho * rho)
-        attained = slopes[len(data) + j]
-        for i, slope in enumerate(slopes[: len(data)]):
-            lhs = abs(slope) * (1.0 - rho * rho)
-            margin = lhs - const
-            if margin > worst_margin:
-                worst_margin, worst_at = margin, f"sample={i},rho={rho:.3f}"
-            ratio = lhs / const
-            if ratio > max_ratio:
-                max_ratio, ratio_at = ratio, f"sample={i},rho={rho:.3f}"
-        target = bounds.capital_c(bounds.BoundQuery(n, rho))
-        gap = abs(abs(attained) - target) * (1.0 - rho * rho)
-        if gap > worst_gap:
-            worst_gap, gap_at = gap, f"rho={rho:.3f}"
-
+    data, slopes, _, _, _ = _probe_batch(n, seed, samples, radii)
+    scale = 1.0 - np.square(radii)
+    const = np.array([bounds.gradient_bound(n, rho) for rho in radii]) * scale
+    lhs = np.abs(slopes[:, : len(data)]) * scale[:, None]
+    worst_margin, worst_at = _worst(lhs - const[:, None], radii)
+    max_ratio, ratio_at = _worst(lhs / const[:, None], radii)
+    targets = np.array([bounds.capital_c(bounds.BoundQuery(n, rho)) for rho in radii])
+    gaps = np.abs(np.abs(np.diagonal(slopes[:, len(data) :])) - targets) * scale
+    gap_errors = zip(gaps.tolist(), (f"rho={rho:.3f}" for rho in radii))
     checks = (
         CheckResult("bound_dominates", worst_margin <= 1e-9, worst_margin, worst_at),
         CheckResult("sup_ratio", True, max_ratio, ratio_at),
-        CheckResult("extremal_attains_pointwise_bound", worst_gap <= 1e-6, worst_gap, gap_at),
+        worst_error_check("extremal_attains_pointwise_bound", gap_errors, 1e-6),
     )
     return VerificationReport("schwarz_pick_probe", n, checks)
 
@@ -316,26 +317,20 @@ def probe_conjecture(
     report); for n = 2 the refined disk inequality is a theorem and a
     violation fails the report.  Dimension three is excluded.
 
-    The data's slopes come from the command's batch
-    (:func:`_probe_batch`), shared with :func:`probe_schwarz_pick`; only
-    the Poisson kernel is integrated here, on the batch's node table.  An
-    empty ``rho_grid`` raises ``ValueError``.
+    The data's slopes and Poisson values come from the command's batch
+    (:func:`_probe_batch`), shared with :func:`probe_schwarz_pick`, so this
+    probe integrates nothing; it reports the first largest ratio in
+    radius-major order.  An empty ``rho_grid`` raises ``ValueError``.
     """
     n = check_dim(n, 2)
     if n == 3:
         raise ValueError("the probe applies to n = 2 or n >= 4")
     radii = _probe_radii(rho_grid)
-    data, band_values, table, slopes_at, _ = _probe_batch(n, seed, samples, radii)
-    sp = bounds.schwarz_pick_constant(n)
-
-    max_ratio = -math.inf
-    at = ""
-    for rho, slopes in zip(radii, slopes_at):
-        values, _ = _band_extension(poisson_kernel, n, rho, band_values, table)
-        for i, (u, du) in enumerate(zip(values[: len(data)], slopes)):
-            ratio = abs(du) * (1.0 - rho * rho) / ((1.0 - u * u) * sp)
-            if ratio > max_ratio:
-                max_ratio, at = ratio, f"sample={i},rho={rho:.3f}"
+    data, slopes, _, values, _ = _probe_batch(n, seed, samples, radii)
+    u = values[:, : len(data)]
+    scale = (1.0 - np.square(radii))[:, None]
+    ratios = np.abs(slopes[:, : len(data)]) * scale / ((1.0 - u * u) * bounds.schwarz_pick_constant(n))
+    max_ratio, at = _worst(ratios, radii)
 
     checks = (
         CheckResult("max_ratio", True, max_ratio, at),

@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 
 from . import quadrature, specfun
-from .errors import check_dim
+from .errors import ConvergenceError, check_dim
 from .quadrature import QuadratureSpec, integrate
 from .report import CheckResult, VerificationReport, worst_error_check
 from .specfun import HypergeometricInput, _one_or_list, _pow_each, _radii, hyp2f1
@@ -65,6 +65,8 @@ _GRID_BLOCK = 128
 # Quadrature at the binary64 floor, for differences of profile values.
 _TIGHT_SPEC = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
 
+_NON_FINITE = "profile quadrature gave a non-finite value or error estimate"
+
 
 @dataclass(frozen=True)
 class PhiEvaluation:
@@ -87,7 +89,9 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
 
     The kink abscissa is declared to the quadrature, and the endpoint pieces
     run in the cosine-substituted variable, so rho = 1 (where the kernel
-    factor has an integrable endpoint singularity) is allowed.
+    factor has an integrable endpoint singularity) is allowed.  A value or
+    estimate that is not finite (the kernel factor overflows near rho = 1
+    in high dimension) raises :class:`ConvergenceError`.
     """
     n = check_dim(n, 2)
     if not 0.0 <= rho <= 1.0:
@@ -95,18 +99,13 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
     s = kink_abscissa(n, rho)
     d_exp = 0.5 * (n - 2)
 
-    if n == 2:
-
-        def f(t):
-            return np.abs(t)
-
-    else:
-
-        def f(t):
-            return np.abs(t - s) * (1.0 - 2.0 * t * rho + rho * rho) ** (-d_exp)
+    def f(t):
+        return np.abs(t - s) * (1.0 - 2.0 * t * rho + rho * rho) ** (-d_exp)
 
     qspec = replace(spec if spec is not None else quadrature.DEFAULT_SPEC, kinks=(s,))
     res = integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
+    if not (math.isfinite(res.value) and math.isfinite(res.error_estimate)):
+        raise ConvergenceError(_NON_FINITE, res.value, res.error_estimate)
     return PhiEvaluation(n, rho, res.value, "quad", res.error_estimate)
 
 
@@ -120,16 +119,19 @@ def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None):
     own stopping test (summed gap within the largest of ``spec.abs_tol``,
     ``spec.rel_tol`` times the value and the roundoff floor), estimate and
     ``spec.max_subdivisions`` budget.  The radii run in passes of 128, so
-    the panel arrays stay bounded however many radii are asked for.
-    :func:`phi_quad` stays the independent adaptive route.
+    the panel arrays stay bounded, and every entry has the bits of its
+    one-radius call.  Non-finite results raise as in :func:`phi_quad`,
+    which stays the independent adaptive route.
     """
     n = check_dim(n, 2)
     rho = np.asarray(rhos, dtype=float)
     if rho.ndim != 1 or rho.size == 0 or not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError("rhos must be a non-empty sequence in [0, 1]")
     blocks = (rho[i : i + _GRID_BLOCK] for i in range(0, rho.size, _GRID_BLOCK))
-    values, estimates = zip(*(_phi_quad_block(n, block, spec) for block in blocks))
-    return np.concatenate(values), np.concatenate(estimates)
+    values, estimates = (np.concatenate(part) for part in zip(*(_phi_quad_block(n, block, spec) for block in blocks)))
+    if not (np.isfinite(values).all() and np.isfinite(estimates).all()):
+        raise ConvergenceError(_NON_FINITE, values, estimates)
+    return values, estimates
 
 
 def _phi_quad_block(n, rho, spec):

@@ -14,8 +14,8 @@ Two features are tuned to the integrals that actually occur here:
 A second, batched route serves integrands that are multiplied by
 piecewise-constant zonal data: :func:`zonal_band_integrals` integrates one
 kernel over every height band between given cuts in a few vectorised
-passes, so the integral of any datum constant on those bands is a dot
-product.  Its only geometry input is the cut set's node table
+passes, so the integral of any datum constant on those bands is a row sum
+(:func:`row_sums`).  Its only geometry input is the cut set's node table
 (:func:`band_node_table`): the dimension and the Gauss-node geometry of
 every band, which do not depend on the kernel, so a caller that integrates
 several kernels or radii over one cut set builds it once.
@@ -48,6 +48,7 @@ __all__ = [
     "band_node_table",
     "group_integrals",
     "kink_integrals",
+    "row_sums",
     "zonal_weight_normalization",
 ]
 
@@ -117,23 +118,14 @@ def _cos_transformed(f, weight_exponent):
 
     The weight (1 - t^2)^alpha and the Jacobian sin(theta) combine into
     sin(theta)^(2 alpha + 1), evaluated directly from theta so no precision
-    is lost where cos(theta) rounds to +-1.
+    is lost where cos(theta) rounds to +-1.  A power of 0 (n = 2) skips
+    the sine; a power of 1 is exact.
     """
     power = 2.0 * weight_exponent + 1.0
-    if power == 1.0:
 
-        def g(theta):
-            return f(np.cos(theta)) * np.sin(theta)
-
-    elif power == 0.0:
-
-        def g(theta):
-            return f(np.cos(theta))
-
-    else:
-
-        def g(theta):
-            return f(np.cos(theta)) * np.sin(theta) ** power
+    def g(theta):
+        value = f(np.cos(theta))
+        return value * np.sin(theta) ** power if power else value
 
     return g
 
@@ -148,11 +140,17 @@ def _weighted(f, weight_exponent):
     return g
 
 
+def row_sums(rows, weights):
+    """``rows @ weights`` for a 2-D ``rows``, with each row summed by one loop
+    over its own C-ordered copy: a row's sum has the bits of a one-row call
+    wherever it sits and whatever the layout, which a BLAS product lacks."""
+    return np.einsum("ij,j->i", np.ascontiguousarray(rows), weights)
+
+
 def _panel_theta(lo, hi, nodes):
-    """Half widths of the theta panels from ``lo`` to ``hi`` and their Gauss
-    abscissae, with one more axis, of nodes, than ``lo`` and ``hi``."""
-    half = 0.5 * (hi - lo)
-    return half, (0.5 * (lo + hi))[..., None] + half[..., None] * nodes
+    """Gauss abscissae of the theta panels from ``lo`` to ``hi``, with one
+    more axis, of nodes, than ``lo`` and ``hi``."""
+    return (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * nodes
 
 
 def _panel(g, lo, hi, nodes, weights):
@@ -272,11 +270,12 @@ def group_integrals(
     estimates)``: the integral over each piece and one error estimate per
     group.
 
-    Each round evaluates the halves of every new panel in one numpy pass
-    per half.  ``first``, if given, holds the integrand's values at the
-    first round's nodes: three (pieces, nodes) arrays for every piece's
-    whole panel, its left half and its right half, in place of the three
-    calls of ``g`` that would compute them; later rounds call ``g``.  A
+    Each round evaluates the halves of every new panel in one call of
+    ``g`` per half and weighs all of them by one row sum.  ``first``, if
+    given, holds the integrand's values at the first round's nodes: three
+    (pieces, nodes) arrays for every piece's whole panel, its left half and
+    its right half, in place of the three calls of ``g`` that would compute
+    them; later rounds call ``g``.  A
     panel's error is the gap between its whole-panel value and the sum of
     its halves, as in :func:`integrate`.  Each group stops on its
     own once its summed gap is within the largest of ``spec.abs_tol``,
@@ -299,24 +298,19 @@ def group_integrals(
     n_pieces = piece_group.size
     n_groups = int(piece_group.max()) + 1
 
-    def weigh(half, values):
-        return scale * half * (values @ weights)
-
-    def panels(lo, hi, group):
-        half, theta = _panel_theta(lo, hi, nodes)
-        return weigh(half, g(theta, group))
-
-    def halves(lo, hi, group):
-        mid = 0.5 * (lo + hi)
-        return panels(lo, mid, group), panels(mid, hi, group)
+    def panels(spans, group, values=None):
+        # the panels of each (lo, hi) span, one array per span: one call of
+        # g per span (unless their values at the nodes are given), then one
+        # row sum for all of them
+        if values is None:
+            values = [g(_panel_theta(a, b, nodes), group) for a, b in spans]
+        half = 0.5 * np.concatenate([b - a for a, b in spans])
+        return (scale * half * row_sums(np.reshape(values, (-1, nodes.size)), weights)).reshape(len(spans), -1)
 
     piece = np.arange(n_pieces)
     group = piece_group
     mid = 0.5 * (lo + hi)
-    spans = ((lo, hi), (lo, mid), (mid, hi))
-    if first is None:
-        first = [g(_panel_theta(a, b, nodes)[1], group) for a, b in spans]
-    whole, left, right = (weigh(0.5 * (b - a), values) for (a, b), values in zip(spans, first))
+    whole, left, right = panels(((lo, hi), (lo, mid), (mid, hi)), group, first)
 
     settled = np.zeros(n_pieces)  # values of the pieces of finished groups
     estimates = np.zeros(n_groups)
@@ -364,7 +358,8 @@ def group_integrals(
         child_lo = np.concatenate((lo[split], mid))
         child_hi = np.concatenate((mid, hi[split]))
         child_group = np.concatenate((group[split], group[split]))
-        child_left, child_right = halves(child_lo, child_hi, child_group)
+        child_mid = 0.5 * (child_lo + child_hi)
+        child_left, child_right = panels(((child_lo, child_mid), (child_mid, child_hi)), child_group)
         lo = np.concatenate((lo[keep], child_lo))
         hi = np.concatenate((hi[keep], child_hi))
         piece = np.concatenate((piece[keep], piece[split], piece[split]))
@@ -416,7 +411,7 @@ def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None):
     edges = np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
     lo, hi = edges[1:], edges[:-1]
     mid = 0.5 * (lo + hi)
-    _, theta = _panel_theta(np.stack((lo, lo, mid)), np.stack((hi, mid, hi)), nodes)
+    theta = _panel_theta(np.stack((lo, lo, mid)), np.stack((hi, mid, hi)), nodes)
     return n, zonal_weight_normalization(n), np.cos(theta), np.sin(theta) ** (n - 2), edges
 
 
@@ -428,8 +423,9 @@ def zonal_band_integrals(f: Callable, table, spec: QuadratureSpec | None = None)
     ``c_n * integral of f(t) (1-t^2)^((n-3)/2) dt`` over band j, which runs
     from ``cuts[j-1]`` to ``cuts[j]``; band 0 starts at -1 and the last band
     ends at +1.  A datum that is constant on every band integrates as the
-    dot product of its band values with ``values``, and ``error_estimate``
-    bounds the error of that dot product for every datum with sup <= 1.
+    sum of its band values times ``values`` (:func:`row_sums`), and
+    ``error_estimate`` bounds the error of that sum for every datum with
+    sup <= 1.
 
     The bands are integrated in theta = arccos(t), where the weight and the
     Jacobian become sin(theta)^(n-2), smooth for every n >= 2, as the

@@ -255,6 +255,36 @@ def test_single_datum_values_are_the_engine_dot_product(n):
     )
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 44])
+def test_band_rows_do_not_depend_on_the_batch_or_its_layout(n):
+    # a band matrix of 40 data on one node table: every row's integral must
+    # have the bits of a one-row batch, in C and in Fortran order
+    data = [random_zonal_data(seed, 1 + seed % 8) for seed in range(40)]
+    band_values, table = harmonic._band_matrix(n, data)
+    for kernel in KERNELS.values():
+        values, estimate = harmonic._band_extension(kernel, n, 0.7, band_values, table)
+        fortran, fortran_estimate = harmonic._band_extension(kernel, n, 0.7, np.asfortranarray(band_values), table)
+        assert values.tobytes() == fortran.tobytes() and estimate == fortran_estimate
+        for i, value in enumerate(values.tolist()):
+            assert harmonic._band_extension(kernel, n, 0.7, band_values[i : i + 1], table)[0].tolist() == [value]
+
+
+def test_row_sums_are_row_local():
+    # each row's sum has the bits of its own one-row call, wherever the row
+    # sits and whatever the layout of the rows or the alignment of the data
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 5, 15, 16, 17, 64):
+        rows = rng.standard_normal((37, m)) * 10.0 ** rng.integers(-6, 7, (37, m))
+        weights = rng.standard_normal(m)
+        sums = quadrature.row_sums(rows, weights)
+        shifted = np.empty(rows.size + 1)[1:].reshape(rows.shape)  # 8 bytes off the allocation
+        shifted[...] = rows
+        for layout in (np.asfortranarray(rows), rows[::-1][::-1], shifted, np.concatenate((rows, rows))[37:]):
+            assert quadrature.row_sums(layout, weights).tobytes() == sums.tobytes()
+        for i in range(rows.shape[0]):
+            assert quadrature.row_sums(rows[i : i + 1], weights).tobytes() == sums[i : i + 1].tobytes()
+
+
 @pytest.mark.parametrize("rho", [0.99, 0.999])
 def test_relative_tolerance_reaches_near_the_boundary(rho):
     # the kernel's own rounding keeps the summed gap above 1e-12 here; the

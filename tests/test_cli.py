@@ -100,20 +100,20 @@ class TestPhiTable:
             else:
                 assert row["d2phi_closed"] == "nan"
 
-    # sha256 of stdout at the default 101 steps as printed when
-    # d2phi_closed was routed in the CLI itself and hyp2f1 had a scalar
-    # loop; a change that moves any printed digit must update these on purpose
+    # sha256 of stdout at the default 101 steps as printed when every
+    # batched quadrature summed each row on its own (quadrature.row_sums);
+    # a change that moves any printed digit must update these on purpose
     TABLE_SHA256 = {
-        (3, "quad", "csv"): "9646de1f2de690c04c022726e9bc7519f1c49d09e87cd45ac11f1c7df1f42e7c",
-        (3, "quad", "json"): "024cc08bb42a7c3c921c459ed59598cee0b3702938a82caf403658e24ec5da46",
+        (3, "quad", "csv"): "c244a23736d232955d19c8d592e3ebab09cb7f0d9163676f9167699c0a3b8088",
+        (3, "quad", "json"): "940792cd2721d882430bde61b8a05066a9cf0c233f220c547ae55df227f6ac4b",
         (3, "series", "csv"): "e08eef9c5568016429e43e5ea1ad583fbd7c8f7fab3c584211ea4599f70ce1cd",
         (3, "series", "json"): "4e79f0154fb81904f289735b21ccf82262aa729d760444443082cd12a45dddab",
-        (4, "quad", "csv"): "7d15db597b239045469a5270e66c2b4db3af653d0fdac5b70f548801c1142275",
-        (4, "quad", "json"): "05685dc09e5149047a092c0c4ca82b2992a6046c5a7bad4c1f1f5796c5368142",
+        (4, "quad", "csv"): "50050ba223ca353c1cf5e3a35684d18799056e0e0136100214bceff66762ac10",
+        (4, "quad", "json"): "787194c97f9e19acb1245188f01899f72ffc518c06754022e057208c63220344",
         (4, "series", "csv"): "f6d821dbee20beede5a9fbd592a0abbbae8f212b5557e3798fa4d53cbd2cdfe2",
         (4, "series", "json"): "fc9d895ae90fd19500cf8f9d644eea3791295b83aafe0c8e19151e704fceda17",
-        (12, "quad", "csv"): "46bb5809e2ab31b7e9813bfedc93220593d6b0b29542c21f6db4c98ee7d442f8",
-        (12, "quad", "json"): "21b0e7c5ae5fda36bb6938f52e32d49b43b5c6a6c92f7a093cc29ee197daf7d7",
+        (12, "quad", "csv"): "1c637df4cbc2e2af350bdbafc257073fde8041f2663653709097ae0b8de765d5",
+        (12, "quad", "json"): "d81dd357ffff285ba6c5960244355d99ec933d5194a852f34323fbd548243bf3",
         (12, "series", "csv"): "4f25a53dcd3909d5e8a3f77cb1abb1c3e9392f2f9ba267e455d1391a8486fbec",
         (12, "series", "json"): "2a0bbc75b44605a98ab53cbf3bb99a426cc321518c92ba142144b18ecdba3e35",
     }
@@ -123,6 +123,17 @@ class TestPhiTable:
         code, out, _ = run_cli(capsys, "phi-table", "--n", str(n), "--method", method, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_SHA256[n, method, fmt]
+
+    def test_last_row_does_not_depend_on_the_steps(self, capsys):
+        # rho = 0.99 and its neighbours rho +- 1e-5 sit in grid quadrature
+        # calls of 33, 63 and 303 radii, and each entry has the bits of its
+        # one-radius call, so every cell of the row is the same
+        rows = []
+        for steps in ("11", "21", "101"):
+            code, out, _ = run_cli(capsys, "phi-table", "--n", "4", "--method", "quad", "--steps", steps)
+            assert code == 0
+            rows.append(out.splitlines()[-1])
+        assert rows[0].startswith("0.99,") and rows == [rows[0]] * 3
 
     def test_determinism(self, capsys):
         args = ("phi-table", "--n", "4", "--steps", "7")
@@ -195,12 +206,13 @@ class TestVerify:
     # pins the phi_second sweep, whose worst radius 0.000998 takes the
     # series, as printed when every series radius was summed by its own
     # one-radius loop.  route_agreement pins the batched series, the finite
-    # differences of one grid quadrature call (phi_quad_grid) and, at
-    # n >= 4, the closed form, at rho = 0.1, ..., 0.9
+    # differences of one grid quadrature call (phi_quad_grid, whose entries
+    # are those of one-radius calls) and, at n >= 4, the closed form, at
+    # rho = 0.1, ..., 0.9
     CONCAVITY_PINS = {
         3: [
             ("second_derivative_negative", False, True, 0.05555553711089523, "rho=0.000998"),
-            ("route_agreement", True, False, 6.196850050575434e-08, "rho=0.4"),
+            ("route_agreement", True, False, 8.87545157733766e-08, "rho=0.1"),
         ],
         4: [
             ("second_derivative_negative", True, False, -0.033333338669112374, "rho=0.000998"),
@@ -208,7 +220,7 @@ class TestVerify:
         ],
         12: [
             ("second_derivative_negative", True, False, -0.10295269216100489, "rho=0.000998"),
-            ("route_agreement", True, False, 4.536636584500291e-09, "rho=0.8"),
+            ("route_agreement", True, False, 6.237299737148517e-09, "rho=0.5"),
         ],
     }
 
@@ -360,19 +372,20 @@ class TestProbe:
 
     # sha256 of stdout as printed when both probes of a command read one
     # batch: one cut set, made of the data and every radius's extremal cut,
-    # whose slopes they share; a change that moves any printed digit of the
-    # probes must update these on purpose
+    # whose slopes and Poisson values they share, each row summed on its
+    # own; a change that moves any printed digit of the probes must update
+    # these on purpose
     PROBE_SHA256 = {
-        (2, 200, 7): "00ac6e1b5ee9e754c6c46b087889a092dc685238c16ac7bd859cde36fff1c88e",
-        (3, 200, 7): "93491bb048b23f4b38666854fa53fb4bb0d257d2551a7c1a36ccf4bc1503b592",
-        (4, 200, 7): "ef96e2e0e37f89a4cdc4f432cfd3fbf3823dac43d77486e214311059361c60ff",
-        (12, 200, 7): "4184a322109aa21223d18db0e2703f9fff169c595a172e185800393664d89154",
-        (2, 25, 1): "3aaec14ad58caf83e95718fd89ae6984936dcc4184da22eb4d8749ec5969cc34",
-        (2, 25, 2): "f1e47178e913bd22cab660ebad0c9dc7b5f48ef2c4ba381a03eb639b72a22a19",
-        (4, 25, 1): "46b40a503adcbbe3b4a41c373bca1d128c7a42f01cb780f3d78e642ccc9c6e73",
-        (4, 25, 2): "07ac8d886c1ea4f408735c4157d29b8be3d60a99ebdb74fffe634711d97c85b9",
-        (12, 25, 1): "a61fa4ebe8e31bc04ffdd60a15e468033e5013369b9307a5ee2616a87d2593c2",
-        (12, 25, 2): "5adf2eb18d0f3b5e406073a5b6a8ada0e5383dbede091e68acf4d03fd1c9a5fa",
+        (2, 200, 7): "f1e47178e913bd22cab660ebad0c9dc7b5f48ef2c4ba381a03eb639b72a22a19",
+        (3, 200, 7): "2fde58f166bc6481705ef17a9ec1ee734c51d8aac6ceddb1913c00055c9ed016",
+        (4, 200, 7): "166d0885c6254e10ba09ed2e401f7c73588e9f99fc63bfe33810e4c472cd29ff",
+        (12, 200, 7): "5d9dfd05ec0802849c1b63b25b948d608333b18674a59b017495a0684735d7c9",
+        (2, 25, 1): "df6b778d4d0ae4fa07ef217e3ab2291c9d28e31ad725ff84a53725e57e5ba95b",
+        (2, 25, 2): "2ea1684eca855c796f804e8bc286a4cca6d29e8bffbad46d894a54963821a40a",
+        (4, 25, 1): "9d4c43fd4fc7500dcff94e699f95903c252fc972210d39925149dc5960cab9db",
+        (4, 25, 2): "ba958d04c6089adbc6f06d936421d93836dfbcd28ece18188666749e3fadeb19",
+        (12, 25, 1): "c64a74e4b80aec4b38668d416c2a36a932645c21ccf070bb41306107d84924c1",
+        (12, 25, 2): "1f4dd0f0a29e7f3e24755e32ef2e06597100f136ac6f1526b2fa3af1035057f4",
     }
 
     @pytest.mark.parametrize("n, samples, seed", sorted(PROBE_SHA256))
@@ -390,6 +403,18 @@ class TestBound:
         assert payload["capital_c"] == pytest.approx(2.0137017762354946, abs=1e-9)
         assert payload["khavinson_radial_if_n3"] == pytest.approx(2.0137017762354946, rel=1e-12)
         assert payload["pw_over_1mr"] == pytest.approx(3.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "--n", "101", "--rho", "0.9999999"], ["verify", "--n", "100", "--suite", "monotone"]],
+    )
+    def test_non_finite_profile_exits_two(self, capsys, argv):
+        # the profile quadrature overflows there; neither an inf capital_c
+        # nor a worst_margin of Infinity, which is not JSON, is printed
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: profile quadrature gave a non-finite value or error estimate\n")
 
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--n", "5", "--rho", "0.0")

@@ -9,6 +9,7 @@ from ballgrad import harmonic
 from ballgrad.bounds import (
     BoundQuery,
     capital_c,
+    gradient_bound,
     khavinson_radial_3d,
     schwarz_pick_constant,
 )
@@ -30,7 +31,8 @@ from ballgrad.harmonic import (
     zonal_poisson_value,
 )
 from ballgrad.cli import main
-from ballgrad.quadrature import band_node_table, zonal_band_integrals, zonal_sphere_integral
+from ballgrad.quadrature import band_node_table, row_sums, zonal_band_integrals, zonal_sphere_integral
+from ballgrad.report import CheckResult, VerificationReport
 
 
 class TestZonalBoundaryData:
@@ -314,7 +316,7 @@ class TestProbes:
         # is drawn again, equal to it, and prints the same bytes
         assert main(argv) == 0
         assert batches[4] is not batches[0] and draws == [11, 12, 11]
-        assert batches[4][0] == batches[0][0] and batches[4][3] == batches[0][3]
+        assert batches[4][0] == batches[0][0] and np.array_equal(batches[4][1], batches[0][1])
         assert cached.cache_info().currsize == 1
         assert capsys.readouterr().out.endswith(first)
 
@@ -337,13 +339,19 @@ def test_theorem_b_report(n):
 def _per_batch_extension(kernel, n, data, rho):
     """The probes' former route: the cut set, band matrix and node table
     rebuilt from the data for every batch, then met with the kernel's band
-    integrals.  Returns the values and the engine's estimate."""
+    integrals row by row.  Returns the values and the engine's estimate."""
     cuts = np.array(sorted(set().union(*(datum.breakpoints for datum in data))))
     edges = np.concatenate(([-1.0], cuts, [1.0]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     band_values = np.array([datum(mids) for datum in data])
     integrals, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, cuts))
-    return (band_values @ integrals).tolist(), estimate
+    return row_sums(band_values, integrals).tolist(), estimate
+
+
+def _batch_rows(n, data, radii):
+    """The rows of a probe batch: its data, then every radius's extremal
+    sign datum."""
+    return [*data, *(extremal_sign_datum(n, r) for r in radii)]
 
 
 def _hex(values):
@@ -364,29 +372,34 @@ def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho):
     # the probes' batch: one band matrix and node table of the data and
     # every radius's extremal datum, reused across kernels and radii, must
     # give every value bit for bit as a batch built anew for each call,
-    # and its slopes must be those values
+    # and its slopes and Poisson values (none at n = 3) must be those values
     radii = (rho, 0.0, 0.9)
-    probe_data, band_values, table, slopes_at, estimates = harmonic._probe_batch(n, seed, samples, radii)
-    data = [*probe_data, *(extremal_sign_datum(n, r) for r in radii)]
-    for r, slopes, estimate in zip(radii, slopes_at, estimates):
-        want, want_estimate = _per_batch_extension(radial_derivative_kernel, n, data, r)
-        assert _hex(slopes) == _hex(want) and estimate == want_estimate
-        for kernel in (poisson_kernel, radial_derivative_kernel):
-            want = _hex(_per_batch_extension(kernel, n, data, r)[0])
-            assert _hex(harmonic._band_extension(kernel, n, r, band_values, table)[0]) == want
-            assert _hex(harmonic._zonal_extension(kernel, n, data, r)) == want
+    probe_data, *batch = harmonic._probe_batch(n, seed, samples, radii)
+    data = _batch_rows(n, probe_data, radii)
+    band_values, table = harmonic._band_matrix(n, data)
+    kernels = (radial_derivative_kernel, poisson_kernel)
+    for kernel, rows, estimates in zip(kernels, batch[0::2], batch[1::2]):
+        assert (rows is None) == (kernel is poisson_kernel and n == 3)
+        for j, r in enumerate(radii):
+            want, want_estimate = _per_batch_extension(kernel, n, data, r)
+            if rows is not None:
+                assert _hex(rows[j]) == _hex(want) and estimates[j] == want_estimate
+            assert _hex(harmonic._band_extension(kernel, n, r, band_values, table)[0]) == _hex(want)
+            assert _hex(harmonic._zonal_extension(kernel, n, data, r)) == _hex(want)
 
 
 RADII = tuple(float(rho) for rho in np.linspace(0.0, 0.9, 11))
 
 
-@pytest.mark.parametrize("n", [2, 4, 12])
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
 def test_each_probe_builds_one_node_table(monkeypatch, n):
     # either probe run first builds the batch's one node table, over the
     # data's and every radius's extremal cuts; the other, run after it,
-    # builds none, and no engine call builds its own.  Per radius the batch
-    # makes one engine call for the shared slopes and the conjecture probe
-    # one for the Poisson kernel
+    # builds none and integrates nothing, and no engine call builds its own.
+    # Per radius the batch makes one engine call for the slopes and, but at
+    # n = 3, one for the Poisson values: 22 calls a command, 11 at n = 3
+    full = harmonic._band_matrix(n, _batch_rows(n, harmonic._probe_batch(n, 3, 25, RADII)[0], RADII))[0].shape[1]
+    calls = len(RADII) * (1 if n == 3 else 2)
     built = []
     engine = []
 
@@ -400,19 +413,17 @@ def test_each_probe_builds_one_node_table(monkeypatch, n):
 
     monkeypatch.setattr(harmonic, "band_node_table", building)
     monkeypatch.setattr(harmonic, "zonal_band_integrals", integrating)
-    harmonic._probe_batch.cache_clear()
-    full = harmonic._probe_batch(n, 3, 25, RADII)[1].shape[1]
-    for first, second, calls in (
-        (probe_conjecture, probe_schwarz_pick, (2 * len(RADII), 0)),
-        (probe_schwarz_pick, probe_conjecture, (len(RADII), len(RADII))),
-    ):
+    orders = [(probe_schwarz_pick,)] if n == 3 else [
+        (probe_conjecture, probe_schwarz_pick),
+        (probe_schwarz_pick, probe_conjecture),
+    ]
+    for probes in orders:
         harmonic._probe_batch.cache_clear()
         built.clear()
         engine.clear()
-        first(n, samples=25, seed=3)
-        assert built == [full] and engine == [full] * calls[0]
-        second(n, samples=25, seed=3)
-        assert built == [full] and engine == [full] * sum(calls)
+        for probe in probes:
+            probe(n, samples=25, seed=3)
+            assert built == [full] and engine == [full] * calls
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12])
@@ -422,14 +433,14 @@ def test_probe_attains_the_sharp_radial_sup_at_every_radius(n):
     # route, within the two engine estimates
     samples = 25
     assert probe_schwarz_pick(n, samples=samples, seed=5).passed
-    _, _, _, slopes_at, estimates = harmonic._probe_batch(n, 5, samples, RADII)
+    _, slopes, estimates, _, _ = harmonic._probe_batch(n, 5, samples, RADII)
     assert harmonic._probe_batch.cache_info().hits >= 1
-    for j, (rho, slopes, estimate) in enumerate(zip(RADII, slopes_at, estimates)):
+    for j, rho in enumerate(RADII):
         cut = extremal_sign_datum(n, rho).breakpoints
         _, own_estimate = zonal_band_integrals(
             lambda t: radial_derivative_kernel(n, rho, t), band_node_table(n, cut)
         )
-        assert abs(slopes[samples + j] - sharp_radial_sup(n, AxisPoint(rho))) <= estimate + own_estimate
+        assert abs(slopes[j, samples + j] - sharp_radial_sup(n, AxisPoint(rho))) <= estimates[j] + own_estimate
 
 
 @settings(max_examples=30, deadline=None)
@@ -447,16 +458,12 @@ def test_shared_batch_agrees_with_the_data_only_route(seed, samples, n):
     assert probe_conjecture(n, samples, seed=seed) == alone
     assert harmonic._probe_batch.cache_info().hits == hits + 1
 
-    data, band_values, table, slopes_at, estimates = harmonic._probe_batch(n, seed, samples, RADII)
-    for rho, slopes, estimate in zip(RADII, slopes_at, estimates):
-        shared = (
-            (radial_derivative_kernel, slopes, estimate),
-            (poisson_kernel, *harmonic._band_extension(poisson_kernel, n, rho, band_values, table)),
-        )
-        for kernel, values, shared_estimate in shared:
+    data, *batch = harmonic._probe_batch(n, seed, samples, RADII)
+    for kernel, rows, estimates in zip((radial_derivative_kernel, poisson_kernel), batch[0::2], batch[1::2]):
+        for j, rho in enumerate(RADII):
             own, own_estimate = _per_batch_extension(kernel, n, data, rho)
-            for value, want in zip(values, own):
-                assert abs(value - want) <= shared_estimate + own_estimate
+            for value, want in zip(rows[j], own):
+                assert abs(value - want) <= estimates[j] + own_estimate
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12, 44])
@@ -468,16 +475,17 @@ def test_probe_slack_exceeds_the_engine_error(n, samples, seed):
     # the slope and value estimates carry into each ratio
     # |du| (1 - rho^2) / ((1 - u^2) C_n), and so into their largest.  The
     # (samples, seed) pairs are those of the pinned commands.
-    data, band_values, table, slopes_at, estimates = harmonic._probe_batch(n, seed, samples, RADII)
+    data, slopes, slope_estimates, values, value_estimates = harmonic._probe_batch(n, seed, samples, RADII)
     sp = schwarz_pick_constant(n)
     worst_bound = 0.0
     ratios, errors = [], []
-    for rho, slopes, slope_estimate in zip(RADII, slopes_at, estimates):
+    for j, rho in enumerate(RADII):
+        slope_estimate = slope_estimates[j]
         worst_bound = max(worst_bound, (1.0 - rho * rho) * slope_estimate)
         if n == 3:
             continue
-        values, value_estimate = harmonic._band_extension(poisson_kernel, n, rho, band_values, table)
-        for u, du in zip(values[: len(data)], slopes):
+        value_estimate = value_estimates[j]
+        for u, du in zip(values[j, : len(data)].tolist(), slopes[j, : len(data)].tolist()):
             # the probe's own expression, so that the largest is its max_ratio
             ratios.append(abs(du) * (1.0 - rho * rho) / ((1.0 - u * u) * sp))
             scale = (1.0 - rho * rho) / ((1.0 - u * u) * sp)
@@ -492,3 +500,67 @@ def test_probe_slack_exceeds_the_engine_error(n, samples, seed):
     # ill-conditioned (u near +-1): at n = 44 the hemisphere datum at
     # rho = 0.9 has 1 - u^2 ~ 2e-7 and carries ~1e-7 into its ratio 0.56
     assert max((ratios + errors).max() - top, top - (ratios - errors).max()) < 1e-9
+
+
+def _loop_reports(n, samples, seed):
+    """Both probe reports as per-sample loops form them, reading the batch's
+    arrays one entry at a time and keeping the first strict maximum."""
+    data, slopes, _, values, _ = harmonic._probe_batch(n, seed, samples, RADII)
+    m = len(data)
+    worst_margin, worst_at, max_ratio, ratio_at, worst_gap, gap_at = -math.inf, "", -math.inf, "", 0.0, ""
+    top, at = -math.inf, ""
+    for j, rho in enumerate(RADII):
+        const = gradient_bound(n, rho) * (1.0 - rho * rho)
+        for i in range(m):
+            lhs = abs(float(slopes[j, i])) * (1.0 - rho * rho)
+            if lhs - const > worst_margin:
+                worst_margin, worst_at = lhs - const, f"sample={i},rho={rho:.3f}"
+            if lhs / const > max_ratio:
+                max_ratio, ratio_at = lhs / const, f"sample={i},rho={rho:.3f}"
+            if values is not None:
+                u = float(values[j, i])
+                ratio = abs(float(slopes[j, i])) * (1.0 - rho * rho) / ((1.0 - u * u) * schwarz_pick_constant(n))
+                if ratio > top:
+                    top, at = ratio, f"sample={i},rho={rho:.3f}"
+        gap = abs(abs(float(slopes[j, m + j])) - capital_c(BoundQuery(n, rho))) * (1.0 - rho * rho)
+        if gap > worst_gap:
+            worst_gap, gap_at = gap, f"rho={rho:.3f}"
+    schwarz_pick = VerificationReport(
+        "schwarz_pick_probe",
+        n,
+        (
+            CheckResult("bound_dominates", worst_margin <= 1e-9, worst_margin, worst_at),
+            CheckResult("sup_ratio", True, max_ratio, ratio_at),
+            CheckResult("extremal_attains_pointwise_bound", worst_gap <= 1e-6, worst_gap, gap_at),
+        ),
+    )
+    conjecture = VerificationReport(
+        "conjecture_probe",
+        n,
+        (
+            CheckResult("max_ratio", True, top, at),
+            CheckResult("no_counterexample", top <= 1.0 + 1e-9, top - 1.0, at, expected=(n >= 4)),
+        ),
+    )
+    return schwarz_pick, conjecture
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12, 44])
+@pytest.mark.parametrize("samples, seed", [(200, 7), (25, 1), (25, 2), (40, 11)])
+def test_each_probe_report_equals_a_loop_over_the_batch(n, samples, seed):
+    # the probes' array expressions against plain loops over the same batch:
+    # every margin bit for bit, and the first worst entry in radius-major
+    # order as its label
+    harmonic._probe_batch.cache_clear()
+    schwarz_pick, conjecture = _loop_reports(n, samples, seed)
+    assert probe_schwarz_pick(n, samples, seed=seed) == schwarz_pick
+    if n != 3:
+        assert probe_conjecture(n, samples, seed=seed) == conjecture
+
+
+def test_worst_entry_is_the_first_in_radius_major_order():
+    # ties: the loops keep the first strict maximum, radius by radius and
+    # sample by sample within a radius
+    entries = np.array([[0.0, 2.0, 2.0], [2.0, 1.0, 0.0]])
+    assert harmonic._worst(entries, (0.1, 0.2)) == (2.0, "sample=1,rho=0.100")
+    assert harmonic._worst(entries[::-1], (0.1, 0.2)) == (2.0, "sample=0,rho=0.100")

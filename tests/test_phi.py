@@ -525,18 +525,44 @@ class TestFiniteDifferenceRoute:
 )
 @example(n=4, rhos=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], rng=random.Random(4))
 def test_fd_batch_entries_agree_with_their_one_radius_calls(n, rhos, rng):
-    # in input order, unsorted and with duplicates.  Not bit for bit: a
-    # profile value of phi_quad_grid depends in its last bits on the other
-    # radii of its call (ROADMAP item 6(a)), and 4/h^2 magnifies that, so
-    # each entry must agree within the smaller of the two error estimates
+    # in input order, unsorted and with duplicates.  Bit for bit: every
+    # profile value of phi_quad_grid is that of its one-radius call, so the
+    # difference quotients, which magnify its last bits by 4/h^2, are too
     radii = [*rhos, *rhos[:2]]
     rng.shuffle(radii)
     batch = phi_second_fd(n, radii)
     assert len(batch) == len(radii)
     for rho, e in zip(radii, batch):
-        single = phi_second_fd(n, rho)
-        assert (e.n, e.rho, e.method) == (single.n, single.rho, single.method)
-        assert abs(e.value - single.value) <= min(e.error_estimate, single.error_estimate)
+        assert e == phi_second_fd(n, rho)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4, 5, 12, 44]),
+    rhos=st.lists(st.floats(0.0, 1.0), max_size=12),
+    rng=st.randoms(use_true_random=False),
+)
+@example(n=4, rhos=np.linspace(0.0, 1.0, 12).tolist(), rng=random.Random(7))
+def test_grid_entries_equal_their_one_radius_calls(n, rhos, rng):
+    # unsorted, with duplicates, both ends and 140 radii besides, so that
+    # the entries span two passes of phi_quad_grid: each value and estimate
+    # must have the bits of the radius's own call
+    radii = [*rhos, *rhos[:2], 0.0, 1.0, *np.linspace(0.0, 0.99, 140).tolist()]
+    rng.shuffle(radii)
+    values, estimates = phi_quad_grid(n, radii)
+    for rho, value, estimate in zip(radii, values.tolist(), estimates.tolist()):
+        assert (value, estimate) == tuple(part[0] for part in phi_quad_grid(n, [rho]))
+
+
+@pytest.mark.parametrize("n, rho", [(101, 0.9999999), (100, 1.0)])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_profile_values_are_refused(n, rho):
+    # the kernel factor overflows near rho = 1 in high dimension: both
+    # quadrature routes raise rather than return inf
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        phi_quad(n, rho)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        phi_quad_grid(n, [0.5, rho])
 
 
 def _scalar_psi(n, t):

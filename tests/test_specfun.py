@@ -530,6 +530,17 @@ class TestAbsKernelCoefficient:
 class TestKernelMomentQuadrature:
     """The grouped brute-force moments behind ``kernel_moment_closed_form``."""
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 44])
+    def test_entries_equal_their_one_case_calls(self, n):
+        # the cases of the identities sweep, each a group of one
+        # quadrature.kink_integrals call: every value and estimate must have
+        # the bits of the case's own call
+        lams = sorted({0.5, 1.5, 0.5 * (n - 2)})
+        cases = [(lam, k, s) for lam in lams for k in range(2, 11) for s in np.linspace(-0.8, 0.8, 5).tolist()]
+        values, estimates = _kernel_moment_quadrature(cases)
+        for case, value, estimate in zip(cases, values.tolist(), estimates.tolist()):
+            assert (value, estimate) == tuple(part[0] for part in _kernel_moment_quadrature([case]))
+
     def test_match_mpmath(self):
         # one batch mixing parameters, degrees and kinks, so that every group
         # must keep its own degree; checked against 30-digit tanh-sinh in x
