@@ -28,6 +28,7 @@ from .harmonic import (
     extremal_sign_datum,
     hemisphere_datum,
     poisson_kernel,
+    probe_batch,
     probe_conjecture,
     probe_schwarz_pick,
     radial_derivative,

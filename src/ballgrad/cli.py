@@ -125,9 +125,10 @@ def _cmd_extremal(args):
 
 
 def _cmd_probe(args):
-    reports = [harmonic.probe_schwarz_pick(args.n, args.samples, seed=args.seed)]
+    batch = harmonic.probe_batch(args.n, args.samples, args.seed)
+    reports = [harmonic.probe_schwarz_pick(batch)]
     if args.n != 3:
-        reports.append(harmonic.probe_conjecture(args.n, args.samples, seed=args.seed))
+        reports.append(harmonic.probe_conjecture(batch))
     return _report_result(merge_reports("probe", args.n, reports))
 
 

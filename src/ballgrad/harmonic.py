@@ -11,9 +11,9 @@ the harmonic extension of data bounded by 1 is itself bounded by 1.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
     "extremal_sign_datum",
     "sharp_radial_sup",
     "random_zonal_data",
+    "PROBE_RADII",
+    "probe_batch",
     "probe_schwarz_pick",
     "probe_conjecture",
     "verify_theorem_b",
@@ -219,33 +221,41 @@ def random_zonal_data(seed: int, pieces: int) -> ZonalBoundaryData:
     return _random_zonal_from_rng(_seeded_rng(seed), pieces)
 
 
-# one entry: the two probes of one command share a single batch, computed
-# under the quadrature default in force when it is built.  Typed, so that
-# a float seed equal to a cached integer one is still checked.
-@functools.lru_cache(maxsize=1, typed=True)
-def _probe_batch(n: int, seed: int, samples: int, radii: tuple[float, ...]):
-    """All band-engine work of a probe command, memoised for the last (n,
-    seed, samples, radii).  The data are the hemisphere datum, then seeded
-    random data of mixed widths; the batch's rows, on one band matrix and
-    node table (:func:`_band_matrix`), are the data and then the extremal
-    sign datum of every radius.  Returns ``(data, slopes, slope_estimates,
-    values, value_estimates)``: ``slopes[j, i]`` is row i's radial
-    derivative at radius j and ``values[j, i]`` its Poisson value (None at
-    n = 3, where the conjecture probe does not run), with one engine
-    estimate per radius.  The callers share these read-only arrays."""
+# The radii every probe sweeps: 11 from the origin to 0.9.
+PROBE_RADII = tuple(float(rho) for rho in np.linspace(0.0, 0.9, 11))
+
+
+class ProbeBatch(NamedTuple):
+    """The band-engine work of a probe command (:func:`probe_batch`).
+    ``slopes[j, i]`` and ``values[j, i]`` are row i's radial derivative and
+    Poisson value (None at n = 3) at ``PROBE_RADII[j]``, with one engine
+    estimate per radius; the rows are ``data``, then every radius's
+    extremal sign datum."""
+
+    n: int
+    data: tuple[ZonalBoundaryData, ...]
+    slopes: np.ndarray
+    slope_estimates: np.ndarray
+    values: np.ndarray | None
+    value_estimates: np.ndarray | None
+
+
+def probe_batch(n: int, samples: int, seed: int) -> ProbeBatch:
+    """The batch both probes of a command reduce: the hemisphere datum and
+    ``samples - 1`` seeded random data, on one band matrix and node table
+    (:func:`_band_matrix`), with one engine call per kernel and radius under
+    the quadrature default in force at the call."""
+    n = check_dim(n, 2)
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = _seeded_rng(seed)
     data = (hemisphere_datum(), *(_random_zonal_from_rng(rng, int(rng.integers(1, 9))) for _ in range(samples - 1)))
-    band_values, table = _band_matrix(n, [*data, *(extremal_sign_datum(n, rho) for rho in radii)])
+    band_values, table = _band_matrix(n, [*data, *(extremal_sign_datum(n, rho) for rho in PROBE_RADII)])
 
-    def integrals(kernel):
-        parts = zip(*(_band_extension(kernel, n, rho, band_values, table) for rho in radii))
-        rows, estimates = (np.array(part) for part in parts)
-        rows.flags.writeable = estimates.flags.writeable = False
-        return rows, estimates
+    def sweep(kernel):
+        return map(np.array, zip(*(_band_extension(kernel, n, rho, band_values, table) for rho in PROBE_RADII)))
 
-    return data, *integrals(radial_derivative_kernel), *((None, None) if n == 3 else integrals(poisson_kernel))
+    return ProbeBatch(n, data, *sweep(radial_derivative_kernel), *((None, None) if n == 3 else sweep(poisson_kernel)))
 
 
 def _worst(entries, radii):
@@ -255,22 +265,7 @@ def _worst(entries, radii):
     return entries[j, i], f"sample={i},rho={radii[j]:.3f}"
 
 
-def _probe_radii(rho_grid):
-    """The probe radii as a tuple of floats, each checked to lie in [0, 1)."""
-    if rho_grid is None:
-        rho_grid = np.linspace(0.0, 0.9, 11)
-    radii = tuple(AxisPoint(float(rho)).rho for rho in rho_grid)
-    if not radii:
-        raise ValueError("rho_grid must hold at least one radius")
-    return radii
-
-
-def probe_schwarz_pick(
-    n: int,
-    samples: int = 200,
-    rho_grid=None,
-    seed: int = 0,
-) -> VerificationReport:
+def probe_schwarz_pick(batch: ProbeBatch) -> VerificationReport:
     """Monte-Carlo sweep of the gradient bound over random zonal data.
 
     For every sampled datum and radius the scaled gradient
@@ -278,15 +273,10 @@ def probe_schwarz_pick(
     slack for quadrature); the per-radius extremal sign datum must attain
     the pointwise bound of :func:`ballgrad.bounds.capital_c`.
 
-    The slopes come from the command's batch (:func:`_probe_batch`), whose
-    rows are the samples followed by the extremal datum of every radius;
-    at radius j the row after the samples' j-th is the attained value.
-    Each check reports its first worst entry in radius-major order.  An
-    empty ``rho_grid`` raises ``ValueError``.
+    At radius j the batch's row after the samples' j-th is the attained
+    value.  Each check reports its first worst entry in radius-major order.
     """
-    n = check_dim(n, 2)
-    radii = _probe_radii(rho_grid)
-    data, slopes, _, _, _ = _probe_batch(n, seed, samples, radii)
+    n, data, slopes, radii = batch.n, batch.data, batch.slopes, PROBE_RADII
     scale = 1.0 - np.square(radii)
     const = np.array([bounds.gradient_bound(n, rho) for rho in radii]) * scale
     lhs = np.abs(slopes[:, : len(data)]) * scale[:, None]
@@ -303,12 +293,7 @@ def probe_schwarz_pick(
     return VerificationReport("schwarz_pick_probe", n, checks)
 
 
-def probe_conjecture(
-    n: int,
-    samples: int = 200,
-    rho_grid=None,
-    seed: int = 0,
-) -> VerificationReport:
+def probe_conjecture(batch: ProbeBatch) -> VerificationReport:
     """Search for data violating the self-improving form of the bound, in
     which 1 - u(x)^2 replaces the constant budget 1.
 
@@ -317,21 +302,15 @@ def probe_conjecture(
     report); for n = 2 the refined disk inequality is a theorem and a
     violation fails the report.  Dimension three is excluded.
 
-    The data's slopes and Poisson values come from the command's batch
-    (:func:`_probe_batch`), shared with :func:`probe_schwarz_pick`, so this
-    probe integrates nothing; it reports the first largest ratio in
-    radius-major order.  An empty ``rho_grid`` raises ``ValueError``.
+    Reports the first largest ratio in radius-major order.
     """
-    n = check_dim(n, 2)
+    n, m = batch.n, len(batch.data)
     if n == 3:
         raise ValueError("the probe applies to n = 2 or n >= 4")
-    radii = _probe_radii(rho_grid)
-    data, slopes, _, values, _ = _probe_batch(n, seed, samples, radii)
-    u = values[:, : len(data)]
-    scale = (1.0 - np.square(radii))[:, None]
-    ratios = np.abs(slopes[:, : len(data)]) * scale / ((1.0 - u * u) * bounds.schwarz_pick_constant(n))
-    max_ratio, at = _worst(ratios, radii)
-
+    u = batch.values[:, :m]
+    scale = (1.0 - np.square(PROBE_RADII))[:, None]
+    ratios = np.abs(batch.slopes[:, :m]) * scale / ((1.0 - u * u) * bounds.schwarz_pick_constant(n))
+    max_ratio, at = _worst(ratios, PROBE_RADII)
     checks = (
         CheckResult("max_ratio", True, max_ratio, at),
         CheckResult("no_counterexample", max_ratio <= 1.0 + 1e-9, max_ratio - 1.0, at, expected=(n >= 4)),

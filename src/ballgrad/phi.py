@@ -62,6 +62,9 @@ _SERIES_PASS = 64
 # pass stay small, many enough that numpy does the work.
 _GRID_BLOCK = 128
 
+# Grid points of each verification sweep.
+_SWEEP_POINTS = 1001
+
 # Quadrature at the binary64 floor, for differences of profile values.
 _TIGHT_SPEC = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
 
@@ -103,7 +106,8 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
         return np.abs(t - s) * (1.0 - 2.0 * t * rho + rho * rho) ** (-d_exp)
 
     qspec = replace(spec if spec is not None else quadrature.DEFAULT_SPEC, kinks=(s,))
-    res = integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        res = integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
     if not (math.isfinite(res.value) and math.isfinite(res.error_estimate)):
         raise ConvergenceError(_NON_FINITE, res.value, res.error_estimate)
     return PhiEvaluation(n, rho, res.value, "quad", res.error_estimate)
@@ -128,7 +132,8 @@ def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None):
     if rho.ndim != 1 or rho.size == 0 or not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError("rhos must be a non-empty sequence in [0, 1]")
     blocks = (rho[i : i + _GRID_BLOCK] for i in range(0, rho.size, _GRID_BLOCK))
-    values, estimates = (np.concatenate(part) for part in zip(*(_phi_quad_block(n, block, spec) for block in blocks)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values, estimates = (np.concatenate(part) for part in zip(*(_phi_quad_block(n, b, spec) for b in blocks)))
     if not (np.isfinite(values).all() and np.isfinite(estimates).all()):
         raise ConvergenceError(_NON_FINITE, values, estimates)
     return values, estimates
@@ -525,7 +530,7 @@ def technical_gap(n: int, t) -> float | list[float]:
     return _one_or_list(_varphi_hyp2f1(n, ts)[1] - _technical_rhs(n, ts), single)
 
 
-def verify_monotone(n: int, grid_size: int = 1001) -> VerificationReport:
+def verify_monotone(n: int) -> VerificationReport:
     """Monotonicity sweep of the profile on a uniform grid of [0, 1].
 
     Asserts strict decrease with maximum 2/(n-1) at the origin for n >= 4,
@@ -534,9 +539,7 @@ def verify_monotone(n: int, grid_size: int = 1001) -> VerificationReport:
     to stay clear of float noise.
     """
     n = check_dim(n, 3)
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, _SWEEP_POINTS)
     values = phi_quad_grid(n, grid)[0].tolist()
 
     checks = []
@@ -572,7 +575,7 @@ def verify_monotone(n: int, grid_size: int = 1001) -> VerificationReport:
     return VerificationReport("monotone", n, tuple(checks))
 
 
-def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
+def verify_concavity(n: int) -> VerificationReport:
     """Concavity sweep of the profile on an interior grid of (0, 1).
 
     The sweep runs through :func:`phi_second` in every dimension.  For
@@ -582,9 +585,7 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     route agreement compares the series and finite-difference routes only.
     """
     n = check_dim(n, 3)
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    grid = (np.arange(1, grid_size + 1)) / (grid_size + 1.0)
+    grid = (np.arange(1, _SWEEP_POINTS + 1)) / (_SWEEP_POINTS + 1.0)
     agree_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     # the sweep and, at n >= 4, the closed route's agreement values in one
     # routed call; the series route's agreement values in one more
@@ -620,7 +621,7 @@ def verify_concavity(n: int, grid_size: int = 1001) -> VerificationReport:
     return VerificationReport("concavity", n, tuple(checks))
 
 
-def verify_technical(n: int, grid_size: int = 1001) -> VerificationReport:
+def verify_technical(n: int) -> VerificationReport:
     """Sweep of the auxiliary inequality on a uniform grid of [0, 1].
 
     Both sides coincide at t = 0, so strictness is asserted on the positive
@@ -629,9 +630,7 @@ def verify_technical(n: int, grid_size: int = 1001) -> VerificationReport:
     positive; for n = 3 the gap has the opposite sign.
     """
     n = check_dim(n, 3)
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, _SWEEP_POINTS)
     # one hypergeometric value per grid point serves both the gap and psi,
     # all of them from one batched call
     phs, f_vals = _varphi_hyp2f1(n, grid)

@@ -596,7 +596,7 @@ def _hyp_derivative_check(n: int) -> CheckResult:
     return worst_error_check("hypergeometric_derivative_identity", errors, 1e-6)
 
 
-def verify_identities(n: int = 5) -> VerificationReport:
+def verify_identities(n: int) -> VerificationReport:
     """Run the classical-identity sweeps at dimension ``n`` where one enters."""
     n = check_dim(n, 3)
     checks = (

@@ -18,6 +18,7 @@ from ballgrad.cli import _constants_payload
 from ballgrad.harmonic import (
     AxisPoint,
     extremal_gradient_at_origin,
+    probe_batch,
     probe_conjecture,
     probe_schwarz_pick,
     sharp_radial_sup,
@@ -214,7 +215,7 @@ def test_criterion_10_monte_carlo_dominance():
     all_ok = True
     details = []
     for n in (2, 3, 4, 5):
-        report = probe_schwarz_pick(n, samples=200, seed=7)
+        report = probe_schwarz_pick(probe_batch(n, 200, 7))
         checks = {c.name: c for c in report.checks}
         dom = checks["bound_dominates"]
         att = checks["extremal_attains_pointwise_bound"]
@@ -224,10 +225,10 @@ def test_criterion_10_monte_carlo_dominance():
 
 
 def test_criterion_11_conjecture_probe():
-    rep2 = probe_conjecture(2, samples=200, seed=7)
+    rep2 = probe_conjecture(probe_batch(2, 200, 7))
     checks2 = {c.name: c for c in rep2.checks}
     no_cx2 = checks2["no_counterexample"]
-    rep5 = probe_conjecture(5, samples=100, seed=7)
+    rep5 = probe_conjecture(probe_batch(5, 100, 7))
     checks5 = {c.name: c for c in rep5.checks}
     ratio5 = checks5["max_ratio"].worst_margin
     ok = no_cx2.passed and math.isfinite(ratio5)

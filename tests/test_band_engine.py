@@ -17,6 +17,7 @@ from ballgrad.harmonic import (
     extremal_sign_datum,
     hemisphere_datum,
     poisson_kernel,
+    probe_batch,
     probe_schwarz_pick,
     radial_derivative,
     radial_derivative_kernel,
@@ -297,11 +298,10 @@ def test_relative_tolerance_reaches_near_the_boundary(rho):
 
 class TestBudget:
     # the engine takes its budget from the one default the quadrature
-    # module owns; a batch the probes cached under another budget is dropped
+    # module owns
     @pytest.fixture(autouse=True)
     def one_split(self, monkeypatch):
         monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
-        harmonic._probe_batch.cache_clear()
 
     def test_radial_derivative_raises(self):
         with pytest.raises(ConvergenceError):
@@ -309,7 +309,7 @@ class TestBudget:
 
     def test_probe_raises(self):
         with pytest.raises(ConvergenceError):
-            probe_schwarz_pick(12, samples=1, rho_grid=[0.9])
+            probe_schwarz_pick(probe_batch(12, 1, 0))
 
     def test_probe_exits_two(self, capsys):
         # the command's batch integrates the slopes before any pointwise

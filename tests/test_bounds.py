@@ -19,6 +19,7 @@ from ballgrad.harmonic import (
     AxisPoint,
     extremal_gradient_at_origin,
     hemisphere_datum,
+    probe_batch,
     probe_conjecture,
     probe_schwarz_pick,
     radial_derivative,
@@ -214,8 +215,9 @@ _ENTRIES = [
     ("radial_derivative", lambda n: radial_derivative(n, hemisphere_datum(), AxisPoint(0.3)), 2),
     ("extremal_gradient_at_origin", extremal_gradient_at_origin, 2),
     ("sharp_radial_sup", lambda n: sharp_radial_sup(n, AxisPoint(0.3)), 2),
-    ("probe_schwarz_pick", lambda n: probe_schwarz_pick(n, samples=2), 2),
-    ("probe_conjecture", lambda n: probe_conjecture(n, samples=2), 2),
+    # the probes take n from their batch, which checks it
+    ("probe_schwarz_pick", lambda n: probe_schwarz_pick(probe_batch(n, 2, 0)), 2),
+    ("probe_conjecture", lambda n: probe_conjecture(probe_batch(n, 2, 0)), 2),
     ("verify_theorem_b", verify_theorem_b, 2),
     ("zonal_sphere_integral", lambda n: zonal_sphere_integral(np.ones_like, n), 2),
     ("zonal_weight_normalization", zonal_weight_normalization, 2),

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from ballgrad import cli, harmonic, phi, quadrature
+from ballgrad import cli, phi, quadrature
 from ballgrad.cli import main
 from ballgrad.errors import ConvergenceError
 from ballgrad.quadrature import QuadratureSpec
@@ -320,7 +320,7 @@ class TestVerify:
         # a wrapper bound on the module after import (a tracer's) is the one that runs
         calls = []
         original = phi.verify_monotone
-        monkeypatch.setattr(phi, "verify_monotone", lambda n: calls.append(n) or original(n, grid_size=3))
+        monkeypatch.setattr(phi, "verify_monotone", lambda n: calls.append(n) or original(n))
         code, _, _ = run_cli(capsys, "verify", "--n", "4", "--suite", "all")
         assert code == 0
         assert calls == [4]
@@ -404,7 +404,6 @@ class TestBound:
         assert payload["khavinson_radial_if_n3"] == pytest.approx(2.0137017762354946, rel=1e-12)
         assert payload["pw_over_1mr"] == pytest.approx(3.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [["bound", "--n", "101", "--rho", "0.9999999"], ["verify", "--n", "100", "--suite", "monotone"]],
@@ -415,6 +414,22 @@ class TestBound:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.endswith("error: profile quadrature gave a non-finite value or error estimate\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--n", "101", "--rho", "0.9999999"],
+            ["verify", "--n", "100", "--suite", "monotone"],
+            ["bound", "--n", "150", "--rho", "0.999"],
+        ],
+    )
+    def test_numerical_failure_writes_one_stderr_line(self, capsys, argv):
+        # the profile quadratures overflow, or meet nan, on the way to their
+        # refusal; numpy warns of none of it, so the error line is all
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--n", "5", "--rho", "0.0")
@@ -533,14 +548,24 @@ class TestErrors:
     )
     def test_every_route_reads_the_default_spec(self, capsys, monkeypatch, argv):
         # the quadrature module owns the default settings; a budget of one
-        # split set there must reach the profile, engine and sphere routes,
-        # none of them read from the probes' cached batch
+        # split set there must reach the profile, engine and sphere routes
         monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
-        harmonic._probe_batch.cache_clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "did not meet its tolerance within 1 subdivisions" in err
+
+    def test_a_default_spec_set_between_two_probes_is_seen(self, capsys, monkeypatch):
+        # the second command runs the same probe under a budget of one split,
+        # too few at n = 44.  Its batch must integrate anew, before any
+        # pointwise bound, so the band engine is the one that runs out; the
+        # first command's values must not be reused
+        argv = ("probe", "--n", "44", "--samples", "1")
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: band quadrature did not meet its tolerance within 1 subdivisions")
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

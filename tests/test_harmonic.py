@@ -20,6 +20,7 @@ from ballgrad.harmonic import (
     extremal_sign_datum,
     hemisphere_datum,
     poisson_kernel,
+    probe_batch,
     probe_conjecture,
     probe_schwarz_pick,
     radial_derivative,
@@ -244,12 +245,12 @@ class TestRandomZonalData:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             random_zonal_data(-1, 3)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            harmonic._probe_batch(4, -1, 3, (0.0,))
+            probe_batch(4, 3, -1)
 
 
 class TestProbes:
     def test_schwarz_pick_probe_passes(self):
-        report = probe_schwarz_pick(4, samples=20, seed=7)
+        report = probe_schwarz_pick(probe_batch(4, 20, 7))
         assert report.passed
         names = [c.name for c in report.checks]
         assert names == ["bound_dominates", "sup_ratio", "extremal_attains_pointwise_bound"]
@@ -259,71 +260,67 @@ class TestProbes:
         assert sup.at == "sample=0,rho=0.000"
 
     def test_schwarz_pick_probe_dimension_three_strict(self):
-        report = probe_schwarz_pick(3, samples=15, seed=7)
+        report = probe_schwarz_pick(probe_batch(3, 15, 7))
         assert report.passed
         sup = next(c for c in report.checks if c.name == "sup_ratio")
         assert sup.worst_margin < 1.0  # strictness: the constant is never attained
 
     def test_schwarz_pick_probe_disk(self):
-        assert probe_schwarz_pick(2, samples=15, seed=7).passed
+        assert probe_schwarz_pick(probe_batch(2, 15, 7)).passed
 
     def test_conjecture_probe_dimension_two_is_theorem(self):
-        report = probe_conjecture(2, samples=25, seed=3)
+        report = probe_conjecture(probe_batch(2, 25, 3))
         assert report.passed
         no_cx = next(c for c in report.checks if c.name == "no_counterexample")
         assert no_cx.passed and not no_cx.expected
 
     def test_conjecture_probe_observational_high_dimension(self):
-        report = probe_conjecture(5, samples=25, seed=3)
+        report = probe_conjecture(probe_batch(5, 25, 3))
         no_cx = next(c for c in report.checks if c.name == "no_counterexample")
         assert no_cx.expected  # a violation would be recorded, not an error
         ratio = next(c for c in report.checks if c.name == "max_ratio")
         assert 0.0 < ratio.worst_margin <= 1.0 + 1e-9
 
     def test_conjecture_probe_rejects_dimension_three(self):
+        batch = probe_batch(3, 5, 0)
         with pytest.raises(ValueError):
-            probe_conjecture(3, samples=5, seed=0)
-
-    @pytest.mark.parametrize("probe", [probe_schwarz_pick, probe_conjecture])
-    def test_empty_radius_grid_is_refused(self, probe):
-        # no radius means no evidence: a pass would be a silent verdict
-        with pytest.raises(ValueError, match="rho_grid"):
-            probe(4, samples=3, rho_grid=[])
+            probe_conjecture(batch)
 
     def test_probes_of_one_command_share_one_draw(self, capsys, monkeypatch):
-        cached, seeded = harmonic._probe_batch, harmonic._seeded_rng
-        batches = []
-        draws = []
+        # a command builds one batch from one draw and hands that batch to
+        # both probes; a new command draws anew and prints the same bytes
+        built, seeded = harmonic.probe_batch, harmonic._seeded_rng
+        batches, draws, reduced = [], [], []
 
-        def recording(*args):
-            batches.append(cached(*args))
+        def building(*args):
+            batches.append(built(*args))
             return batches[-1]
 
         def drawing(seed):
             draws.append(seed)
             return seeded(seed)
 
-        monkeypatch.setattr(harmonic, "_probe_batch", recording)
+        def reducing(probe):
+            return lambda batch: reduced.append(batch) or probe(batch)
+
+        monkeypatch.setattr(harmonic, "probe_batch", building)
         monkeypatch.setattr(harmonic, "_seeded_rng", drawing)
-        cached.cache_clear()
+        for name in ("probe_schwarz_pick", "probe_conjecture"):
+            monkeypatch.setattr(harmonic, name, reducing(getattr(harmonic, name)))
         argv = ["probe", "--n", "4", "--samples", "5", "--seed", "11"]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert len(batches) == 2 and batches[0] is batches[1] and draws == [11]
+        assert len(batches) == 1 and draws == [11] and len(reduced) == 2
+        assert reduced[0] is reduced[1] is batches[0]
         assert main([*argv[:-1], "12"]) == 0
-        assert batches[2] is not batches[0] and draws == [11, 12]
-        # the cache holds one batch: the second seed evicted the first, which
-        # is drawn again, equal to it, and prints the same bytes
         assert main(argv) == 0
-        assert batches[4] is not batches[0] and draws == [11, 12, 11]
-        assert batches[4][0] == batches[0][0] and np.array_equal(batches[4][1], batches[0][1])
-        assert cached.cache_info().currsize == 1
+        assert draws == [11, 12, 11] and len(batches) == 3 and reduced[-1] is batches[2]
         assert capsys.readouterr().out.endswith(first)
 
     def test_hemisphere_equality_case(self):
         # ratio exactly 1 at the origin: u(0) = 0 and the gradient attains
         # the constant
-        report = probe_conjecture(4, samples=1, seed=0)
+        report = probe_conjecture(probe_batch(4, 1, 0))
         ratio = next(c for c in report.checks if c.name == "max_ratio")
         assert ratio.worst_margin == pytest.approx(1.0, abs=1e-9)
 
@@ -358,6 +355,9 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+RADII = tuple(float(rho) for rho in np.linspace(0.0, 0.9, 11))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -371,59 +371,81 @@ def _hex(values):
 def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho):
     # the probes' batch: one band matrix and node table of the data and
     # every radius's extremal datum, reused across kernels and radii, must
-    # give every value bit for bit as a batch built anew for each call,
-    # and its slopes and Poisson values (none at n = 3) must be those values
-    radii = (rho, 0.0, 0.9)
-    probe_data, *batch = harmonic._probe_batch(n, seed, samples, radii)
-    data = _batch_rows(n, probe_data, radii)
+    # give every value bit for bit as a batch built anew for each call.
+    # Its slopes and Poisson values (none at n = 3) at the probe radii must
+    # be those values, and so must its band product at the drawn radius
+    batch = probe_batch(n, samples, seed)
+    data = _batch_rows(n, batch.data, RADII)
     band_values, table = harmonic._band_matrix(n, data)
     kernels = (radial_derivative_kernel, poisson_kernel)
-    for kernel, rows, estimates in zip(kernels, batch[0::2], batch[1::2]):
+    for kernel, rows, estimates in zip(kernels, batch[2::2], batch[3::2]):
         assert (rows is None) == (kernel is poisson_kernel and n == 3)
-        for j, r in enumerate(radii):
-            want, want_estimate = _per_batch_extension(kernel, n, data, r)
-            if rows is not None:
+        if rows is not None:
+            for j, r in enumerate(RADII):
+                want, want_estimate = _per_batch_extension(kernel, n, data, r)
                 assert _hex(rows[j]) == _hex(want) and estimates[j] == want_estimate
-            assert _hex(harmonic._band_extension(kernel, n, r, band_values, table)[0]) == _hex(want)
-            assert _hex(harmonic._zonal_extension(kernel, n, data, r)) == _hex(want)
+        want, _ = _per_batch_extension(kernel, n, data, rho)
+        assert _hex(harmonic._band_extension(kernel, n, rho, band_values, table)[0]) == _hex(want)
+        assert _hex(harmonic._zonal_extension(kernel, n, data, rho)) == _hex(want)
 
 
-RADII = tuple(float(rho) for rho in np.linspace(0.0, 0.9, 11))
+@pytest.fixture
+def engine_log(monkeypatch):
+    """Every node table the harmonic module builds and every band-engine
+    call it makes, as (bands of the table, whether probe_batch is running)."""
+    tables, calls, running = [], [], []
+    build = harmonic.probe_batch
 
+    def building(*args):
+        running.append(True)
+        try:
+            return build(*args)
+        finally:
+            running.pop()
 
-@pytest.mark.parametrize("n", [2, 3, 4, 12])
-def test_each_probe_builds_one_node_table(monkeypatch, n):
-    # either probe run first builds the batch's one node table, over the
-    # data's and every radius's extremal cuts; the other, run after it,
-    # builds none and integrates nothing, and no engine call builds its own.
-    # Per radius the batch makes one engine call for the slopes and, but at
-    # n = 3, one for the Poisson values: 22 calls a command, 11 at n = 3
-    full = harmonic._band_matrix(n, _batch_rows(n, harmonic._probe_batch(n, 3, 25, RADII)[0], RADII))[0].shape[1]
-    calls = len(RADII) * (1 if n == 3 else 2)
-    built = []
-    engine = []
-
-    def building(n, cuts, spec=None):
-        built.append(np.asarray(cuts).size + 1)
+    def tabling(n, cuts, spec=None):
+        tables.append((np.asarray(cuts).size + 1, bool(running)))
         return band_node_table(n, cuts, spec)
 
     def integrating(f, table, spec=None):
-        engine.append(len(table[4]) - 1)
+        calls.append((len(table[4]) - 1, bool(running)))
         return zonal_band_integrals(f, table, spec)
 
-    monkeypatch.setattr(harmonic, "band_node_table", building)
+    monkeypatch.setattr(harmonic, "probe_batch", building)
+    monkeypatch.setattr(harmonic, "band_node_table", tabling)
     monkeypatch.setattr(harmonic, "zonal_band_integrals", integrating)
-    orders = [(probe_schwarz_pick,)] if n == 3 else [
-        (probe_conjecture, probe_schwarz_pick),
-        (probe_schwarz_pick, probe_conjecture),
-    ]
-    for probes in orders:
-        harmonic._probe_batch.cache_clear()
-        built.clear()
-        engine.clear()
-        for probe in probes:
-            probe(n, samples=25, seed=3)
-            assert built == [full] and engine == [full] * calls
+    return tables, calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
+def test_each_probe_builds_one_node_table(engine_log, n):
+    # the batch builds its one node table, over the data's and every
+    # radius's extremal cuts, and per radius makes one engine call for the
+    # slopes and, but at n = 3, one for the Poisson values: 22 calls, 11 at
+    # n = 3.  Either probe then builds no table and integrates nothing
+    assert harmonic.PROBE_RADII == RADII
+    tables, calls = engine_log
+    batch = harmonic.probe_batch(n, 25, 3)
+    full = len(set().union(*(datum.breakpoints for datum in _batch_rows(n, batch.data, RADII)))) + 1
+    count = len(RADII) * (1 if n == 3 else 2)
+    assert tables == [(full, True)] and calls == [(full, True)] * count
+    for probe in (probe_schwarz_pick,) if n == 3 else (probe_conjecture, probe_schwarz_pick):
+        probe(batch)
+        assert len(tables) == 1 and len(calls) == count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
+def test_a_probe_command_integrates_only_in_its_batch(engine_log, monkeypatch, capsys, n):
+    # a command draws its data once, builds one node table and makes 22
+    # engine calls on it (11 at n = 3), every one inside probe_batch
+    tables, calls = engine_log
+    draws = []
+    seeded = harmonic._seeded_rng
+    monkeypatch.setattr(harmonic, "_seeded_rng", lambda seed: draws.append(seed) or seeded(seed))
+    assert main(["probe", "--n", str(n), "--samples", "25", "--seed", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    assert draws == [3] and len(tables) == 1 and len(calls) == len(RADII) * (1 if n == 3 else 2)
+    assert set(calls) == {tables[0]} and tables[0][1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12])
@@ -432,9 +454,9 @@ def test_probe_attains_the_sharp_radial_sup_at_every_radius(n):
     # it must agree with sharp_radial_sup, the datum's own single-cut
     # route, within the two engine estimates
     samples = 25
-    assert probe_schwarz_pick(n, samples=samples, seed=5).passed
-    _, slopes, estimates, _, _ = harmonic._probe_batch(n, 5, samples, RADII)
-    assert harmonic._probe_batch.cache_info().hits >= 1
+    batch = probe_batch(n, samples, 5)
+    assert probe_schwarz_pick(batch).passed
+    slopes, estimates = batch.slopes, batch.slope_estimates
     for j, rho in enumerate(RADII):
         cut = extremal_sign_datum(n, rho).breakpoints
         _, own_estimate = zonal_band_integrals(
@@ -450,18 +472,10 @@ def test_shared_batch_agrees_with_the_data_only_route(seed, samples, n):
     # the oracle is the conjecture probe's former cut set, made of its data
     # alone: both kernels' values on the shared batch, whose cuts add every
     # radius's extremal cut, must agree with it within the two estimates
-    harmonic._probe_batch.cache_clear()
-    alone = probe_conjecture(n, samples, seed=seed)
-    harmonic._probe_batch.cache_clear()
-    probe_schwarz_pick(n, samples, seed=seed)
-    hits = harmonic._probe_batch.cache_info().hits
-    assert probe_conjecture(n, samples, seed=seed) == alone
-    assert harmonic._probe_batch.cache_info().hits == hits + 1
-
-    data, *batch = harmonic._probe_batch(n, seed, samples, RADII)
-    for kernel, rows, estimates in zip((radial_derivative_kernel, poisson_kernel), batch[0::2], batch[1::2]):
+    batch = probe_batch(n, samples, seed)
+    for kernel, rows, estimates in zip((radial_derivative_kernel, poisson_kernel), batch[2::2], batch[3::2]):
         for j, rho in enumerate(RADII):
-            own, own_estimate = _per_batch_extension(kernel, n, data, rho)
+            own, own_estimate = _per_batch_extension(kernel, n, batch.data, rho)
             for value, want in zip(rows[j], own):
                 assert abs(value - want) <= estimates[j] + own_estimate
 
@@ -475,7 +489,8 @@ def test_probe_slack_exceeds_the_engine_error(n, samples, seed):
     # the slope and value estimates carry into each ratio
     # |du| (1 - rho^2) / ((1 - u^2) C_n), and so into their largest.  The
     # (samples, seed) pairs are those of the pinned commands.
-    data, slopes, slope_estimates, values, value_estimates = harmonic._probe_batch(n, seed, samples, RADII)
+    batch = probe_batch(n, samples, seed)
+    _, data, slopes, slope_estimates, values, value_estimates = batch
     sp = schwarz_pick_constant(n)
     worst_bound = 0.0
     ratios, errors = [], []
@@ -495,17 +510,17 @@ def test_probe_slack_exceeds_the_engine_error(n, samples, seed):
         return
     ratios, errors = np.array(ratios), np.array(errors)
     top = ratios.max()
-    assert probe_conjecture(n, samples, seed=seed).checks[0].worst_margin == top
+    assert probe_conjecture(batch).checks[0].worst_margin == top
     # a row whose ratio is far below the largest cannot move it, however
     # ill-conditioned (u near +-1): at n = 44 the hemisphere datum at
     # rho = 0.9 has 1 - u^2 ~ 2e-7 and carries ~1e-7 into its ratio 0.56
     assert max((ratios + errors).max() - top, top - (ratios - errors).max()) < 1e-9
 
 
-def _loop_reports(n, samples, seed):
+def _loop_reports(batch):
     """Both probe reports as per-sample loops form them, reading the batch's
     arrays one entry at a time and keeping the first strict maximum."""
-    data, slopes, _, values, _ = harmonic._probe_batch(n, seed, samples, RADII)
+    n, data, slopes, _, values, _ = batch
     m = len(data)
     worst_margin, worst_at, max_ratio, ratio_at, worst_gap, gap_at = -math.inf, "", -math.inf, "", 0.0, ""
     top, at = -math.inf, ""
@@ -551,11 +566,11 @@ def test_each_probe_report_equals_a_loop_over_the_batch(n, samples, seed):
     # the probes' array expressions against plain loops over the same batch:
     # every margin bit for bit, and the first worst entry in radius-major
     # order as its label
-    harmonic._probe_batch.cache_clear()
-    schwarz_pick, conjecture = _loop_reports(n, samples, seed)
-    assert probe_schwarz_pick(n, samples, seed=seed) == schwarz_pick
+    batch = probe_batch(n, samples, seed)
+    schwarz_pick, conjecture = _loop_reports(batch)
+    assert probe_schwarz_pick(batch) == schwarz_pick
     if n != 3:
-        assert probe_conjecture(n, samples, seed=seed) == conjecture
+        assert probe_conjecture(batch) == conjecture
 
 
 def test_worst_entry_is_the_first_in_radius_major_order():

@@ -555,7 +555,6 @@ def test_grid_entries_equal_their_one_radius_calls(n, rhos, rng):
 
 
 @pytest.mark.parametrize("n, rho", [(101, 0.9999999), (100, 1.0)])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_profile_values_are_refused(n, rho):
     # the kernel factor overflows near rho = 1 in high dimension: both
     # quadrature routes raise rather than return inf
@@ -657,31 +656,31 @@ class TestTechnicalGap:
 
 class TestVerifyMonotone:
     def test_decreasing_above_three(self):
-        report = verify_monotone(4, 400)
+        report = verify_monotone(4)
         assert report.passed
         names = {c.name for c in report.checks}
         assert "strictly_decreasing" in names
         assert "derivative_zero_at_origin" in names
 
     def test_increasing_at_three(self):
-        report = verify_monotone(3, 400)
+        report = verify_monotone(3)
         assert report.passed
         assert any(c.name == "strictly_increasing" for c in report.checks)
         assert any(c.name == "maximum_at_one" for c in report.checks)
 
     def test_high_dimension(self):
-        assert verify_monotone(12, 200).passed
+        assert verify_monotone(12).passed
 
 
 class TestVerifyConcavity:
     def test_concave_above_three(self):
-        report = verify_concavity(4, 200)
+        report = verify_concavity(4)
         assert report.passed
         neg = next(c for c in report.checks if c.name == "second_derivative_negative")
         assert neg.passed and not neg.expected
 
     def test_dimension_three_expected_failure(self):
-        report = verify_concavity(3, 200)
+        report = verify_concavity(3)
         assert report.passed  # failure is expected, not an error
         neg = next(c for c in report.checks if c.name == "second_derivative_negative")
         assert not neg.passed
@@ -689,24 +688,24 @@ class TestVerifyConcavity:
         assert neg.worst_margin > 0.0
 
     def test_dimension_ten(self):
-        assert verify_concavity(10, 150).passed
+        assert verify_concavity(10).passed
 
 
 class TestVerifyTechnical:
     def test_positive_gap_above_three(self):
-        report = verify_technical(4, 301)
+        report = verify_technical(4)
         assert report.passed
         assert any(c.name == "gap_positive" and c.passed for c in report.checks)
         assert any(c.name == "psi_positive" and c.passed for c in report.checks)
         assert any(c.name == "quadratic_positive" and c.passed for c in report.checks)
 
     def test_reversed_at_three(self):
-        report = verify_technical(3, 301)
+        report = verify_technical(3)
         assert report.passed
         assert any(c.name == "gap_reversed" and c.passed for c in report.checks)
 
     def test_high_dimension(self):
-        assert verify_technical(12, 301).passed
+        assert verify_technical(12).passed
 
 
 def test_quadrature_spec_passthrough():
