@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import check_dim
 from .phi import phi_quad
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "ball_volume",
@@ -81,15 +80,16 @@ class BoundQuery:
             raise ValueError("rho must lie in [0, 1)")
 
 
-def capital_c(query: BoundQuery, spec: QuadratureSpec | None = None) -> float:
-    """Pointwise-sharp gradient bound (n-1) m_{n-1}/m_n * Phi(rho)/(1-rho^2).
+def capital_c(query: BoundQuery) -> float:
+    """Pointwise-sharp gradient bound (n-1) m_{n-1}/m_n * Phi(rho)/(1-rho^2),
+    with Phi from :func:`ballgrad.phi.phi_quad` under ``quadrature.DEFAULT_SPEC``.
 
     At rho = 0 this equals :func:`schwarz_pick_constant`.  Defined for every
     n >= 2; at n = 2 the profile is constant and the bound reduces to the
     disk constant 4/pi over 1 - rho^2.
     """
     n, rho = query.n, query.rho
-    phi_val = phi_quad(n, rho, spec).value
+    phi_val = phi_quad(n, rho).value
     return (n - 1.0) * ball_volume(n - 1) / ball_volume(n) * phi_val / (1.0 - rho * rho)
 
 

@@ -16,10 +16,15 @@ class ConvergenceError(RuntimeError):
         self.error_estimate = error_estimate
 
 
+def check_count(value, minimum, message):
+    """``value`` as an int if it is a whole number >= ``minimum`` and not a
+    bool; otherwise ``ValueError(message)``, the same for a fraction, a
+    number below the minimum, NaN, +-inf and a bool."""
+    if isinstance(value, bool) or not minimum <= value < math.inf or value != int(value):
+        raise ValueError(message)
+    return int(value)
+
+
 def check_dim(n, minimum):
-    """``n`` as an int if it is a whole number >= ``minimum``; otherwise
-    ``ValueError("dimension must be an integer >= minimum")``, the same
-    message for a fraction, a number below the minimum, NaN and +-inf."""
-    if not minimum <= n < math.inf or n != int(n):
-        raise ValueError(f"dimension must be an integer >= {minimum}")
-    return int(n)
+    """:func:`check_count` with the message ``dimension must be an integer >= minimum``."""
+    return check_count(n, minimum, f"dimension must be an integer >= {minimum}")

@@ -11,14 +11,13 @@ the harmonic extension of data bounded by 1 is itself bounded by 1.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bounds
-from .errors import check_dim
+from .errors import check_count, check_dim
 from .quadrature import band_node_table, row_sums, zonal_band_integrals, zonal_sphere_integral
 from .report import CheckResult, VerificationReport, worst_error_check
 
@@ -123,8 +122,8 @@ def _band_matrix(n, data):
     on each band between cuts, so row i of the matrix holds datum i's band
     values, read at the band midpoints.  The node table
     (:func:`ballgrad.quadrature.band_node_table`, which checks n) is the
-    band engine's whole geometry in dimension n, shared by every kernel and
-    radius.
+    band engine's whole geometry in dimension n, and its quadrature spec,
+    shared by every kernel and radius.
     """
     cuts = np.array(sorted(set().union(*(datum.breakpoints for datum in data))))
     edges = np.concatenate(([-1.0], cuts, [1.0]))
@@ -208,16 +207,14 @@ def _random_zonal_from_rng(rng, pieces: int) -> ZonalBoundaryData:
 
 
 def _seeded_rng(seed):
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(check_count(seed, 0, "seed must be a non-negative integer"))
 
 
 def random_zonal_data(seed: int, pieces: int) -> ZonalBoundaryData:
     """Deterministic piecewise-constant datum; identical seeds give
-    identical data."""
-    if pieces < 1:
-        raise ValueError("need at least one piece")
+    identical data.  ``seed`` and ``pieces`` are whole numbers, at least 0
+    and 1 (:func:`ballgrad.errors.check_count`)."""
+    pieces = check_count(pieces, 1, "need at least one piece")
     return _random_zonal_from_rng(_seeded_rng(seed), pieces)
 
 
@@ -244,10 +241,10 @@ def probe_batch(n: int, samples: int, seed: int) -> ProbeBatch:
     """The batch both probes of a command reduce: the hemisphere datum and
     ``samples - 1`` seeded random data, on one band matrix and node table
     (:func:`_band_matrix`), with one engine call per kernel and radius under
-    the quadrature default in force at the call."""
+    the quadrature default in force at the call.  ``samples`` and ``seed``
+    are whole numbers, at least 1 and 0 (:func:`ballgrad.errors.check_count`)."""
     n = check_dim(n, 2)
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    samples = check_count(samples, 1, "need at least one sample")
     rng = _seeded_rng(seed)
     data = (hemisphere_datum(), *(_random_zonal_from_rng(rng, int(rng.integers(1, 9))) for _ in range(samples - 1)))
     band_values, table = _band_matrix(n, [*data, *(extremal_sign_datum(n, rho) for rho in PROBE_RADII)])

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import ConvergenceError, check_dim
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import _NON_FINITE, QuadratureSpec, integrate
 from .report import CheckResult, VerificationReport, worst_error_check
 from .specfun import HypergeometricInput, _one_or_list, _pow_each, _radii, hyp2f1
 
@@ -68,7 +68,8 @@ _SWEEP_POINTS = 1001
 # Quadrature at the binary64 floor, for differences of profile values.
 _TIGHT_SPEC = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
 
-_NON_FINITE = "profile quadrature gave a non-finite value or error estimate"
+# Width of the Richardson finite difference of phi_second_fd.
+_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,9 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
 
     The kink abscissa is declared to the quadrature, and the endpoint pieces
     run in the cosine-substituted variable, so rho = 1 (where the kernel
-    factor has an integrable endpoint singularity) is allowed.  A value or
-    estimate that is not finite (the kernel factor overflows near rho = 1
-    in high dimension) raises :class:`ConvergenceError`.
+    factor has an integrable endpoint singularity) is allowed.  A panel
+    that is not finite (the kernel factor overflows near rho = 1 in high
+    dimension) makes :func:`integrate` raise :class:`ConvergenceError`.
     """
     n = check_dim(n, 2)
     if not 0.0 <= rho <= 1.0:
@@ -108,8 +109,6 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
     qspec = replace(spec if spec is not None else quadrature.DEFAULT_SPEC, kinks=(s,))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         res = integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
-    if not (math.isfinite(res.value) and math.isfinite(res.error_estimate)):
-        raise ConvergenceError(_NON_FINITE, res.value, res.error_estimate)
     return PhiEvaluation(n, rho, res.value, "quad", res.error_estimate)
 
 
@@ -124,8 +123,8 @@ def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None):
     ``spec.rel_tol`` times the value and the roundoff floor), estimate and
     ``spec.max_subdivisions`` budget.  The radii run in passes of 128, so
     the panel arrays stay bounded, and every entry has the bits of its
-    one-radius call.  Non-finite results raise as in :func:`phi_quad`,
-    which stays the independent adaptive route.
+    one-radius call.  A non-finite panel or result raises
+    :class:`ConvergenceError`; :func:`phi_quad` stays the independent route.
     """
     n = check_dim(n, 2)
     rho = np.asarray(rhos, dtype=float)
@@ -325,7 +324,7 @@ def _varphi(n, t):
     return t * (1.0 - (n - 2.0) ** 2 * t / (n * n)) / (1.0 - (n - 4.0) * t / n)
 
 
-def phi_second_closed(n: int, rho, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> PhiEvaluation | list[PhiEvaluation]:
+def phi_second_closed(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
     """Second derivative of the profile by the hypergeometric closed form.
 
     Valid for n >= 3 and rho above :data:`SECOND_CLOSED_RHO_MIN`; below that
@@ -345,7 +344,7 @@ def phi_second_closed(n: int, rho, rel_tol: float = specfun.DEFAULT_SERIES_RTOL)
     w = 1.0 - (n - 2.0) ** 2 * r2 / (n * n)
     aa = 1.0 - (n - 4.0) * r2 / n
     z = r2 * w / aa
-    f_val = np.array(hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), z), rel_tol))
+    f_val = np.array(hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), z)))
     term1 = (1.0 - (n - 2.0) * (n - 3.0) * r2 / (n * n)) * aa
     term2 = (
         (1.0 - (n - 2.0) * (n - 3.0) * r2 / (n * (n - 1.0)))
@@ -355,7 +354,7 @@ def phi_second_closed(n: int, rho, rel_tol: float = specfun.DEFAULT_SERIES_RTOL)
     )
     prefactor = 2.0 * (n - 2.0) / r2 * _pow_each(w, 0.5 * (n - 3)) * _pow_each(aa, -0.5 * n)
     value = prefactor * (term1 - term2)
-    est = abs(prefactor) * (rel_tol * abs(term2) + 1e-16 * (abs(term1) + abs(term2)))
+    est = abs(prefactor) * (specfun.DEFAULT_SERIES_RTOL * abs(term2) + 1e-16 * (abs(term1) + abs(term2)))
     return _evaluations(n, r, single, value.tolist(), est.tolist(), "second_closed")
 
 
@@ -386,14 +385,14 @@ def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list
     return _evaluations(n, radii, single, values, omitted, "second_series")
 
 
-def phi_second_fd(n: int, rho, step: float = 1e-3) -> PhiEvaluation | list[PhiEvaluation]:
+def phi_second_fd(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
     """Second derivative by a Richardson-extrapolated central difference of
     the quadrature route.
 
-    Uses the symmetric second difference at widths ``step`` and ``step/2``
-    combined as (4 D(h/2) - D(h)) / 3; ``step`` must be finite and positive,
-    with rho + step <= 1.  The profile is even in rho, so points reflected
-    below the origin take the value at their mirror radius.  ``rho`` may be
+    Uses the symmetric second difference at widths h = 1e-3 and h/2
+    combined as (4 D(h/2) - D(h)) / 3, with rho + h <= 1.  The profile is
+    even in rho, so points reflected below the origin take the value at
+    their mirror radius.  ``rho`` may be
     one radius or a 1-D sequence of them; a sequence gives one evaluation
     per radius, in input order, and one radius is a batch of one.  The five
     abscissae of every radius go through one :func:`phi_quad_grid` call at
@@ -401,8 +400,7 @@ def phi_second_fd(n: int, rho, step: float = 1e-3) -> PhiEvaluation | list[PhiEv
     per-evaluation noise by 4/h^2.
     """
     n = check_dim(n, 2)
-    if not 0.0 < step < math.inf:
-        raise ValueError("step must be finite and positive")
+    step = _FD_STEP
     radii, single = _radii(rho, lambda r: (0.0 <= r) & (r <= 1.0 - step), "need rho + step <= 1")
     half = 0.5 * step
     abscissae = np.abs(np.stack((radii, radii + step, radii - step, radii + half, radii - half)))
@@ -440,7 +438,7 @@ def _unit_points(t):
     return _radii(t, lambda x: (0.0 <= x) & (x <= 1.0), "t must lie in [0, 1]")
 
 
-def psi(n: int, t, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> float | list[float]:
+def psi(n: int, t) -> float | list[float]:
     """Difference whose sign settles the auxiliary inequality.
 
     Vanishes at t = 0; positive on (0, 1) for n >= 4 and negative for n = 3,
@@ -451,15 +449,15 @@ def psi(n: int, t, rel_tol: float = specfun.DEFAULT_SERIES_RTOL) -> float | list
     """
     n = check_dim(n, 3)
     ts, single = _unit_points(t)
-    return _one_or_list(_psi_from(n, ts, *_varphi_hyp2f1(n, ts, rel_tol)), single)
+    return _one_or_list(_psi_from(n, ts, *_varphi_hyp2f1(n, ts)), single)
 
 
-def _varphi_hyp2f1(n, t, rel_tol=specfun.DEFAULT_SERIES_RTOL):
+def _varphi_hyp2f1(n, t):
     """varphi(n, t) and 2F1(1, n/2; (n+1)/2; varphi(n, t)) at an array of
     t, the values that :func:`psi` and :func:`technical_gap` share, as two
     arrays from one :func:`hyp2f1` call."""
     ph = _varphi(n, t)
-    return ph, np.array(hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), ph), rel_tol))
+    return ph, np.array(hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), ph)))
 
 
 def _psi_from(n, t, ph, f_val):
@@ -600,8 +598,9 @@ def verify_concavity(n: int) -> VerificationReport:
         routes.append(second[grid.size :])
 
     checks = []
-    worst = max(values)
+    # the first NaN, if any, is the worst value
     idx = int(np.argmax(values))
+    worst = values[idx]
     checks.append(
         CheckResult(
             "second_derivative_negative",
@@ -614,8 +613,7 @@ def verify_concavity(n: int) -> VerificationReport:
 
     errors = []
     for r, *at_r in zip(agree_grid, *routes):
-        scale = max(abs(v) for v in at_r)
-        errors.append(((max(at_r) - min(at_r)) / scale, f"rho={r}"))
+        errors.append((np.ptp(at_r) / np.max(np.abs(at_r)), f"rho={r}"))
     checks.append(worst_error_check("route_agreement", errors, 1e-6))
 
     return VerificationReport("concavity", n, tuple(checks))

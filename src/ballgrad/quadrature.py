@@ -15,11 +15,11 @@ A second, batched route serves integrands that are multiplied by
 piecewise-constant zonal data: :func:`zonal_band_integrals` integrates one
 kernel over every height band between given cuts in a few vectorised
 passes, so the integral of any datum constant on those bands is a row sum
-(:func:`row_sums`).  Its only geometry input is the cut set's node table
-(:func:`band_node_table`): the dimension and the Gauss-node geometry of
-every band, which do not depend on the kernel, so a caller that integrates
-several kernels or radii over one cut set builds it once.
-:func:`integrate` stays the independent adaptive route.
+(:func:`row_sums`).  Its only input besides the kernel is the cut set's
+node table (:func:`band_node_table`): the dimension, the Gauss-node
+geometry of every band and the spec, none of which depends on the kernel,
+so a caller that integrates several kernels or radii over one cut set
+builds it once.  :func:`integrate` stays the independent adaptive route.
 
 Integrands must accept numpy arrays and evaluate elementwise.  Everything in
 this module is pure and re-entrant.
@@ -58,6 +58,8 @@ _MIN_TOL = 1e-15
 # cannot reduce it, so it is added to the reported estimate, and an
 # integral whose summed gap is already below the summed floor stops.
 _EST_FLOOR = 2.0 ** -48
+
+_NON_FINITE = "quadrature gave a non-finite value or error estimate"
 
 
 def _is_count(value) -> bool:
@@ -178,7 +180,7 @@ def integrate(
     that no further split can lower.
 
     Raises :class:`ConvergenceError`, carrying the best estimate, if the
-    subdivision budget runs out first.
+    subdivision budget runs out first, or at once on a non-finite half-panel sum.
     """
     if spec is None:
         spec = DEFAULT_SPEC
@@ -209,6 +211,8 @@ def integrate(
         q_left = _panel(g, lo, mid, nodes, weights)
         q_right = _panel(g, mid, hi, nodes, weights)
         refined = q_left + q_right
+        if not math.isfinite(refined):
+            raise ConvergenceError(_NON_FINITE, value=refined, error_estimate=math.inf)
         gap = abs(q_whole - refined)
         floor = _EST_FLOOR * (abs(q_left) + abs(q_right))
         tie += 1
@@ -287,7 +291,7 @@ def group_integrals(
 
     Raises :class:`ConvergenceError`, carrying the piece values so far and
     the largest group estimate, once the splits of any group would exceed
-    ``spec.max_subdivisions``.
+    ``spec.max_subdivisions``, or at once on a non-finite half-panel sum.
     """
     if spec is None:
         spec = DEFAULT_SPEC
@@ -319,6 +323,8 @@ def group_integrals(
     running = np.ones(n_groups, dtype=bool)
     while True:
         refined = left + right
+        if not np.isfinite(refined).all():
+            raise ConvergenceError(_NON_FINITE, value=refined, error_estimate=math.inf)
         values = settled + np.bincount(piece, weights=refined, minlength=n_pieces)
         gap = np.abs(whole - refined)
         gap_total = np.bincount(group, weights=gap, minlength=n_groups)
@@ -339,7 +345,7 @@ def group_integrals(
             whole, left, right, gap = whole[active], left[active], right[active], gap[active]
         split = gap > (tol / panel_count)[group]
         count = np.bincount(group[split], minlength=n_groups)
-        # where rounding (or a NaN) leaves no gap above its share, the worst panel
+        # where rounding (or a NaN whole panel) leaves no gap above its share, the worst panel
         for k in np.flatnonzero(running & (count == 0)):
             in_k = np.flatnonzero(group == k)
             split[in_k[np.argmax(gap[in_k])]] = True
@@ -386,23 +392,22 @@ def kink_integrals(g: Callable, s, spec: QuadratureSpec | None = None):
     return pieces[0::2] + pieces[1::2], estimates
 
 
-def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None):
+def band_node_table(n: int, cuts):
     """Node table of :func:`zonal_band_integrals` for a cut set in dimension n.
 
-    Checks n and that ``cuts`` is strictly increasing inside (-1, 1), and
-    returns ``(n, c_n, cos_theta, sin_power, edges)``: the checked
-    dimension and its weight normalization, computed once per table;
-    cos(theta) and sin(theta)^(n-2), two (3, bands, nodes) arrays, at the
-    Gauss nodes of every band's whole theta panel (index 0), its left half
-    (1) and its right half (2), with the arithmetic :func:`group_integrals`
-    uses for its own first round; and the theta edges of all bands (band j
-    spans ``edges[j + 1]`` to ``edges[j]``).  They depend only on n, the
-    cuts and ``spec.base_nodes``, so one table serves every kernel and
-    radius integrated over the same bands.
+    Checks n and that ``cuts`` is strictly increasing inside (-1, 1), reads
+    :data:`DEFAULT_SPEC` once, and returns ``(n, c_n, cos_theta, sin_power,
+    edges, spec)``: the checked dimension and its weight normalization,
+    computed once per table; cos(theta) and sin(theta)^(n-2), two (3,
+    bands, nodes) arrays, at the Gauss nodes of every band's whole theta
+    panel (index 0), its left half (1) and its right half (2), with the
+    arithmetic :func:`group_integrals` uses for its own first round; the
+    theta edges of all bands (band j spans ``edges[j + 1]`` to
+    ``edges[j]``); and that spec, under which every integral on the table
+    runs, whatever the default is by then.
     """
     n = check_dim(n, 2)
-    if spec is None:
-        spec = DEFAULT_SPEC
+    spec = DEFAULT_SPEC
     cuts = np.asarray(cuts, dtype=float)
     if cuts.ndim != 1 or not (np.all(np.abs(cuts) < 1.0) and np.all(np.diff(cuts) > 0.0)):
         raise ValueError("cuts must be strictly increasing inside (-1, 1)")
@@ -412,10 +417,10 @@ def band_node_table(n: int, cuts, spec: QuadratureSpec | None = None):
     lo, hi = edges[1:], edges[:-1]
     mid = 0.5 * (lo + hi)
     theta = _panel_theta(np.stack((lo, lo, mid)), np.stack((hi, mid, hi)), nodes)
-    return n, zonal_weight_normalization(n), np.cos(theta), np.sin(theta) ** (n - 2), edges
+    return n, zonal_weight_normalization(n), np.cos(theta), np.sin(theta) ** (n - 2), edges, spec
 
 
-def zonal_band_integrals(f: Callable, table, spec: QuadratureSpec | None = None):
+def zonal_band_integrals(f: Callable, table):
     """Normalized zonal integrals of ``f`` over the height bands of a node table.
 
     ``table`` is the node table (:func:`band_node_table`) of dimension n and
@@ -429,25 +434,16 @@ def zonal_band_integrals(f: Callable, table, spec: QuadratureSpec | None = None)
 
     The bands are integrated in theta = arccos(t), where the weight and the
     Jacobian become sin(theta)^(n-2), smooth for every n >= 2, as the
-    pieces of one group of :func:`group_integrals`.  Its relative test reads
+    pieces of one group of :func:`group_integrals`, which raises as it does.
+    n, the weight, the normalization, the bands and the spec are the
+    table's, whose builder checked them.  The relative test reads
     ``spec.rel_tol`` times the sum of ``|values|``, the largest value any
     datum with sup <= 1 can reach on these bands, so the batch analogue of
-    the relative test in :func:`integrate`.  ``spec.kinks`` is not read: the
-    cuts are the kinks.
-
-    n, the weight, the normalization and the bands are read from the table
-    alone, whose builder checked them; here only its node count is checked
-    against ``spec.base_nodes``.  The first round evaluates ``f`` once, on
-    the table's nodes; only panels bisected later compute their own nodes.
-
-    Raises :class:`ConvergenceError`, carrying the band values so far, once
-    the splits would exceed ``spec.max_subdivisions``.
+    the relative test in :func:`integrate`.  ``spec.kinks`` is not read:
+    the cuts are the kinks.  The first round evaluates ``f`` once, on the
+    table's nodes; only panels bisected later compute their own nodes.
     """
-    if spec is None:
-        spec = DEFAULT_SPEC
-    n, c_n, cos_theta, sin_power, edges = table
-    if cos_theta.shape[-1] != spec.base_nodes:
-        raise ValueError("node table does not match the nodes of spec")
+    n, c_n, cos_theta, sin_power, edges, spec = table
 
     def g(theta, group):
         return f(np.cos(theta)) * np.sin(theta) ** (n - 2)

@@ -7,6 +7,7 @@ sweep in dimension three) and must not fail the run as a whole.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 
@@ -66,9 +67,11 @@ def merge_reports(suite: str, n: int, reports) -> VerificationReport:
 def worst_error_check(name: str, errors, tol: float) -> CheckResult:
     """Check that every error in ``errors``, pairs of (error, location), is
     at most ``tol``.  Reports the largest error and where it first occurs,
-    or 0 and no location when none is positive."""
+    0 and no location when none is positive, or the first NaN, which fails."""
     worst, at = 0.0, ""
     for err, where in errors:
+        if math.isnan(err):
+            return CheckResult(name, False, err, where)
         if err > worst:
             worst, at = err, where
     return CheckResult(name, worst <= tol, worst, at)

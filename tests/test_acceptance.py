@@ -78,7 +78,7 @@ def test_criterion_03_second_derivative_routes():
     for n in range(4, 9):
         for rho in RHO_TENTHS[1:]:
             closed = phi_second_closed(n, rho).value
-            fd = phi_second_fd(n, rho, step=1e-3).value
+            fd = phi_second_fd(n, rho).value
             worst_fd = max(worst_fd, abs(closed - fd) / abs(closed))
             worst_series = max(worst_series, abs(closed - phi_second_series(n, rho).value))
     ok = worst_fd <= 1e-6 and worst_series <= 1e-9

@@ -75,14 +75,15 @@ class TestEngine:
         # n = 12, rho = 0.9 needs splits; on success the summed gap is within
         # max(abs_tol, rel_tol * sum |values|), and the roundoff floor added
         # to it is far below that here
-        spec = QuadratureSpec()
-        bands, estimate = zonal_band_integrals(lambda t: KERNELS[kernel](12, 0.9, t), band_node_table(12, (0.0,)), spec)
+        spec = quadrature.DEFAULT_SPEC
+        bands, estimate = zonal_band_integrals(lambda t: KERNELS[kernel](12, 0.9, t), band_node_table(12, (0.0,)))
         assert 0.0 < estimate <= 2.0 * max(spec.abs_tol, spec.rel_tol * np.abs(bands).sum())
 
-    def test_exhausted_budget_carries_band_values(self):
+    def test_exhausted_budget_carries_band_values(self, monkeypatch):
         spec = QuadratureSpec(max_subdivisions=1)
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", spec)
         with pytest.raises(ConvergenceError) as excinfo:
-            zonal_band_integrals(lambda t: radial_derivative_kernel(12, 0.9, t), band_node_table(12, (0.0,)), spec)
+            zonal_band_integrals(lambda t: radial_derivative_kernel(12, 0.9, t), band_node_table(12, (0.0,)))
         err = excinfo.value
         assert np.shape(err.value) == (2,)
         assert err.error_estimate > spec.abs_tol
@@ -131,29 +132,42 @@ class TestNodeTable:
                     assert with_table[1] == other[1]
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_exhausted_budget_carries_the_same_values(self, kernel):
-        spec = QuadratureSpec(max_subdivisions=1)
+    def test_exhausted_budget_carries_the_same_values(self, kernel, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
 
         def f(t):
             return KERNELS[kernel](12, 0.9, t)
 
         carried = []
         for run in (
-            lambda: zonal_band_integrals(f, band_node_table(12, (0.0,), spec), spec),
-            lambda: self._per_panel_route(f, 12, (0.0,), spec),
+            lambda: zonal_band_integrals(f, band_node_table(12, (0.0,))),
+            lambda: self._per_panel_route(f, 12, (0.0,)),
         ):
             with pytest.raises(ConvergenceError) as excinfo:
                 run()
             carried.append((excinfo.value.value.tobytes(), excinfo.value.error_estimate))
         assert carried[0] == carried[1]
 
-    @pytest.mark.parametrize("base_nodes, cuts", [(15, (0.1,)), (7, ())])
-    def test_rejects_a_table_of_other_bands_or_nodes(self, base_nodes, cuts):
-        # the table carries its own bands; only its node count can disagree
-        # with the spec it is integrated under
-        table = band_node_table(4, cuts, QuadratureSpec(base_nodes=base_nodes))
-        with pytest.raises(ValueError, match="node table"):
-            zonal_band_integrals(np.ones_like, table, QuadratureSpec(base_nodes=11))
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_a_table_keeps_the_spec_it_was_built_under(self, kernel, monkeypatch):
+        # n = 12, rho = 0.9 needs more than one split: a table built under
+        # the default integrates under it after DEFAULT_SPEC is rebound to a
+        # one-split budget, and a table built under that budget runs out of
+        # it after the default is restored
+        def f(t):
+            return KERNELS[kernel](12, 0.9, t)
+
+        default = quadrature.DEFAULT_SPEC
+        built_under_default = band_node_table(12, (0.0,))
+        want = zonal_band_integrals(f, built_under_default)
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
+        built_under_one_split = band_node_table(12, (0.0,))
+        assert built_under_default[5] is default and built_under_one_split[5] is quadrature.DEFAULT_SPEC
+        got = zonal_band_integrals(f, built_under_default)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", default)
+        with pytest.raises(ConvergenceError, match="within 1 subdivisions"):
+            zonal_band_integrals(f, built_under_one_split)
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_weight_and_normalization_follow_the_table(self, n):
@@ -189,12 +203,33 @@ class TestGroups:
         values, _ = phi_quad_grid(4, np.linspace(0.0, 1.0, 129), QuadratureSpec(max_subdivisions=5))
         assert values.shape == (129,)
 
-    def test_nan_integrand_exhausts_the_budget(self):
-        # no gap is above its share, so only the forced worst-panel split
-        # keeps the loop moving until the budget runs out
-        spec = QuadratureSpec(max_subdivisions=3)
-        with pytest.raises(ConvergenceError):
-            group_integrals(lambda theta, group: np.full_like(theta, np.nan), [0.0], [1.0], [0], spec)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integrand_stops_in_the_first_round(self, bad):
+        # the first round's three calls (whole panel, left and right halves)
+        # give non-finite halves: the engine raises before any bisection
+        calls = []
+
+        def g(theta, group):
+            calls.append(theta.shape)
+            return np.full_like(theta, bad)
+
+        with pytest.raises(ConvergenceError, match="^quadrature gave a non-finite value or error estimate$"):
+            group_integrals(g, [0.0], [1.0], [0])
+        assert calls == [(1, 15)] * 3
+
+    def test_non_finite_whole_panel_still_bisects(self):
+        # the middle node of the whole panel [0, 1] is theta = 0.5, where g
+        # is NaN; no node of a half panel is, so the piece is bisected and
+        # its halves' sum is returned
+        calls = []
+
+        def g(theta, group):
+            calls.append(theta.shape)
+            return np.where(theta == 0.5, np.nan, np.cos(theta))
+
+        values, estimates = group_integrals(g, [0.0], [1.0], [0])
+        assert len(calls) > 3 and np.isfinite(estimates[0])
+        assert values[0] == pytest.approx(math.sin(1.0), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

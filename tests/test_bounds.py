@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ballgrad import quadrature
 from ballgrad.bounds import (
     BoundQuery,
     ball_volume,
@@ -38,6 +39,12 @@ from ballgrad.quadrature import (
 from ballgrad.specfun import verify_identities
 
 TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+
+
+@pytest.fixture
+def tight(monkeypatch):
+    """capital_c runs under quadrature.DEFAULT_SPEC, here set to TIGHT."""
+    monkeypatch.setattr(quadrature, "DEFAULT_SPEC", TIGHT)
 
 
 class TestBallVolume:
@@ -85,11 +92,11 @@ class TestKhavinsonConstants:
         with pytest.raises(ValueError):
             khavinson_radial_3d(1.0)
 
-    def test_equals_pointwise_bound_dimension_three(self):
+    def test_equals_pointwise_bound_dimension_three(self, tight):
         for rho in np.linspace(0.0, 0.95, 12):
             rho = float(rho)
             assert khavinson_radial_3d(rho) == pytest.approx(
-                capital_c(BoundQuery(3, rho), TIGHT), abs=1e-12
+                capital_c(BoundQuery(3, rho)), abs=1e-12
             )
 
     def test_scaled_bound_increases_to_unattained_supremum(self):
@@ -100,9 +107,9 @@ class TestKhavinsonConstants:
 
 
 class TestCapitalC:
-    def test_origin_equals_schwarz_pick(self):
+    def test_origin_equals_schwarz_pick(self, tight):
         for n in (2, 3, 4, 5, 8):
-            assert capital_c(BoundQuery(n, 0.0), TIGHT) == pytest.approx(
+            assert capital_c(BoundQuery(n, 0.0)) == pytest.approx(
                 schwarz_pick_constant(n), abs=1e-10
             )
 
@@ -110,9 +117,9 @@ class TestCapitalC:
         val = capital_c(BoundQuery(5, 0.7))
         assert val <= schwarz_pick_constant(5) / (1.0 - 0.49)
 
-    def test_dimension_two_reduces_to_disk_constant(self):
+    def test_dimension_two_reduces_to_disk_constant(self, tight):
         for rho in (0.0, 0.3, 0.8):
-            assert capital_c(BoundQuery(2, rho), TIGHT) == pytest.approx(
+            assert capital_c(BoundQuery(2, rho)) == pytest.approx(
                 (4.0 / math.pi) / (1.0 - rho * rho), abs=1e-10
             )
 

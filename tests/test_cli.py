@@ -406,14 +406,23 @@ class TestBound:
 
     @pytest.mark.parametrize(
         "argv",
-        [["bound", "--n", "101", "--rho", "0.9999999"], ["verify", "--n", "100", "--suite", "monotone"]],
+        [
+            ["bound", "--n", "101", "--rho", "0.9999999"],
+            ["verify", "--n", "100", "--suite", "monotone"],
+            ["bound", "--n", "150", "--rho", "0.999"],
+            ["verify", "--n", "150", "--suite", "monotone"],
+            ["verify", "--n", "150", "--suite", "all"],
+        ],
     )
     def test_non_finite_profile_exits_two(self, capsys, argv):
-        # the profile quadrature overflows there; neither an inf capital_c
-        # nor a worst_margin of Infinity, which is not JSON, is printed
+        # the profile quadrature overflows there (to inf, or to nan where
+        # inf meets a zero weight); neither an inf capital_c nor a
+        # worst_margin of Infinity, which is not JSON, is printed, and the
+        # engines stop at the first non-finite panel instead of spending
+        # their subdivision budget on it
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.endswith("error: profile quadrature gave a non-finite value or error estimate\n")
+        assert err.endswith("error: quadrature gave a non-finite value or error estimate\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -422,6 +431,7 @@ class TestBound:
             ["bound", "--n", "101", "--rho", "0.9999999"],
             ["verify", "--n", "100", "--suite", "monotone"],
             ["bound", "--n", "150", "--rho", "0.999"],
+            ["verify", "--n", "150", "--suite", "monotone"],
         ],
     )
     def test_numerical_failure_writes_one_stderr_line(self, capsys, argv):

@@ -247,6 +247,26 @@ class TestRandomZonalData:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             probe_batch(4, 3, -1)
 
+    @pytest.mark.parametrize("bad", [2.5, True, False, math.nan, math.inf, -1, 0])
+    def test_counts_are_whole_numbers(self, bad):
+        # unchecked, a fraction reaches range() or numpy's size= as a
+        # TypeError, and a bool passes as 0 or 1
+        with pytest.raises(ValueError, match="^need at least one sample$"):
+            probe_batch(4, bad, 0)
+        with pytest.raises(ValueError, match="^need at least one piece$"):
+            random_zonal_data(0, bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True, False, math.nan, math.inf, -1])
+    def test_seeds_are_whole_numbers(self, bad):
+        for call in (lambda: probe_batch(4, 3, bad), lambda: random_zonal_data(bad, 3)):
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+                call()
+
+    def test_whole_float_counts_are_ints(self):
+        assert random_zonal_data(3.0, 4.0) == random_zonal_data(3, 4)
+        batch = probe_batch(4, 3.0, 2.0)
+        assert len(batch.data) == 3 and batch.slopes.tobytes() == probe_batch(4, 3, 2).slopes.tobytes()
+
 
 class TestProbes:
     def test_schwarz_pick_probe_passes(self):
@@ -403,13 +423,13 @@ def engine_log(monkeypatch):
         finally:
             running.pop()
 
-    def tabling(n, cuts, spec=None):
+    def tabling(n, cuts):
         tables.append((np.asarray(cuts).size + 1, bool(running)))
-        return band_node_table(n, cuts, spec)
+        return band_node_table(n, cuts)
 
-    def integrating(f, table, spec=None):
+    def integrating(f, table):
         calls.append((len(table[4]) - 1, bool(running)))
-        return zonal_band_integrals(f, table, spec)
+        return zonal_band_integrals(f, table)
 
     monkeypatch.setattr(harmonic, "probe_batch", building)
     monkeypatch.setattr(harmonic, "band_node_table", tabling)

@@ -129,6 +129,35 @@ def test_budget_exhaustion_carries_best_estimate():
     assert err.error_estimate > 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_integrand_stops_in_the_first_round(bad):
+    # one piece costs three panel calls (whole panel, left and right
+    # halves); non-finite halves raise before any bisection
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        return np.full_like(t, bad)
+
+    with pytest.raises(ConvergenceError, match="^quadrature gave a non-finite value or error estimate$"):
+        integrate(f, -0.5, 0.5)
+    assert calls == [(15,)] * 3
+
+
+def test_non_finite_whole_panel_still_bisects():
+    # the middle node of the whole panel [-1/2, 1/2] is t = 0, where f is
+    # NaN; no node of a half panel is, so the piece is bisected
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        return np.where(t == 0.0, np.nan, np.cos(t))
+
+    res = integrate(f, -0.5, 0.5)
+    assert len(calls) > 3 and res.subdivisions_used >= 1
+    assert res.value == pytest.approx(2.0 * math.sin(0.5), abs=1e-12)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=1e-16)
