@@ -104,7 +104,8 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
     d_exp = 0.5 * (n - 2)
 
     def f(t):
-        return np.abs(t - s) * (1.0 - 2.0 * t * rho + rho * rho) ** (-d_exp)
+        distance = np.abs(t - s)  # at n = 2 the kernel factor is x^(-0.0), exactly 1
+        return distance if n == 2 else distance * (1.0 - 2.0 * t * rho + rho * rho) ** (-d_exp)
 
     qspec = replace(spec if spec is not None else quadrature.DEFAULT_SPEC, kinks=(s,))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -180,82 +181,46 @@ def _sum_series(rho, head, k0, lams, s, prefactors, coefficients, K):
     parameter x radius) and the columns ``p`` of ``prefactors`` (one row
     per prefactor, one column per radius) that belong to those radii.
 
-    Each radius stops on its own: after degree ``K``, or with ``K`` unset
-    after three terms in a row below 1e-12 of its running sum or after
-    degree 3000; also once rho^k vanishes.  ``K`` must be unset or an
-    integer in [0, 3000], else ``ValueError``.  A radius that stops has
-    its terms ``math.fsum``med and leaves the pass.  The radii run sorted,
-    in passes of ``_SERIES_PASS``, so the slow radii near 1 share them.  The
-    terms of a pass are formed a block of degrees at a time, one block per
-    block of :func:`specfun.gegenbauer_iter`.  When radii leave, the
-    recurrence restarts on the radii still summing, from their last two
+    The radii are summed by :func:`specfun._exact_sums` in passes of
+    ``_SERIES_PASS``, one block of degrees per block of
+    :func:`specfun.gegenbauer_iter`.  A radius stops at degree ``K`` + 1,
+    or with ``K`` unset at the term after three in a row below 1e-12 of its
+    running sum or at degree 3001; also once rho^k vanishes.  ``K`` must be
+    unset or an integer in [0, 3000], else ``ValueError``.  When radii
+    leave, the recurrence restarts on the rest from their last two
     Gegenbauer values.  Each term is formed by the same operations as in a
-    one-radius sum, so no result depends on the other radii of the batch
-    or on the block sizes.
+    one-radius sum, so no result depends on the batch or the block sizes.
     """
     if K is not None and (isinstance(K, bool) or not 0 <= K <= _ADAPTIVE_CAP or K != int(K)):
         raise ValueError(f"K must be an integer in [0, {_ADAPTIVE_CAP}]")
     cap = _ADAPTIVE_CAP if K is None else int(K)
-    values = np.empty(rho.size)
-    omitted = np.empty(rho.size)
-    order = np.argsort(rho, kind="stable")
     column = lams[:, None]
-    for start in range(0, rho.size, _SERIES_PASS):
-        index = order[start : start + _SERIES_PASS]  # the radii of the pass still summing
-        gegenbauer = specfun.gegenbauer_iter(column, s[index])
-        r, p, heads, running = rho[index], prefactors[:, index], head[index], head[index]
+
+    def blocks(index):
+        r, x, p = rho[index], s[index], prefactors[:, index]
+        gegenbauer = specfun.gegenbauer_iter(column, x)
         pw = np.ones(index.size)
         for _ in range(k0):
             pw = pw * r
-        small = np.zeros((3, index.size), dtype=bool)  # last three terms below 1e-12 of the sum
-        blocks = []  # the terms so far, one array per block of degrees
         j = 0  # the Gegenbauer degree of the next block
-        while index.size:
+        while True:
             c = next(gegenbauer)
             size = c.shape[0]
             # rho^k by repeated multiplication, as a one-radius loop forms it
-            pws = np.empty((size, index.size))
+            pws = np.empty((size, r.size))
             pws[0], pws[1:] = pw, r
             np.multiply.accumulate(pws, out=pws)
             degrees = np.arange(k0 + j, k0 + j + size, dtype=float)[:, None]
             terms = coefficients(degrees, c, p)
             terms *= pws
-            sums = np.empty((size + 1, index.size))
-            sums[0], sums[1:] = running, terms
-            np.add.accumulate(sums, out=sums)
-            stop = (pws == 0.0) | (degrees > cap)
-            if K is None:
-                flags = np.empty((size + 3, index.size), dtype=bool)
-                flags[:3] = small
-                np.less_equal(np.abs(terms), 1e-12 * np.abs(sums[1:]), out=flags[3:])
-                stop |= flags[:-3] & flags[1:-2] & flags[2:-1]
-                small = flags[-3:]
-            blocks.append(terms)
-            pw, running = pws[-1] * r, sums[-1]
+            pw = pws[-1] * r
             j += size
-            done = stop.any(axis=0)
-            if not done.any():
-                continue
-            last = stop.argmax(axis=0)
-            finished = np.flatnonzero(done)
-            omitted[index[finished]] = np.abs(terms[last[finished], finished])
-            ends = (j - size + 1 + last[finished]).tolist()
-            # as many radii at a time as keep the gathered copy near 64 kB:
-            # each row is one radius's head and its terms before the stop
-            per = max(1, 8192 // j)
-            for lo in range(0, finished.size, per):
-                group = finished[lo : lo + per]
-                rows = np.concatenate([heads[group, None], *(block[:, group].T for block in blocks)], axis=1)
-                for i, row, end in zip(index[group], rows, ends[lo : lo + per]):
-                    values[i] = math.fsum(memoryview(row)[:end])
-            keep = ~done
-            for b, block in enumerate(blocks):
-                blocks[b] = block[:, keep]  # in place: the old copy of each block goes at once
-            index, r, p, heads = index[keep], r[keep], p[:, keep], heads[keep]
-            running, pw, small = running[keep], pw[keep], small[:, keep]
-            if index.size:
-                state = (j, c[-2][:, keep], c[-1][:, keep])
-                gegenbauer = specfun.gegenbauer_iter(column, s[index], state=state)
+            keep = yield terms, (pws == 0.0) | (degrees > cap)
+            if keep is not None:
+                r, x, p, pw = r[keep], x[keep], p[:, keep], pw[keep]
+                gegenbauer = specfun.gegenbauer_iter(column, x, state=(j, c[-2][:, keep], c[-1][:, keep]))
+
+    values, omitted, _ = specfun._exact_sums(rho, head, _SERIES_PASS, blocks, None if K is not None else 1e-12)
     return values.tolist(), omitted.tolist()
 
 

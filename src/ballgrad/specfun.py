@@ -211,82 +211,106 @@ class HypergeometricInput:
             raise ValueError("divergent: argument must satisfy z < 1")
 
 
-def _gauss_series_batch(params, z, rel_tol):
-    """The Gauss series at every argument of the array ``z`` (each in
-    [0, 1)), as an array of values in the order of ``z``.  ``params`` holds
-    the rows a, b and c: one column per argument, or one column for all.
+def _exact_sums(keys, heads, per_pass, blocks, rel_tol):
+    """Exact sums of power series, one per entry of the 1-D arrays ``keys``
+    and ``heads``: in the order of ``keys``, each entry's sum, the magnitude
+    of its stopping term and whether the window stopped it.
 
-    The arguments run sorted, in passes of ``_GAUSS_PASS``, so the slow
-    arguments near 1 share their passes.  A pass forms its terms a block of
-    degrees at a time, 32 at first and up to ``_GAUSS_BLOCK``: each
-    argument's degree ratios (a+k)(b+k)/((c+k)(k+1)) times its z, turned
-    into terms by a running product and into partial sums by a running sum.
-    Each argument stops on a zero term (an upper parameter is a nonpositive
-    integer) or on three terms in a row within ``rel_tol`` of the partial
-    sum, is ``math.fsum``med and leaves its pass.  Every operation on an
-    argument's terms reads that argument alone, so no value depends on the
-    rest of the batch.  An argument still summing after ``_SERIES_BUDGET``
-    terms raises ``ConvergenceError``: the first such argument of the first
-    pass to run out.
+    The entries run sorted by ``keys``, in passes of ``per_pass``, so slow
+    entries share passes.  ``blocks(index)`` is a generator over the pass
+    ``index`` that yields ``(terms, marks)``: the next rows of terms, one
+    column per entry still summing, and where its caller stops an entry.
+    After a block where entries stopped it is sent the mask of the entries
+    kept and drops the rest; otherwise it is sent None.  An entry stops at
+    its first marked term or, with ``rel_tol`` set, at the term after three
+    in a row within ``rel_tol`` of its running sum, and its head and terms
+    before the stop are ``math.fsum``med.  No result depends on the other
+    entries or on the block sizes: each entry's terms are read alone.
     """
-    values = np.empty(z.size)
-    order = np.argsort(z, kind="stable")
-    for start in range(0, z.size, _GAUSS_PASS):
-        index = order[start : start + _GAUSS_PASS]  # the arguments of the pass still summing
-        x = z[index]
-        pa, pb, pc = params if params.shape[1] == 1 else params[:, index]
-        term, running = np.ones(index.size), np.ones(index.size)
-        small = np.zeros((2, index.size), dtype=bool)  # whether the last two terms were small
-        blocks = [np.ones((1, index.size))]  # the terms so far, the leading 1 first
-        k, size = 0, 32
+    values, estimates, settled = np.empty(keys.size), np.empty(keys.size), np.zeros(keys.size, dtype=bool)
+    order = np.argsort(keys, kind="stable")
+    for start in range(0, keys.size, per_pass):
+        index = order[start : start + per_pass]  # the entries of the pass still summing
+        source, running = blocks(index), heads[index]
+        stored = [running[None]]  # each entry's head and terms so far, one array per block
+        small = np.zeros((3, index.size), dtype=bool)  # whether each of the last three terms was small
+        length, keep = 1, None  # length: the head and terms stored per entry
         while index.size:
-            if k == _SERIES_BUDGET:
-                terms = np.concatenate([block[:, 0] for block in blocks]).tolist()
-                raise ConvergenceError(
-                    f"hypergeometric series did not converge within {_SERIES_BUDGET} terms",
-                    value=math.fsum(terms),
-                    error_estimate=abs(term[0]) * abs(x[0]) / max(1.0 - abs(x[0]), 1e-6),
-                )
-            size = min(size, _SERIES_BUDGET - k)
-            degrees = np.arange(k, k + size, dtype=float)[:, None]
-            # row 0 is the last term so far; the running product turns the
-            # ratios times z into the terms
-            terms = np.empty((size + 1, index.size))
-            terms[0] = term
-            np.multiply((pa + degrees) * (pb + degrees) / ((pc + degrees) * (degrees + 1.0)), x, out=terms[1:])
-            np.multiply.accumulate(terms, out=terms)
-            sums = np.empty_like(terms)
-            sums[0], sums[1:] = running, terms[1:]
+            terms, marks = source.send(keep)
+            size = terms.shape[0]
+            sums = np.empty((size + 1, index.size))
+            sums[0], sums[1:] = running, terms
             np.add.accumulate(sums, out=sums)
-            terms, sums = terms[1:], sums[1:]
-            flags = np.empty((size + 2, index.size), dtype=bool)
-            flags[:2] = small
-            np.less_equal(np.abs(terms), rel_tol * np.abs(sums), out=flags[2:])
-            zero = terms == 0.0
-            stop = zero | (flags[:-2] & flags[1:-1] & flags[2:])
-            blocks.append(terms)
-            term, running, small = terms[-1], sums[-1], flags[-2:]
-            k += size
-            size = min(2 * size, _GAUSS_BLOCK)
+            window = np.zeros(terms.shape, dtype=bool)
+            if rel_tol is not None:
+                flags = np.empty((size + 3, index.size), dtype=bool)
+                flags[:3] = small
+                np.less_equal(np.abs(terms), rel_tol * np.abs(sums[1:]), out=flags[3:])
+                window, small = flags[:-3] & flags[1:-2] & flags[2:-1], flags[-3:]
+            stop = marks | window
+            stored.append(terms)
+            running, length, keep = sums[-1], length + size, None
             done = stop.any(axis=0)
             if not done.any():
                 continue
             finished = np.flatnonzero(done)
             last = stop.argmax(axis=0)[finished]
-            # the leading 1 and every term up to the stop, a zero term left out
-            ends = (k - terms.shape[0] + 2 + last - zero[last, finished]).tolist()
-            # as many arguments at a time as keep the gathered copy near 64 kB
-            per = max(1, 8192 // (k + 1))
+            estimates[index[finished]] = np.abs(terms[last, finished])
+            settled[index[finished]] = window[last, finished]
+            ends = (length - size + last).tolist()
+            # as many entries at a time as keep the gathered copy near 64 kB
+            per = max(1, 8192 // length)
             for lo in range(0, finished.size, per):
                 group = finished[lo : lo + per]
-                rows = np.concatenate([block[:, group].T for block in blocks], axis=1)
+                rows = np.concatenate([block[:, group].T for block in stored], axis=1)
                 for i, row, end in zip(index[group].tolist(), rows, ends[lo : lo + per]):
                     values[i] = math.fsum(memoryview(row)[:end])
             keep = ~done
-            blocks = [block[:, keep] for block in blocks]
-            index, x, term, running, small = index[keep], x[keep], term[keep], running[keep], small[:, keep]
-            if params.shape[1] > 1:
-                pa, pb, pc = pa[keep], pb[keep], pc[keep]
+            for b, block in enumerate(stored):
+                stored[b] = block[:, keep]  # in place: the old copy of each block goes at once
+            index, running, small = index[keep], running[keep], small[:, keep]
+    return values, estimates, settled
+
+
+def _gauss_series_batch(params, z, rel_tol):
+    """The Gauss series at every argument of the array ``z`` (each in
+    [0, 1)) by :func:`_exact_sums`, in the order of ``z``.  ``params`` holds
+    the rows a, b and c: one column per argument, or one for all.  Terms
+    come a block of degrees at a time (32 at first, up to ``_GAUSS_BLOCK``)
+    as a running product of the ratios (a+k)(b+k)/((c+k)(k+1)) times z, and
+    a zero term stops an argument.  The first argument in sorted order still
+    summing after ``_SERIES_BUDGET`` terms raises ``ConvergenceError`` with
+    its sum so far and a geometric bound on its tail.
+    """
+    reached = []  # the arguments still summing at the budget, in sorted order
+
+    def blocks(index):
+        x = z[index]
+        pa, pb, pc = params if params.shape[1] == 1 else params[:, index]
+        term, k, size = np.ones(index.size), 0, 32
+        while k < _SERIES_BUDGET:
+            size = min(size, _SERIES_BUDGET - k)
+            degrees = np.arange(k, k + size, dtype=float)[:, None]
+            # row 0 is the last term so far; a running product turns ratios times z into terms
+            terms = np.empty((size + 1, index.size))
+            terms[0] = term
+            np.multiply((pa + degrees) * (pb + degrees) / ((pc + degrees) * (degrees + 1.0)), x, out=terms[1:])
+            np.multiply.accumulate(terms, out=terms)
+            terms, term, k, size = terms[1:], terms[-1], k + size, min(2 * size, _GAUSS_BLOCK)
+            keep = yield terms, terms == 0.0
+            if keep is not None:
+                index, x, term = index[keep], x[keep], term[keep]
+                if params.shape[1] > 1:
+                    pa, pb, pc = pa[keep], pb[keep], pc[keep]
+        reached.extend(index.tolist())
+        # in place of the next term, a marked row holding the tail bound
+        yield (term * x / np.maximum(1.0 - x, 1e-6))[None], np.ones((1, index.size), dtype=bool)
+
+    values, estimates, settled = _exact_sums(z, np.ones(z.size), _GAUSS_PASS, blocks, rel_tol)
+    failed = [i for i in reached if not settled[i]]  # a window closing on the marked row converged
+    if failed:
+        message = f"hypergeometric series did not converge within {_SERIES_BUDGET} terms"
+        raise ConvergenceError(message, float(values[failed[0]]), float(estimates[failed[0]]))
     return values
 
 

@@ -260,6 +260,42 @@ def test_entries_do_not_depend_on_pass_size_or_block_cap(monkeypatch, n):
             assert [(e.value.hex(), e.error_estimate.hex()) for e in batch] == pairs, (fn.__name__, per_pass, cap)
 
 
+# (route, n) -> {rho: (value, estimate)} as the series summed them before
+# the summation engine was shared with hyp2f1.  With the default block sizes
+# the stopping term of each is the last row of a block of gegenbauer_iter
+# (0.13, 0.86, 0.33, 0.77, 0.05, 0.31, 0.04) or the first row of the next.
+BOUNDARY_STOPS = {
+    (phi_series, 4): {
+        0.13: ("0x1.553065e28c1e9p-1", "0x1.8f787f0b38349p-52"),
+        0.86: ("0x1.4ee3de25b3f40p-1", "0x1.61f7f30c2a3d7p-43"),
+        0.15: ("0x1.552426d375244p-1", "0x1.40527254bd30ep-53"),
+        0.46: ("0x1.53846d42aa4fep-1", "0x1.b5600b2392a1ep-48"),
+    },
+    (phi_series, 12): {
+        0.33: ("0x1.68b219620101fp-3", "0x1.892309e1b7b49p-49"),
+        0.77: ("0x1.2f466344dea20p-3", "0x1.a6991f05b0879p-45"),
+        0.34: ("0x1.67f7151f85f28p-3", "0x1.a75510fac5962p-49"),
+    },
+    (phi_second_series, 4): {
+        0.05: ("-0x1.112d2a6c9f4f3p-5", "0x1.d19212c102d6fp-60"),
+        0.31: ("-0x1.155b10e1491b8p-5", "0x1.4724494fd34a1p-51"),
+        0.6: ("-0x1.21ec85e7e5b58p-5", "0x1.d3e9c707f58efp-54"),
+    },
+    (phi_second_series, 12): {
+        0.04: ("-0x1.a6481244aa355p-4", "0x1.881ba2cf5cb9dp-59"),
+        0.52: ("-0x1.1088a71c7b27cp-3", "0x1.e096c06271d0dp-48"),
+    },
+}
+
+
+@pytest.mark.parametrize("fn, n", list(BOUNDARY_STOPS))
+def test_stops_on_a_block_boundary(fn, n):
+    recorded = BOUNDARY_STOPS[(fn, n)]
+    radii = list(recorded)
+    for evaluations in ([fn(n, rho) for rho in radii], fn(n, radii)):
+        assert [(e.value.hex(), e.error_estimate.hex()) for e in evaluations] == list(recorded.values())
+
+
 def test_recurrence_runs_only_on_the_radii_still_summing(monkeypatch):
     # a batch forms, for each radius, the Gegenbauer values its one-radius
     # call forms and none after the radius stops: the recurrence restarts on

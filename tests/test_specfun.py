@@ -450,6 +450,74 @@ def test_mixed_parameter_batch_equals_its_per_set_batches(cases, rel_tol):
         assert [mixed[i].hex() for i in index] == [v.hex() for v in alone], (a, b, c)
 
 
+# (a, b, c) -> {z: value} as hyp2f1 summed them before its summation engine
+# was shared with the Gegenbauer series.  With the default block sizes the
+# third small term of each is the last row of a block, so the sum now stops
+# on the first row of the next (0.385, 0.75, 0.846, 0.8895, -2.78 at n = 4;
+# 0.385, 0.7475, -3.51 at n = 12), or it is the one before last and the
+# stop falls on the last row (0.37, 0.7475, 0.845 at n = 4; 0.37 at n = 12).
+BOUNDARY_STOPS = {
+    (1.0, 2.0, 2.5): {
+        0.385: "0x1.769f398101ca3p+0",
+        0.75: "0x1.6b1c34f3dac3cp+1",
+        0.846: "0x1.fb24e123103a4p+1",
+        0.8895: "0x1.3c2a14118fb36p+2",
+        -2.78: "0x1.4da5660ba1c72p-2",
+        0.37: "0x1.6fc2952e19813p+0",
+        0.7475: "0x1.689215c218c8cp+1",
+        0.845: "0x1.f8ef310552b8fp+1",
+    },
+    (1.0, 6.0, 6.5): {
+        0.385: "0x1.8e58e1b93155fp+0",
+        0.7475: "0x1.ae0c0c04ac465p+1",
+        -3.51: "0x1.e6eb0ce81d289p-3",
+        0.37: "0x1.85d70e87e4731p+0",
+    },
+}
+
+
+@pytest.mark.parametrize("params", list(BOUNDARY_STOPS))
+def test_stops_on_a_block_boundary(params):
+    recorded = BOUNDARY_STOPS[params]
+    zs = list(recorded)
+    for values in ([hyp2f1(HypergeometricInput(*params, z)) for z in zs], hyp2f1(HypergeometricInput(*params, zs))):
+        assert [v.hex() for v in values] == list(recorded.values())
+
+
+def test_a_window_closing_on_the_budget_converges():
+    # the third small term of 2F1(1, 1; 2; 0.9981128) is the last of the
+    # 10,000 terms the budget allows, so it converges; at 0.9981129 the sum
+    # runs out, and is the first argument in sorted order to do so
+    a, b, c = 1.0, 1.0, 2.0
+    assert hyp2f1(HypergeometricInput(a, b, c, 0.9981128)).hex() == "0x1.923598508cdadp+2"
+    with pytest.raises(ConvergenceError) as failure:
+        hyp2f1(HypergeometricInput(a, b, c, [0.998113, 0.9981128, 0.9981129]))
+    assert str(failure.value) == "hypergeometric series did not converge within 10000 terms"
+    assert failure.value.value.hex() == "0x1.92367459966f2p+2"
+    assert float(failure.value.error_estimate).hex() == "0x1.6c1b06089874fp-32"
+
+
+# package parameter sets with their Pfaff images and polynomials, over
+# negative arguments, zero and arguments that stop at many degrees
+LAYOUT_ROWS = [
+    (*_package_set(n, upper, degree), z)
+    for n, upper, degree in [(3, "one", 0), (4, "c-1", 0), (12, "polynomial", 5), (44, "one", 0), (4, "polynomial", 2)]
+    for z in (-3.0, -0.5, 0.0, 0.1, 0.385, 0.5, 0.75, 0.9, 0.95)
+]
+
+
+def test_entries_do_not_depend_on_pass_size_or_block_cap(monkeypatch):
+    # one argument per pass up to one pass for all; blocks of at most 2 up
+    # to 1000 degrees after the first
+    expected = [hyp2f1(HypergeometricInput(*row)).hex() for row in LAYOUT_ROWS]
+    for per_pass in (1, 5, 128, 1000):
+        for cap in (2, 64, 1000):
+            monkeypatch.setattr(specfun, "_GAUSS_PASS", per_pass)
+            monkeypatch.setattr(specfun, "_GAUSS_BLOCK", cap)
+            values = hyp2f1(HypergeometricInput(*zip(*LAYOUT_ROWS)))
+            assert [v.hex() for v in values] == expected, (per_pass, cap)
+
+
 class TestPfaffTransformation:
     @pytest.mark.parametrize("params", [(1.0, 2.0, 2.5), (0.5, 1.5, 2.0), (2.0, 1.0, 3.5)])
     def test_on_grid(self, params):
