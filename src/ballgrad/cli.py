@@ -15,7 +15,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -81,8 +80,7 @@ def _cmd_phi_table(args):
     values = _phi_values(n, grid + [rho + h for rho in grid] + [abs(rho - h) for rho in grid], args.method)
     steps = len(grid)
     second_series = [e.value for e in phi.phi_second_series(n, grid)]
-    # the routed second derivative; not tabulated at n = 3
-    second_closed = [e.value for e in phi.phi_second(n, grid)] if n >= 4 else [math.nan] * steps
+    second_closed = [e.value for e in phi.phi_second(n, grid)]
     rows = [
         {"rho": rho, "phi": value, "dphi_fd": (up - down) / (2.0 * h), "d2phi_closed": closed, "d2phi_series": series}
         for rho, value, up, down, closed, series in zip(

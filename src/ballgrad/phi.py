@@ -286,7 +286,22 @@ def varphi(n: int, t: float) -> float:
 
 def _varphi(n, t):
     """:func:`varphi` without the checks, for one t or an array of them."""
-    return t * (1.0 - (n - 2.0) ** 2 * t / (n * n)) / (1.0 - (n - 4.0) * t / n)
+    a, w, *_ = _factors(n, t)
+    return t * w / a
+
+
+def _factors(n, t):
+    """The factors A, W, B, C, E of the auxiliary inequality at t = rho^2 (one
+    t or an array): 1 - c t with c = (n-4)/n, (n-2)^2/n^2, (n-2)(n-3)/n^2,
+    (n-2)(n-3)/(n(n-1)) and (n-2)/n.  With them Phi''(rho) =
+    -(2 (n-2) / t) W^((n-1)/2) A^(-n/2) C E technical_gap(n, t)."""
+    return (
+        1.0 - (n - 4.0) * t / n,
+        1.0 - (n - 2.0) ** 2 * t / (n * n),
+        1.0 - (n - 2.0) * (n - 3.0) * t / (n * n),
+        1.0 - (n - 2.0) * (n - 3.0) * t / (n * (n - 1.0)),
+        1.0 - (n - 2.0) * t / n,
+    )
 
 
 def phi_second_closed(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
@@ -306,17 +321,10 @@ def phi_second_closed(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
         f"closed form needs rho in ({SECOND_CLOSED_RHO_MIN}, 1]; use phi_second_series below",
     )
     r2 = r * r
-    w = 1.0 - (n - 2.0) ** 2 * r2 / (n * n)
-    aa = 1.0 - (n - 4.0) * r2 / n
-    z = r2 * w / aa
-    f_val = np.array(hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), z)))
-    term1 = (1.0 - (n - 2.0) * (n - 3.0) * r2 / (n * n)) * aa
-    term2 = (
-        (1.0 - (n - 2.0) * (n - 3.0) * r2 / (n * (n - 1.0)))
-        * w
-        * (1.0 - (n - 2.0) * r2 / n)
-        * f_val
-    )
+    aa, w, b, c, e = _factors(n, r2)
+    f_val = _varphi_hyp2f1(n, r2)[1]
+    term1 = b * aa
+    term2 = c * w * e * f_val
     prefactor = 2.0 * (n - 2.0) / r2 * _pow_each(w, 0.5 * (n - 3)) * _pow_each(aa, -0.5 * n)
     value = prefactor * (term1 - term2)
     est = abs(prefactor) * (specfun.DEFAULT_SERIES_RTOL * abs(term2) + 1e-16 * (abs(term1) + abs(term2)))
@@ -427,15 +435,10 @@ def _varphi_hyp2f1(n, t):
 
 def _psi_from(n, t, ph, f_val):
     """:func:`psi` at an array of t, from its varphi and 2F1 values."""
+    a, w, b, c, _ = _factors(n, t)
     first = _pow_each(ph, 0.5 * (n - 1)) * np.sqrt(1.0 - ph) * f_val
-    num = (
-        _pow_each(t, 0.5 * (n - 1))
-        * _pow_each(1.0 - (n - 2.0) ** 2 * t / (n * n), 0.5 * (n - 3))
-        * (1.0 - (n - 2.0) * (n - 3.0) * t / (n * n))
-    )
-    den = _pow_each(1.0 - (n - 4.0) * t / n, 0.5 * (n - 2)) * (
-        1.0 - (n - 2.0) * (n - 3.0) * t / (n * (n - 1.0))
-    )
+    num = _pow_each(t, 0.5 * (n - 1)) * _pow_each(w, 0.5 * (n - 3)) * b
+    den = _pow_each(a, 0.5 * (n - 2)) * c
     return first - num / den
 
 
@@ -459,14 +462,9 @@ def psi_prime_closed(n: int, t: float) -> float:
     n = check_dim(n, 4)
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
+    a, w, _, c, _ = _factors(n, t)
     pref = t ** (0.5 * (n - 1)) / (2.0 * n**5 * (n - 1.0))
-    return (
-        pref
-        * (1.0 - (n - 4.0) * t / n) ** (-0.5 * n)
-        * (1.0 - (n - 2.0) ** 2 * t / (n * n)) ** (0.5 * (n - 5))
-        * (1.0 - (n - 2.0) * (n - 3.0) * t / (n * (n - 1.0))) ** (-2.0)
-        * psi_prime_quadratic(n, t)
-    )
+    return pref * a ** (-0.5 * n) * w ** (0.5 * (n - 5)) * c ** (-2.0) * psi_prime_quadratic(n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +472,8 @@ def psi_prime_closed(n: int, t: float) -> float:
 
 
 def _technical_rhs(n, t):
-    return ((1.0 - (n - 4.0) * t / n) * (1.0 - (n - 2.0) * (n - 3.0) * t / (n * n))) / (
-        (1.0 - (n - 2.0) * t / n)
-        * (1.0 - (n - 2.0) ** 2 * t / (n * n))
-        * (1.0 - (n - 2.0) * (n - 3.0) * t / (n * (n - 1.0)))
-    )
+    a, w, b, c, e = _factors(n, t)
+    return (a * b) / (e * w * c)
 
 
 def technical_gap(n: int, t) -> float | list[float]:
@@ -542,25 +537,21 @@ def verify_concavity(n: int) -> VerificationReport:
     """Concavity sweep of the profile on an interior grid of (0, 1).
 
     The sweep runs through :func:`phi_second` in every dimension.  For
-    n >= 4 the second derivative must stay below -1e-12 everywhere and the
-    closed, series and finite-difference routes must agree; for n = 3 the
-    second derivative is positive, recorded as an expected failure, and the
-    route agreement compares the series and finite-difference routes only.
+    n >= 4 the second derivative must stay below -1e-12 everywhere; for
+    n = 3 it is positive, recorded as an expected failure.  In every
+    dimension the closed, series and finite-difference routes must agree.
     """
     n = check_dim(n, 3)
     grid = (np.arange(1, _SWEEP_POINTS + 1)) / (_SWEEP_POINTS + 1.0)
     agree_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    # the sweep and, at n >= 4, the closed route's agreement values in one
-    # routed call; the series route's agreement values in one more
-    closed_agree = agree_grid if n >= 4 else []
-    second = [e.value for e in phi_second(n, grid.tolist() + closed_agree)]
+    # the sweep and the closed route's agreement values in one routed call
+    second = [e.value for e in phi_second(n, grid.tolist() + agree_grid)]
     values = second[: grid.size]
     routes = [
         [e.value for e in phi_second_series(n, agree_grid)],
         [e.value for e in phi_second_fd(n, agree_grid)],
+        second[grid.size :],
     ]
-    if closed_agree:
-        routes.append(second[grid.size :])
 
     checks = []
     # the first NaN, if any, is the worst value

@@ -52,11 +52,14 @@ class TestPhiTable:
         assert first[1] == pytest.approx(2.0 / 3.0, abs=1e-10)
         assert first[3] == pytest.approx(-1.0 / 30.0, abs=1e-9)
 
-    def test_dimension_three_closed_column_empty(self, capsys):
+    def test_dimension_three_closed_column_is_the_routed_value(self, capsys):
         code, out, _ = run_cli(capsys, "phi-table", "--n", "3", "--steps", "5")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[1][3] == "nan"
+        for row in rows[1:]:
+            assert float(row[3]) == phi.phi_second(3, float(row[0])).value
+        # at the origin the routed value is the series route's 1/18
+        assert float(rows[1][3]) == pytest.approx(1.0 / 18.0, abs=1e-9)
         assert float(rows[1][4]) == pytest.approx(1.0 / 18.0, abs=1e-9)
 
     def test_series_method(self, capsys):
@@ -95,19 +98,17 @@ class TestPhiTable:
         for row in csv.DictReader(io.StringIO(out)):
             rho = float(row["rho"])
             assert float(row["d2phi_series"]) == phi.phi_second_series(n, rho).value
-            if n >= 4:
-                assert float(row["d2phi_closed"]) == phi.phi_second(n, rho).value
-            else:
-                assert row["d2phi_closed"] == "nan"
+            assert float(row["d2phi_closed"]) == phi.phi_second(n, rho).value
 
     # sha256 of stdout at the default 101 steps as printed when every
-    # batched quadrature summed each row on its own (quadrature.row_sums);
-    # a change that moves any printed digit must update these on purpose
+    # batched quadrature summed each row on its own (quadrature.row_sums)
+    # and the closed column held the routed value at n = 3 as well; a change
+    # that moves any printed digit must update these on purpose
     TABLE_SHA256 = {
-        (3, "quad", "csv"): "c244a23736d232955d19c8d592e3ebab09cb7f0d9163676f9167699c0a3b8088",
-        (3, "quad", "json"): "940792cd2721d882430bde61b8a05066a9cf0c233f220c547ae55df227f6ac4b",
-        (3, "series", "csv"): "e08eef9c5568016429e43e5ea1ad583fbd7c8f7fab3c584211ea4599f70ce1cd",
-        (3, "series", "json"): "4e79f0154fb81904f289735b21ccf82262aa729d760444443082cd12a45dddab",
+        (3, "quad", "csv"): "f393c90b6238cb3977d33324d2f9b0241843ca1cc96597d2f79ea3b6d53bdfcb",
+        (3, "quad", "json"): "813a93f78cee20be572214806ac5e7445f48ff71993c6212def5145b98a9bbb2",
+        (3, "series", "csv"): "ace677ebf49fbc81b113982c438a68621204afc0ee90fadeeee37043f52447e3",
+        (3, "series", "json"): "8acc7d7fda66d7b58d3ccfa2c1631d9e277b64787a3859a8a36504ce40d64d3f",
         (4, "quad", "csv"): "50050ba223ca353c1cf5e3a35684d18799056e0e0136100214bceff66762ac10",
         (4, "quad", "json"): "787194c97f9e19acb1245188f01899f72ffc518c06754022e057208c63220344",
         (4, "series", "csv"): "f6d821dbee20beede5a9fbd592a0abbbae8f212b5557e3798fa4d53cbd2cdfe2",
@@ -469,6 +470,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(argv + ["--format", "xml"])
         capsys.readouterr()
+
+
+class TestStrictJson:
+    # json.dumps writes a non-finite float as the bare token NaN or
+    # Infinity, which is not JSON; every number the CLI prints must be finite
+    COMMANDS = [
+        *(
+            ("phi-table", "--n", n, "--method", method, "--format", "json")
+            for n in ("3", "4", "44")
+            for method in ("quad", "series")
+        ),
+        ("verify", "--suite", "all", "--n", "3", "--format", "json"),
+        ("probe", "--n", "4", "--samples", "25", "--seed", "1", "--format", "json"),
+    ]
+
+    @staticmethod
+    def _reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_output_parses_as_strict_json(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        json.loads(out, parse_constant=self._reject)
 
 
 class TestErrors:

@@ -673,6 +673,29 @@ class TestTechnicalGap:
         assert technical_gap(3, 0.5) < 0.0
 
 
+class TestAuxiliaryReduction:
+    """The paper's reduction of concavity to the auxiliary inequality: with
+    t = rho^2, Phi''(rho) = -(2 (n-2) / t) W^((n-1)/2) A^(-n/2) C E gap(n, t),
+    every factor positive on (0, 1]."""
+
+    RADII = [0.0011, 0.01, 0.05, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99, 1.0]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 44])
+    def test_closed_second_derivative_is_the_scaled_gap(self, n):
+        for rho, closed in zip(self.RADII, phi_second_closed(n, self.RADII)):
+            t = rho * rho
+            a = 1.0 - (n - 4.0) * t / n
+            w = 1.0 - (n - 2.0) ** 2 * t / (n * n)
+            c = 1.0 - (n - 2.0) * (n - 3.0) * t / (n * (n - 1.0))
+            e = 1.0 - (n - 2.0) * t / n
+            gap = technical_gap(n, t)
+            reduced = -(2.0 * (n - 2.0) / t) * w ** (0.5 * (n - 1)) * a ** (-0.5 * n) * c * e * gap
+            assert min(a, w, c, e) > 0.0
+            assert abs(closed.value - reduced) <= closed.error_estimate, rho
+            # the sign corollary: concave exactly where the gap is positive
+            assert (closed.value < 0.0) == (gap > 0.0) == (n >= 4), rho
+
+
 class TestVerifyMonotone:
     def test_decreasing_above_three(self):
         report = verify_monotone(4)

@@ -671,6 +671,18 @@ class TestHeadMoments:
             assert factored == 2.0 * (1.0 - s * s) ** (0.5 * (n + 1)) / (n - 1.0)
             assert abs(moments - factored) <= 1e-15, rho
 
+    @pytest.mark.parametrize("n", [3, 4, 12, 44])
+    def test_series_terms_are_the_kernel_moments(self, n):
+        # the degree-k term of phi_series, read as the difference of the sums
+        # to degrees k and k - 1, is the moment M_k times rho^k: the series'
+        # own coefficient formula against the closed moment of degree k
+        lam = 0.5 * (n - 2)
+        for rho in (0.3, 0.9):
+            s = (n - 2.0) * rho / n
+            for k in range(2, 12):
+                term = phi_series(n, rho, K=k).value - phi_series(n, rho, K=k - 1).value
+                assert abs(term - abs_kernel_coefficient(lam, k, s) * rho**k) <= 1e-15, (rho, k)
+
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("lam", [0.3, 1.25, 2.0 + 1e-9, math.nan, math.inf])
     def test_need_half_integer_parameter(self, k, lam):
