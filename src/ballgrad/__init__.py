@@ -51,6 +51,7 @@ from .phi import (
     psi,
     psi_prime_closed,
     psi_prime_quadratic,
+    technical_gap,
     varphi,
     verify_concavity,
     verify_monotone,

@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds
 from .errors import check_count, check_dim
 from .quadrature import band_node_table, row_sums, zonal_band_integrals, zonal_sphere_integral
-from .report import CheckResult, VerificationReport, worst_error_check
+from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
 
 __all__ = [
     "ZonalBoundaryData",
@@ -255,11 +255,9 @@ def probe_batch(n: int, samples: int, seed: int) -> ProbeBatch:
     return ProbeBatch(n, data, *sweep(radial_derivative_kernel), *((None, None) if n == 3 else sweep(poisson_kernel)))
 
 
-def _worst(entries, radii):
-    """The largest entry of a (radius, sample) array and its label; the
-    first in radius-major order among equals."""
-    j, i = np.unravel_index(np.argmax(entries), entries.shape)
-    return entries[j, i], f"sample={i},rho={radii[j]:.3f}"
+def _at(j, i):
+    """Label of entry (j, i) of a (radius, sample) array."""
+    return f"sample={i},rho={PROBE_RADII[j]:.3f}"
 
 
 def probe_schwarz_pick(batch: ProbeBatch) -> VerificationReport:
@@ -271,20 +269,19 @@ def probe_schwarz_pick(batch: ProbeBatch) -> VerificationReport:
     the pointwise bound of :func:`ballgrad.bounds.capital_c`.
 
     At radius j the batch's row after the samples' j-th is the attained
-    value.  Each check reports its first worst entry in radius-major order.
+    value.  Each check reports its worst entry by
+    :func:`ballgrad.report.extreme_check`: the first in radius-major order.
     """
     n, data, slopes, radii = batch.n, batch.data, batch.slopes, PROBE_RADII
     scale = 1.0 - np.square(radii)
     const = np.array([bounds.gradient_bound(n, rho) for rho in radii]) * scale
     lhs = np.abs(slopes[:, : len(data)]) * scale[:, None]
-    worst_margin, worst_at = _worst(lhs - const[:, None], radii)
-    max_ratio, ratio_at = _worst(lhs / const[:, None], radii)
     targets = np.array([bounds.capital_c(bounds.BoundQuery(n, rho)) for rho in radii])
     gaps = np.abs(np.abs(np.diagonal(slopes[:, len(data) :])) - targets) * scale
     gap_errors = zip(gaps.tolist(), (f"rho={rho:.3f}" for rho in radii))
     checks = (
-        CheckResult("bound_dominates", worst_margin <= 1e-9, worst_margin, worst_at),
-        CheckResult("sup_ratio", True, max_ratio, ratio_at),
+        extreme_check("bound_dominates", lhs - const[:, None], _at, lambda margin: margin <= 1e-9),
+        extreme_check("sup_ratio", lhs / const[:, None], _at, lambda ratio: True),
         worst_error_check("extremal_attains_pointwise_bound", gap_errors, 1e-6),
     )
     return VerificationReport("schwarz_pick_probe", n, checks)
@@ -299,7 +296,8 @@ def probe_conjecture(batch: ProbeBatch) -> VerificationReport:
     report); for n = 2 the refined disk inequality is a theorem and a
     violation fails the report.  Dimension three is excluded.
 
-    Reports the first largest ratio in radius-major order.
+    Reports the largest ratio by :func:`ballgrad.report.extreme_check`:
+    the first in radius-major order.
     """
     n, m = batch.n, len(batch.data)
     if n == 3:
@@ -307,10 +305,11 @@ def probe_conjecture(batch: ProbeBatch) -> VerificationReport:
     u = batch.values[:, :m]
     scale = (1.0 - np.square(PROBE_RADII))[:, None]
     ratios = np.abs(batch.slopes[:, :m]) * scale / ((1.0 - u * u) * bounds.schwarz_pick_constant(n))
-    max_ratio, at = _worst(ratios, PROBE_RADII)
+    worst = extreme_check("max_ratio", ratios, _at, lambda ratio: True)
+    ratio = worst.worst_margin
     checks = (
-        CheckResult("max_ratio", True, max_ratio, at),
-        CheckResult("no_counterexample", max_ratio <= 1.0 + 1e-9, max_ratio - 1.0, at, expected=(n >= 4)),
+        worst,
+        CheckResult("no_counterexample", ratio <= 1.0 + 1e-9, ratio - 1.0, worst.at, expected=(n >= 4)),
     )
     return VerificationReport("conjecture_probe", n, checks)
 

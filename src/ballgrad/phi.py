@@ -24,7 +24,7 @@ import numpy as np
 from . import quadrature, specfun
 from .errors import ConvergenceError, check_dim
 from .quadrature import _NON_FINITE, QuadratureSpec, integrate
-from .report import CheckResult, VerificationReport, worst_error_check
+from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
 from .specfun import HypergeometricInput, _one_or_list, _pow_each, _radii, hyp2f1
 
 __all__ = [
@@ -41,13 +41,14 @@ __all__ = [
     "psi",
     "psi_prime_closed",
     "psi_prime_quadratic",
+    "technical_gap",
     "verify_monotone",
     "verify_concavity",
     "verify_technical",
     "SECOND_CLOSED_RHO_MIN",
 ]
 
-Method = Literal["quad", "series", "closed3", "second_closed", "second_series", "second_fd"]
+Method = Literal["quad", "series", "second_closed", "second_series", "second_fd"]
 
 # Below this radius the closed second-derivative form divides a vanishing
 # brace by rho^2; the series route is exact there instead.
@@ -488,6 +489,11 @@ def technical_gap(n: int, t) -> float | list[float]:
     return _one_or_list(_varphi_hyp2f1(n, ts)[1] - _technical_rhs(n, ts), single)
 
 
+def _label(var, points):
+    """Labels for the entries of a sweep over ``points``, by index."""
+    return lambda i: f"{var}={points[i]:.6f}"
+
+
 def verify_monotone(n: int) -> VerificationReport:
     """Monotonicity sweep of the profile on a uniform grid of [0, 1].
 
@@ -506,20 +512,13 @@ def verify_monotone(n: int) -> VerificationReport:
     checks.append(CheckResult("value_at_origin", err0 <= 1e-10, err0, "rho=0"))
 
     diffs = np.diff(values)
+    at = _label("rho", grid[1:])  # a difference is labelled by its right grid point
     if n >= 4:
-        worst = float(diffs.max())
-        idx = int(diffs.argmax())
-        checks.append(
-            CheckResult("strictly_decreasing", worst <= -1e-12, worst, f"rho={grid[idx + 1]:.6f}")
-        )
+        checks.append(extreme_check("strictly_decreasing", diffs, at, lambda d: d <= -1e-12))
         max_err = abs(max(values) - 2.0 / (n - 1.0))
         checks.append(CheckResult("maximum_at_origin", max_err <= 1e-10, max_err, "rho=0"))
     else:
-        worst = float(diffs.min())
-        idx = int(diffs.argmin())
-        checks.append(
-            CheckResult("strictly_increasing", worst >= 1e-12, worst, f"rho={grid[idx + 1]:.6f}")
-        )
+        checks.append(extreme_check("strictly_increasing", diffs, at, lambda d: d >= 1e-12, smallest=True))
         max_err = abs(max(values) - phi3_closed(1.0))
         checks.append(CheckResult("maximum_at_one", max_err <= 1e-10, max_err, "rho=1"))
 
@@ -553,19 +552,15 @@ def verify_concavity(n: int) -> VerificationReport:
         second[grid.size :],
     ]
 
-    checks = []
-    # the first NaN, if any, is the worst value
-    idx = int(np.argmax(values))
-    worst = values[idx]
-    checks.append(
-        CheckResult(
+    checks = [
+        extreme_check(
             "second_derivative_negative",
-            worst <= -1e-12,
-            float(worst),
-            f"rho={grid[idx]:.6f}",
+            values,
+            _label("rho", grid),
+            lambda v: v <= -1e-12,
             expected=(n == 3),
         )
-    )
+    ]
 
     errors = []
     for r, *at_r in zip(agree_grid, *routes):
@@ -597,21 +592,14 @@ def verify_technical(n: int) -> VerificationReport:
     # psi on the whole grid for n >= 4, at t = 0 alone for n = 3
     m = grid.size if n >= 4 else 1
     psis = _psi_from(n, grid[:m], phs[:m], f_vals[:m])
+    at = _label("t", grid[1:])
     if n >= 4:
-        idx = 1 + int(np.argmin(gaps[1:]))
-        worst = float(gaps[idx])
-        checks.append(CheckResult("gap_positive", worst > 0.0, worst, f"t={grid[idx]:.6f}"))
-        idxp = 1 + int(np.argmin(psis[1:]))
-        worst_psi = float(psis[idxp])
-        checks.append(CheckResult("psi_positive", worst_psi > 0.0, worst_psi, f"t={grid[idxp]:.6f}"))
+        checks.append(extreme_check("gap_positive", gaps[1:], at, lambda g: g > 0.0, smallest=True))
+        checks.append(extreme_check("psi_positive", psis[1:], at, lambda p: p > 0.0, smallest=True))
         quads = psi_prime_quadratic(n, grid)
-        idxq = int(np.argmin(quads))
-        worst_q = float(quads[idxq])
-        checks.append(CheckResult("quadratic_positive", worst_q > 0.0, worst_q, f"t={grid[idxq]:.6f}"))
+        checks.append(extreme_check("quadratic_positive", quads, _label("t", grid), lambda q: q > 0.0, smallest=True))
     else:
-        idx = 1 + int(np.argmax(gaps[1:]))
-        worst = float(gaps[idx])
-        checks.append(CheckResult("gap_reversed", worst < 0.0, worst, f"t={grid[idx]:.6f}"))
+        checks.append(extreme_check("gap_reversed", gaps[1:], at, lambda g: g < 0.0))
 
     psi0 = float(abs(psis[0]))
     checks.append(CheckResult("psi_zero_at_origin", psi0 <= 1e-12, psi0, "t=0"))

@@ -7,8 +7,9 @@ sweep in dimension three) and must not fail the run as a whole.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,20 @@ def merge_reports(suite: str, n: int, reports) -> VerificationReport:
     return VerificationReport(suite=suite, n=n, checks=tuple(checks))
 
 
+def extreme_check(name: str, values, at, passes, smallest=False, expected=False) -> CheckResult:
+    """The check on the largest entry of ``values`` (the smallest with
+    ``smallest``), read flat in C order: the first of equal entries, or the
+    first NaN.  ``passes`` judges the entry, and ``at`` labels it from its
+    index, one argument per axis."""
+    values = np.asarray(values)
+    flat = int(np.argmin(values) if smallest else np.argmax(values))
+    worst = float(values.flat[flat])
+    return CheckResult(name, passes(worst), worst, at(*map(int, np.unravel_index(flat, values.shape))), expected)
+
+
 def worst_error_check(name: str, errors, tol: float) -> CheckResult:
     """Check that every error in ``errors``, pairs of (error, location), is
     at most ``tol``.  Reports the largest error and where it first occurs,
     0 and no location when none is positive, or the first NaN, which fails."""
-    worst, at = 0.0, ""
-    for err, where in errors:
-        if math.isnan(err):
-            return CheckResult(name, False, err, where)
-        if err > worst:
-            worst, at = err, where
-    return CheckResult(name, worst <= tol, worst, at)
+    errors = [(0.0, ""), *errors]
+    return extreme_check(name, [err for err, _ in errors], lambda i: errors[i][1], lambda err: err <= tol)

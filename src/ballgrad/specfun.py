@@ -493,20 +493,10 @@ def _rainville_check(n: int) -> CheckResult:
     zs = (0.0, 0.2, 0.4, 0.6, 0.8)
     factors = []  # per z, one row (ratio_k, z^k) per term; the stop depends on z alone
     for z in zs:
-        ratio, pw, bound = 1.0, 1.0, 1.0  # bound: majorant (nu)_k / k! z^k of the current term
-        rows = []
-        k = 0
-        while True:
-            rows.append((ratio, pw))
-            next_bound = bound * z * (nu + k) / (k + 1.0)
-            r_next = z * (nu + k + 1.0) / (k + 2.0)
-            if z == 0.0 or (r_next < 0.95 and next_bound / (1.0 - r_next) < 1e-13) or k > 4000:
-                break
-            ratio *= (nu + k) / (2.0 * lam + k)
-            pw *= z
-            bound = next_bound
-            k += 1
-        factors.append(np.array(rows)[:, :, None])
+        # the terms are majorized by (nu)_k / k! z^k = C_k^(nu/2)(1) z^k
+        k = np.arange(_truncation_degree(0.5 * nu, z, 1e-13) if z else 0)
+        ratios = np.cumprod(np.r_[1.0, (nu + k) / (2.0 * lam + k)])  # running products
+        factors.append(np.stack((ratios, np.cumprod(np.r_[1.0, np.full(k.size, z)])), axis=1)[:, :, None])
     # the Gegenbauer values at every x, up to the largest degree any z needs
     values = np.concatenate(list(gegenbauer_iter(lam, xs, stop=max(map(len, factors)) - 1)))
     # each term as ratio * C * z^k, in that order

@@ -593,9 +593,49 @@ def test_each_probe_report_equals_a_loop_over_the_batch(n, samples, seed):
         assert probe_conjecture(batch) == conjecture
 
 
-def test_worst_entry_is_the_first_in_radius_major_order():
-    # ties: the loops keep the first strict maximum, radius by radius and
-    # sample by sample within a radius
-    entries = np.array([[0.0, 2.0, 2.0], [2.0, 1.0, 0.0]])
-    assert harmonic._worst(entries, (0.1, 0.2)) == (2.0, "sample=1,rho=0.100")
-    assert harmonic._worst(entries[::-1], (0.1, 0.2)) == (2.0, "sample=0,rho=0.100")
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_each_probe_location_holds_its_margin(n):
+    # every probe check's margin is the entry of the batch's arrays at its
+    # label, recomputed one entry at a time
+    batch = probe_batch(n, 25, 1)
+    m = len(batch.data)
+
+    def entry(check):
+        if check.at == "":  # no positive error: no location
+            return 0.0
+        fields = dict(field.split("=") for field in check.at.split(","))
+        j = round(float(fields["rho"]) / 0.09)
+        rho = RADII[j]
+        assert f"{rho:.3f}" == fields["rho"]
+        scale = 1.0 - rho * rho
+        if check.name == "extremal_attains_pointwise_bound":
+            return abs(abs(float(batch.slopes[j, m + j])) - capital_c(BoundQuery(n, rho))) * scale
+        i = int(fields["sample"])
+        lhs, const = abs(float(batch.slopes[j, i])) * scale, gradient_bound(n, rho) * scale
+        if check.name == "bound_dominates":
+            return lhs - const
+        if check.name == "sup_ratio":
+            return lhs / const
+        u = float(batch.values[j, i])
+        ratio = abs(float(batch.slopes[j, i])) * scale / ((1.0 - u * u) * schwarz_pick_constant(n))
+        return ratio if check.name == "max_ratio" else ratio - 1.0
+
+    reports = [probe_schwarz_pick(batch)] + ([] if n == 3 else [probe_conjecture(batch)])
+    checks = [check for report in reports for check in report.checks]
+    assert len(checks) == (3 if n == 3 else 5)
+    for check in checks:
+        assert entry(check) == check.worst_margin, check.name
+
+
+def test_probes_read_tied_entries_in_radius_major_order():
+    # infinite slopes at (radius 0, sample 1) and (radius 1, sample 0) tie
+    # exactly in every probe check; radius-major order reports the first,
+    # column-major order would report the second
+    batch = probe_batch(4, 3, 1)
+    slopes = batch.slopes.copy()
+    slopes[0, 1] = slopes[1, 0] = np.inf
+    tied = batch._replace(slopes=slopes)
+    checks = {c.name: c for report in (probe_schwarz_pick(tied), probe_conjecture(tied)) for c in report.checks}
+    for name in ("bound_dominates", "sup_ratio", "max_ratio", "no_counterexample"):
+        assert (checks[name].worst_margin, checks[name].at) == (math.inf, "sample=1,rho=0.000"), name
+    assert not checks["bound_dominates"].passed and not checks["no_counterexample"].passed

@@ -776,6 +776,54 @@ class TestVerifyTechnical:
     def test_high_dimension(self):
         assert verify_technical(12).passed
 
+    def test_a_zero_psi_fails_the_strict_check(self):
+        # psi(250, t) underflows to 0.0 past the origin; zero is not
+        # positive, so the sweep fails at the first such grid point
+        report = verify_technical(250)
+        check = next(c for c in report.checks if c.name == "psi_positive")
+        assert (check.passed, check.worst_margin, check.at) == (False, 0.0, "t=0.001000")
+        assert not report.passed
+
+
+def _grid_point(at, var, points):
+    """Index of the grid point that the label ``var=...`` names: the
+    nearest, so the six printed digits only pick it."""
+    key, value = at.split("=")
+    k = int(np.argmin(np.abs(points - float(value))))
+    assert key == var and f"{points[k]:.6f}" == value
+    return k
+
+
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_each_reported_location_holds_its_margin(n):
+    # the entry at a check's label, recomputed from public routes, has the
+    # bits of its worst margin: a grid entry has the bits of its one-point call
+    grid = np.linspace(0.0, 1.0, 1001)  # the monotone and technical sweeps
+    interior = np.arange(1, 1002) / 1002.0  # the concavity sweep
+
+    def monotone(k):
+        assert k >= 1  # a difference is labelled by its right grid point
+        left, right = phi_quad_grid(n, grid[k - 1 : k + 1])[0]
+        return right - left
+
+    recompute = {
+        "strictly_decreasing": ("rho", grid, monotone),
+        "strictly_increasing": ("rho", grid, monotone),
+        "second_derivative_negative": ("rho", interior, lambda k: phi_second(n, float(interior[k])).value),
+        "gap_positive": ("t", grid, lambda k: technical_gap(n, float(grid[k]))),
+        "gap_reversed": ("t", grid, lambda k: technical_gap(n, float(grid[k]))),
+        "psi_positive": ("t", grid, lambda k: psi(n, float(grid[k]))),
+        "quadratic_positive": ("t", grid, lambda k: psi_prime_quadratic(n, float(grid[k]))),
+    }
+    seen = set()
+    for report in (verify_monotone(n), verify_concavity(n), verify_technical(n)):
+        for check in report.checks:
+            if check.name in recompute:
+                var, points, entry = recompute[check.name]
+                assert entry(_grid_point(check.at, var, points)) == check.worst_margin, check.name
+                seen.add(check.name)
+    assert len(seen) == (3 if n == 3 else 5)
+
 
 def test_quadrature_spec_passthrough():
     tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
