@@ -20,7 +20,7 @@ from .bounds import (
     pw_bound,
     schwarz_pick_constant,
 )
-from .errors import ConvergenceError
+from .errors import ConvergenceError, Evaluation
 from .harmonic import (
     AxisPoint,
     ZonalBoundaryData,
@@ -40,7 +40,6 @@ from .harmonic import (
     zonal_poisson_value,
 )
 from .phi import (
-    PhiEvaluation,
     phi3_closed,
     phi_quad,
     phi_second,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import check_dim
+from .errors import Evaluation, check_dim
 from .phi import phi_quad
 
 __all__ = [
@@ -80,17 +80,19 @@ class BoundQuery:
             raise ValueError("rho must lie in [0, 1)")
 
 
-def capital_c(query: BoundQuery) -> float:
+def capital_c(query: BoundQuery) -> Evaluation:
     """Pointwise-sharp gradient bound (n-1) m_{n-1}/m_n * Phi(rho)/(1-rho^2),
-    with Phi from :func:`ballgrad.phi.phi_quad` under ``quadrature.DEFAULT_SPEC``.
+    with Phi from :func:`ballgrad.phi.phi_quad` under ``quadrature.DEFAULT_SPEC``,
+    whose estimate is scaled by the same factor.
 
     At rho = 0 this equals :func:`schwarz_pick_constant`.  Defined for every
     n >= 2; at n = 2 the profile is constant and the bound reduces to the
     disk constant 4/pi over 1 - rho^2.
     """
     n, rho = query.n, query.rho
-    phi_val = phi_quad(n, rho).value
-    return (n - 1.0) * ball_volume(n - 1) / ball_volume(n) * phi_val / (1.0 - rho * rho)
+    phi = phi_quad(n, rho)
+    scale = (n - 1.0) * ball_volume(n - 1) / ball_volume(n)
+    return Evaluation(scale * phi.value / (1.0 - rho * rho), scale * phi.error_estimate / (1.0 - rho * rho))
 
 
 def gradient_bound(n: int, rho: float) -> float:
@@ -150,7 +152,7 @@ def bound_table(n: int, rho_grid) -> tuple[BoundRow, ...]:
         rows.append(
             BoundRow(
                 rho=rho,
-                capital_c=capital_c(BoundQuery(n, rho)),
+                capital_c=capital_c(BoundQuery(n, rho)).value,
                 schwarz_pick_over_1mr2=sp / (1.0 - rho * rho),
                 pw_over_1mr=sp / (1.0 - rho),
                 khavinson_radial_if_n3=khavinson_radial_3d(rho) if n == 3 else None,

@@ -61,7 +61,7 @@ def _cmd_constants(args):
 
 def _phi_values(n, rhos, method):
     if method == "quad":
-        return phi.phi_quad_grid(n, rhos)[0].tolist()
+        return phi.phi_quad_grid(n, rhos).value.tolist()
     if method == "series":
         return [e.value for e in phi.phi_series(n, rhos)]
     if method == "closed3":
@@ -109,7 +109,7 @@ def _cmd_verify(args):
 
 def _cmd_extremal(args):
     n = args.n
-    value = harmonic.extremal_gradient_at_origin(n)
+    value = harmonic.extremal_gradient_at_origin(n).value
     target = bounds.schwarz_pick_constant(n)
     err = abs(value - target)
     payload = {

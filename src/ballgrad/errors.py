@@ -1,6 +1,17 @@
-"""Shared exception types and the package's one dimension check."""
+"""Shared result and exception types and the package's one dimension check."""
 
 import math
+import numbers
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """A value and an estimate of its error, as computed by one route: each
+    a float, or an array over a batch."""
+
+    value: float
+    error_estimate: float
 
 
 class ConvergenceError(RuntimeError):
@@ -14,6 +25,11 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+
+
+def is_whole(value, least) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def check_count(value, minimum, message):

@@ -17,9 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds
-from .errors import check_count, check_dim
+from .errors import Evaluation, check_count, check_dim
 from .quadrature import band_node_table, row_sums, zonal_band_integrals, zonal_sphere_integral
 from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
+from .specfun import _one_or_list
 
 __all__ = [
     "ZonalBoundaryData",
@@ -136,36 +137,40 @@ def _band_extension(kernel, n, rho, band_values, table):
     matrix: the rows times the kernel's band integrals, computed once for
     the whole batch by :func:`ballgrad.quadrature.zonal_band_integrals`
     on the cut set's node ``table``, summed row by row
-    (:func:`ballgrad.quadrature.row_sums`).  Returns the values as an
-    array and the engine's error estimate, which bounds every datum with
-    sup <= 1."""
-    integrals, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), table)
-    return row_sums(band_values, integrals), estimate
+    (:func:`ballgrad.quadrature.row_sums`).  Returns an :class:`Evaluation`:
+    the values as an array and the engine's error estimate, which bounds
+    every datum with sup <= 1."""
+    integrals = zonal_band_integrals(lambda t: kernel(n, rho, t), table)
+    return Evaluation(row_sums(band_values, integrals.value), integrals.error_estimate)
 
 
 def _zonal_extension(kernel, n, data, rho):
-    """Integrals of ``kernel(n, rho, t)`` against every datum in ``data``:
-    the data's band matrix and node table (:func:`_band_matrix`), then
-    their integrals (:func:`_band_extension`), as a list."""
-    return _band_extension(kernel, n, rho, *_band_matrix(n, data))[0].tolist()
+    """Integrals of ``kernel(n, rho, t)`` against ``data``, one datum or a
+    list of them: the data's band matrix and node table
+    (:func:`_band_matrix`), then their integrals (:func:`_band_extension`),
+    as an :class:`Evaluation` of one float or of a list."""
+    single = isinstance(data, ZonalBoundaryData)
+    extension = _band_extension(kernel, n, rho, *_band_matrix(n, [data] if single else data))
+    return Evaluation(_one_or_list(extension.value, single), extension.error_estimate)
 
 
-def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint) -> float:
-    """Harmonic extension of ``data`` evaluated at the axis point; the datum
-    jumps are the band cuts."""
-    return _zonal_extension(poisson_kernel, n, [data], p.rho)[0]
+def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint) -> Evaluation:
+    """Harmonic extension of ``data`` evaluated at the axis point, with the
+    band engine's estimate; the datum jumps are the band cuts."""
+    return _zonal_extension(poisson_kernel, n, data, p.rho)
 
 
-def radial_derivative(n: int, data: ZonalBoundaryData, p: AxisPoint) -> float:
-    """Radial derivative of the harmonic extension at the axis point.
+def radial_derivative(n: int, data: ZonalBoundaryData, p: AxisPoint) -> Evaluation:
+    """Radial derivative of the harmonic extension at the axis point, with
+    the band engine's estimate.
 
     For zonal data the gradient on the axis is purely radial, so the
     absolute value of this quantity is the full gradient norm there.
     """
-    return _zonal_extension(radial_derivative_kernel, n, [data], p.rho)[0]
+    return _zonal_extension(radial_derivative_kernel, n, data, p.rho)
 
 
-def extremal_gradient_at_origin(n: int) -> float:
+def extremal_gradient_at_origin(n: int) -> Evaluation:
     """Gradient norm at the origin of the hemisphere datum's extension.
 
     The kernel derivative at the origin is n t, so this is n times the
@@ -184,7 +189,7 @@ def extremal_sign_datum(n: int, rho: float) -> ZonalBoundaryData:
     return ZonalBoundaryData((ts,), (-1.0, 1.0))
 
 
-def sharp_radial_sup(n: int, p: AxisPoint) -> float:
+def sharp_radial_sup(n: int, p: AxisPoint) -> Evaluation:
     """Largest radial derivative at the axis point over all data with
     sup |g| <= 1: the zonal integral of the absolute kernel derivative,
     attained by :func:`extremal_sign_datum`.
@@ -223,18 +228,16 @@ PROBE_RADII = tuple(float(rho) for rho in np.linspace(0.0, 0.9, 11))
 
 
 class ProbeBatch(NamedTuple):
-    """The band-engine work of a probe command (:func:`probe_batch`).
-    ``slopes[j, i]`` and ``values[j, i]`` are row i's radial derivative and
-    Poisson value (None at n = 3) at ``PROBE_RADII[j]``, with one engine
-    estimate per radius; the rows are ``data``, then every radius's
-    extremal sign datum."""
+    """The band-engine work of a probe command (:func:`probe_batch`): two
+    :class:`Evaluation`, ``slopes`` and ``values`` (None at n = 3), whose
+    ``value[j, i]`` is row i's radial derivative or Poisson value at
+    ``PROBE_RADII[j]`` and ``error_estimate[j]`` the engine's estimate there;
+    the rows are ``data``, then every radius's extremal sign datum."""
 
     n: int
     data: tuple[ZonalBoundaryData, ...]
-    slopes: np.ndarray
-    slope_estimates: np.ndarray
-    values: np.ndarray | None
-    value_estimates: np.ndarray | None
+    slopes: Evaluation
+    values: Evaluation | None
 
 
 def probe_batch(n: int, samples: int, seed: int) -> ProbeBatch:
@@ -250,9 +253,10 @@ def probe_batch(n: int, samples: int, seed: int) -> ProbeBatch:
     band_values, table = _band_matrix(n, [*data, *(extremal_sign_datum(n, rho) for rho in PROBE_RADII)])
 
     def sweep(kernel):
-        return map(np.array, zip(*(_band_extension(kernel, n, rho, band_values, table) for rho in PROBE_RADII)))
+        parts = [_band_extension(kernel, n, rho, band_values, table) for rho in PROBE_RADII]
+        return Evaluation(np.array([e.value for e in parts]), np.array([e.error_estimate for e in parts]))
 
-    return ProbeBatch(n, data, *sweep(radial_derivative_kernel), *((None, None) if n == 3 else sweep(poisson_kernel)))
+    return ProbeBatch(n, data, sweep(radial_derivative_kernel), None if n == 3 else sweep(poisson_kernel))
 
 
 def _at(j, i):
@@ -272,11 +276,11 @@ def probe_schwarz_pick(batch: ProbeBatch) -> VerificationReport:
     value.  Each check reports its worst entry by
     :func:`ballgrad.report.extreme_check`: the first in radius-major order.
     """
-    n, data, slopes, radii = batch.n, batch.data, batch.slopes, PROBE_RADII
+    n, data, slopes, radii = batch.n, batch.data, batch.slopes.value, PROBE_RADII
     scale = 1.0 - np.square(radii)
     const = np.array([bounds.gradient_bound(n, rho) for rho in radii]) * scale
     lhs = np.abs(slopes[:, : len(data)]) * scale[:, None]
-    targets = np.array([bounds.capital_c(bounds.BoundQuery(n, rho)) for rho in radii])
+    targets = np.array([bounds.capital_c(bounds.BoundQuery(n, rho)).value for rho in radii])
     gaps = np.abs(np.abs(np.diagonal(slopes[:, len(data) :])) - targets) * scale
     gap_errors = zip(gaps.tolist(), (f"rho={rho:.3f}" for rho in radii))
     checks = (
@@ -302,9 +306,9 @@ def probe_conjecture(batch: ProbeBatch) -> VerificationReport:
     n, m = batch.n, len(batch.data)
     if n == 3:
         raise ValueError("the probe applies to n = 2 or n >= 4")
-    u = batch.values[:, :m]
+    u = batch.values.value[:, :m]
     scale = (1.0 - np.square(PROBE_RADII))[:, None]
-    ratios = np.abs(batch.slopes[:, :m]) * scale / ((1.0 - u * u) * bounds.schwarz_pick_constant(n))
+    ratios = np.abs(batch.slopes.value[:, :m]) * scale / ((1.0 - u * u) * bounds.schwarz_pick_constant(n))
     worst = extreme_check("max_ratio", ratios, _at, lambda ratio: True)
     ratio = worst.worst_margin
     checks = (
@@ -327,14 +331,14 @@ def verify_theorem_b(n: int) -> VerificationReport:
 
     errors = []
     for rho in (0.0, 0.5, 0.9):
-        val = zonal_sphere_integral(lambda t: poisson_kernel(n, rho, t), n)
+        val = zonal_sphere_integral(lambda t: poisson_kernel(n, rho, t), n).value
         errors.append((abs(val - 1.0), f"rho={rho}"))
     checks.append(worst_error_check("kernel_normalization", errors, 1e-10))
 
     radii = [float(rho) for rho in np.linspace(0.0, 0.9, 10)]
-    sups = [sharp_radial_sup(n, AxisPoint(rho)) for rho in radii]
+    sups = [sharp_radial_sup(n, AxisPoint(rho)).value for rho in radii]
     errors = [
-        (abs(sup - bounds.capital_c(bounds.BoundQuery(n, rho))), f"rho={rho:.1f}")
+        (abs(sup - bounds.capital_c(bounds.BoundQuery(n, rho)).value), f"rho={rho:.1f}")
         for rho, sup in zip(radii, sups)
     ]
     checks.append(worst_error_check("radial_sup_matches_pointwise_bound", errors, 1e-6))
@@ -343,7 +347,7 @@ def verify_theorem_b(n: int) -> VerificationReport:
         errors = [(abs(sup - bounds.khavinson_radial_3d(rho)), f"rho={rho:.1f}") for rho, sup in zip(radii, sups)]
         checks.append(worst_error_check("matches_khavinson_radial", errors, 1e-6))
 
-    err = abs(extremal_gradient_at_origin(n) - bounds.schwarz_pick_constant(n))
+    err = abs(extremal_gradient_at_origin(n).value - bounds.schwarz_pick_constant(n))
     checks.append(CheckResult("extremal_gradient_at_origin", err <= 1e-8, err, "rho=0"))
 
     return VerificationReport("theoremB", n, tuple(checks))

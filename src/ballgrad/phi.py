@@ -16,19 +16,17 @@ dependence and Phi is the constant 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import replace
 
 import numpy as np
 
 from . import quadrature, specfun
-from .errors import ConvergenceError, check_dim
+from .errors import ConvergenceError, Evaluation, check_dim
 from .quadrature import _NON_FINITE, QuadratureSpec, integrate
 from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
 from .specfun import HypergeometricInput, _one_or_list, _pow_each, _radii, hyp2f1
 
 __all__ = [
-    "PhiEvaluation",
     "phi_quad",
     "phi_quad_grid",
     "phi_series",
@@ -47,8 +45,6 @@ __all__ = [
     "verify_technical",
     "SECOND_CLOSED_RHO_MIN",
 ]
-
-Method = Literal["quad", "series", "second_closed", "second_series", "second_fd"]
 
 # Below this radius the closed second-derivative form divides a vanishing
 # brace by rho^2; the series route is exact there instead.
@@ -73,23 +69,12 @@ _TIGHT_SPEC = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
 _FD_STEP = 1e-3
 
 
-@dataclass(frozen=True)
-class PhiEvaluation:
-    """One evaluation of the profile or a derivative by one route."""
-
-    n: int
-    rho: float
-    value: float
-    method: Method
-    error_estimate: float
-
-
 def kink_abscissa(n: int, rho: float) -> float:
     """Interior point where the defining integrand loses smoothness."""
     return (n - 2.0) * rho / n
 
 
-def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvaluation:
+def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> Evaluation:
     """Profile value by adaptive quadrature of the defining integral.
 
     The kink abscissa is declared to the quadrature, and the endpoint pieces
@@ -97,6 +82,7 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
     factor has an integrable endpoint singularity) is allowed.  A panel
     that is not finite (the kernel factor overflows near rho = 1 in high
     dimension) makes :func:`integrate` raise :class:`ConvergenceError`.
+    Returns that call's result, a :class:`ballgrad.quadrature.QuadratureResult`.
     """
     n = check_dim(n, 2)
     if not 0.0 <= rho <= 1.0:
@@ -110,14 +96,13 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> PhiEvalu
 
     qspec = replace(spec if spec is not None else quadrature.DEFAULT_SPEC, kinks=(s,))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        res = integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
-    return PhiEvaluation(n, rho, res.value, "quad", res.error_estimate)
+        return integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
 
 
-def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None):
+def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None) -> Evaluation:
     """Profile values at many radii by one batched quadrature.
 
-    Returns ``(values, estimates)`` as arrays over ``rhos``.  Each radius is
+    Returns an :class:`Evaluation` of two arrays over ``rhos``.  Each radius is
     one group of :func:`ballgrad.quadrature.group_integrals`: the defining
     integral cut at the kink s = (n-2) rho / n, both pieces in the
     cosine-substituted variable as in :func:`phi_quad`, with that group's
@@ -132,12 +117,12 @@ def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None):
     rho = np.asarray(rhos, dtype=float)
     if rho.ndim != 1 or rho.size == 0 or not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError("rhos must be a non-empty sequence in [0, 1]")
-    blocks = (rho[i : i + _GRID_BLOCK] for i in range(0, rho.size, _GRID_BLOCK))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values, estimates = (np.concatenate(part) for part in zip(*(_phi_quad_block(n, b, spec) for b in blocks)))
+        blocks = [_phi_quad_block(n, rho[i : i + _GRID_BLOCK], spec) for i in range(0, rho.size, _GRID_BLOCK)]
+    values, estimates = (np.concatenate([getattr(b, part) for b in blocks]) for part in ("value", "error_estimate"))
     if not (np.isfinite(values).all() and np.isfinite(estimates).all()):
         raise ConvergenceError(_NON_FINITE, values, estimates)
-    return values, estimates
+    return Evaluation(values, estimates)
 
 
 def _phi_quad_block(n, rho, spec):
@@ -163,11 +148,9 @@ def _series_radii(rho):
     )
 
 
-def _evaluations(n, radii, single, values, estimates, method):
+def _evaluations(single, values, estimates):
     """One evaluation per radius, or the only one for a one-number call."""
-    evaluations = [
-        PhiEvaluation(n, r, v, method, e) for r, v, e in zip(radii.tolist(), values, estimates)
-    ]
+    evaluations = [Evaluation(v, e) for v, e in zip(values, estimates)]
     return evaluations[0] if single else evaluations
 
 
@@ -225,7 +208,7 @@ def _sum_series(rho, head, k0, lams, s, prefactors, coefficients, K):
     return values.tolist(), omitted.tolist()
 
 
-def phi_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEvaluation]:
+def phi_series(n: int, rho, K: int | None = None) -> Evaluation | list[Evaluation]:
     """Profile value by the Gegenbauer expansion in powers of rho.
 
     With s = (n-2) rho / n, the degree-0 and degree-1 terms together are
@@ -254,7 +237,7 @@ def phi_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEva
     lams = np.array([0.5 * (n + 2)])
     head = 2.0 * wpow / (n - 1.0)
     values, omitted = _sum_series(radii, head, 2, lams, s, wpow[None, :], coefficients, K)
-    return _evaluations(n, radii, single, values, omitted, "series")
+    return _evaluations(single, values, omitted)
 
 
 def phi3_closed(rho: float) -> float:
@@ -305,7 +288,7 @@ def _factors(n, t):
     )
 
 
-def phi_second_closed(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
+def phi_second_closed(n: int, rho) -> Evaluation | list[Evaluation]:
     """Second derivative of the profile by the hypergeometric closed form.
 
     Valid for n >= 3 and rho above :data:`SECOND_CLOSED_RHO_MIN`; below that
@@ -329,10 +312,10 @@ def phi_second_closed(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
     prefactor = 2.0 * (n - 2.0) / r2 * _pow_each(w, 0.5 * (n - 3)) * _pow_each(aa, -0.5 * n)
     value = prefactor * (term1 - term2)
     est = abs(prefactor) * (specfun.DEFAULT_SERIES_RTOL * abs(term2) + 1e-16 * (abs(term1) + abs(term2)))
-    return _evaluations(n, r, single, value.tolist(), est.tolist(), "second_closed")
+    return _evaluations(single, value.tolist(), est.tolist())
 
 
-def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list[PhiEvaluation]:
+def phi_second_series(n: int, rho, K: int | None = None) -> Evaluation | list[Evaluation]:
     """Second derivative of the profile by its three-part Gegenbauer series.
 
     The three series run over parameters (n-2)/2, n/2 and (n+2)/2 with
@@ -346,20 +329,20 @@ def phi_second_series(n: int, rho, K: int | None = None) -> PhiEvaluation | list
     radii, single = _series_radii(rho)
     s = kink_abscissa(n, radii)
     w = 1.0 - s * s
-    a1 = 2.0 * (n - 2.0) ** 2 / (n * n) * _pow_each(w, 0.5 * (n - 3))
-    a2 = -4.0 * (n - 2.0) ** 2 / (n * (n - 1.0)) * _pow_each(w, 0.5 * (n - 1))
-    a3 = 2.0 * (n - 2.0) / (n + 1.0) * _pow_each(w, 0.5 * (n + 1))
-    prefactors = np.vstack((a1, a2 * (n - 1.0), a3 * n * (n + 1.0)))
+    prefactors = np.empty((3, radii.size))  # filled in place, so that no row is held twice
+    prefactors[0] = 2.0 * (n - 2.0) ** 2 / (n * n) * _pow_each(w, 0.5 * (n - 3))
+    prefactors[1] = -4.0 * (n - 2.0) ** 2 / (n * (n - 1.0)) * _pow_each(w, 0.5 * (n - 1)) * (n - 1.0)
+    prefactors[2] = 2.0 * (n - 2.0) / (n + 1.0) * _pow_each(w, 0.5 * (n + 1)) * n * (n + 1.0)
 
     def coefficients(k, c, p):
         return p[0] * c[:, 0] + p[1] / (n + k - 1.0) * c[:, 1] + p[2] / ((n + k) * (n + k + 1.0)) * c[:, 2]
 
     lams = np.array([0.5 * (n - 2), 0.5 * n, 0.5 * (n + 2)])
     values, omitted = _sum_series(radii, np.zeros(radii.size), 0, lams, s, prefactors, coefficients, K)
-    return _evaluations(n, radii, single, values, omitted, "second_series")
+    return _evaluations(single, values, omitted)
 
 
-def phi_second_fd(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
+def phi_second_fd(n: int, rho) -> Evaluation | list[Evaluation]:
     """Second derivative by a Richardson-extrapolated central difference of
     the quadrature route.
 
@@ -378,16 +361,16 @@ def phi_second_fd(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
     radii, single = _radii(rho, lambda r: (0.0 <= r) & (r <= 1.0 - step), "need rho + step <= 1")
     half = 0.5 * step
     abscissae = np.abs(np.stack((radii, radii + step, radii - step, radii + half, radii - half)))
-    center, up, down, up_half, down_half = phi_quad_grid(n, abscissae.ravel(), _TIGHT_SPEC)[0].reshape(5, -1)
+    center, up, down, up_half, down_half = phi_quad_grid(n, abscissae.ravel(), _TIGHT_SPEC).value.reshape(5, -1)
     d_h = (up - 2.0 * center + down) / (step * step)
     d_h2 = (up_half - 2.0 * center + down_half) / (half * half)
     values = (4.0 * d_h2 - d_h) / 3.0
     noise = 16.0 * 1e-15 / (step * step)
     estimates = np.maximum(np.abs(d_h - d_h2) / 3.0, noise)
-    return _evaluations(n, radii, single, values.tolist(), estimates.tolist(), "second_fd")
+    return _evaluations(single, values.tolist(), estimates.tolist())
 
 
-def phi_second(n: int, rho) -> PhiEvaluation | list[PhiEvaluation]:
+def phi_second(n: int, rho) -> Evaluation | list[Evaluation]:
     """Second derivative of the profile by the closed form where it is well
     conditioned (rho above :data:`SECOND_CLOSED_RHO_MIN`), by the series at
     and below it, in every dimension n >= 3.
@@ -504,7 +487,7 @@ def verify_monotone(n: int) -> VerificationReport:
     """
     n = check_dim(n, 3)
     grid = np.linspace(0.0, 1.0, _SWEEP_POINTS)
-    values = phi_quad_grid(n, grid)[0].tolist()
+    values = phi_quad_grid(n, grid).value.tolist()
 
     checks = []
 

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, check_dim
+from .errors import ConvergenceError, Evaluation, check_dim, is_whole
 
 __all__ = [
     "QuadratureSpec",
@@ -62,10 +61,6 @@ _EST_FLOOR = 2.0 ** -48
 _NON_FINITE = "quadrature gave a non-finite value or error estimate"
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances, budgets and declared kink abscissae for one integral.
@@ -88,9 +83,9 @@ class QuadratureSpec:
         if self.abs_tol < _MIN_TOL or self.rel_tol < _MIN_TOL:
             raise ValueError("tolerances below 1e-15 are not attainable in binary64")
         # integers only: a NaN budget never compares as spent
-        if not _is_count(self.max_subdivisions) or self.max_subdivisions < 1:
+        if not is_whole(self.max_subdivisions, 1):
             raise ValueError("max_subdivisions must be a positive integer")
-        if not _is_count(self.base_nodes) or self.base_nodes < 2:
+        if not is_whole(self.base_nodes, 2):
             raise ValueError("base_nodes must be an integer of at least 2")
         ks = self.kinks
         if any(not -1.0 < k < 1.0 for k in ks):
@@ -100,9 +95,9 @@ class QuadratureSpec:
 
 
 @dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
+class QuadratureResult(Evaluation):
+    """An :class:`Evaluation` of :func:`integrate`, with the bisections it made."""
+
     subdivisions_used: int
 
 
@@ -248,16 +243,17 @@ def zonal_weight_normalization(n: int) -> float:
     return math.exp(math.lgamma(0.5 * n) - math.lgamma(0.5 * (n - 1))) / math.sqrt(math.pi)
 
 
-def zonal_sphere_integral(g: Callable, n: int, spec: QuadratureSpec | None = None) -> float:
+def zonal_sphere_integral(g: Callable, n: int, spec: QuadratureSpec | None = None) -> Evaluation:
     """Normalized integral of an axially symmetric function over the sphere.
 
     Computes ``c_n * integral of g(t) (1-t^2)^((n-3)/2) dt`` over [-1, 1],
-    normalized so that ``g == 1`` integrates to exactly 1.  For n = 2 the
-    weight is singular at the endpoints; the cosine substitution inside
-    :func:`integrate` absorbs it.
+    normalized so that ``g == 1`` integrates to exactly 1, with c_n times
+    the estimate of :func:`integrate`.  For n = 2 the weight is singular at
+    the endpoints; the cosine substitution inside :func:`integrate` absorbs it.
     """
     c = zonal_weight_normalization(n)
-    return c * integrate(g, -1.0, 1.0, spec, weight_exponent=0.5 * (n - 3)).value
+    res = integrate(g, -1.0, 1.0, spec, weight_exponent=0.5 * (n - 3))
+    return Evaluation(c * res.value, c * res.error_estimate)
 
 
 def group_integrals(
@@ -382,14 +378,14 @@ def kink_integrals(g: Callable, s, spec: QuadratureSpec | None = None):
     its piece for t in [-1, s_i] runs over theta in [arccos s_i, pi] and its
     piece for t in [s_i, 1] over [0, arccos s_i].  ``g(theta, group)`` is
     the integrand in theta, Jacobian and weight included, as for
-    :func:`group_integrals`.  Returns ``(values, estimates)``, one of each
-    per kink.
+    :func:`group_integrals`.  Returns an :class:`Evaluation` of two arrays,
+    one value and one estimate per kink.
     """
     kink = np.arccos(s)
     lo = np.column_stack((kink, np.zeros_like(kink))).ravel()
     hi = np.column_stack((np.full_like(kink, math.pi), kink)).ravel()
     pieces, estimates = group_integrals(g, lo, hi, np.repeat(np.arange(kink.size), 2), spec)
-    return pieces[0::2] + pieces[1::2], estimates
+    return Evaluation(pieces[0::2] + pieces[1::2], estimates)
 
 
 def band_node_table(n: int, cuts):
@@ -424,12 +420,12 @@ def zonal_band_integrals(f: Callable, table):
     """Normalized zonal integrals of ``f`` over the height bands of a node table.
 
     ``table`` is the node table (:func:`band_node_table`) of dimension n and
-    a cut set.  Returns ``(values, error_estimate)``.  ``values[j]`` is
+    a cut set.  Returns an :class:`Evaluation`: ``value[j]`` is
     ``c_n * integral of f(t) (1-t^2)^((n-3)/2) dt`` over band j, which runs
     from ``cuts[j-1]`` to ``cuts[j]``; band 0 starts at -1 and the last band
     ends at +1.  A datum that is constant on every band integrates as the
-    sum of its band values times ``values`` (:func:`row_sums`), and
-    ``error_estimate`` bounds the error of that sum for every datum with
+    sum of its band values times ``value`` (:func:`row_sums`), and the one
+    float ``error_estimate`` bounds the error of that sum for every datum with
     sup <= 1.
 
     The bands are integrated in theta = arccos(t), where the weight and the
@@ -451,4 +447,4 @@ def zonal_band_integrals(f: Callable, table):
     one_group = np.zeros(edges.size - 1, dtype=int)
     first = f(cos_theta) * sin_power
     values, estimates = group_integrals(g, edges[1:], edges[:-1], one_group, spec, c_n, first)
-    return values, float(estimates[0])
+    return Evaluation(values, float(estimates[0]))

@@ -8,14 +8,13 @@ All functions are pure, deterministic and safe for concurrent use.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from . import quadrature
-from .errors import ConvergenceError, check_dim
+from .errors import ConvergenceError, check_dim, is_whole
 # unused here, but perfbench's tracer rebinds and restores ``specfun.integrate``
 from .quadrature import integrate  # noqa: F401
 from .report import CheckResult, VerificationReport, worst_error_check
@@ -78,18 +77,13 @@ def gegenbauer_iter(lam, x, stop=None, state=None):
     lam, x = np.asarray(lam, dtype=float), np.asarray(x, dtype=float)
     if not (np.isfinite(lam).all() and np.isfinite(x).all()):
         raise ValueError("lam and x must be finite")
-    if stop is not None and not _is_degree(stop, 0):
+    if stop is not None and not is_whole(stop, 0):
         raise ValueError("stop must be None or an integer of at least 0")
     if state is not None and not (
-        _is_degree(state[0], 2) and np.size(state[1]) == np.size(state[2]) == np.broadcast(lam, x).size
+        is_whole(state[0], 2) and np.size(state[1]) == np.size(state[2]) == np.broadcast(lam, x).size
     ):
         raise ValueError("state must be (k, previous, current): k an integer of at least 2, one value per entry")
     return _gegenbauer_blocks(lam, x, stop, state)
-
-
-def _is_degree(k, least):
-    """Whether ``k`` is an integer (not a bool) of at least ``least``."""
-    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= least
 
 
 def _gegenbauer_blocks(lam, x, stop, state):
@@ -544,8 +538,8 @@ def _contiguous_check(n: int) -> CheckResult:
 def _kernel_moment_quadrature(cases):
     """Brute-force :func:`abs_kernel_coefficient` for each (lam, k, s) in
     ``cases``, as the groups of one :func:`quadrature.kink_integrals` call
-    under ``quadrature.DEFAULT_SPEC``.  Returns ``(values, estimates)``, one
-    of each per case.
+    under ``quadrature.DEFAULT_SPEC``.  Returns an :class:`Evaluation` of two
+    arrays, one value and one estimate per case.
 
     In theta = arccos x the moment is the integral over [0, pi] of
     |cos theta - s| C_k^lam(cos theta) sin(theta)^(2 lam), cut at its kink."""
@@ -565,7 +559,7 @@ def _kernel_moment_check(n: int) -> CheckResult:
     lams = sorted({0.5, 1.5, 0.5 * (n - 2)})
     ks, kinks = np.repeat(np.arange(2, 11), 5), np.tile(np.linspace(-0.8, 0.8, 5), 9)
     cases = [(lam, k, s) for lam in lams for k, s in zip(ks.tolist(), kinks.tolist())]
-    brute, _ = _kernel_moment_quadrature(cases)
+    brute = _kernel_moment_quadrature(cases).value
     # one closed-form call per parameter, over all its degrees and kinks
     closed = [value for lam in lams for value in abs_kernel_coefficient(lam, ks, kinks)]
     errors = [

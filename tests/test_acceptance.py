@@ -167,7 +167,7 @@ def test_criterion_06_identity_suite():
 def test_criterion_07_origin_extremality_and_constants():
     worst = 0.0
     for n in range(2, 9):
-        worst = max(worst, abs(extremal_gradient_at_origin(n) - schwarz_pick_constant(n)))
+        worst = max(worst, abs(extremal_gradient_at_origin(n).value - schwarz_pick_constant(n)))
     printed3 = dict(_constants_payload(3))
     printed4 = dict(_constants_payload(4))
     consts_ok = (
@@ -191,8 +191,8 @@ def test_criterion_08_radial_sup_realizes_bound():
     worst3 = 0.0
     for n in range(3, 9):
         for rho in RHO_TENTHS:
-            lhs = sharp_radial_sup(n, AxisPoint(rho))
-            worst = max(worst, abs(lhs - capital_c(BoundQuery(n, rho))))
+            lhs = sharp_radial_sup(n, AxisPoint(rho)).value
+            worst = max(worst, abs(lhs - capital_c(BoundQuery(n, rho)).value))
             if n == 3:
                 worst3 = max(worst3, abs(lhs - khavinson_radial_3d(rho)))
     ok = worst <= 1e-6 and worst3 <= 1e-6

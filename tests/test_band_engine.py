@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ballgrad import harmonic, quadrature
 from ballgrad.cli import main
-from ballgrad.errors import ConvergenceError
+from ballgrad.errors import ConvergenceError, Evaluation
 from ballgrad.harmonic import (
     AxisPoint,
     extremal_sign_datum,
@@ -38,26 +38,27 @@ KERNELS = {"poisson": poisson_kernel, "derivative": radial_derivative_kernel}
 
 
 def _engine_value(kernel, n, rho, datum):
-    bands, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, datum.breakpoints))
-    return float(np.dot(datum.values, bands)), estimate
+    bands = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, datum.breakpoints))
+    return float(np.dot(datum.values, bands.value)), bands.error_estimate
 
 
 class TestEngine:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
     def test_bands_of_the_constant_sum_to_one(self, n):
         cuts = (-0.6, 0.1, 0.95)
-        bands, estimate = zonal_band_integrals(np.ones_like, band_node_table(n, cuts))
+        result = zonal_band_integrals(np.ones_like, band_node_table(n, cuts))
+        bands, estimate = result.value, result.error_estimate
         assert bands.shape == (4,)
         assert math.fsum(bands) == pytest.approx(1.0, abs=1e-13)
         assert estimate <= 1e-12
 
     def test_hemisphere_bands_dimension_three(self):
         # c_3 = 1/2 and the weight is 1, so |t| gives 1/4 on each side of 0
-        bands, _ = zonal_band_integrals(np.abs, band_node_table(3, (0.0,)))
+        bands = zonal_band_integrals(np.abs, band_node_table(3, (0.0,))).value
         np.testing.assert_allclose(bands, [0.25, 0.25], rtol=0, atol=1e-15)
 
     def test_no_cuts_is_one_band(self):
-        bands, _ = zonal_band_integrals(lambda t: t * t, band_node_table(4, ()))
+        bands = zonal_band_integrals(lambda t: t * t, band_node_table(4, ())).value
         # c_4 * integral of t^2 sqrt(1-t^2) = (2/pi) * (pi/8)
         assert bands.tolist() == pytest.approx([0.25], abs=1e-15)
 
@@ -76,8 +77,8 @@ class TestEngine:
         # max(abs_tol, rel_tol * sum |values|), and the roundoff floor added
         # to it is far below that here
         spec = quadrature.DEFAULT_SPEC
-        bands, estimate = zonal_band_integrals(lambda t: KERNELS[kernel](12, 0.9, t), band_node_table(12, (0.0,)))
-        assert 0.0 < estimate <= 2.0 * max(spec.abs_tol, spec.rel_tol * np.abs(bands).sum())
+        bands = zonal_band_integrals(lambda t: KERNELS[kernel](12, 0.9, t), band_node_table(12, (0.0,)))
+        assert 0.0 < bands.error_estimate <= 2.0 * max(spec.abs_tol, spec.rel_tol * np.abs(bands.value).sum())
 
     def test_exhausted_budget_carries_band_values(self, monkeypatch):
         spec = QuadratureSpec(max_subdivisions=1)
@@ -103,7 +104,7 @@ class TestNodeTable:
         values, estimates = group_integrals(
             g, edges[1:], edges[:-1], np.zeros(len(cuts) + 1, dtype=int), spec, zonal_weight_normalization(n)
         )
-        return values, float(estimates[0])
+        return Evaluation(values, float(estimates[0]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 12])
     def test_one_table_serves_every_kernel_and_radius(self, n):
@@ -128,8 +129,8 @@ class TestNodeTable:
                 without = zonal_band_integrals(f, band_node_table(n, self.CUTS))
                 per_panel = self._per_panel_route(f, n, self.CUTS)
                 for other in (without, per_panel):
-                    assert with_table[0].tobytes() == other[0].tobytes()
-                    assert with_table[1] == other[1]
+                    assert with_table.value.tobytes() == other.value.tobytes()
+                    assert with_table.error_estimate == other.error_estimate
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_exhausted_budget_carries_the_same_values(self, kernel, monkeypatch):
@@ -164,7 +165,7 @@ class TestNodeTable:
         built_under_one_split = band_node_table(12, (0.0,))
         assert built_under_default[5] is default and built_under_one_split[5] is quadrature.DEFAULT_SPEC
         got = zonal_band_integrals(f, built_under_default)
-        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        assert got.value.tobytes() == want.value.tobytes() and got.error_estimate == want.error_estimate
         monkeypatch.setattr(quadrature, "DEFAULT_SPEC", default)
         with pytest.raises(ConvergenceError, match="within 1 subdivisions"):
             zonal_band_integrals(f, built_under_one_split)
@@ -177,8 +178,8 @@ class TestNodeTable:
         # rounds, still sums to 1
         table = band_node_table(n, (0.1,))
         for f, exact in ((np.ones_like, 1.0), (lambda t: t * t, 1.0 / n), (lambda t: poisson_kernel(n, 0.9, t), 1.0)):
-            bands, estimate = zonal_band_integrals(f, table)
-            assert abs(math.fsum(bands) - exact) <= max(1e-14, estimate)
+            bands = zonal_band_integrals(f, table)
+            assert abs(math.fsum(bands.value) - exact) <= max(1e-14, bands.error_estimate)
 
 
 class TestGroups:
@@ -200,7 +201,7 @@ class TestGroups:
     def test_each_group_has_its_own_budget(self):
         # every radius alone stops within 5 subdivisions; the 129 together
         # need far more
-        values, _ = phi_quad_grid(4, np.linspace(0.0, 1.0, 129), QuadratureSpec(max_subdivisions=5))
+        values = phi_quad_grid(4, np.linspace(0.0, 1.0, 129), QuadratureSpec(max_subdivisions=5)).value
         assert values.shape == (129,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -283,10 +284,10 @@ def test_engine_matches_mpmath_oracle(kernel, n, rho, seed, pieces):
 def test_single_datum_values_are_the_engine_dot_product(n):
     datum = random_zonal_data(11, 6)
     p = AxisPoint(0.6)
-    assert radial_derivative(n, datum, p) == pytest.approx(
+    assert radial_derivative(n, datum, p).value == pytest.approx(
         _engine_value(radial_derivative_kernel, n, 0.6, datum)[0], abs=1e-14
     )
-    assert zonal_poisson_value(n, datum, p) == pytest.approx(
+    assert zonal_poisson_value(n, datum, p).value == pytest.approx(
         _engine_value(poisson_kernel, n, 0.6, datum)[0], abs=1e-14
     )
 
@@ -298,11 +299,11 @@ def test_band_rows_do_not_depend_on_the_batch_or_its_layout(n):
     data = [random_zonal_data(seed, 1 + seed % 8) for seed in range(40)]
     band_values, table = harmonic._band_matrix(n, data)
     for kernel in KERNELS.values():
-        values, estimate = harmonic._band_extension(kernel, n, 0.7, band_values, table)
-        fortran, fortran_estimate = harmonic._band_extension(kernel, n, 0.7, np.asfortranarray(band_values), table)
-        assert values.tobytes() == fortran.tobytes() and estimate == fortran_estimate
-        for i, value in enumerate(values.tolist()):
-            assert harmonic._band_extension(kernel, n, 0.7, band_values[i : i + 1], table)[0].tolist() == [value]
+        values = harmonic._band_extension(kernel, n, 0.7, band_values, table)
+        fortran = harmonic._band_extension(kernel, n, 0.7, np.asfortranarray(band_values), table)
+        assert values.value.tobytes() == fortran.value.tobytes() and values.error_estimate == fortran.error_estimate
+        for i, value in enumerate(values.value.tolist()):
+            assert harmonic._band_extension(kernel, n, 0.7, band_values[i : i + 1], table).value.tolist() == [value]
 
 
 def test_row_sums_are_row_local():
@@ -328,7 +329,7 @@ def test_relative_tolerance_reaches_near_the_boundary(rho):
     # engine where integrate stops too.  Closed form for the hemisphere
     # datum in dimension three.
     exact = (1.0 - (1.0 - rho * rho) / math.sqrt(1.0 + rho * rho)) / rho
-    assert zonal_poisson_value(3, hemisphere_datum(), AxisPoint(rho)) == pytest.approx(exact, abs=1e-10)
+    assert zonal_poisson_value(3, hemisphere_datum(), AxisPoint(rho)).value == pytest.approx(exact, abs=1e-10)
 
 
 class TestBudget:

@@ -96,7 +96,7 @@ class TestKhavinsonConstants:
         for rho in np.linspace(0.0, 0.95, 12):
             rho = float(rho)
             assert khavinson_radial_3d(rho) == pytest.approx(
-                capital_c(BoundQuery(3, rho)), abs=1e-12
+                capital_c(BoundQuery(3, rho)).value, abs=1e-12
             )
 
     def test_scaled_bound_increases_to_unattained_supremum(self):
@@ -109,17 +109,17 @@ class TestKhavinsonConstants:
 class TestCapitalC:
     def test_origin_equals_schwarz_pick(self, tight):
         for n in (2, 3, 4, 5, 8):
-            assert capital_c(BoundQuery(n, 0.0)) == pytest.approx(
+            assert capital_c(BoundQuery(n, 0.0)).value == pytest.approx(
                 schwarz_pick_constant(n), abs=1e-10
             )
 
     def test_below_uniform_bound(self):
-        val = capital_c(BoundQuery(5, 0.7))
+        val = capital_c(BoundQuery(5, 0.7)).value
         assert val <= schwarz_pick_constant(5) / (1.0 - 0.49)
 
     def test_dimension_two_reduces_to_disk_constant(self, tight):
         for rho in (0.0, 0.3, 0.8):
-            assert capital_c(BoundQuery(2, rho)) == pytest.approx(
+            assert capital_c(BoundQuery(2, rho)).value == pytest.approx(
                 (4.0 / math.pi) / (1.0 - rho * rho), abs=1e-10
             )
 

@@ -84,7 +84,7 @@ class TestPhiTable:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         grid = [float(row["rho"]) for row in rows]
-        _, grid_estimates = phi.phi_quad_grid(n, grid)
+        grid_estimates = phi.phi_quad_grid(n, grid).error_estimate
         for row, rho, grid_estimate in zip(rows, grid, grid_estimates):
             scalar = phi.phi_quad(n, rho)
             tol = max(1e-15, grid_estimate, scalar.error_estimate)

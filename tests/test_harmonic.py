@@ -32,6 +32,7 @@ from ballgrad.harmonic import (
     zonal_poisson_value,
 )
 from ballgrad.cli import main
+from ballgrad.errors import Evaluation
 from ballgrad.quadrature import band_node_table, row_sums, zonal_band_integrals, zonal_sphere_integral
 from ballgrad.report import CheckResult, VerificationReport
 
@@ -76,26 +77,26 @@ class TestPoissonKernel:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_normalization(self, n, rho):
-        val = zonal_sphere_integral(lambda t: poisson_kernel(n, rho, t), n)
+        val = zonal_sphere_integral(lambda t: poisson_kernel(n, rho, t), n).value
         assert val == pytest.approx(1.0, abs=1e-10)
 
 
 class TestZonalPoissonValue:
     def test_hemisphere_odd_symmetry(self):
-        assert zonal_poisson_value(3, hemisphere_datum(), AxisPoint(0.0)) == pytest.approx(
+        assert zonal_poisson_value(3, hemisphere_datum(), AxisPoint(0.0)).value == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_constant_datum(self):
         ones = ZonalBoundaryData((), (1.0,))
         for n, rho in ((3, 0.3), (5, 0.8)):
-            assert zonal_poisson_value(n, ones, AxisPoint(rho)) == pytest.approx(1.0, abs=1e-11)
+            assert zonal_poisson_value(n, ones, AxisPoint(rho)).value == pytest.approx(1.0, abs=1e-11)
 
     def test_hemisphere_closed_form_dimension_three(self):
         # antiderivative of the kernel in t gives u(rho) = (1 - (1-rho^2)/sqrt(1+rho^2))/rho
         rho = 0.5
         expected = (1.0 - 0.75 / math.sqrt(1.25)) / 0.5
-        got = zonal_poisson_value(3, hemisphere_datum(), AxisPoint(rho))
+        got = zonal_poisson_value(3, hemisphere_datum(), AxisPoint(rho)).value
         assert got == pytest.approx(expected, abs=1e-11)
 
     def test_hemisphere_monte_carlo_oracle(self):
@@ -112,14 +113,14 @@ class TestZonalPoissonValue:
                 np.sum(poisson_kernel(n, rho, t) * np.sign(t))
             )
         mc = acc / total
-        exact = zonal_poisson_value(n, hemisphere_datum(), AxisPoint(rho))
+        exact = zonal_poisson_value(n, hemisphere_datum(), AxisPoint(rho)).value
         assert exact == pytest.approx(mc, abs=1e-3)
 
     def test_maximum_principle(self):
         for seed in range(8):
             datum = random_zonal_data(seed, 6)
             for rho in (0.0, 0.4, 0.85):
-                val = zonal_poisson_value(4, datum, AxisPoint(rho))
+                val = zonal_poisson_value(4, datum, AxisPoint(rho)).value
                 assert abs(val) <= 1.0 + 1e-12
 
 
@@ -147,7 +148,7 @@ class TestRadialDerivativeKernel:
     def test_constant_datum_has_zero_slope(self):
         # normalization is rho-independent, so the derivative integrates to 0
         for n, rho in ((4, 0.3), (6, 0.7)):
-            val = zonal_sphere_integral(lambda t: radial_derivative_kernel(n, rho, t), n)
+            val = zonal_sphere_integral(lambda t: radial_derivative_kernel(n, rho, t), n).value
             assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_sign_change_is_interior_root(self):
@@ -169,53 +170,53 @@ class TestRadialDerivativeKernel:
 class TestRadialDerivative:
     def test_constant_datum(self):
         ones = ZonalBoundaryData((), (1.0,))
-        assert radial_derivative(5, ones, AxisPoint(0.6)) == pytest.approx(0.0, abs=1e-10)
+        assert radial_derivative(5, ones, AxisPoint(0.6)).value == pytest.approx(0.0, abs=1e-10)
 
     def test_hemisphere_at_origin_attains_constant(self):
-        val = radial_derivative(4, hemisphere_datum(), AxisPoint(0.0))
+        val = radial_derivative(4, hemisphere_datum(), AxisPoint(0.0)).value
         assert val == pytest.approx(16.0 / (3.0 * math.pi), abs=1e-9)
 
     def test_extremal_sign_datum_attains_pointwise_bound(self):
         for n in (3, 4, 5):
             for rho in (0.0, 0.4, 0.8):
                 datum = extremal_sign_datum(n, rho)
-                val = abs(radial_derivative(n, datum, AxisPoint(rho)))
-                target = capital_c(BoundQuery(n, rho))
+                val = abs(radial_derivative(n, datum, AxisPoint(rho)).value)
+                target = capital_c(BoundQuery(n, rho)).value
                 assert val == pytest.approx(target, abs=1e-6)
 
     def test_dominated_by_radial_sup(self):
         for seed in range(10):
             datum = random_zonal_data(seed, 5)
             for rho in (0.0, 0.3, 0.7):
-                lhs = abs(radial_derivative(4, datum, AxisPoint(rho)))
-                assert lhs <= sharp_radial_sup(4, AxisPoint(rho)) + 1e-9
+                lhs = abs(radial_derivative(4, datum, AxisPoint(rho)).value)
+                assert lhs <= sharp_radial_sup(4, AxisPoint(rho)).value + 1e-9
 
 
 class TestExtremalGradientAtOrigin:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_schwarz_pick(self, n):
-        assert extremal_gradient_at_origin(n) == pytest.approx(
+        assert extremal_gradient_at_origin(n).value == pytest.approx(
             schwarz_pick_constant(n), abs=1e-8
         )
 
     def test_known_values(self):
-        assert extremal_gradient_at_origin(3) == pytest.approx(1.5, abs=1e-10)
-        assert extremal_gradient_at_origin(2) == pytest.approx(4.0 / math.pi, abs=1e-10)
+        assert extremal_gradient_at_origin(3).value == pytest.approx(1.5, abs=1e-10)
+        assert extremal_gradient_at_origin(2).value == pytest.approx(4.0 / math.pi, abs=1e-10)
 
 
 class TestSharpRadialSup:
     def test_origin_dimension_four(self):
-        assert sharp_radial_sup(4, AxisPoint(0.0)) == pytest.approx(
+        assert sharp_radial_sup(4, AxisPoint(0.0)).value == pytest.approx(
             16.0 / (3.0 * math.pi), abs=1e-9
         )
 
     def test_matches_pointwise_bound(self):
-        assert sharp_radial_sup(5, AxisPoint(0.5)) == pytest.approx(
-            capital_c(BoundQuery(5, 0.5)), abs=1e-6
+        assert sharp_radial_sup(5, AxisPoint(0.5)).value == pytest.approx(
+            capital_c(BoundQuery(5, 0.5)).value, abs=1e-6
         )
 
     def test_matches_khavinson_radial(self):
-        assert sharp_radial_sup(3, AxisPoint(0.7)) == pytest.approx(
+        assert sharp_radial_sup(3, AxisPoint(0.7)).value == pytest.approx(
             khavinson_radial_3d(0.7), abs=1e-6
         )
 
@@ -265,7 +266,7 @@ class TestRandomZonalData:
     def test_whole_float_counts_are_ints(self):
         assert random_zonal_data(3.0, 4.0) == random_zonal_data(3, 4)
         batch = probe_batch(4, 3.0, 2.0)
-        assert len(batch.data) == 3 and batch.slopes.tobytes() == probe_batch(4, 3, 2).slopes.tobytes()
+        assert len(batch.data) == 3 and batch.slopes.value.tobytes() == probe_batch(4, 3, 2).slopes.value.tobytes()
 
 
 class TestProbes:
@@ -361,8 +362,8 @@ def _per_batch_extension(kernel, n, data, rho):
     edges = np.concatenate(([-1.0], cuts, [1.0]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     band_values = np.array([datum(mids) for datum in data])
-    integrals, estimate = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, cuts))
-    return row_sums(band_values, integrals).tolist(), estimate
+    integrals = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, cuts))
+    return row_sums(band_values, integrals.value).tolist(), integrals.error_estimate
 
 
 def _batch_rows(n, data, radii):
@@ -398,15 +399,15 @@ def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho):
     data = _batch_rows(n, batch.data, RADII)
     band_values, table = harmonic._band_matrix(n, data)
     kernels = (radial_derivative_kernel, poisson_kernel)
-    for kernel, rows, estimates in zip(kernels, batch[2::2], batch[3::2]):
+    for kernel, rows in zip(kernels, batch[2:]):
         assert (rows is None) == (kernel is poisson_kernel and n == 3)
         if rows is not None:
             for j, r in enumerate(RADII):
                 want, want_estimate = _per_batch_extension(kernel, n, data, r)
-                assert _hex(rows[j]) == _hex(want) and estimates[j] == want_estimate
+                assert _hex(rows.value[j]) == _hex(want) and rows.error_estimate[j] == want_estimate
         want, _ = _per_batch_extension(kernel, n, data, rho)
-        assert _hex(harmonic._band_extension(kernel, n, rho, band_values, table)[0]) == _hex(want)
-        assert _hex(harmonic._zonal_extension(kernel, n, data, rho)) == _hex(want)
+        assert _hex(harmonic._band_extension(kernel, n, rho, band_values, table).value) == _hex(want)
+        assert _hex(harmonic._zonal_extension(kernel, n, data, rho).value) == _hex(want)
 
 
 @pytest.fixture
@@ -476,13 +477,13 @@ def test_probe_attains_the_sharp_radial_sup_at_every_radius(n):
     samples = 25
     batch = probe_batch(n, samples, 5)
     assert probe_schwarz_pick(batch).passed
-    slopes, estimates = batch.slopes, batch.slope_estimates
+    slopes, estimates = batch.slopes.value, batch.slopes.error_estimate
     for j, rho in enumerate(RADII):
         cut = extremal_sign_datum(n, rho).breakpoints
-        _, own_estimate = zonal_band_integrals(
+        own_estimate = zonal_band_integrals(
             lambda t: radial_derivative_kernel(n, rho, t), band_node_table(n, cut)
-        )
-        assert abs(slopes[j, samples + j] - sharp_radial_sup(n, AxisPoint(rho))) <= estimates[j] + own_estimate
+        ).error_estimate
+        assert abs(slopes[j, samples + j] - sharp_radial_sup(n, AxisPoint(rho)).value) <= estimates[j] + own_estimate
 
 
 @settings(max_examples=30, deadline=None)
@@ -493,11 +494,11 @@ def test_shared_batch_agrees_with_the_data_only_route(seed, samples, n):
     # alone: both kernels' values on the shared batch, whose cuts add every
     # radius's extremal cut, must agree with it within the two estimates
     batch = probe_batch(n, samples, seed)
-    for kernel, rows, estimates in zip((radial_derivative_kernel, poisson_kernel), batch[2::2], batch[3::2]):
+    for kernel, rows in zip((radial_derivative_kernel, poisson_kernel), batch[2:]):
         for j, rho in enumerate(RADII):
             own, own_estimate = _per_batch_extension(kernel, n, batch.data, rho)
-            for value, want in zip(rows[j], own):
-                assert abs(value - want) <= estimates[j] + own_estimate
+            for value, want in zip(rows.value[j], own):
+                assert abs(value - want) <= rows.error_estimate[j] + own_estimate
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12, 44])
@@ -510,7 +511,10 @@ def test_probe_slack_exceeds_the_engine_error(n, samples, seed):
     # |du| (1 - rho^2) / ((1 - u^2) C_n), and so into their largest.  The
     # (samples, seed) pairs are those of the pinned commands.
     batch = probe_batch(n, samples, seed)
-    _, data, slopes, slope_estimates, values, value_estimates = batch
+    _, data, slope_evaluation, value_evaluation = batch
+    slopes, slope_estimates = slope_evaluation.value, slope_evaluation.error_estimate
+    if n != 3:
+        values, value_estimates = value_evaluation.value, value_evaluation.error_estimate
     sp = schwarz_pick_constant(n)
     worst_bound = 0.0
     ratios, errors = [], []
@@ -540,7 +544,8 @@ def test_probe_slack_exceeds_the_engine_error(n, samples, seed):
 def _loop_reports(batch):
     """Both probe reports as per-sample loops form them, reading the batch's
     arrays one entry at a time and keeping the first strict maximum."""
-    n, data, slopes, _, values, _ = batch
+    n, data, slopes = batch.n, batch.data, batch.slopes.value
+    values = None if batch.values is None else batch.values.value
     m = len(data)
     worst_margin, worst_at, max_ratio, ratio_at, worst_gap, gap_at = -math.inf, "", -math.inf, "", 0.0, ""
     top, at = -math.inf, ""
@@ -557,7 +562,7 @@ def _loop_reports(batch):
                 ratio = abs(float(slopes[j, i])) * (1.0 - rho * rho) / ((1.0 - u * u) * schwarz_pick_constant(n))
                 if ratio > top:
                     top, at = ratio, f"sample={i},rho={rho:.3f}"
-        gap = abs(abs(float(slopes[j, m + j])) - capital_c(BoundQuery(n, rho))) * (1.0 - rho * rho)
+        gap = abs(abs(float(slopes[j, m + j])) - capital_c(BoundQuery(n, rho)).value) * (1.0 - rho * rho)
         if gap > worst_gap:
             worst_gap, gap_at = gap, f"rho={rho:.3f}"
     schwarz_pick = VerificationReport(
@@ -609,15 +614,15 @@ def test_each_probe_location_holds_its_margin(n):
         assert f"{rho:.3f}" == fields["rho"]
         scale = 1.0 - rho * rho
         if check.name == "extremal_attains_pointwise_bound":
-            return abs(abs(float(batch.slopes[j, m + j])) - capital_c(BoundQuery(n, rho))) * scale
+            return abs(abs(float(batch.slopes.value[j, m + j])) - capital_c(BoundQuery(n, rho)).value) * scale
         i = int(fields["sample"])
-        lhs, const = abs(float(batch.slopes[j, i])) * scale, gradient_bound(n, rho) * scale
+        lhs, const = abs(float(batch.slopes.value[j, i])) * scale, gradient_bound(n, rho) * scale
         if check.name == "bound_dominates":
             return lhs - const
         if check.name == "sup_ratio":
             return lhs / const
-        u = float(batch.values[j, i])
-        ratio = abs(float(batch.slopes[j, i])) * scale / ((1.0 - u * u) * schwarz_pick_constant(n))
+        u = float(batch.values.value[j, i])
+        ratio = abs(float(batch.slopes.value[j, i])) * scale / ((1.0 - u * u) * schwarz_pick_constant(n))
         return ratio if check.name == "max_ratio" else ratio - 1.0
 
     reports = [probe_schwarz_pick(batch)] + ([] if n == 3 else [probe_conjecture(batch)])
@@ -632,9 +637,9 @@ def test_probes_read_tied_entries_in_radius_major_order():
     # exactly in every probe check; radius-major order reports the first,
     # column-major order would report the second
     batch = probe_batch(4, 3, 1)
-    slopes = batch.slopes.copy()
+    slopes = batch.slopes.value.copy()
     slopes[0, 1] = slopes[1, 0] = np.inf
-    tied = batch._replace(slopes=slopes)
+    tied = batch._replace(slopes=Evaluation(slopes, batch.slopes.error_estimate))
     checks = {c.name: c for report in (probe_schwarz_pick(tied), probe_conjecture(tied)) for c in report.checks}
     for name in ("bound_dominates", "sup_ratio", "max_ratio", "no_counterexample"):
         assert (checks[name].worst_margin, checks[name].at) == (math.inf, "sample=1,rho=0.000"), name

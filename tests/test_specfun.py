@@ -104,7 +104,7 @@ class TestGegenbauer:
         monkeypatch.setattr(specfun, "_GEGENBAUER_BLOCK", 5)
         assert [block.shape for block in islice(gegenbauer_iter(1.5, 0.3), 4)] == [(2,), (4,), (5,), (5,)]
 
-    @pytest.mark.parametrize("stop", [0, 1, 2, 5, 6, 300, 3000])
+    @pytest.mark.parametrize("stop", [0, 1, 2, 5, 6, 300, 3000, np.int64(300)])
     def test_stop_cuts_the_last_block(self, stop):
         lams, xs = np.array([[0.5], [7.0]]), np.linspace(-0.99, 0.99, 7)
         blocks = list(gegenbauer_iter(lams, xs, stop=stop))
@@ -605,9 +605,10 @@ class TestKernelMomentQuadrature:
         # the bits of the case's own call
         lams = sorted({0.5, 1.5, 0.5 * (n - 2)})
         cases = [(lam, k, s) for lam in lams for k in range(2, 11) for s in np.linspace(-0.8, 0.8, 5).tolist()]
-        values, estimates = _kernel_moment_quadrature(cases)
-        for case, value, estimate in zip(cases, values.tolist(), estimates.tolist()):
-            assert (value, estimate) == tuple(part[0] for part in _kernel_moment_quadrature([case]))
+        moments = _kernel_moment_quadrature(cases)
+        for case, value, estimate in zip(cases, moments.value.tolist(), moments.error_estimate.tolist()):
+            single = _kernel_moment_quadrature([case])
+            assert (value, estimate) == (single.value[0], single.error_estimate[0])
 
     def test_match_mpmath(self):
         # one batch mixing parameters, degrees and kinks, so that every group
@@ -615,7 +616,8 @@ class TestKernelMomentQuadrature:
         cases = [
             (lam, k, s) for lam in (0.5, 1.0, 1.5, 5.0, 21.0) for k in (2, 5, 10) for s in (-0.8, 0.0, 0.4, 0.8)
         ]
-        values, estimates = _kernel_moment_quadrature(cases)
+        moments = _kernel_moment_quadrature(cases)
+        values, estimates = moments.value, moments.error_estimate
         assert values.shape == estimates.shape == (len(cases),)
         m = 4000
         theta = (np.arange(m) + 0.5) * math.pi / m
