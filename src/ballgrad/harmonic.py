@@ -55,17 +55,21 @@ class ZonalBoundaryData:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        bps = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+        bps = tuple(map(float, self.breakpoints))
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
         if len(vals) != len(bps) + 1:
             raise ValueError("need exactly one value per band")
-        if any(not -1.0 < b < 1.0 for b in bps):
-            raise ValueError("breakpoints must lie strictly inside (-1, 1)")
-        if any(hi <= lo for lo, hi in zip(bps, bps[1:])):
+        # one pass over -1, the breakpoints and +1 holds both conditions on
+        # the breakpoints; only a refused datum is searched for the one it breaks
+        edges = (-1.0, *bps, 1.0)
+        if not all(map(float.__lt__, edges, edges[1:])):
+            if any(not -1.0 < b < 1.0 for b in bps):
+                raise ValueError("breakpoints must lie strictly inside (-1, 1)")
             raise ValueError("breakpoints must be strictly increasing")
-        if any(not abs(v) <= 1.0 for v in vals):
+        # a NaN value fails both comparisons, so it is refused
+        if not all(-1.0 <= v <= 1.0 for v in vals):
             raise ValueError("datum values must satisfy |v| <= 1")
         object.__setattr__(self, "_bp_arr", np.array(bps, dtype=float))
         object.__setattr__(self, "_val_arr", np.array(vals, dtype=float))
@@ -201,14 +205,17 @@ def sharp_radial_sup(n: int, p: AxisPoint) -> Evaluation:
 
 
 def _random_zonal_from_rng(rng, pieces: int) -> ZonalBoundaryData:
-    values = tuple(rng.uniform(-1.0, 1.0, size=pieces))
+    """A datum of ``pieces`` bands drawn from ``rng``: one call for the
+    values, then, for more than one band, one for the breakpoints, drawn
+    again while two of them are equal.  Built from Python floats, which
+    have the bits of the generator's."""
+    values = rng.uniform(-1.0, 1.0, size=pieces).tolist()
     if pieces == 1:
         return ZonalBoundaryData((), values)
     while True:
-        bps = np.sort(rng.uniform(-0.999, 0.999, size=pieces - 1))
-        if np.all(np.diff(bps) > 0.0):
-            break
-    return ZonalBoundaryData(tuple(bps), values)
+        bps = sorted(rng.uniform(-0.999, 0.999, size=pieces - 1).tolist())
+        if all(map(float.__lt__, bps, bps[1:])):
+            return ZonalBoundaryData(bps, values)
 
 
 def _seeded_rng(seed):

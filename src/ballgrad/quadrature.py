@@ -283,7 +283,9 @@ def group_integrals(
     roundoff floor; its estimate is its summed gap plus that floor, and it
     drops out of later rounds.  In a group still running, every panel
     whose gap exceeds its even share of the group's tolerance is bisected,
-    or its worst panel if none does.  ``spec.kinks`` is not read.
+    or its worst panel if none does.  A batch whose groups all stop on the
+    first round returns after that one reduction, and builds no bisection
+    state.  ``spec.kinks`` is not read.
 
     Raises :class:`ConvergenceError`, carrying the piece values so far and
     the largest group estimate, once the splits of any group would exceed
@@ -294,9 +296,7 @@ def group_integrals(
     nodes, weights = _gauss_rule(spec.base_nodes)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    piece_group = np.asarray(piece_group)
-    n_pieces = piece_group.size
-    n_groups = int(piece_group.max()) + 1
+    group = piece_group = np.asarray(piece_group)
 
     def panels(spans, group, values=None):
         # the panels of each (lo, hi) span, one array per span: one call of
@@ -307,21 +307,24 @@ def group_integrals(
         half = 0.5 * np.concatenate([b - a for a, b in spans])
         return (scale * half * row_sums(np.reshape(values, (-1, nodes.size)), weights)).reshape(len(spans), -1)
 
-    piece = np.arange(n_pieces)
-    group = piece_group
     mid = 0.5 * (lo + hi)
     whole, left, right = panels(((lo, hi), (lo, mid), (mid, hi)), group, first)
 
-    settled = np.zeros(n_pieces)  # values of the pieces of finished groups
-    estimates = np.zeros(n_groups)
-    splits = np.zeros(n_groups, dtype=int)
-    panel_count = np.bincount(piece_group, minlength=n_groups)
-    running = np.ones(n_groups, dtype=bool)
+    # The bisection state (piece ids, the settled values of finished groups,
+    # split and panel counts, the running mask) is built once a group fails
+    # the first round.  Until then panel i is piece i, so a piece's value is
+    # 0.0 + its panel's, the bits of the piece bincount (-0.0 included), and
+    # the group bincounts see every group id, so need no minimum length.
+    piece = None
+    n_groups = 0
     while True:
         refined = left + right
         if not np.isfinite(refined).all():
             raise ConvergenceError(_NON_FINITE, value=refined, error_estimate=math.inf)
-        values = settled + np.bincount(piece, weights=refined, minlength=n_pieces)
+        if piece is None:
+            values = refined + 0.0
+        else:
+            values = settled + np.bincount(piece, weights=refined, minlength=piece_group.size)
         gap = np.abs(whole - refined)
         gap_total = np.bincount(group, weights=gap, minlength=n_groups)
         floor_total = _EST_FLOOR * np.bincount(group, weights=np.abs(left) + np.abs(right), minlength=n_groups)
@@ -329,7 +332,18 @@ def group_integrals(
         # with sup <= 1 can take on them
         magnitude = np.bincount(piece_group, weights=np.abs(values), minlength=n_groups)
         tol = np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * magnitude), floor_total)
-        done = running & (gap_total <= tol)
+        done = gap_total <= tol
+        if piece is None:
+            if done.all():
+                return values, gap_total + floor_total
+            n_groups = gap_total.size
+            piece = np.arange(piece_group.size)
+            settled = np.zeros(piece_group.size)  # values of the pieces of finished groups
+            estimates = np.zeros(n_groups)
+            splits = np.zeros(n_groups, dtype=int)
+            panel_count = np.bincount(piece_group, minlength=n_groups)
+            running = np.ones(n_groups, dtype=bool)
+        done &= running
         if done.any():
             estimates[done] = (gap_total + floor_total)[done]
             running &= ~done

@@ -13,6 +13,7 @@ from ballgrad import harmonic, quadrature
 from ballgrad.cli import main
 from ballgrad.errors import ConvergenceError, Evaluation
 from ballgrad.harmonic import (
+    PROBE_RADII,
     AxisPoint,
     extremal_sign_datum,
     hemisphere_datum,
@@ -106,31 +107,49 @@ class TestNodeTable:
         )
         return Evaluation(values, float(estimates[0]))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 12])
-    def test_one_table_serves_every_kernel_and_radius(self, n):
-        table = band_node_table(n, self.CUTS)
-        rounds = []
+    @staticmethod
+    def _probe_cuts(n):
+        # the cut set of probe_batch(n, 25, 1): the breakpoints of its data
+        # and of every radius's extremal sign datum
+        rows = [*probe_batch(n, 25, 1).data, *(extremal_sign_datum(n, rho) for rho in PROBE_RADII)]
+        return tuple(sorted(set().union(*(datum.breakpoints for datum in rows))))
+
+    @pytest.mark.parametrize(
+        "n, cut_set", [*((n, "fixed") for n in (2, 3, 4, 12)), *((n, "probe") for n in (2, 4, 12))]
+    )
+    def test_one_table_serves_every_kernel_and_radius(self, n, cut_set):
+        cuts, radii = (self.CUTS, (0.0, 0.4, 0.9)) if cut_set == "fixed" else (self._probe_cuts(n), PROBE_RADII)
+        table = band_node_table(n, cuts)
+        rounds, per_panel_rounds, first_round_only = [], [], []
         for kernel in KERNELS.values():
-            for rho in (0.0, 0.4, 0.9):
+            for rho in radii:
 
                 def f(t):
                     return kernel(n, rho, t)
 
-                def counted(t):
-                    rounds.append(np.shape(t))
+                def counted(t, log=rounds):
+                    log.append(np.shape(t))
                     return f(t)
 
                 rounds.clear()
+                per_panel_rounds.clear()
                 with_table = zonal_band_integrals(counted, table)
                 # one evaluation on the whole table, then one per bisected half
-                assert rounds[0] == (3, len(self.CUTS) + 1, 15)
-                if n == 12 and rho == 0.9:
+                assert rounds[0] == (3, len(cuts) + 1, 15)
+                if n == 12 and rho == 0.9 and cut_set == "fixed":
                     assert len(rounds) > 1
-                without = zonal_band_integrals(f, band_node_table(n, self.CUTS))
-                per_panel = self._per_panel_route(f, n, self.CUTS)
+                without = zonal_band_integrals(f, band_node_table(n, cuts))
+                per_panel = self._per_panel_route(lambda t: counted(t, per_panel_rounds), n, cuts)
                 for other in (without, per_panel):
                     assert with_table.value.tobytes() == other.value.tobytes()
                     assert with_table.error_estimate == other.error_estimate
+                # the per-panel route's first round is three calls (whole
+                # panel, left and right halves) and each later round two on
+                # both routes: where the first round passes, the table's
+                # route calls the integrand exactly once
+                assert len(per_panel_rounds) == len(rounds) + 2
+                first_round_only.append(len(rounds) == 1)
+        assert any(first_round_only)
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_exhausted_budget_carries_the_same_values(self, kernel, monkeypatch):

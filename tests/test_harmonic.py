@@ -45,20 +45,44 @@ class TestZonalBoundaryData:
         assert g(0.9) == 0.75
         np.testing.assert_allclose(g(np.array([-0.9, 0.0, 0.9])), [1.0, -0.25, 0.75])
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ZonalBoundaryData((0.5, -0.5), (1.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            ZonalBoundaryData((0.0,), (2.0, 0.0))
-        with pytest.raises(ValueError):
-            ZonalBoundaryData((1.0,), (0.5, 0.5))
-        with pytest.raises(ValueError):
-            ZonalBoundaryData((0.0,), (0.5,))
+    INSIDE = "^breakpoints must lie strictly inside \\(-1, 1\\)$"
+    INCREASING = "^breakpoints must be strictly increasing$"
+    BOUNDED = "^datum values must satisfy \\|v\\| <= 1$"
+
+    @pytest.mark.parametrize(
+        "breakpoints, values, message",
+        [
+            ((0.5, -0.5), (1.0, 0.0, 0.0), INCREASING),
+            ((0.0,), (2.0, 0.0), BOUNDED),
+            ((1.0,), (0.5, 0.5), INSIDE),
+            ((0.0,), (0.5,), "^need exactly one value per band$"),
+            ((math.nan,), (0.5, 0.5), INSIDE),
+            ((-0.2, 0.3, math.nan), (0.5, 0.5, 0.5, 0.5), INSIDE),
+            ((0.25, 0.25), (0.5, 0.5, 0.5), INCREASING),
+            ((-1.0,), (0.5, 0.5), INSIDE),
+            ((-1.0, 0.0, 2.0), (0.5, 0.5, 0.5, 0.5), INSIDE),
+            # a datum that breaks both conditions on its breakpoints is
+            # refused for the first, and the band count is checked before either
+            ((0.5, -2.0), (0.5, 0.5, 0.5), INSIDE),
+            ((0.5, -0.5), (0.5,), "^need exactly one value per band$"),
+            ((0.5, -0.5), (2.0, 0.0, 0.0), INCREASING),
+            ((0.0,), (0.5, -math.inf), BOUNDED),
+        ],
+    )
+    def test_validation(self, breakpoints, values, message):
+        with pytest.raises(ValueError, match=message):
+            ZonalBoundaryData(breakpoints, values)
 
     def test_rejects_nan_value(self):
-        # abs(nan) > 1 is False, so the bound must be written as not <= 1
-        with pytest.raises(ValueError):
+        # abs(nan) > 1 is False, so the bound must be written so that a
+        # comparison with NaN refuses
+        with pytest.raises(ValueError, match=self.BOUNDED):
             ZonalBoundaryData((0.0,), (math.nan, 1.0))
+
+    def test_accepts_the_edges_of_the_value_range(self):
+        datum = ZonalBoundaryData((-0.999, -0.0, 0.999), (-1.0, 1.0, -0.0, 1))
+        assert datum.breakpoints == (-0.999, -0.0, 0.999) and datum.values == (-1.0, 1.0, -0.0, 1.0)
+        assert all(type(x) is float for x in datum.breakpoints + datum.values)
 
     def test_hemisphere(self):
         g = hemisphere_datum()
@@ -262,6 +286,49 @@ class TestRandomZonalData:
         for call in (lambda: probe_batch(4, 3, bad), lambda: random_zonal_data(bad, 3)):
             with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
                 call()
+
+    class _StubGenerator:
+        """Hands out the given draws in order and records each call."""
+
+        def __init__(self, *draws):
+            self.draws = list(draws)
+            self.calls = []
+
+        def uniform(self, low, high, size):
+            self.calls.append((low, high, size))
+            return np.array(self.draws.pop(0))
+
+    def test_a_repeated_breakpoint_is_drawn_again(self):
+        rng = self._StubGenerator([0.25, -0.5, 1.0 / 3.0], [0.125, 0.125], [0.5, -0.75])
+        datum = harmonic._random_zonal_from_rng(rng, 3)
+        assert rng.calls == [(-1.0, 1.0, 3), (-0.999, 0.999, 2), (-0.999, 0.999, 2)] and rng.draws == []
+        assert datum == ZonalBoundaryData((-0.75, 0.5), (0.25, -0.5, 1.0 / 3.0))
+
+    def test_distinct_breakpoints_are_drawn_once(self):
+        rng = self._StubGenerator([0.25, -0.5], [0.5], [0.0])
+        assert harmonic._random_zonal_from_rng(rng, 2) == ZonalBoundaryData((0.5,), (0.25, -0.5))
+        assert rng.calls == [(-1.0, 1.0, 2), (-0.999, 0.999, 1)]
+        rng = self._StubGenerator([0.25], [0.5])
+        assert harmonic._random_zonal_from_rng(rng, 1) == ZonalBoundaryData((), (0.25,))
+        assert rng.calls == [(-1.0, 1.0, 1)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_seed_contract(self, seed):
+        # a probe's data are the hemisphere datum, then per datum three calls
+        # of one generator in order: the band count, the values and the
+        # sorted breakpoints; random_zonal_data makes the last two
+        rng = np.random.default_rng(seed)
+        want = [hemisphere_datum()]
+        for _ in range(29):
+            pieces = int(rng.integers(1, 9))
+            values = rng.uniform(-1.0, 1.0, size=pieces)
+            cuts = np.sort(rng.uniform(-0.999, 0.999, size=pieces - 1)) if pieces > 1 else ()
+            want.append(ZonalBoundaryData(tuple(cuts), tuple(values)))
+        assert probe_batch(4, 30, seed).data == tuple(want)
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, size=5)
+        cuts = np.sort(rng.uniform(-0.999, 0.999, size=4))
+        assert random_zonal_data(seed, 5) == ZonalBoundaryData(tuple(cuts), tuple(values))
 
     def test_whole_float_counts_are_ints(self):
         assert random_zonal_data(3.0, 4.0) == random_zonal_data(3, 4)
