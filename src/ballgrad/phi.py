@@ -24,7 +24,7 @@ from . import quadrature, specfun
 from .errors import ConvergenceError, Evaluation, check_dim
 from .quadrature import _NON_FINITE, QuadratureSpec, integrate
 from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
-from .specfun import HypergeometricInput, _one_or_list, _pow_each, _radii, hyp2f1
+from .specfun import HypergeometricInput, _one_or_list, _pow_each, _radii, _sorted_passes, hyp2f1
 
 __all__ = [
     "phi_quad",
@@ -109,17 +109,24 @@ def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None) -> Evaluatio
     own stopping test (summed gap within the largest of ``spec.abs_tol``,
     ``spec.rel_tol`` times the value and the roundoff floor), estimate and
     ``spec.max_subdivisions`` budget.  The radii run in passes of 128, so
-    the panel arrays stay bounded, and every entry has the bits of its
-    one-radius call.  A non-finite panel or result raises
-    :class:`ConvergenceError`; :func:`phi_quad` stays the independent route.
+    the panel arrays stay bounded, taken from the sorted radii by the pass
+    rule of the series sums (:func:`specfun._sorted_passes`) and scattered
+    back to input order: the radii near 1 need the most bisection rounds,
+    and a pass runs until its slowest group stops, so sorting keeps those
+    rounds to the passes that hold such radii.  Every entry has the bits
+    of its one-radius call, whatever the order.  A non-finite panel or
+    result raises :class:`ConvergenceError`; :func:`phi_quad` stays the
+    independent route.
     """
     n = check_dim(n, 2)
     rho = np.asarray(rhos, dtype=float)
     if rho.ndim != 1 or rho.size == 0 or not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError("rhos must be a non-empty sequence in [0, 1]")
+    values, estimates = np.empty(rho.size), np.empty(rho.size)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        blocks = [_phi_quad_block(n, rho[i : i + _GRID_BLOCK], spec) for i in range(0, rho.size, _GRID_BLOCK)]
-    values, estimates = (np.concatenate([getattr(b, part) for b in blocks]) for part in ("value", "error_estimate"))
+        for index in _sorted_passes(rho, _GRID_BLOCK):
+            block = _phi_quad_block(n, rho[index], spec)
+            values[index], estimates[index] = block.value, block.error_estimate
     if not (np.isfinite(values).all() and np.isfinite(estimates).all()):
         raise ConvergenceError(_NON_FINITE, values, estimates)
     return Evaluation(values, estimates)

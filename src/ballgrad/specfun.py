@@ -34,6 +34,9 @@ _SERIES_BUDGET = 10_000
 # The most degrees per block of gegenbauer_iter; at least 2, since a restart
 # reads the last two rows of a block.
 _GEGENBAUER_BLOCK = 128
+# The fewest degrees per block of gegenbauer_iter after degrees 0 and 1 and
+# after a restart, unless the cap or ``stop`` cuts it (why: its docstring).
+_GEGENBAUER_OPEN = 64
 # Blocks of gegenbauer_iter with at most this many values per degree run
 # column by column on Python floats; wider blocks run one numpy row per degree.
 _GEGENBAUER_NARROW = 12
@@ -55,9 +58,14 @@ def gegenbauer_iter(lam, x, stop=None, state=None):
     (``itertools.chain.from_iterable``).
 
     Degrees 0 and 1 form the first block; a block starting at degree k
-    holds min(k + 2, ``_GEGENBAUER_BLOCK``) degrees, so blocks grow from 2
-    to 4, 8, ... and a call that wants a few low degrees pays for few.
-    With ``stop`` set, the last block is cut at degree ``stop``.
+    holds max(k + 2, ``_GEGENBAUER_OPEN``) degrees, at most
+    ``_GEGENBAUER_BLOCK``: degrees 2-65, 66-133, then 128 at a time, and
+    at least 64 after a restart.  In a series sum each block costs about
+    40-50 numpy calls, a stop check and often a compaction and restart
+    however few degrees it holds, and the sums run to 30-60 degrees at
+    rho = 0.5 and 1,100-3,000 at 0.99, so blocks open wide rather than
+    ramp up from 2.  With ``stop`` set, the last block is cut at degree
+    ``stop``, so a call that wants a few low degrees forms no more.
     ``state = (k, previous, current)`` restarts the recurrence at degree
     k >= 2 from the values of degrees k - 2 and k - 1, arrays of the
     broadcast shape of ``lam`` and ``x``; its first block starts at k.
@@ -87,7 +95,10 @@ def gegenbauer_iter(lam, x, stop=None, state=None):
 
 
 def _gegenbauer_blocks(lam, x, stop, state):
-    """The blocks of :func:`gegenbauer_iter`, for checked arguments."""
+    """The blocks of :func:`gegenbauer_iter`, for checked arguments: degrees
+    0 and 1, then from degree k a block of max(k + 2, ``_GEGENBAUER_OPEN``)
+    degrees, cut by ``_GEGENBAUER_BLOCK`` and by ``stop``.  No value depends
+    on the block sizes, so they only set how many numpy calls a series pays."""
     shape = np.broadcast_shapes(lam.shape, x.shape)
     last = math.inf if stop is None else stop
     if state is None:
@@ -101,7 +112,7 @@ def _gegenbauer_blocks(lam, x, stop, state):
     if narrow:
         previous, current = previous.tolist(), current.tolist()
     while k <= last:
-        size = int(min(k + 2, _GEGENBAUER_BLOCK, last + 1 - k))
+        size = int(min(max(k + 2, _GEGENBAUER_OPEN), _GEGENBAUER_BLOCK, last + 1 - k))
         degrees = np.arange(k, k + size, dtype=float).reshape((size,) + (1,) * len(shape))
         # each row of ``block`` holds its degree's up factors, then its values;
         # C order, so that the rows below are views of the block
@@ -205,12 +216,21 @@ class HypergeometricInput:
             raise ValueError("divergent: argument must satisfy z < 1")
 
 
+def _sorted_passes(keys, per_pass):
+    """The passes of a batch over the 1-D array ``keys``: index arrays of at
+    most ``per_pass`` entries, taken in the order of ``keys`` (ties in input
+    order), so that entries of like cost share a pass and a cheap pass is
+    not held up by one costly entry."""
+    order = np.argsort(keys, kind="stable")
+    return [order[start : start + per_pass] for start in range(0, keys.size, per_pass)]
+
+
 def _exact_sums(keys, heads, per_pass, blocks, rel_tol):
     """Exact sums of power series, one per entry of the 1-D arrays ``keys``
     and ``heads``: in the order of ``keys``, each entry's sum, the magnitude
     of its stopping term and whether the window stopped it.
 
-    The entries run sorted by ``keys``, in passes of ``per_pass``, so slow
+    The entries run in the passes of :func:`_sorted_passes`, so slow
     entries share passes.  ``blocks(index)`` is a generator over the pass
     ``index`` that yields ``(terms, marks)``: the next rows of terms, one
     column per entry still summing, and where its caller stops an entry.
@@ -222,9 +242,7 @@ def _exact_sums(keys, heads, per_pass, blocks, rel_tol):
     entries or on the block sizes: each entry's terms are read alone.
     """
     values, estimates, settled = np.empty(keys.size), np.empty(keys.size), np.zeros(keys.size, dtype=bool)
-    order = np.argsort(keys, kind="stable")
-    for start in range(0, keys.size, per_pass):
-        index = order[start : start + per_pass]  # the entries of the pass still summing
+    for index in _sorted_passes(keys, per_pass):  # index: the entries of the pass still summing
         source, running = blocks(index), heads[index]
         stored = [running[None]]  # each entry's head and terms so far, one array per block
         small = np.zeros((3, index.size), dtype=bool)  # whether each of the last three terms was small

@@ -172,6 +172,22 @@ class TestHalfspaceConstant:
         # direct formula evaluated in extended precision
         assert halfspace_constant(4) == pytest.approx(0.82699334313268807, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 12])
+    def test_is_the_boundary_limit_of_the_pointwise_bound(self, n):
+        # ROADMAP item 4: (1 - rho^2) C(n, rho) tends to 2 halfspace_constant(n)
+        # as rho -> 1, from below at n = 3 and from above at n >= 4 (Kresin
+        # and Maz'ya), with a relative gap r of order 1 - rho: at rho = 1 -
+        # 10^-k, k = 1..5, r reads -4.70e-3 ... -4.90e-7 at n = 3 and
+        # 1.20e-1 ... 1.34e-5 at n = 12
+        gaps = []
+        for k in range(1, 6):
+            rho = 1.0 - 10.0**-k
+            bound = capital_c(BoundQuery(n, rho)).value
+            gaps.append((1.0 - rho * rho) * bound / (2.0 * halfspace_constant(n)) - 1.0)
+        assert all(r < 0.0 for r in gaps) if n == 3 else all(r > 0.0 for r in gaps)
+        for wider, narrower in zip(gaps, gaps[1:]):
+            assert 8.0 <= wider / narrower <= 12.0, gaps
+
 
 class TestBoundTable:
     def test_origin_row(self):

@@ -261,29 +261,40 @@ def test_entries_do_not_depend_on_pass_size_or_block_cap(monkeypatch, n):
 
 
 # (route, n) -> {rho: (value, estimate)} as the series summed them before
-# the summation engine was shared with hyp2f1.  With the default block sizes
-# the stopping term of each is the last row of a block of gegenbauer_iter
-# (0.13, 0.86, 0.33, 0.77, 0.05, 0.31, 0.04) or the first row of the next.
+# the summation engine was shared with hyp2f1.  With the blocks that ramped
+# 2, 4, 8, ..., 128 degrees, the stopping term of each was the last row of
+# a block of gegenbauer_iter (0.13, 0.86, 0.33, 0.77, 0.05, 0.31, 0.04) or
+# the first row of the next.  The entries after them stop on a boundary of
+# the blocks that open at 64 degrees (Gegenbauer degrees 2-65, 66-133,
+# 134-261): on the last row of a block (0.73, 0.61 at n = 12, 0.61 of the
+# second derivative at n = 4) or the first row of the next (0.87, 0.62,
+# 0.54).  No value depends on the layout, so none of these may move.
 BOUNDARY_STOPS = {
     (phi_series, 4): {
         0.13: ("0x1.553065e28c1e9p-1", "0x1.8f787f0b38349p-52"),
         0.86: ("0x1.4ee3de25b3f40p-1", "0x1.61f7f30c2a3d7p-43"),
         0.15: ("0x1.552426d375244p-1", "0x1.40527254bd30ep-53"),
         0.46: ("0x1.53846d42aa4fep-1", "0x1.b5600b2392a1ep-48"),
+        0.73: ("0x1.50b7edbeb2f27p-1", "0x1.2af90a78c20d3p-44"),
+        0.87: ("0x1.4ebc6ddae589ep-1", "0x1.b16ea60812431p-43"),
     },
     (phi_series, 12): {
         0.33: ("0x1.68b219620101fp-3", "0x1.892309e1b7b49p-49"),
         0.77: ("0x1.2f466344dea20p-3", "0x1.a6991f05b0879p-45"),
         0.34: ("0x1.67f7151f85f28p-3", "0x1.a75510fac5962p-49"),
+        0.61: ("0x1.4ac0059b1c002p-3", "0x1.9c1e9ed66fa18p-46"),
     },
     (phi_second_series, 4): {
         0.05: ("-0x1.112d2a6c9f4f3p-5", "0x1.d19212c102d6fp-60"),
         0.31: ("-0x1.155b10e1491b8p-5", "0x1.4724494fd34a1p-51"),
         0.6: ("-0x1.21ec85e7e5b58p-5", "0x1.d3e9c707f58efp-54"),
+        0.61: ("-0x1.2287afdc4d996p-5", "0x1.87c61d4caf759p-50"),
+        0.62: ("-0x1.2326246cfa512p-5", "0x1.25eb7cabb623ap-47"),
     },
     (phi_second_series, 12): {
         0.04: ("-0x1.a6481244aa355p-4", "0x1.881ba2cf5cb9dp-59"),
         0.52: ("-0x1.1088a71c7b27cp-3", "0x1.e096c06271d0dp-48"),
+        0.54: ("-0x1.16a51cbe496d0p-3", "0x1.2fee4c293840cp-47"),
     },
 }
 
@@ -571,6 +582,41 @@ def test_grid_entries_equal_their_one_radius_calls(n, rhos, rng):
     for rho, value, estimate in zip(radii, quad.value.tolist(), quad.error_estimate.tolist()):
         single = phi_quad_grid(n, [rho])
         assert (value, estimate) == (single.value[0], single.error_estimate[0])
+
+
+# the radii of one phi-table call: the grid, and the grid moved by +-1e-5
+# for the difference quotient, reflected at the origin
+_TABLE_GRID = np.linspace(0.0, 0.99, 101).tolist()
+TABLE_RADII = _TABLE_GRID + [r + 1e-5 for r in _TABLE_GRID] + [abs(r - 1e-5) for r in _TABLE_GRID]
+
+
+@pytest.mark.parametrize("n, calls, points", [(3, 21, 37_350), (4, 21, 37_710), (12, 23, 41_310)])
+def test_grid_passes_come_from_the_sorted_radii(monkeypatch, n, calls, points):
+    # the table's radii in input, sorted and shuffled order give the same
+    # bits, estimates and integrand calls: the passes hold the sorted radii,
+    # so only the last one runs the bisection rounds of the radii near 0.99.
+    # Passes in input order ran them in each of the three (39 calls)
+    engine = quadrature.group_integrals
+    counts = []
+
+    def counting(g, *args, **kwargs):
+        def counted(theta, group):
+            counts.append(theta.size)
+            return g(theta, group)
+
+        return engine(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "group_integrals", counting)
+    radii = np.array(TABLE_RADII)
+    expected = phi_quad_grid(n, radii)
+    assert (len(counts), sum(counts)) == (calls, points)
+    shuffled = np.random.default_rng(n).permutation(radii.size)
+    for order in (np.argsort(radii, kind="stable"), shuffled):
+        counts.clear()
+        quad = phi_quad_grid(n, radii[order])
+        assert quad.value.tobytes() == expected.value[order].tobytes()
+        assert quad.error_estimate.tobytes() == expected.error_estimate[order].tobytes()
+        assert (len(counts), sum(counts)) == (calls, points)
 
 
 @pytest.mark.parametrize("n, rho", [(101, 0.9999999), (100, 1.0)])

@@ -98,11 +98,16 @@ class TestGegenbauer:
                 expected = list(islice(_per_degree(lam, x), 3001))
                 assert [float(values[i, j]) for values in arrays] == expected, (lam, x)
 
-    def test_blocks_double_up_to_the_cap(self, monkeypatch):
-        sizes = [block.shape[0] for block in islice(gegenbauer_iter(1.5, np.zeros(3)), 10)]
-        assert sizes == [2, 4, 8, 16, 32, 64, 128, 128, 128, 128]
+    def test_blocks_open_at_64_up_to_the_cap(self, monkeypatch):
+        # degrees 0 and 1, then max(k + 2, 64) degrees from degree k, at most 128
+        sizes = [block.shape[0] for block in islice(gegenbauer_iter(1.5, np.zeros(3)), 6)]
+        assert sizes == [2, 64, 68, 128, 128, 128]
+        for k, size in ((2, 64), (61, 64), (62, 64), (63, 65), (126, 128), (2000, 128)):
+            restarted = gegenbauer_iter(1.5, np.zeros(3), state=(k, np.ones(3), np.ones(3)))
+            assert next(restarted).shape[0] == size, k
+        assert [block.shape[0] for block in gegenbauer_iter(1.5, 0.3, stop=70)] == [2, 64, 5]
         monkeypatch.setattr(specfun, "_GEGENBAUER_BLOCK", 5)
-        assert [block.shape for block in islice(gegenbauer_iter(1.5, 0.3), 4)] == [(2,), (4,), (5,), (5,)]
+        assert [block.shape for block in islice(gegenbauer_iter(1.5, 0.3), 4)] == [(2,), (5,), (5,), (5,)]
 
     @pytest.mark.parametrize("stop", [0, 1, 2, 5, 6, 300, 3000, np.int64(300)])
     def test_stop_cuts_the_last_block(self, stop):
