@@ -24,7 +24,7 @@ from . import quadrature, specfun
 from .errors import ConvergenceError, Evaluation, check_dim
 from .quadrature import _NON_FINITE, QuadratureSpec, integrate
 from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
-from .specfun import HypergeometricInput, _one_or_list, _pow_each, _radii, _sorted_passes, hyp2f1
+from .specfun import _one_or_list, _pow_each, _radii, _sorted_passes
 
 __all__ = [
     "phi_quad",
@@ -303,7 +303,14 @@ def phi_second_closed(n: int, rho) -> Evaluation | list[Evaluation]:
     and :func:`phi_second_series` is exact instead.  ``rho`` may be one
     radius or a 1-D sequence of them; a sequence gives one evaluation per
     radius, in input order, with every hypergeometric value from one
-    batched :func:`hyp2f1` call, and one radius is a batch of one.
+    :func:`specfun.profile_hyp2f1` call, and one radius is a batch of one.
+    The estimate propagates rounding to first order, u = 2^-53: each factor
+    1 - k t errs by at most 3u absolute (t = rho^2 included), varphi = t W / A
+    by the sum of those relative errors, and F_n by its route's estimate
+    plus varphi / (1 - varphi) times the relative error of its argument (a
+    bound on F_n's logarithmic derivative, its coefficients being at most
+    1).  These enter the bracket term1 - term2, which cancels by up to 150
+    times at n = 200, and the powers of the prefactor.
     """
     n = check_dim(n, 3)
     r, single = _radii(
@@ -313,12 +320,17 @@ def phi_second_closed(n: int, rho) -> Evaluation | list[Evaluation]:
     )
     r2 = r * r
     aa, w, b, c, e = _factors(n, r2)
-    f_val = _varphi_hyp2f1(n, r2)[1]
+    ph, f = _varphi_hyp2f1(n, r2)
     term1 = b * aa
-    term2 = c * w * e * f_val
+    cwe = c * w * e
+    term2 = cwe * f.value
     prefactor = 2.0 * (n - 2.0) / r2 * _pow_each(w, 0.5 * (n - 3)) * _pow_each(aa, -0.5 * n)
     value = prefactor * (term1 - term2)
-    est = abs(prefactor) * (specfun.DEFAULT_SERIES_RTOL * abs(term2) + 1e-16 * (abs(term1) + abs(term2)))
+    u = 2.0**-53
+    ea, ew, eb, ec, ee = (3.0 * u / x for x in (aa, w, b, c, e))
+    f_rel = ec + ew + ee + (ew + ea + 3.0 * u) * ph / (1.0 - ph) + 2.0 * u
+    bracket = abs(term1) * (eb + ea + 2.0 * u) + abs(term2) * f_rel + abs(cwe) * f.error_estimate
+    est = abs(prefactor) * bracket + (0.5 * (n - 3) * ew + 0.5 * n * ea + 6.0 * u) * abs(value)
     return _evaluations(single, value.tolist(), est.tolist())
 
 
@@ -408,20 +420,35 @@ def psi(n: int, t) -> float | list[float]:
     Vanishes at t = 0; positive on (0, 1) for n >= 4 and negative for n = 3,
     mirroring the reversal of the inequality in dimension three.  ``t`` may
     be one number or a 1-D sequence of them; a sequence gives a list in
-    input order, with every hypergeometric value from one batched
-    :func:`hyp2f1` call, and one number is a batch of one.
+    input order, with every hypergeometric value from one
+    :func:`specfun.profile_hyp2f1` call, and one number is a batch of one.
+    A value that is not finite (from n = 400 on, its powers underflow to
+    0/0 near t = 1) raises :class:`ConvergenceError`, with no numpy warning.
     """
     n = check_dim(n, 3)
     ts, single = _unit_points(t)
-    return _one_or_list(_psi_from(n, ts, *_varphi_hyp2f1(n, ts)), single)
+    ph, f = _varphi_hyp2f1(n, ts)
+    return _one_or_list(_psi_from(n, ts, ph, f.value), single)
 
 
 def _varphi_hyp2f1(n, t):
-    """varphi(n, t) and 2F1(1, n/2; (n+1)/2; varphi(n, t)) at an array of
-    t, the values that :func:`psi` and :func:`technical_gap` share, as two
-    arrays from one :func:`hyp2f1` call."""
+    """varphi(n, t) at an array of t, and the :class:`Evaluation` of
+    2F1(1, n/2; (n+1)/2; varphi(n, t)) by :func:`specfun.profile_hyp2f1`,
+    the values that :func:`phi_second_closed`, :func:`psi` and
+    :func:`technical_gap` share, from one call."""
     ph = _varphi(n, t)
-    return ph, np.array(hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), ph)))
+    return ph, specfun.profile_hyp2f1(n, ph)
+
+
+def _finite(name, n, t, values):
+    """``values`` (an array over the points ``t``) if every entry is finite,
+    else :class:`ConvergenceError` naming the first point that is not."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(bad.argmax())
+        message = f"{name} at n = {n} is not finite at t={t[k]:.6f}: its terms under- or overflow binary64"
+        raise ConvergenceError(message, float(values[k]), math.inf)
+    return values
 
 
 def _psi_from(n, t, ph, f_val):
@@ -430,7 +457,8 @@ def _psi_from(n, t, ph, f_val):
     first = _pow_each(ph, 0.5 * (n - 1)) * np.sqrt(1.0 - ph) * f_val
     num = _pow_each(t, 0.5 * (n - 1)) * _pow_each(w, 0.5 * (n - 3)) * b
     den = _pow_each(a, 0.5 * (n - 2)) * c
-    return first - num / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _finite("psi", n, t, first - num / den)
 
 
 def psi_prime_quadratic(n: int, t: float) -> float:
@@ -462,9 +490,11 @@ def psi_prime_closed(n: int, t: float) -> float:
 # verification sweeps
 
 
-def _technical_rhs(n, t):
+def _gap_from(n, t, f_val):
+    """:func:`technical_gap` at an array of t, from its 2F1 values."""
     a, w, b, c, e = _factors(n, t)
-    return (a * b) / (e * w * c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _finite("technical gap", n, t, f_val - (a * b) / (e * w * c))
 
 
 def technical_gap(n: int, t) -> float | list[float]:
@@ -472,11 +502,12 @@ def technical_gap(n: int, t) -> float | list[float]:
 
     Both sides equal 1 at t = 0; the gap is positive on (0, 1] for n >= 4
     and negative for n = 3.  ``t`` may be one number or a 1-D sequence of
-    them, as for :func:`psi`.
+    them, as for :func:`psi`, and a value that is not finite raises
+    :class:`ConvergenceError` as there.
     """
     n = check_dim(n, 3)
     ts, single = _unit_points(t)
-    return _one_or_list(_varphi_hyp2f1(n, ts)[1] - _technical_rhs(n, ts), single)
+    return _one_or_list(_gap_from(n, ts, _varphi_hyp2f1(n, ts)[1].value), single)
 
 
 def _label(var, points):
@@ -566,14 +597,17 @@ def verify_technical(n: int) -> VerificationReport:
     Both sides coincide at t = 0, so strictness is asserted on the positive
     grid points and equality to 1e-12 at the origin.  For n >= 4 the gap,
     the difference :func:`psi` and the quadratic factor must all be
-    positive; for n = 3 the gap has the opposite sign.
+    positive; for n = 3 the gap has the opposite sign.  A gap or psi value
+    that is not finite raises :class:`ConvergenceError` rather than enter a
+    check, since NaN would fail a sign check the paper proves.
     """
     n = check_dim(n, 3)
     grid = np.linspace(0.0, 1.0, _SWEEP_POINTS)
     # one hypergeometric value per grid point serves both the gap and psi,
     # all of them from one batched call
-    phs, f_vals = _varphi_hyp2f1(n, grid)
-    gaps = f_vals - _technical_rhs(n, grid)
+    phs, f = _varphi_hyp2f1(n, grid)
+    f_vals = f.value
+    gaps = _gap_from(n, grid, f_vals)
 
     checks = []
     at0 = float(abs(gaps[0]))

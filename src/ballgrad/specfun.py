@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from . import quadrature
-from .errors import ConvergenceError, check_dim, is_whole
+from .errors import ConvergenceError, Evaluation, check_dim, is_whole
 # unused here, but perfbench's tracer rebinds and restores ``specfun.integrate``
 from .quadrature import integrate  # noqa: F401
 from .report import CheckResult, VerificationReport, worst_error_check
@@ -23,6 +23,7 @@ __all__ = [
     "gegenbauer_iter",
     "HypergeometricInput",
     "hyp2f1",
+    "profile_hyp2f1",
     "abs_kernel_coefficient",
     "gegenbauer_weighted_derivative",
     "verify_identities",
@@ -44,6 +45,13 @@ _GEGENBAUER_NARROW = 12
 # Arguments per pass of a batched hyp2f1, and the most degrees per block of its terms.
 _GAUSS_PASS = 128
 _GAUSS_BLOCK = 64
+
+# Steps of profile_hyp2f1's continued fraction before it raises: every
+# argument below z* stops within 57 up to n = 1000.
+_PROFILE_CF_CAP = 200
+# c of the rounding term c n u |F| in profile_hyp2f1's estimate, u = 2^-53:
+# its error against 50-digit mpmath stays below 6 n u (tests/test_specfun.py).
+_PROFILE_ROUNDING = 8.0
 
 
 def gegenbauer_iter(lam, x, stop=None, state=None):
@@ -360,6 +368,66 @@ def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> fl
     if any(isinstance(field, tuple) for field in fields):
         return values.tolist()
     return float(values[0])
+
+
+def profile_hyp2f1(n: int, z) -> Evaluation:
+    """F_n(z) = 2F1(1, n/2; (n+1)/2; z), the profile's one 2F1 family, for an
+    integer n >= 3 and z in [0, 1): one number gives an :class:`Evaluation`
+    of floats, a 1-D sequence one of arrays, each entry with the bits of its
+    one-argument call (every operation is elementwise on its own entry).
+
+    With a = (n-1)/2, F_n is exactly the incomplete-beta continued fraction
+    (DLMF 8.17.22): B_z(a, 1/2) = z^a (1-z)^(1/2) F_n(z) / a.  Below
+    z* = (a+1)/(a+5/2) modified Lentz runs it, each argument to its first
+    step within 2^-52 of 1 (that step times |F| is its stopping estimate;
+    200 steps raise :class:`ConvergenceError`).  From z*, where it slows, the
+    finite complement: with phi = arcsin sqrt(1-z), F_n = (n-1) z^(-a)
+    (1-z)^(-1/2) (W_{n-2} - K_{n-2}(phi)), W_k the integral of sin^k over
+    [0, pi/2], K_k that of cos^k over [0, phi], by the positive recurrence
+    K_k = (cos^(k-1) sin + (k-1) K_{k-2}) / k; both run divided by
+    z^((k+1)/2), so no power is taken.  Every estimate adds c n u |F|,
+    c = ``_PROFILE_ROUNDING`` and u = 2^-53.  ``ValueError`` for other n or z."""
+    n = check_dim(n, 3)
+    z, single = _radii(z, lambda x: (0.0 <= x) & (x < 1.0), "z must lie in [0, 1)")
+    a = 0.5 * (n - 1)
+    values, steps = np.empty(z.size), np.zeros(z.size)
+    below = z < (a + 1.0) / (a + 2.5)
+    index, x = np.flatnonzero(below), z[below]
+    if x.size:
+        d = 1.0 / (1.0 - (a + 0.5) / (a + 1.0) * x)
+        c, h, done = np.ones(x.size), d, np.zeros(x.size, dtype=bool)
+        for m in range(1, _PROFILE_CF_CAP + 1):
+            even = m * (0.5 - m) / ((a + 2 * m - 1.0) * (a + 2 * m))
+            odd = -(a + m) * (a + 0.5 + m) / ((a + 2 * m) * (a + 2 * m + 1.0))
+            for coefficient in (even, odd):
+                term = coefficient * x
+                d = 1.0 / (1.0 + term * d)
+                c = 1.0 + term / c
+                ratio = d * c
+                h = h * ratio
+            stop = ~done & (np.abs(ratio - 1.0) <= 2.0**-52)
+            values[index[stop]], steps[index[stop]] = h[stop], np.abs(ratio[stop] - 1.0) * np.abs(h[stop])
+            done |= stop
+            if done.all():
+                break
+        else:
+            k = int(np.argmin(done))
+            message = f"2F1(1, n/2; (n+1)/2; z) at n = {n}: continued fraction not settled in {_PROFILE_CF_CAP} steps"
+            raise ConvergenceError(message, float(h[k]), float(abs(ratio[k] - 1.0) * abs(h[k])))
+    y = z[~below]
+    if y.size:
+        s = np.sqrt(1.0 - y)
+        # z^(-(k+1)/2) W_k and z^(-(k+1)/2) K_k from k = 1 or 0, the parity of n, to n - 2
+        if n % 2:
+            wallis, partial = 1.0 / y, s / y
+        else:
+            wallis, partial = 0.5 * math.pi / np.sqrt(y), np.arcsin(s) / np.sqrt(y)
+        for k in range(2 + n % 2, n - 1, 2):
+            wallis = (k - 1.0) * wallis / (k * y)
+            partial = ((k - 1.0) * partial + s) / (k * y)
+        values[~below] = (n - 1.0) * (wallis - partial) / s
+    estimates = steps + _PROFILE_ROUNDING * n * 2.0**-53 * np.abs(values)
+    return Evaluation(float(values[0]), float(estimates[0])) if single else Evaluation(values, estimates)
 
 
 def _degrees_and_points(k, x, name):

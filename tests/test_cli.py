@@ -101,22 +101,23 @@ class TestPhiTable:
             assert float(row["d2phi_closed"]) == phi.phi_second(n, rho).value
 
     # sha256 of stdout at the default 101 steps as printed when every
-    # batched quadrature summed each row on its own (quadrature.row_sums)
-    # and the closed column held the routed value at n = 3 as well; a change
-    # that moves any printed digit must update these on purpose
+    # batched quadrature summed each row on its own (quadrature.row_sums),
+    # the closed column held the routed value at n = 3 as well and took its
+    # 2F1 values from specfun.profile_hyp2f1; a change that moves any
+    # printed digit must update these on purpose
     TABLE_SHA256 = {
-        (3, "quad", "csv"): "f393c90b6238cb3977d33324d2f9b0241843ca1cc96597d2f79ea3b6d53bdfcb",
-        (3, "quad", "json"): "813a93f78cee20be572214806ac5e7445f48ff71993c6212def5145b98a9bbb2",
-        (3, "series", "csv"): "ace677ebf49fbc81b113982c438a68621204afc0ee90fadeeee37043f52447e3",
-        (3, "series", "json"): "8acc7d7fda66d7b58d3ccfa2c1631d9e277b64787a3859a8a36504ce40d64d3f",
-        (4, "quad", "csv"): "50050ba223ca353c1cf5e3a35684d18799056e0e0136100214bceff66762ac10",
-        (4, "quad", "json"): "787194c97f9e19acb1245188f01899f72ffc518c06754022e057208c63220344",
-        (4, "series", "csv"): "f6d821dbee20beede5a9fbd592a0abbbae8f212b5557e3798fa4d53cbd2cdfe2",
-        (4, "series", "json"): "fc9d895ae90fd19500cf8f9d644eea3791295b83aafe0c8e19151e704fceda17",
-        (12, "quad", "csv"): "1c637df4cbc2e2af350bdbafc257073fde8041f2663653709097ae0b8de765d5",
-        (12, "quad", "json"): "d81dd357ffff285ba6c5960244355d99ec933d5194a852f34323fbd548243bf3",
-        (12, "series", "csv"): "4f25a53dcd3909d5e8a3f77cb1abb1c3e9392f2f9ba267e455d1391a8486fbec",
-        (12, "series", "json"): "2a0bbc75b44605a98ab53cbf3bb99a426cc321518c92ba142144b18ecdba3e35",
+        (3, "quad", "csv"): "6bab166dac22c93c9baeb584ae52e9f419c18d54448240228d41befbdcfb3376",
+        (3, "quad", "json"): "1744b3eab8a9fbb89a05cfaffab714e011a8cb982d50bcfe5de84788bbb82448",
+        (3, "series", "csv"): "f9eafe89325843aaebb32f1d50bf52274898bd0c17086b9073ff8639829e416b",
+        (3, "series", "json"): "9b54f1433e9eee6b4d7e6572bcca2f2993b4af10d3b3049c5dff3222389c682e",
+        (4, "quad", "csv"): "be5619a945a995b010780113a6a4c386fba6bffea6c8227273ae8dcf724d35d3",
+        (4, "quad", "json"): "06611de1910d0caa3b4bbb2b1a6fe55533d1b1106af679b9923fd7bcc7180d8b",
+        (4, "series", "csv"): "3b3a57194f330921b45d16b76c280b1c6e27ef865912ece3e59535d6c63d652e",
+        (4, "series", "json"): "99b63804bb3445fba0c0657220f68c3ddc47a006764515aea9fdae200de98a0f",
+        (12, "quad", "csv"): "eab5e0eb31514380a9c4b47d615a57438a2a760b37c82b7aded716707e584fba",
+        (12, "quad", "json"): "139dd981b4e71d6cd509aafac74e03ded95effcb39b7c706975bc69a5bce6789",
+        (12, "series", "csv"): "26426b4582eb44ea6fcca5965675b7ebcd1c51bf4ad95e357861b18ab3c742d6",
+        (12, "series", "json"): "3f9604560b6467cdf62a8122edbcedc58049160bcd753fe481b0722579cbf5b3",
     }
 
     @pytest.mark.parametrize("n, method, fmt", sorted(TABLE_SHA256))
@@ -208,7 +209,8 @@ class TestVerify:
     # series, as printed when every series radius was summed by its own
     # one-radius loop.  route_agreement pins the batched series, the finite
     # differences of one grid quadrature call (phi_quad_grid, whose entries
-    # are those of one-radius calls) and, at n >= 4, the closed form, at
+    # are those of one-radius calls) and, at n >= 4, the closed form (its
+    # 2F1 values from specfun.profile_hyp2f1), at
     # rho = 0.1, ..., 0.9
     CONCAVITY_PINS = {
         3: [
@@ -217,11 +219,11 @@ class TestVerify:
         ],
         4: [
             ("second_derivative_negative", True, False, -0.033333338669112374, "rho=0.000998"),
-            ("route_agreement", True, False, 7.099459075752333e-08, "rho=0.4"),
+            ("route_agreement", True, False, 7.099506774919033e-08, "rho=0.4"),
         ],
         12: [
             ("second_derivative_negative", True, False, -0.10295269216100489, "rho=0.000998"),
-            ("route_agreement", True, False, 6.237299737148517e-09, "rho=0.5"),
+            ("route_agreement", True, False, 6.237300589169791e-09, "rho=0.5"),
         ],
     }
 
@@ -284,25 +286,25 @@ class TestVerify:
                 assert check["worst_margin"] == margin, name
 
     # (name, passed, expected, worst_margin, at) as printed when every grid
-    # point's hypergeometric value was its own scalar series; the batched
-    # series must reproduce them exactly
+    # point's hypergeometric value came from specfun.profile_hyp2f1, whose
+    # batch entries have the bits of its one-argument calls
     TECHNICAL_PINS = {
         3: [
             ("sides_equal_at_origin", True, False, 0.0, "t=0"),
-            ("gap_reversed", True, False, -2.7794759025701055e-05, "t=0.001000"),
+            ("gap_reversed", True, False, -2.779475902547901e-05, "t=0.001000"),
             ("psi_zero_at_origin", True, False, 0.0, "t=0"),
         ],
         4: [
             ("sides_equal_at_origin", True, False, 0.0, "t=0"),
-            ("gap_positive", True, False, 8.34336087640608e-06, "t=0.001000"),
-            ("psi_positive", True, False, 2.636094325342438e-10, "t=0.001000"),
+            ("gap_positive", True, False, 8.343360876628125e-06, "t=0.001000"),
+            ("psi_positive", True, False, 2.636094325410201e-10, "t=0.001000"),
             ("quadratic_positive", True, False, 128.0, "t=0.000000"),
             ("psi_zero_at_origin", True, False, 0.0, "t=0"),
         ],
         12: [
             ("sides_equal_at_origin", True, False, 0.0, "t=0"),
-            ("gap_positive", True, False, 5.158995247889209e-06, "t=0.001000"),
-            ("psi_positive", True, False, 1.630352381567942e-22, "t=0.001000"),
+            ("gap_positive", True, False, 5.158995247667164e-06, "t=0.001000"),
+            ("psi_positive", True, False, 1.6303523815063123e-22, "t=0.001000"),
             ("quadratic_positive", True, False, 31488.0, "t=1.000000"),
             ("psi_zero_at_origin", True, False, 0.0, "t=0"),
         ],
@@ -316,6 +318,16 @@ class TestVerify:
         assert [(c["name"], c["passed"], c["expected"], c["worst_margin"], c["at"]) for c in checks] == (
             self.TECHNICAL_PINS[n]
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, t", [(400, "0.986000"), (500, "0.957000"), (1000, "0.778000")])
+    def test_non_finite_psi_is_refused(self, capsys, n, t):
+        # from n = 400 psi's powers underflow to 0/0 near t = 1; a NaN would
+        # fail psi_positive, an inequality the paper proves, so the sweep is
+        # refused: exit 2 and one stderr line naming the first such point
+        code, out, err = run_cli(capsys, "verify", "--n", str(n), "--suite", "technical")
+        assert (code, out) == (2, "")
+        assert err == f"error: psi at n = {n} is not finite at t={t}: its terms under- or overflow binary64\n"
 
     def test_suites_run_the_current_module_attribute(self, capsys, monkeypatch):
         # a wrapper bound on the module after import (a tracer's) is the one that runs

@@ -3,6 +3,7 @@ and that estimate bounds the route's error against known values."""
 
 import math
 
+import mpmath
 import pytest
 
 from ballgrad.bounds import BoundQuery, ball_volume, capital_c, khavinson_radial_3d, schwarz_pick_constant
@@ -19,7 +20,7 @@ from ballgrad.harmonic import (
     sharp_radial_sup,
     zonal_poisson_value,
 )
-from ballgrad.phi import phi3_closed, phi_quad, phi_quad_grid
+from ballgrad.phi import phi3_closed, phi_quad, phi_quad_grid, phi_second_closed
 from ballgrad.quadrature import (
     band_node_table,
     integrate,
@@ -158,6 +159,39 @@ def test_profile_within_its_estimate_in_dimension_three(route, rho):
         grid = phi_quad_grid(3, [rho])
         result = Evaluation(float(grid.value[0]), float(grid.error_estimate[0]))
     assert abs(result.value - phi3_closed(rho)) <= result.error_estimate
+
+
+def _second_closed_50_digits(n, rho):
+    """The closed form of the profile's second derivative at the float
+    ``rho``, in 50-digit arithmetic with mpmath's own 2F1."""
+    with mpmath.workdps(50):
+        n, t = mpmath.mpf(n), mpmath.mpf(rho) ** 2
+        a, w = 1 - (n - 4) * t / n, 1 - (n - 2) ** 2 * t / n**2
+        b, c = 1 - (n - 2) * (n - 3) * t / n**2, 1 - (n - 2) * (n - 3) * t / (n * (n - 1))
+        e = 1 - (n - 2) * t / n
+        f = mpmath.hyp2f1(1, n / 2, (n + 1) / 2, t * w / a)
+        return 2 * (n - 2) / t * w ** ((n - 3) / 2) * a ** (-n / 2) * (b * a - c * w * e * f)
+
+
+@pytest.mark.parametrize(
+    "n, rho",
+    [
+        # ROADMAP item 16's cells, each silent while the 2F1 came from the
+        # Gauss series: errors of 6.9e-12 to 3.1e-10 against estimates that
+        # assumed it met 1e-13
+        (12, 0.99),
+        (30, 0.9),
+        (45, 0.99),
+        (101, 0.99),
+        (101, 0.999),
+        (200, 0.99),
+        (500, 0.9),
+        *((n, rho) for n in (3, 4, 12) for rho in (0.01, 0.5, 0.9, 0.999, 1.0)),
+    ],
+)
+def test_closed_second_derivative_within_its_estimate(n, rho):
+    result = phi_second_closed(n, rho)
+    assert abs(result.value - float(_second_closed_50_digits(n, rho))) <= result.error_estimate
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)

@@ -16,6 +16,7 @@ from ballgrad.cli import main
 from ballgrad.errors import ConvergenceError
 from ballgrad.phi import (
     SECOND_CLOSED_RHO_MIN,
+    _gap_from,
     phi3_closed,
     phi_quad,
     phi_quad_grid,
@@ -34,7 +35,7 @@ from ballgrad.phi import (
     verify_technical,
 )
 from ballgrad.quadrature import QuadratureSpec
-from ballgrad.specfun import HypergeometricInput, hyp2f1
+from ballgrad.specfun import profile_hyp2f1
 
 
 class TestPhiQuad:
@@ -362,7 +363,7 @@ def test_batch_entries_equal_their_one_radius_calls(n, rhos, K, second, rng):
 @example(n=4, rhos=[1.0, 0.5, 0.0010000000000000002], rng=random.Random(3))
 def test_closed_batch_entries_equal_their_one_radius_calls(n, rhos, rng):
     # unsorted and with duplicates; the hypergeometric values of the batch
-    # come from one batched hyp2f1 call
+    # come from one batched profile_hyp2f1 call
     radii = [*rhos, *rhos[:3]]
     rng.shuffle(radii)
     batch = phi_second_closed(n, radii)
@@ -631,9 +632,10 @@ def test_non_finite_profile_values_are_refused(n, rho):
 
 def _scalar_psi(n, t):
     """psi at one t as it was formed before the array form: every power by
-    the scalar ``**``, which numpy's vector pow does not always match."""
+    the scalar ``**``, which numpy's vector pow does not always match, and
+    2F1 from the profile route's one-value call."""
     ph = varphi(n, t)
-    f_val = hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), ph))
+    f_val = profile_hyp2f1(n, ph).value
     first = ph ** (0.5 * (n - 1)) * math.sqrt(1.0 - ph) * f_val
     num = (
         t ** (0.5 * (n - 1))
@@ -702,6 +704,26 @@ class TestPsi:
             psi_prime_closed(3, 0.5)
         with pytest.raises(ValueError):
             psi_prime_closed(4, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, t", [(400, 0.99), (500, 0.9801), (1000, 0.81)])
+def test_non_finite_psi_is_refused(n, t):
+    # both powers of psi's second term underflow to 0.0 there, and 0/0 is
+    # NaN: refused, with no numpy warning, in a batch and a sweep alike
+    with pytest.raises(ConvergenceError, match=f"psi at n = {n} is not finite at t={t:.6f}"):
+        psi(n, t)
+    with pytest.raises(ConvergenceError, match="psi"):
+        psi(n, [0.5, t])
+    with pytest.raises(ConvergenceError, match="psi"):
+        verify_technical(n)
+    assert math.isfinite(technical_gap(n, t))
+
+
+def test_non_finite_gap_is_refused():
+    # the rational side stays finite on [0, 1]; a NaN 2F1 value is refused
+    with pytest.raises(ConvergenceError, match="technical gap at n = 5 is not finite at t=0.500000"):
+        _gap_from(5, np.array([0.25, 0.5]), np.array([1.0, math.nan]))
 
 
 class TestTechnicalGap:

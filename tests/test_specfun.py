@@ -27,6 +27,7 @@ from ballgrad.specfun import (
     gegenbauer_iter,
     gegenbauer_weighted_derivative,
     hyp2f1,
+    profile_hyp2f1,
     verify_identities,
 )
 
@@ -305,6 +306,111 @@ class TestHyp2F1:
         for z in (0.5, -2.0, [0.5, -2.0]):
             with pytest.raises(ValueError, match="rel_tol"):
                 hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, z), rel_tol)
+
+
+PROFILE_DIMENSIONS = [*range(3, 13), 20, 30, 44, 45, 101, 200, 500, 1000]
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _switch(n):
+    """z* = (a+1)/(a+5/2), a = (n-1)/2: the continued fraction runs below it."""
+    a = 0.5 * (n - 1)
+    return (a + 1.0) / (a + 2.5)
+
+
+def _profile_arguments(n):
+    """Arguments on both sides of z*, z* itself and the float below it, and
+    the profile's largest argument (n-1)/n."""
+    zs = _switch(n)
+    return [0.0, 1e-8, 0.1, 0.3, 0.5, 0.9 * zs, math.nextafter(zs, 0.0), zs, 0.5 * (zs + 1.0), (n - 1) / n,
+            0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]
+
+
+def _mp_profile(n, z):
+    with mpmath.workdps(50):
+        return mpmath.hyp2f1(1, mpmath.mpf(n) / 2, mpmath.mpf(n + 1) / 2, mpmath.mpf(z))
+
+
+class TestProfileHyp2F1:
+    """F_n(z) = 2F1(1, n/2; (n+1)/2; z) by its incomplete-beta continued
+    fraction below z* and the finite Wallis complement from z* on."""
+
+    @pytest.mark.parametrize("n", PROFILE_DIMENSIONS)
+    def test_against_mpmath_within_the_estimate(self, n):
+        zs = _profile_arguments(n)
+        result = profile_hyp2f1(n, zs)
+        for z, value, estimate in zip(zs, result.value, result.error_estimate):
+            exact = _mp_profile(n, z)
+            error = float(abs(value - exact))
+            assert error <= estimate, z
+            # within 6 n u relative everywhere tried, against an estimate of 8 n u
+            assert error <= 6.0 * n * UNIT_ROUNDOFF * float(exact), z
+            assert estimate <= (8.0 * n + 3.0) * UNIT_ROUNDOFF * abs(value), z
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 20, 44, 45])
+    def test_against_the_gauss_series(self, n):
+        # where the general series converges fast, the two routes agree
+        zs = np.linspace(0.0, 0.9, 19)
+        series = hyp2f1(HypergeometricInput(1.0, 0.5 * n, 0.5 * (n + 1), zs))
+        assert profile_hyp2f1(n, zs).value == pytest.approx(series, rel=1e-12, abs=0.0)
+
+    def test_dimension_three_closed_form(self):
+        # F_3(z) = 2 / (sqrt(1-z) (1 + sqrt(1-z))), on both sides of z* = 4/7
+        zs = [*np.linspace(0.0, 0.99, 100), _switch(3), math.nextafter(_switch(3), 0.0), 1.0 - 1e-9]
+        result = profile_hyp2f1(3, zs)
+        for z, value, estimate in zip(zs, result.value, result.error_estimate):
+            root = math.sqrt(1.0 - z)
+            # the closed form's own rounding (a few u) fits in the estimate: 24 u of
+            # rounding and a last step of at most 2 u, up to the rounding of their sum
+            assert abs(value - 2.0 / (root * (1.0 + root))) <= estimate <= 27.0 * UNIT_ROUNDOFF * value, z
+
+    def test_zero_argument(self):
+        for n in (3, 4, 1000):
+            result = profile_hyp2f1(n, 0.0)
+            assert result.value == 1.0 and 0.0 < result.error_estimate < 1e-12
+
+    def test_one_argument_gives_floats_and_a_sequence_arrays(self):
+        single, batch = profile_hyp2f1(5, 0.5), profile_hyp2f1(5, [0.5])
+        assert type(single.value) is float and type(single.error_estimate) is float
+        assert isinstance(batch.value, np.ndarray) and batch.value.shape == (1,)
+
+    @pytest.mark.parametrize("n", [2, 3.5, True, math.nan, math.inf, -4])
+    def test_bad_dimension_rejected(self, n):
+        with pytest.raises(ValueError, match="dimension"):
+            profile_hyp2f1(n, 0.5)
+
+    @pytest.mark.parametrize("z", [-0.1, 1.0, 1.5, math.nan, math.inf, [], [[0.5]], [0.5, 1.0], [0.5, -1e-300]])
+    def test_argument_outside_the_unit_interval_rejected(self, z):
+        with pytest.raises(ValueError, match=r"z must lie in \[0, 1\)"):
+            profile_hyp2f1(4, z)
+
+    @pytest.mark.parametrize("n", [3, 4, 12, 101])
+    def test_a_fraction_past_its_cap_raises(self, monkeypatch, n):
+        # never a silent value: the entry still moving carries its value so
+        # far.  The complement runs no fraction, so z* itself is not refused
+        # and the float below it is: the switch sits exactly at z*
+        monkeypatch.setattr(specfun, "_PROFILE_CF_CAP", 3)
+        with pytest.raises(ConvergenceError, match="continued fraction") as excinfo:
+            profile_hyp2f1(n, [0.0, math.nextafter(_switch(n), 0.0)])
+        assert excinfo.value.value > 1.0 and excinfo.value.error_estimate > 0.0
+        assert profile_hyp2f1(n, [_switch(n), 1.0 - 1e-9]).value.min() > 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from(PROFILE_DIMENSIONS),
+    zs=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=60),
+    rng=st.randoms(use_true_random=False),
+)
+def test_profile_batches_equal_their_one_argument_calls(n, zs, rng):
+    # unsorted, with duplicates, z* and the float below it: each entry has
+    # the bits of its one-argument call, value and estimate
+    args = [*zs, *zs[:3], _switch(n), math.nextafter(_switch(n), 0.0), 0.0, (n - 1) / n]
+    rng.shuffle(args)
+    batch = profile_hyp2f1(n, args)
+    for z, value, estimate in zip(args, batch.value.tolist(), batch.error_estimate.tolist()):
+        single = profile_hyp2f1(n, z)
+        assert (value.hex(), estimate.hex()) == (single.value.hex(), single.error_estimate.hex()), z
 
 
 HYP_FIXTURE = json.loads((Path(__file__).parent / "hyp2f1_fixture.json").read_text())
