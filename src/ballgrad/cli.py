@@ -79,8 +79,9 @@ def _cmd_phi_table(args):
     # every radius the table reads, in one call: rho, rho + h, |rho - h|
     values = _phi_values(n, grid + [rho + h for rho in grid] + [abs(rho - h) for rho in grid], args.method)
     steps = len(grid)
-    second_series = [e.value for e in phi.phi_second_series(n, grid)]
-    second_closed = [e.value for e in phi.phi_second(n, grid)]
+    summed = phi.phi_second_series(n, grid)
+    second_series = [e.value for e in summed]
+    second_closed = [e.value for e in phi.phi_second(n, grid, summed)]
     rows = [
         {"rho": rho, "phi": value, "dphi_fd": (up - down) / (2.0 * h), "d2phi_closed": closed, "d2phi_series": series}
         for rho, value, up, down, closed, series in zip(

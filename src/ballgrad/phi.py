@@ -15,6 +15,7 @@ dependence and Phi is the constant 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -29,6 +30,7 @@ from .specfun import _one_or_list, _pow_each, _radii, _sorted_passes
 __all__ = [
     "phi_quad",
     "phi_quad_grid",
+    "phi_one_sided",
     "phi_series",
     "phi3_closed",
     "varphi",
@@ -58,6 +60,12 @@ _SERIES_PASS = 64
 # Radii per pass of phi_quad_grid: few enough that the panel arrays of one
 # pass stay small, many enough that numpy does the work.
 _GRID_BLOCK = 128
+
+# Largest dimension of phi_one_sided, the Gauss-Legendre nodes per panel of
+# its layout, and the Bernstein-ellipse parameters its bound tries per panel.
+_SIDED_MAX_DIM = 1000
+_SIDED_NODES = 16
+_SIDED_ELLIPSES = np.array([2.0, 2.5, 3.0, 3.5, 4.0])
 
 # Grid points of each verification sweep.
 _SWEEP_POINTS = 1001
@@ -144,6 +152,111 @@ def _phi_quad_block(n, rho, spec):
         return np.abs(t - s[group][:, None]) * kernel * np.sin(theta) ** (n - 2)
 
     return quadrature.kink_integrals(g, s, spec)
+
+
+def phi_one_sided(n: int, rho) -> Evaluation:
+    """Profile value by the one-sided integral, on a fixed Gauss layout.
+
+    With w = (1 - t^2)^((n-3)/2) D^(-(n-2)/2), D = 1 - 2 t rho + rho^2, the
+    moment of (t - s) w vanishes at s = (n-2) rho / n (of the Gegenbauer
+    expansion of D^(-(n-2)/2) only degrees 0 and 1 meet 1 and t), so Phi = 2
+    * integral over [-1, s] of (s - t) w dt.  That integrand has no kink and
+    no singularity within 2/n of [-1, s], so one layout (:func:`_sided_layout`)
+    serves every radius, with no bisection.  Every power is of a ratio at
+    most 1: w = q^((n-3)/2) D^(-1/2), q = (1 - t^2)/D, as D - (1 - t^2) =
+    (t - rho)^2.  The estimate sums the panel bounds of :func:`_sided_bounds`
+    and 4 (n + 8) u Phi, u = 2^-53, five times the largest rounding error
+    seen against 40-digit mpmath up to n = 1000.
+
+    ``n`` must lie in [3, 1000] and ``rho`` in [0, 1], else ``ValueError``;
+    a 1-D sequence of radii gives an :class:`Evaluation` of two arrays.  The
+    values run in passes of 128 radii, each summed by
+    :func:`ballgrad.quadrature.row_sums`, so each entry has the bits of its
+    one-radius call.
+    """
+    n = check_dim(n, 3)
+    if n > _SIDED_MAX_DIM:
+        raise ValueError(f"the one-sided route needs n <= {_SIDED_MAX_DIM}")
+    radii, single = _radii(rho, lambda r: (0.0 <= r) & (r <= 1.0), "rho must lie in [0, 1]")
+    f, g, weights, *tables = _sided_layout(n)
+    p, c = 0.5 * (n - 3), 1.0 + kink_abscissa(n, radii[:, None])
+    oms, e2, r2 = (n - (n - 2.0) * radii[:, None]) / n, (1.0 - radii[:, None]) ** 2, 2.0 * radii[:, None]
+    values = np.empty(radii.size)
+    for start in range(0, radii.size, _GRID_BLOCK):
+        part = slice(start, start + _GRID_BLOCK)
+        om = oms[part] + c[part] * g  # 1 - t at the nodes t = -1 + (1 + s) f, and D = e2 + r2 (1 - t)
+        d = e2[part] + r2[part] * om
+        values[part] = quadrature.row_sums((c[part] * f * om / d) ** p / np.sqrt(d), weights)
+    values *= c[:, 0] ** 2
+    panels = _sided_bounds(n, radii[:, None], *tables)
+    estimates = c[:, 0] ** 2 * quadrature.row_sums(panels, np.ones(panels.shape[1])) + 4.0 * (n + 8) * 2.0**-53 * values
+    return Evaluation(float(values[0]), float(estimates[0])) if single else Evaluation(values, estimates)
+
+
+@functools.lru_cache(maxsize=64)
+def _sided_layout(n):
+    """The layout of :func:`phi_one_sided` in dimension ``n``, in the fraction
+    f = (1 + t)/(1 + s), which no radius moves: 16 Gauss-Legendre nodes on
+    each panel, with edges at f = 1/2 and 1 - 2^-k, k = 2..max(7, ceil(log2
+    n)); the first panel runs in y, f = y^2 / 2, where (1 + t)^((n-3)/2) dt
+    is a polynomial.  From n = 13 on, where the first panel's bound passes
+    1e-13, every panel is halved.  Returns f, 1 - f, weights holding 2 (1 -
+    f) and the Jacobian, and, per panel, the tables of :func:`_sided_bounds`
+    for whichever of the ellipses ``_SIDED_ELLIPSES`` and the bound by the
+    largest value is least at the worst of nine radii.  Each holds at every
+    radius: 1 - t at an ellipse's right end is least at rho = 1."""
+    top = max(7, math.ceil(math.log2(n)))
+    edges = np.concatenate([[0.5], 1.0 - 0.5 ** np.arange(2.0, top + 1), [1.0]])
+    if n > 12:
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:]), [0.25]]))
+    x, w = np.polynomial.legendre.leggauss(_SIDED_NODES)
+    f0, y, lo, hi = edges[0], 0.5 * (x + 1.0), edges[:-1, None], edges[1:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    f = np.concatenate([f0 * y * y, (mid + half * x).ravel()])
+    g = np.concatenate([1.0 - f0 * y * y, (1.0 - mid - half * x).ravel()])
+    weights = 2.0 * g * np.concatenate([f0 * y * w, (half * w).ravel()])
+    r = _SIDED_ELLIPSES
+    gauss = (64.0 / 15.0) * r ** (2.0 - 2.0 * _SIDED_NODES) / (r * r - 1.0)  # ATAP Thm 19.3, per unit half-width
+    a, b2 = 0.5 * half * (r + 1.0 / r), (0.5 * half * (r - 1.0 / r)) ** 2  # semi-axes about a panel
+    ry2, yb2 = f0 * (0.5 + 0.25 * (r + 1.0 / r)) ** 2, (0.25 * (r - 1.0 / r)) ** 2  # f0 |y|^2 and Im(y)^2 on the first
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lower = np.where(mid > a, 1.0 + b2 / (mid - a) ** 2, np.inf) ** (0.25 * (n - 3))  # |1 + t| off the axis
+        far = 2.0 * half * gauss * (1.0 - mid + a) * lower
+    omega = np.vstack([np.append(1.0 - ry2, 1.0 - f0), np.hstack([1.0 - mid - a, 1.0 - hi])])
+    beta = np.vstack([np.append(8.0 * f0 * yb2, 0.0), np.hstack([b2, 0.0 * hi])])
+    scale = np.vstack([np.append(2.0 * np.sqrt(f0 * ry2) * gauss * (1.0 + ry2), 8.0 * f0), np.hstack([far, 8.0 * half * (1.0 - lo)])])
+    trial = _sided_bounds(n, np.linspace(0.0, 1.0, 9)[:, None, None], omega, beta, scale)
+    best = (np.arange(omega.shape[0]), np.nan_to_num(trial, nan=np.inf, posinf=np.inf).max(axis=0).argmin(axis=1))
+    return f, g, weights, omega[best], beta[best], scale[best]
+
+
+def _sided_bounds(n, rho, omega, beta, scale):
+    """Bounds on the error of each panel of :func:`phi_one_sided` at the
+    radii ``rho`` (a column), over (1 + s)^2, by the tables of
+    :func:`_sided_layout`, whose first row is the first panel.
+
+    A Bernstein ellipse of parameter R about a panel of half-width h bounds
+    its part of Phi by 2 h (64/15) M R^(-30) / (R^2 - 1) (Trefethen, *ATAP*,
+    Thm 19.3, for 16 nodes), with M the largest |(s - t) w| on the ellipse.
+    On an ellipse whose points have real part at most x (and at least x_lo)
+    and imaginary part at most b, the exact moduli of 1 - t, 1 + t and D
+    give |q|^2 <= q(min(x, rho))^2 (1 + b^2 Delta) (1 + b^2 / (1 + x_lo)^2)
+    and |D| >= D(x), with Delta = (1 - rho)^2 (D + sqrt(rho) (1 + rho)
+    (1 - x)) / ((1 - x) D)^2; on the first panel, in y, the height term is
+    8 f0 (1 + s) Im(y)^2 Delta.  The other bound adds the largest values of
+    the panel's integral and of its rule: twice its length times (s - t) at
+    its left end times w at its right end."""
+    p, c = 0.5 * (n - 3), 1.0 + kink_abscissa(n, rho)
+    oms, e2, r2 = (n - (n - 2.0) * rho) / n, (1.0 - rho) ** 2, 2.0 * rho
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        om = oms + c * omega  # 1 - x at the ellipse's rightmost point
+        d = e2 + r2 * om
+        q = np.where(om < 1.0 - rho, 1.0, (2.0 - om) * om / d)
+        delta = e2 * (d + np.sqrt(rho) * (1.0 + rho) * om) / (om * d) ** 2
+        height = c * c * beta
+        height[:, 0] = c[:, 0] * beta[0]
+        bound = scale * (q * q * (1.0 + height * delta)) ** (0.5 * p) / np.sqrt(d)
+    return np.where(om > 0.0, bound, np.inf)
 
 
 def _series_radii(rho):
@@ -389,7 +502,7 @@ def phi_second_fd(n: int, rho) -> Evaluation | list[Evaluation]:
     return _evaluations(single, values.tolist(), estimates.tolist())
 
 
-def phi_second(n: int, rho) -> Evaluation | list[Evaluation]:
+def phi_second(n: int, rho, series=None) -> Evaluation | list[Evaluation]:
     """Second derivative of the profile by the closed form where it is well
     conditioned (rho above :data:`SECOND_CLOSED_RHO_MIN`), by the series at
     and below it, in every dimension n >= 3.
@@ -397,11 +510,19 @@ def phi_second(n: int, rho) -> Evaluation | list[Evaluation]:
     ``rho`` may be one radius in [0, 1] or a 1-D sequence of them; a
     sequence gives one evaluation per radius, in input order, from one
     series call for its radii at or below the threshold and one closed call
-    for the rest."""
+    for the rest.  A caller that holds :func:`phi_second_series` at the same
+    radii passes that list as ``series``: its entries at and below the
+    threshold, which have the bits of the series call they replace, are
+    taken as they are."""
     radii, single = _radii(rho, lambda r: (0.0 <= r) & (r <= 1.0), "rho must lie in [0, 1]")
     closed = radii > SECOND_CLOSED_RHO_MIN
-    evaluations = [None] * radii.size
-    for route, where in ((phi_second_series, ~closed), (phi_second_closed, closed)):
+    evaluations = [None] * radii.size if series is None else list(series)
+    if len(evaluations) != radii.size:
+        raise ValueError("series must hold one evaluation per radius")
+    routes = [(phi_second_closed, closed)]
+    if series is None:
+        routes.insert(0, (phi_second_series, ~closed))
+    for route, where in routes:
         index = np.flatnonzero(where)
         if index.size:
             for i, e in zip(index.tolist(), route(n, radii[index])):
@@ -521,11 +642,15 @@ def verify_monotone(n: int) -> VerificationReport:
     Asserts strict decrease with maximum 2/(n-1) at the origin for n >= 4,
     strict increase with the maximum at rho = 1 for n = 3, and a vanishing
     one-sided derivative at the origin.  Strictness carries a 1e-12 margin
-    to stay clear of float noise.
+    to stay clear of float noise.  The grid values come from one
+    :func:`phi_one_sided` call, whose estimates stay below 1e-13 on this
+    grid for n <= 200, so n runs from 3 to 1000 (``ValueError`` above); the
+    slope at the origin is a difference of two :func:`phi_quad` values at
+    the binary64 floor.
     """
     n = check_dim(n, 3)
     grid = np.linspace(0.0, 1.0, _SWEEP_POINTS)
-    values = phi_quad_grid(n, grid).value.tolist()
+    values = phi_one_sided(n, grid).value.tolist()
 
     checks = []
 

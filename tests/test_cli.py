@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 
 import pytest
@@ -421,10 +422,7 @@ class TestBound:
         "argv",
         [
             ["bound", "--n", "101", "--rho", "0.9999999"],
-            ["verify", "--n", "100", "--suite", "monotone"],
             ["bound", "--n", "150", "--rho", "0.999"],
-            ["verify", "--n", "150", "--suite", "monotone"],
-            ["verify", "--n", "150", "--suite", "all"],
         ],
     )
     def test_non_finite_profile_exits_two(self, capsys, argv):
@@ -442,9 +440,7 @@ class TestBound:
         "argv",
         [
             ["bound", "--n", "101", "--rho", "0.9999999"],
-            ["verify", "--n", "100", "--suite", "monotone"],
             ["bound", "--n", "150", "--rho", "0.999"],
-            ["verify", "--n", "150", "--suite", "monotone"],
         ],
     )
     def test_numerical_failure_writes_one_stderr_line(self, capsys, argv):
@@ -453,6 +449,26 @@ class TestBound:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [100, 150, 1000])
+    def test_monotone_sweep_passes_where_the_kernel_overflows(self, capsys, n):
+        # the sweep reads the one-sided route, whose powers are of ratios at
+        # most 1, so the overflow that refuses bound here never arises
+        code, out, err = run_cli(capsys, "verify", "--n", str(n), "--suite", "monotone")
+        payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON token {c}"))
+        assert (code, err, payload["passed"]) == (0, "", True)
+        assert all(c["passed"] and math.isfinite(c["worst_margin"]) for c in payload["checks"])
+
+    def test_all_suites_at_150_fail_only_the_known_checks(self, capsys):
+        # monotone passes; concavity's route agreement (ROADMAP item 1) and
+        # the kernel moment identity (item 5(a)) are the known failures
+        code, out, _ = run_cli(capsys, "verify", "--n", "150", "--suite", "all")
+        checks = json.loads(out)["checks"]
+        assert code == 1
+        assert all(c["passed"] for c in checks if c["name"].startswith("monotone/"))
+        failed = {c["name"] for c in checks if not (c["passed"] or c["expected"])}
+        assert failed == {"concavity/route_agreement", "identities/kernel_moment_closed_form"}
 
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--n", "5", "--rho", "0.0")

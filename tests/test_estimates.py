@@ -4,6 +4,7 @@ and that estimate bounds the route's error against known values."""
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from ballgrad.bounds import BoundQuery, ball_volume, capital_c, khavinson_radial_3d, schwarz_pick_constant
@@ -20,7 +21,7 @@ from ballgrad.harmonic import (
     sharp_radial_sup,
     zonal_poisson_value,
 )
-from ballgrad.phi import phi3_closed, phi_quad, phi_quad_grid, phi_second_closed
+from ballgrad.phi import phi3_closed, phi_one_sided, phi_quad, phi_quad_grid, phi_second_closed
 from ballgrad.quadrature import (
     band_node_table,
     integrate,
@@ -159,6 +160,43 @@ def test_profile_within_its_estimate_in_dimension_three(route, rho):
         grid = phi_quad_grid(3, [rho])
         result = Evaluation(float(grid.value[0]), float(grid.error_estimate[0]))
     assert abs(result.value - phi3_closed(rho)) <= result.error_estimate
+
+
+def _profile_40_digits(n, rho):
+    """The defining integral of the profile at the float ``rho`` in 40-digit
+    arithmetic, split at the kink s."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(rho)
+        s, p = (n - 2) * r / n, mpmath.mpf(n - 3) / 2
+
+        def integrand(t):
+            return abs(t - s) * (1 - t * t) ** p * (1 - 2 * t * r + r * r) ** (-p - mpmath.mpf(1) / 2)
+
+        return mpmath.quad(integrand, [-1, s - (1 + s) / 64, s, s + (1 - s) / 64, 1])
+
+
+@pytest.mark.parametrize(
+    "n, rho",
+    [
+        # the quadrature routes' strict xfails above, and ROADMAP item 13's
+        # silent cells of phi_quad at 1 - 1e-10
+        (3, 1.0 - 1e-6),
+        (3, 1.0 - 1e-7),
+        (12, 1.0 - 1e-10),
+        (45, 1.0 - 1e-10),
+    ],
+)
+def test_one_sided_profile_within_its_estimate(n, rho):
+    result = phi_one_sided(n, rho)
+    exact = phi3_closed(rho) if n == 3 else float(_profile_40_digits(n, rho))
+    assert abs(result.value - exact) <= result.error_estimate
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 44, 200])
+def test_monotone_sweep_estimates_stay_below_its_margin(n):
+    # the sweep's strictness margin is 1e-12 on differences of neighbouring
+    # values; an estimate ten times below it leaves no verdict in doubt
+    assert phi_one_sided(n, np.linspace(0.0, 1.0, 1001)).error_estimate.max() <= 1e-13
 
 
 def _second_closed_50_digits(n, rho):

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from ballgrad import phi as phi_module
 from ballgrad import quadrature, specfun
 from ballgrad.cli import main
-from ballgrad.errors import ConvergenceError
+from ballgrad.errors import ConvergenceError, Evaluation
 from ballgrad.phi import (
     SECOND_CLOSED_RHO_MIN,
     _gap_from,
     phi3_closed,
+    phi_one_sided,
     phi_quad,
     phi_quad_grid,
     phi_second,
@@ -102,8 +103,9 @@ class TestPhiQuadGrid:
             phi_quad_grid(12, [0.2, 0.9], QuadratureSpec(max_subdivisions=1))
 
     def test_exhausted_budget_exits_two(self, capsys, monkeypatch):
+        # phi-table's quad column reads phi_quad_grid under DEFAULT_SPEC
         monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
-        code = main(["verify", "--n", "12", "--suite", "monotone"])
+        code = main(["phi-table", "--n", "12", "--method", "quad"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -373,6 +375,23 @@ def test_closed_batch_entries_equal_their_one_radius_calls(n, rhos, rng):
         assert (e.value, e.error_estimate) == (single.value, single.error_estimate)
 
 
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_second_router_takes_the_callers_series(monkeypatch, n):
+    # phi-table's case: the series list it already summed serves the radii
+    # at and below the threshold, with the bits of phi_second's own call,
+    # and no second series is summed
+    radii = [0.5, 0.0, SECOND_CLOSED_RHO_MIN, 0.99, 5e-4]
+    summed, expected = phi_second_series(n, radii), phi_second(n, radii)
+
+    def refuse(*args):
+        raise AssertionError("phi_second summed the series again")
+
+    monkeypatch.setattr(phi_module, "phi_second_series", refuse)
+    assert phi_second(n, radii, summed) == expected
+    with pytest.raises(ValueError):
+        phi_second(n, radii, summed[:-1])
+
+
 class TestPhi3Closed:
     def test_origin_limit(self):
         assert phi3_closed(0.0) == 1.0
@@ -630,6 +649,91 @@ def test_non_finite_profile_values_are_refused(n, rho):
         phi_quad_grid(n, [0.5, rho])
 
 
+def _profile_40_digits(n, rho, lower=-1, upper=1):
+    """The defining integral of |t - s| w over [lower, upper] at the float
+    ``rho``, in 40-digit arithmetic, with breakpoints graded toward the
+    kink s from both sides."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(rho)
+        s, p, e2 = (n - 2) * r / n, mpmath.mpf(n - 3) / 2, (1 - r) ** 2
+
+        def integrand(t):
+            d = e2 + 2 * r * (1 - t)
+            return abs(t - s) * ((1 + t) * (1 - t) / d) ** p / mpmath.sqrt(d)
+
+        left = [s - (1 + s) / mpmath.mpf(4) ** k for k in range(1, 5)] if lower == -1 else []
+        right = [s + (1 - s) / mpmath.mpf(4) ** k for k in range(4, 0, -1)] if upper == 1 else []
+        return mpmath.quad(integrand, [lower, *left, s, *right, upper] if lower != upper else [s, upper])
+
+
+ONE_SIDED_DIMENSIONS = [3, 4, 5, 12, 44, 45, 101, 200, 500, 1000]
+ONE_SIDED_RADII = [0.0, 0.3, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-7, 1.0]
+
+
+class TestPhiOneSided:
+    @pytest.mark.parametrize("n", ONE_SIDED_DIMENSIONS)
+    def test_matches_the_defining_integral(self, n):
+        # 40-digit quadrature of the two-sided definition, so the moment
+        # identity behind the route is checked along with its layout
+        result = phi_one_sided(n, ONE_SIDED_RADII)
+        for rho, value, estimate in zip(ONE_SIDED_RADII, result.value, result.error_estimate):
+            exact = float(_profile_40_digits(n, rho))
+            assert abs(value - exact) <= estimate <= 1e-13, (n, rho)
+
+    def test_dimension_three_closed_form_on_the_monotone_grid(self):
+        grid = np.linspace(0.0, 1.0, 1001)
+        result = phi_one_sided(3, grid)
+        for rho, value, estimate in zip(grid.tolist(), result.value, result.error_estimate):
+            assert abs(value - phi3_closed(rho)) <= estimate <= 1e-14, rho
+
+    @pytest.mark.parametrize("n", [3, 4, 12, 45, 200])
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999])
+    def test_moment_identity(self, n, rho):
+        # M1 = s M0: the integral of (s - t) w below s equals that of (t - s)
+        # w above it, so twice the upper side is the profile too
+        upper = 2 * _profile_40_digits(n, rho, lower=(n - 2) * mpmath.mpf(rho) / n)
+        result = phi_one_sided(n, rho)
+        assert abs(result.value - float(upper)) <= result.error_estimate
+
+    @pytest.mark.parametrize("n, rho", [(3, 0.3), (4, 0.0), (4, 0.75), (5, 1.0), (12, 0.5), (40, 0.95), (44, 0.9)])
+    def test_agrees_with_the_full_interval_quadrature(self, n, rho):
+        grid, result = phi_quad_grid(n, [rho]), phi_one_sided(n, rho)
+        assert abs(result.value - grid.value[0]) <= result.error_estimate + grid.error_estimate[0]
+
+    def test_one_radius_gives_floats(self):
+        result = phi_one_sided(4, 0.5)
+        assert isinstance(result.value, float) and isinstance(result.error_estimate, float)
+        assert result == Evaluation(*(float(v[0]) for v in dataclasses.astuple(phi_one_sided(4, [0.5]))))
+
+    @pytest.mark.parametrize("n", [2, 1001, 4.5, True, math.nan])
+    def test_rejects_bad_dimensions(self, n):
+        with pytest.raises(ValueError):
+            phi_one_sided(n, 0.5)
+
+    @pytest.mark.parametrize("rho", [[], [[0.5]], [-0.1, 0.5], [0.5, 1.5], [math.nan], 1.5, -1e-300, math.inf])
+    def test_rejects_bad_radii(self, rho):
+        with pytest.raises(ValueError):
+            phi_one_sided(4, rho)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 5, 12, 13, 44, 200, 1000]),
+    rhos=st.lists(st.floats(0.0, 1.0), max_size=12),
+    rng=st.randoms(use_true_random=False),
+)
+@example(n=4, rhos=np.linspace(0.0, 1.0, 12).tolist(), rng=random.Random(8))
+def test_one_sided_entries_equal_their_one_radius_calls(n, rhos, rng):
+    # unsorted, with duplicates, both ends and 140 radii besides, so that
+    # the entries span two passes: each value and estimate has the bits of
+    # the radius's own call
+    radii = [*rhos, *rhos[:2], 0.0, 1.0, *np.linspace(0.0, 0.99, 140).tolist()]
+    rng.shuffle(radii)
+    result = phi_one_sided(n, radii)
+    for rho, value, estimate in zip(radii, result.value.tolist(), result.error_estimate.tolist()):
+        assert (value, estimate) == dataclasses.astuple(phi_one_sided(n, rho))
+
+
 def _scalar_psi(n, t):
     """psi at one t as it was formed before the array form: every power by
     the scalar ``**``, which numpy's vector pow does not always match, and
@@ -866,7 +970,7 @@ def test_each_reported_location_holds_its_margin(n):
 
     def monotone(k):
         assert k >= 1  # a difference is labelled by its right grid point
-        left, right = phi_quad_grid(n, grid[k - 1 : k + 1]).value
+        left, right = phi_one_sided(n, grid[k - 1 : k + 1]).value
         return right - left
 
     recompute = {
