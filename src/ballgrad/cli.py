@@ -61,7 +61,7 @@ def _cmd_constants(args):
 
 def _phi_values(n, rhos, method):
     if method == "quad":
-        return phi.phi_quad_grid(n, rhos).value.tolist()
+        return phi.phi_one_sided(n, rhos).value.tolist()
     if method == "series":
         return [e.value for e in phi.phi_series(n, rhos)]
     if method == "closed3":

@@ -23,13 +23,12 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import ConvergenceError, Evaluation, check_dim
-from .quadrature import _NON_FINITE, QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate
 from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
-from .specfun import _one_or_list, _pow_each, _radii, _sorted_passes
+from .specfun import _one_or_list, _pow_each, _radii
 
 __all__ = [
     "phi_quad",
-    "phi_quad_grid",
     "phi_one_sided",
     "phi_series",
     "phi3_closed",
@@ -57,7 +56,7 @@ _ADAPTIVE_CAP = 3000
 # Radii per pass of the series sum.
 _SERIES_PASS = 64
 
-# Radii per pass of phi_quad_grid: few enough that the panel arrays of one
+# Radii per pass of phi_one_sided: few enough that the node arrays of one
 # pass stay small, many enough that numpy does the work.
 _GRID_BLOCK = 128
 
@@ -69,9 +68,6 @@ _SIDED_ELLIPSES = np.array([2.0, 2.5, 3.0, 3.5, 4.0])
 
 # Grid points of each verification sweep.
 _SWEEP_POINTS = 1001
-
-# Quadrature at the binary64 floor, for differences of profile values.
-_TIGHT_SPEC = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
 
 # Width of the Richardson finite difference of phi_second_fd.
 _FD_STEP = 1e-3
@@ -105,53 +101,6 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> Evaluati
     qspec = replace(spec if spec is not None else quadrature.DEFAULT_SPEC, kinks=(s,))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
-
-
-def phi_quad_grid(n: int, rhos, spec: QuadratureSpec | None = None) -> Evaluation:
-    """Profile values at many radii by one batched quadrature.
-
-    Returns an :class:`Evaluation` of two arrays over ``rhos``.  Each radius is
-    one group of :func:`ballgrad.quadrature.group_integrals`: the defining
-    integral cut at the kink s = (n-2) rho / n, both pieces in the
-    cosine-substituted variable as in :func:`phi_quad`, with that group's
-    own stopping test (summed gap within the largest of ``spec.abs_tol``,
-    ``spec.rel_tol`` times the value and the roundoff floor), estimate and
-    ``spec.max_subdivisions`` budget.  The radii run in passes of 128, so
-    the panel arrays stay bounded, taken from the sorted radii by the pass
-    rule of the series sums (:func:`specfun._sorted_passes`) and scattered
-    back to input order: the radii near 1 need the most bisection rounds,
-    and a pass runs until its slowest group stops, so sorting keeps those
-    rounds to the passes that hold such radii.  Every entry has the bits
-    of its one-radius call, whatever the order.  A non-finite panel or
-    result raises :class:`ConvergenceError`; :func:`phi_quad` stays the
-    independent route.
-    """
-    n = check_dim(n, 2)
-    rho = np.asarray(rhos, dtype=float)
-    if rho.ndim != 1 or rho.size == 0 or not np.all((0.0 <= rho) & (rho <= 1.0)):
-        raise ValueError("rhos must be a non-empty sequence in [0, 1]")
-    values, estimates = np.empty(rho.size), np.empty(rho.size)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for index in _sorted_passes(rho, _GRID_BLOCK):
-            block = _phi_quad_block(n, rho[index], spec)
-            values[index], estimates[index] = block.value, block.error_estimate
-    if not (np.isfinite(values).all() and np.isfinite(estimates).all()):
-        raise ConvergenceError(_NON_FINITE, values, estimates)
-    return Evaluation(values, estimates)
-
-
-def _phi_quad_block(n, rho, spec):
-    """One pass of :func:`phi_quad_grid` over at most ``_GRID_BLOCK`` radii."""
-    s = kink_abscissa(n, rho)
-    d_exp = 0.5 * (n - 2)
-
-    def g(theta, group):
-        t = np.cos(theta)
-        r = rho[group][:, None]
-        kernel = (1.0 - 2.0 * t * r + r * r) ** (-d_exp)
-        return np.abs(t - s[group][:, None]) * kernel * np.sin(theta) ** (n - 2)
-
-    return quadrature.kink_integrals(g, s, spec)
 
 
 def phi_one_sided(n: int, rho) -> Evaluation:
@@ -476,24 +425,24 @@ def phi_second_series(n: int, rho, K: int | None = None) -> Evaluation | list[Ev
 
 def phi_second_fd(n: int, rho) -> Evaluation | list[Evaluation]:
     """Second derivative by a Richardson-extrapolated central difference of
-    the quadrature route.
+    the one-sided profile route.
 
     Uses the symmetric second difference at widths h = 1e-3 and h/2
     combined as (4 D(h/2) - D(h)) / 3, with rho + h <= 1.  The profile is
     even in rho, so points reflected below the origin take the value at
-    their mirror radius.  ``rho`` may be
-    one radius or a 1-D sequence of them; a sequence gives one evaluation
-    per radius, in input order, and one radius is a batch of one.  The five
-    abscissae of every radius go through one :func:`phi_quad_grid` call at
-    the binary64 floor, since the difference quotient amplifies
-    per-evaluation noise by 4/h^2.
+    their mirror radius.  ``n`` must lie in [3, 1000], the domain of
+    :func:`phi_one_sided`, which takes the five abscissae of every radius in
+    one call; the difference quotient amplifies their rounding by 4/h^2,
+    which the estimate's floor covers.  ``rho`` may be one radius or a 1-D
+    sequence of them; a sequence gives one evaluation per radius, in input
+    order, and one radius is a batch of one.
     """
-    n = check_dim(n, 2)
+    n = check_dim(n, 3)
     step = _FD_STEP
     radii, single = _radii(rho, lambda r: (0.0 <= r) & (r <= 1.0 - step), "need rho + step <= 1")
     half = 0.5 * step
     abscissae = np.abs(np.stack((radii, radii + step, radii - step, radii + half, radii - half)))
-    center, up, down, up_half, down_half = phi_quad_grid(n, abscissae.ravel(), _TIGHT_SPEC).value.reshape(5, -1)
+    center, up, down, up_half, down_half = phi_one_sided(n, abscissae.ravel()).value.reshape(5, -1)
     d_h = (up - 2.0 * center + down) / (step * step)
     d_h2 = (up_half - 2.0 * center + down_half) / (half * half)
     values = (4.0 * d_h2 - d_h) / 3.0
@@ -644,9 +593,8 @@ def verify_monotone(n: int) -> VerificationReport:
     one-sided derivative at the origin.  Strictness carries a 1e-12 margin
     to stay clear of float noise.  The grid values come from one
     :func:`phi_one_sided` call, whose estimates stay below 1e-13 on this
-    grid for n <= 200, so n runs from 3 to 1000 (``ValueError`` above); the
-    slope at the origin is a difference of two :func:`phi_quad` values at
-    the binary64 floor.
+    grid for n <= 200, and the slope at the origin from another, at 1e-6
+    and 0; n runs from 3 to 1000 (``ValueError`` above).
     """
     n = check_dim(n, 3)
     grid = np.linspace(0.0, 1.0, _SWEEP_POINTS)
@@ -672,7 +620,8 @@ def verify_monotone(n: int) -> VerificationReport:
     # identically zero; the one-sided quotient at delta is the honest probe
     # and converges to the derivative at rate delta.
     delta = 1e-6
-    slope = abs(phi_quad(n, delta, _TIGHT_SPEC).value - phi_quad(n, 0.0, _TIGHT_SPEC).value) / delta
+    near, origin = phi_one_sided(n, [delta, 0.0]).value
+    slope = abs(near - origin) / delta
     checks.append(CheckResult("derivative_zero_at_origin", slope <= 1e-6, slope, "rho=0"))
 
     return VerificationReport("monotone", n, tuple(checks))

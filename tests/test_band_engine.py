@@ -25,7 +25,7 @@ from ballgrad.harmonic import (
     random_zonal_data,
     zonal_poisson_value,
 )
-from ballgrad.phi import phi_quad_grid
+from ballgrad.phi import phi_one_sided
 from ballgrad.quadrature import (
     QuadratureSpec,
     band_node_table,
@@ -218,10 +218,19 @@ class TestGroups:
             assert 0.0 < estimate <= 2.0 * max(1e-12, 1e-11 * abs(target))
 
     def test_each_group_has_its_own_budget(self):
-        # every radius alone stops within 5 subdivisions; the 129 together
-        # need far more
-        values = phi_quad_grid(4, np.linspace(0.0, 1.0, 129), QuadratureSpec(max_subdivisions=5)).value
-        assert values.shape == (129,)
+        # the profile at n = 4, one kink per radius: every radius alone stops
+        # within 5 subdivisions; the 129 together need far more
+        rho = np.linspace(0.0, 1.0, 129)
+        s = 0.5 * rho
+
+        def g(theta, group):
+            t, r = np.cos(theta), rho[group][:, None]
+            return np.abs(t - s[group][:, None]) / (1.0 - 2.0 * t * r + r * r) * np.sin(theta) ** 2
+
+        result = quadrature.kink_integrals(g, s, QuadratureSpec(max_subdivisions=5))
+        one_sided = phi_one_sided(4, rho)
+        assert result.value.shape == (129,)
+        assert np.all(np.abs(result.value - one_sided.value) <= result.error_estimate + one_sided.error_estimate)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_stops_in_the_first_round(self, bad):

@@ -79,17 +79,17 @@ class TestPhiTable:
 
     @pytest.mark.parametrize("n", [3, 4, 12])
     def test_quad_column_matches_the_scalar_route(self, capsys, n):
-        # the column comes from one grid pass; each value must agree with
-        # the independent adaptive route within either route's estimate
+        # the column comes from one one-sided call; each value must agree
+        # with the independent full-interval route within both estimates
         code, out, _ = run_cli(capsys, "phi-table", "--n", str(n), "--method", "quad")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         grid = [float(row["rho"]) for row in rows]
-        grid_estimates = phi.phi_quad_grid(n, grid).error_estimate
-        for row, rho, grid_estimate in zip(rows, grid, grid_estimates):
+        one_sided = phi.phi_one_sided(n, grid)
+        for row, rho, value, estimate in zip(rows, grid, one_sided.value, one_sided.error_estimate):
             scalar = phi.phi_quad(n, rho)
-            tol = max(1e-15, grid_estimate, scalar.error_estimate)
-            assert abs(float(row["phi"]) - scalar.value) <= tol, rho
+            assert float(row["phi"]) == value
+            assert abs(value - scalar.value) <= estimate + scalar.error_estimate, rho
 
     @pytest.mark.parametrize("method", ["quad", "series"])
     @pytest.mark.parametrize("n", [3, 4, 12])
@@ -101,22 +101,22 @@ class TestPhiTable:
             assert float(row["d2phi_series"]) == phi.phi_second_series(n, rho).value
             assert float(row["d2phi_closed"]) == phi.phi_second(n, rho).value
 
-    # sha256 of stdout at the default 101 steps as printed when every
-    # batched quadrature summed each row on its own (quadrature.row_sums),
-    # the closed column held the routed value at n = 3 as well and took its
-    # 2F1 values from specfun.profile_hyp2f1; a change that moves any
-    # printed digit must update these on purpose
+    # sha256 of stdout at the default 101 steps as printed when the quad
+    # column came from the one-sided profile (phi.phi_one_sided), the closed
+    # column held the routed value at n = 3 as well and took its 2F1 values
+    # from specfun.profile_hyp2f1; a change that moves any printed digit
+    # must update these on purpose
     TABLE_SHA256 = {
-        (3, "quad", "csv"): "6bab166dac22c93c9baeb584ae52e9f419c18d54448240228d41befbdcfb3376",
-        (3, "quad", "json"): "1744b3eab8a9fbb89a05cfaffab714e011a8cb982d50bcfe5de84788bbb82448",
+        (3, "quad", "csv"): "408f096030401d5b02048832599cf54a05d04225a7ce12670d2924f0f3c1cd1d",
+        (3, "quad", "json"): "5ce29fc3f9a526e15cda63a7615a5f5a3527c2fbfba0ece6fdfb884967c2d4b1",
         (3, "series", "csv"): "f9eafe89325843aaebb32f1d50bf52274898bd0c17086b9073ff8639829e416b",
         (3, "series", "json"): "9b54f1433e9eee6b4d7e6572bcca2f2993b4af10d3b3049c5dff3222389c682e",
-        (4, "quad", "csv"): "be5619a945a995b010780113a6a4c386fba6bffea6c8227273ae8dcf724d35d3",
-        (4, "quad", "json"): "06611de1910d0caa3b4bbb2b1a6fe55533d1b1106af679b9923fd7bcc7180d8b",
+        (4, "quad", "csv"): "f470ea172e9a73c8d71931fdba439e1b131e9179a3465af3488127707096332c",
+        (4, "quad", "json"): "4dd0889205f2511dbc98f2d030a762505b3380f0ae9a54773788ab2324fc3080",
         (4, "series", "csv"): "3b3a57194f330921b45d16b76c280b1c6e27ef865912ece3e59535d6c63d652e",
         (4, "series", "json"): "99b63804bb3445fba0c0657220f68c3ddc47a006764515aea9fdae200de98a0f",
-        (12, "quad", "csv"): "eab5e0eb31514380a9c4b47d615a57438a2a760b37c82b7aded716707e584fba",
-        (12, "quad", "json"): "139dd981b4e71d6cd509aafac74e03ded95effcb39b7c706975bc69a5bce6789",
+        (12, "quad", "csv"): "cf7facf363667cedd5d9fb7cd0a7197377dec20d1fe3b0ad3c766ffe7d1f8ef0",
+        (12, "quad", "json"): "b497d6496f566af13900ddb18265fb92048ae1ec8f34ece776bbb43a93126c63",
         (12, "series", "csv"): "26426b4582eb44ea6fcca5965675b7ebcd1c51bf4ad95e357861b18ab3c742d6",
         (12, "series", "json"): "3f9604560b6467cdf62a8122edbcedc58049160bcd753fe481b0722579cbf5b3",
     }
@@ -128,7 +128,7 @@ class TestPhiTable:
         assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_SHA256[n, method, fmt]
 
     def test_last_row_does_not_depend_on_the_steps(self, capsys):
-        # rho = 0.99 and its neighbours rho +- 1e-5 sit in grid quadrature
+        # rho = 0.99 and its neighbours rho +- 1e-5 sit in one-sided profile
         # calls of 33, 63 and 303 radii, and each entry has the bits of its
         # one-radius call, so every cell of the row is the same
         rows = []
@@ -169,27 +169,27 @@ class TestVerify:
         for check in payload["checks"]:
             assert set(check) == {"name", "passed", "expected", "worst_margin", "at"}
 
-    # (name, passed, expected, worst_margin, at) as printed by the scalar
-    # adaptive route; the batched grid route must reproduce every verdict
-    # and stay within 1e-12 of every margin
+    # (name, passed, expected, worst_margin, at) as printed when the sweep
+    # and the slope at the origin read the one-sided profile; every verdict
+    # must be reproduced and every margin within 1e-12
     MONOTONE_PINS = {
         3: [
             ("value_at_origin", True, False, 0.0, "rho=0"),
             ("strictly_increasing", True, False, 2.7777776079318528e-08, "rho=0.001000"),
             ("maximum_at_one", True, False, 1.199040866595169e-14, "rho=1"),
-            ("derivative_zero_at_origin", True, False, 2.7977620220553945e-08, "rho=0"),
+            ("derivative_zero_at_origin", True, False, 2.7533531010703882e-08, "rho=0"),
         ],
         4: [
             ("value_at_origin", True, False, 1.1102230246251565e-16, "rho=0"),
             ("strictly_decreasing", True, False, -1.6666667379539035e-08, "rho=0.001000"),
             ("maximum_at_origin", True, False, 1.1102230246251565e-16, "rho=0"),
-            ("derivative_zero_at_origin", True, False, 1.6653345369377348e-08, "rho=0"),
+            ("derivative_zero_at_origin", True, False, 1.6542323066914832e-08, "rho=0"),
         ],
         12: [
             ("value_at_origin", True, False, 2.7755575615628914e-17, "rho=0"),
             ("strictly_decreasing", True, False, -5.147630896540356e-08, "rho=0.001000"),
             ("maximum_at_origin", True, False, 2.7755575615628914e-17, "rho=0"),
-            ("derivative_zero_at_origin", True, False, 5.1486592766991635e-08, "rho=0"),
+            ("derivative_zero_at_origin", True, False, 5.156985949383852e-08, "rho=0"),
         ],
     }
 
@@ -209,22 +209,21 @@ class TestVerify:
     # pins the phi_second sweep, whose worst radius 0.000998 takes the
     # series, as printed when every series radius was summed by its own
     # one-radius loop.  route_agreement pins the batched series, the finite
-    # differences of one grid quadrature call (phi_quad_grid, whose entries
-    # are those of one-radius calls) and, at n >= 4, the closed form (its
-    # 2F1 values from specfun.profile_hyp2f1), at
-    # rho = 0.1, ..., 0.9
+    # differences of one one-sided profile call (phi_one_sided, whose
+    # entries are those of one-radius calls) and, at n >= 4, the closed form
+    # (its 2F1 values from specfun.profile_hyp2f1), at rho = 0.1, ..., 0.9
     CONCAVITY_PINS = {
         3: [
             ("second_derivative_negative", False, True, 0.05555553711089523, "rho=0.000998"),
-            ("route_agreement", True, False, 8.87545157733766e-08, "rho=0.1"),
+            ("route_agreement", True, False, 9.623116957955228e-08, "rho=0.6"),
         ],
         4: [
             ("second_derivative_negative", True, False, -0.033333338669112374, "rho=0.000998"),
-            ("route_agreement", True, False, 7.099506774919033e-08, "rho=0.4"),
+            ("route_agreement", True, False, 7.92335698516599e-08, "rho=0.8"),
         ],
         12: [
             ("second_derivative_negative", True, False, -0.10295269216100489, "rho=0.000998"),
-            ("route_agreement", True, False, 6.237300589169791e-09, "rho=0.5"),
+            ("route_agreement", True, False, 1.4391944971004135e-08, "rho=0.1"),
         ],
     }
 
@@ -606,7 +605,6 @@ class TestErrors:
             ("bound", "--n", "12", "--rho", "0.9"),
             ("verify", "--n", "12", "--suite", "theoremB"),
             ("probe", "--n", "12", "--samples", "1"),
-            ("phi-table", "--n", "12", "--steps", "3", "--method", "quad"),
         ],
     )
     def test_every_route_reads_the_default_spec(self, capsys, monkeypatch, argv):
@@ -617,6 +615,14 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "did not meet its tolerance within 1 subdivisions" in err
+
+    def test_phi_table_reads_no_spec(self, capsys, monkeypatch):
+        # its profile column comes from the one-sided route's fixed layout,
+        # and its other columns from the series and closed forms
+        argv = ("phi-table", "--n", "12", "--steps", "3", "--method", "quad")
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
+        assert expected[0] == 0 and run_cli(capsys, *argv) == expected
 
     def test_a_default_spec_set_between_two_probes_is_seen(self, capsys, monkeypatch):
         # the second command runs the same probe under a budget of one split,

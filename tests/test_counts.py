@@ -1,5 +1,5 @@
 """The traced pass of every benchmark workload does no more counted work
-than the committed baseline, ``BENCH_cbbcd0a.json`` at the root of the
+than the committed baseline, ``BENCH_77ae9c7.json`` at the root of the
 repository: every metric of unit ``count`` or ``count_computed`` stays at
 or below its recorded value.  The pass runs under the benchmark's own
 tracer (``perfbench/tracer.py``), which this test only imports.  Times are
@@ -25,7 +25,7 @@ from ballgrad import cli  # noqa: E402
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-BASELINE = json.loads((ROOT / "BENCH_cbbcd0a.json").read_text(encoding="utf-8"))
+BASELINE = json.loads((ROOT / "BENCH_77ae9c7.json").read_text(encoding="utf-8"))
 COUNT_UNITS = ("count", "count_computed")
 
 

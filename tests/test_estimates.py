@@ -21,7 +21,7 @@ from ballgrad.harmonic import (
     sharp_radial_sup,
     zonal_poisson_value,
 )
-from ballgrad.phi import phi3_closed, phi_one_sided, phi_quad, phi_quad_grid, phi_second_closed
+from ballgrad.phi import phi3_closed, phi_one_sided, phi_quad, phi_second_closed
 from ballgrad.quadrature import (
     band_node_table,
     integrate,
@@ -129,39 +129,6 @@ def test_capital_c_within_its_estimate_in_dimension_three(rho):
     assert abs(result.value - khavinson_radial_3d(rho)) <= result.error_estimate
 
 
-# ROADMAP items 2 and 13: toward rho = 1 the adaptive quadrature of the
-# defining integral converges falsely; the true error is 1.84 times the
-# estimate at 1 - 1e-6, and 6.67e-8 against an estimate of 1.34e-12 at
-# 1 - 1e-7.  The one-sided integral of item 13 is meant to close both
-_PROFILE_FALSE_CONVERGENCE = pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 13: silent cell")
-
-
-@pytest.mark.parametrize(
-    "rho",
-    [
-        0.0,
-        0.3,
-        0.5,
-        0.9,
-        0.99,
-        0.999,
-        0.9999,
-        0.99999,
-        1.0,
-        pytest.param(1.0 - 1e-6, marks=_PROFILE_FALSE_CONVERGENCE),
-        pytest.param(1.0 - 1e-7, marks=_PROFILE_FALSE_CONVERGENCE),
-    ],
-)
-@pytest.mark.parametrize("route", ["phi_quad", "phi_quad_grid"])
-def test_profile_within_its_estimate_in_dimension_three(route, rho):
-    if route == "phi_quad":
-        result = phi_quad(3, rho)
-    else:
-        grid = phi_quad_grid(3, [rho])
-        result = Evaluation(float(grid.value[0]), float(grid.error_estimate[0]))
-    assert abs(result.value - phi3_closed(rho)) <= result.error_estimate
-
-
 def _profile_40_digits(n, rho):
     """The defining integral of the profile at the float ``rho`` in 40-digit
     arithmetic, split at the kink s."""
@@ -175,13 +142,38 @@ def _profile_40_digits(n, rho):
         return mpmath.quad(integrand, [-1, s - (1 + s) / 64, s, s + (1 - s) / 64, 1])
 
 
+# ROADMAP items 2 and 13: the adaptive quadrature of the defining integral
+# converges falsely.  In dimension three the true error is 1.84 times the
+# estimate at 1 - 1e-6, and 6.67e-8 against an estimate of 1.34e-12 at
+# 1 - 1e-7; at (44, 0.999) it is 5.46e-15 against 2.19e-15.  These are the
+# known silent cells of the full-interval route; the one-sided route is
+# within its estimate at each of them
+_PROFILE_FALSE_CONVERGENCE = pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 13: silent cell")
+
+
 @pytest.mark.parametrize(
     "n, rho",
     [
-        # the quadrature routes' strict xfails above, and ROADMAP item 13's
-        # silent cells of phi_quad at 1 - 1e-10
+        *((3, rho) for rho in (0.0, 0.3, 0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)),
+        pytest.param(3, 1.0 - 1e-6, marks=_PROFILE_FALSE_CONVERGENCE),
+        pytest.param(3, 1.0 - 1e-7, marks=_PROFILE_FALSE_CONVERGENCE),
+        pytest.param(44, 0.999, marks=_PROFILE_FALSE_CONVERGENCE),
+    ],
+)
+def test_full_interval_profile_within_its_estimate(n, rho):
+    result = phi_quad(n, rho)
+    exact = phi3_closed(rho) if n == 3 else float(_profile_40_digits(n, rho))
+    assert abs(result.value - exact) <= result.error_estimate
+
+
+@pytest.mark.parametrize(
+    "n, rho",
+    [
+        # the full-interval route's strict xfails above, and ROADMAP item
+        # 13's silent cells of phi_quad at 1 - 1e-10
         (3, 1.0 - 1e-6),
         (3, 1.0 - 1e-7),
+        (44, 0.999),
         (12, 1.0 - 1e-10),
         (45, 1.0 - 1e-10),
     ],

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballgrad import phi as phi_module
-from ballgrad import quadrature, specfun
-from ballgrad.cli import main
+from ballgrad import specfun
 from ballgrad.errors import ConvergenceError, Evaluation
 from ballgrad.phi import (
     SECOND_CLOSED_RHO_MIN,
@@ -20,7 +19,6 @@ from ballgrad.phi import (
     phi3_closed,
     phi_one_sided,
     phi_quad,
-    phi_quad_grid,
     phi_second,
     phi_second_closed,
     phi_second_fd,
@@ -66,63 +64,6 @@ class TestPhiQuad:
             phi_quad(1, 0.5)
         with pytest.raises(ValueError):
             phi_quad(4, 1.2)
-
-
-class TestPhiQuadGrid:
-    def test_dimension_three_closed_form_on_the_monotone_grid(self):
-        grid = np.linspace(0.0, 1.0, 1001)
-        quad = phi_quad_grid(3, grid)
-        for rho, value, estimate in zip(grid, quad.value, quad.error_estimate):
-            assert abs(value - phi3_closed(float(rho))) <= max(1e-12, estimate)
-            # on success the summed gap is within max(abs_tol, rel_tol * value)
-            assert 0.0 < estimate <= 2.0 * max(1e-12, 1e-11 * value)
-
-    @pytest.mark.parametrize("n, rho", [(3, 0.3), (4, 0.0), (4, 0.75), (5, 1.0), (12, 0.5), (40, 0.95)])
-    def test_matches_mpmath_oracle(self, n, rho):
-        quad = phi_quad_grid(n, [rho])
-        (value,), (estimate,) = quad.value, quad.error_estimate
-        with mpmath.workdps(30):
-            r = mpmath.mpf(rho)
-            s = (n - 2) * r / n
-
-            def integrand(t):
-                return abs(t - s) * (1 - t * t) ** (mpmath.mpf(n - 3) / 2) * (1 - 2 * t * r + r * r) ** (
-                    -mpmath.mpf(n - 2) / 2
-                )
-
-            exact = mpmath.quad(integrand, [-1, s, 1])
-        assert abs(value - float(exact)) <= max(1e-12, estimate)
-
-    @pytest.mark.parametrize("rhos", [[], [[0.5]], [-0.1, 0.5], [0.5, 1.5], [math.nan]])
-    def test_rejects_bad_radii(self, rhos):
-        with pytest.raises(ValueError):
-            phi_quad_grid(4, rhos)
-
-    def test_exhausted_budget_raises(self):
-        with pytest.raises(ConvergenceError):
-            phi_quad_grid(12, [0.2, 0.9], QuadratureSpec(max_subdivisions=1))
-
-    def test_exhausted_budget_exits_two(self, capsys, monkeypatch):
-        # phi-table's quad column reads phi_quad_grid under DEFAULT_SPEC
-        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
-        code = main(["phi-table", "--n", "12", "--method", "quad"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: band quadrature did not meet its tolerance")
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.sampled_from([3, 4, 5, 12, 40]),
-    rhos=st.lists(st.floats(0.0, 1.0), max_size=6),
-)
-def test_grid_matches_the_adaptive_route(n, rhos):
-    rhos = [0.0, 1.0, *rhos]
-    quad = phi_quad_grid(n, rhos)
-    for rho, value, estimate in zip(rhos, quad.value, quad.error_estimate):
-        scalar = phi_quad(n, rho)
-        assert abs(value - scalar.value) <= max(1e-12, estimate + scalar.error_estimate)
 
 
 class TestPhiSeries:
@@ -514,9 +455,9 @@ class TestSecondDerivative:
             assert abs(c - f) / scale <= 1e-6
 
 
-# The five-call adaptive route phi_second_fd took before it moved onto one
-# grid quadrature call, kept as its oracle: every profile value by its own
-# phi_quad at the binary64 floor.
+# The Richardson difference of phi_second_fd over five phi_quad values at
+# the binary64 floor, one call per value: the same difference of the
+# independent full-interval route, kept as its oracle.
 _FD_TIGHT = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
 
 
@@ -544,15 +485,24 @@ class TestFiniteDifferenceRoute:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 12, 20, 44])
     def test_both_routes_evaluate_up_to_0_99(self, n):
-        # neither route refuses a radius here; at rho = 0.998 both raise
-        # ConvergenceError at n = 4, 5, 12 and 20, and the grid route also
-        # at n = 44
+        # neither route refuses a radius here; at rho = 0.998 the adaptive
+        # one raises ConvergenceError at n = 4, 5, 12 and 20
         for rho in (0.96, 0.97, 0.98, 0.99):
             assert math.isfinite(_adaptive_fd(n, rho)[0])
             assert math.isfinite(phi_second_fd(n, rho).value)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 20, 44, 100, 200])
+    def test_matches_the_closed_form_up_to_0_999(self, n):
+        # ROADMAP item 4: differences of the full-interval quadrature raised
+        # ConvergenceError at rho = 0.998 for n = 4, 5, 12, 20 and 44; the
+        # one-sided values hold up to rho + h = 1.  The largest error seen
+        # was 0.3 of the two estimates' sum
+        radii = [0.05, 0.3, 0.6, 0.9, 0.95, 0.99, 0.995, 0.998, 0.999]
+        for rho, fd, closed in zip(radii, phi_second_fd(n, radii), phi_second_closed(n, radii)):
+            assert abs(fd.value - closed.value) <= fd.error_estimate + closed.error_estimate, rho
+
     def test_one_radius_is_a_batch_of_one(self):
-        for n, rho in ((2, 0.3), (3, 0.0), (4, 0.5), (44, 0.99)):
+        for n, rho in ((3, 0.0), (3, 0.3), (4, 0.5), (44, 0.99)):
             single = phi_second_fd(n, rho)
             (batched,) = phi_second_fd(n, [rho])
             assert single == batched
@@ -565,17 +515,24 @@ class TestFiniteDifferenceRoute:
         with pytest.raises(ValueError, match=r"need rho \+ step <= 1"):
             phi_second_fd(4, rhos)
 
+    @pytest.mark.parametrize("n", [2, 1001])
+    def test_rejects_dimensions_outside_the_one_sided_domain(self, n):
+        # at n = 2 the profile is the constant 2; above 1000 the one-sided
+        # route is not defined
+        with pytest.raises(ValueError):
+            phi_second_fd(n, 0.5)
+
 
 @settings(max_examples=25, deadline=None)
 @given(
-    n=st.sampled_from([2, 3, 4, 5, 12, 44]),
+    n=st.sampled_from([3, 4, 5, 12, 44]),
     rhos=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=8),
     rng=st.randoms(use_true_random=False),
 )
 @example(n=4, rhos=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], rng=random.Random(4))
 def test_fd_batch_entries_agree_with_their_one_radius_calls(n, rhos, rng):
     # in input order, unsorted and with duplicates.  Bit for bit: every
-    # profile value of phi_quad_grid is that of its one-radius call, so the
+    # profile value of phi_one_sided is that of its one-radius call, so the
     # difference quotients, which magnify its last bits by 4/h^2, are too
     radii = [*rhos, *rhos[:2]]
     rng.shuffle(radii)
@@ -585,68 +542,12 @@ def test_fd_batch_entries_agree_with_their_one_radius_calls(n, rhos, rng):
         assert e == phi_second_fd(n, rho)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.sampled_from([2, 3, 4, 5, 12, 44]),
-    rhos=st.lists(st.floats(0.0, 1.0), max_size=12),
-    rng=st.randoms(use_true_random=False),
-)
-@example(n=4, rhos=np.linspace(0.0, 1.0, 12).tolist(), rng=random.Random(7))
-def test_grid_entries_equal_their_one_radius_calls(n, rhos, rng):
-    # unsorted, with duplicates, both ends and 140 radii besides, so that
-    # the entries span two passes of phi_quad_grid: each value and estimate
-    # must have the bits of the radius's own call
-    radii = [*rhos, *rhos[:2], 0.0, 1.0, *np.linspace(0.0, 0.99, 140).tolist()]
-    rng.shuffle(radii)
-    quad = phi_quad_grid(n, radii)
-    for rho, value, estimate in zip(radii, quad.value.tolist(), quad.error_estimate.tolist()):
-        single = phi_quad_grid(n, [rho])
-        assert (value, estimate) == (single.value[0], single.error_estimate[0])
-
-
-# the radii of one phi-table call: the grid, and the grid moved by +-1e-5
-# for the difference quotient, reflected at the origin
-_TABLE_GRID = np.linspace(0.0, 0.99, 101).tolist()
-TABLE_RADII = _TABLE_GRID + [r + 1e-5 for r in _TABLE_GRID] + [abs(r - 1e-5) for r in _TABLE_GRID]
-
-
-@pytest.mark.parametrize("n, calls, points", [(3, 21, 37_350), (4, 21, 37_710), (12, 23, 41_310)])
-def test_grid_passes_come_from_the_sorted_radii(monkeypatch, n, calls, points):
-    # the table's radii in input, sorted and shuffled order give the same
-    # bits, estimates and integrand calls: the passes hold the sorted radii,
-    # so only the last one runs the bisection rounds of the radii near 0.99.
-    # Passes in input order ran them in each of the three (39 calls)
-    engine = quadrature.group_integrals
-    counts = []
-
-    def counting(g, *args, **kwargs):
-        def counted(theta, group):
-            counts.append(theta.size)
-            return g(theta, group)
-
-        return engine(counted, *args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "group_integrals", counting)
-    radii = np.array(TABLE_RADII)
-    expected = phi_quad_grid(n, radii)
-    assert (len(counts), sum(counts)) == (calls, points)
-    shuffled = np.random.default_rng(n).permutation(radii.size)
-    for order in (np.argsort(radii, kind="stable"), shuffled):
-        counts.clear()
-        quad = phi_quad_grid(n, radii[order])
-        assert quad.value.tobytes() == expected.value[order].tobytes()
-        assert quad.error_estimate.tobytes() == expected.error_estimate[order].tobytes()
-        assert (len(counts), sum(counts)) == (calls, points)
-
-
 @pytest.mark.parametrize("n, rho", [(101, 0.9999999), (100, 1.0)])
 def test_non_finite_profile_values_are_refused(n, rho):
-    # the kernel factor overflows near rho = 1 in high dimension: both
-    # quadrature routes raise rather than return inf
+    # the kernel factor overflows near rho = 1 in high dimension: the
+    # full-interval quadrature raises rather than return inf
     with pytest.raises(ConvergenceError, match="non-finite"):
         phi_quad(n, rho)
-    with pytest.raises(ConvergenceError, match="non-finite"):
-        phi_quad_grid(n, [0.5, rho])
 
 
 def _profile_40_digits(n, rho, lower=-1, upper=1):
@@ -697,8 +598,8 @@ class TestPhiOneSided:
 
     @pytest.mark.parametrize("n, rho", [(3, 0.3), (4, 0.0), (4, 0.75), (5, 1.0), (12, 0.5), (40, 0.95), (44, 0.9)])
     def test_agrees_with_the_full_interval_quadrature(self, n, rho):
-        grid, result = phi_quad_grid(n, [rho]), phi_one_sided(n, rho)
-        assert abs(result.value - grid.value[0]) <= result.error_estimate + grid.error_estimate[0]
+        full, result = phi_quad(n, rho), phi_one_sided(n, rho)
+        assert abs(result.value - full.value) <= result.error_estimate + full.error_estimate
 
     def test_one_radius_gives_floats(self):
         result = phi_one_sided(4, 0.5)
@@ -861,6 +762,15 @@ class TestAuxiliaryReduction:
             assert abs(closed.value - reduced) <= closed.error_estimate, rho
             # the sign corollary: concave exactly where the gap is positive
             assert (closed.value < 0.0) == (gap > 0.0) == (n >= 4), rho
+
+    def test_w_is_at_most_a(self):
+        # ROADMAP item 17's premise: A - W = (n-2)^2 t / n^2 - (n-4) t / n =
+        # 4 t / n^2 >= 0, so W / A is a ratio at most 1 and varphi = t W / A
+        # is at most t
+        t = np.linspace(0.0, 1.0, 1001)
+        for n in range(3, 1001):
+            a, w, *_ = phi_module._factors(n, t)
+            assert np.all(w <= a) and np.all(phi_module._varphi(n, t) <= t), n
 
 
 class TestVerifyMonotone:
