@@ -169,8 +169,10 @@ def test_full_interval_profile_within_its_estimate(n, rho):
 @pytest.mark.parametrize(
     "n, rho",
     [
-        # the full-interval route's strict xfails above, and ROADMAP item
-        # 13's silent cells of phi_quad at 1 - 1e-10
+        # every cell of the full-interval route above, its strict xfails
+        # among them, and ROADMAP item 13's silent cells of phi_quad at
+        # 1 - 1e-10
+        *((3, rho) for rho in (0.0, 0.3, 0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)),
         (3, 1.0 - 1e-6),
         (3, 1.0 - 1e-7),
         (44, 0.999),

@@ -550,6 +550,13 @@ def test_non_finite_profile_values_are_refused(n, rho):
         phi_quad(n, rho)
 
 
+@pytest.mark.parametrize("n, rho", [(101, 0.9999999), (100, 1.0)])
+def test_one_sided_values_are_finite_where_the_full_interval_overflows(n, rho):
+    # the one-sided route forms every power of a ratio at most 1
+    result = phi_one_sided(n, rho)
+    assert abs(result.value - float(_profile_40_digits(n, rho))) <= result.error_estimate
+
+
 def _profile_40_digits(n, rho, lower=-1, upper=1):
     """The defining integral of |t - s| w over [lower, upper] at the float
     ``rho``, in 40-digit arithmetic, with breakpoints graded toward the
@@ -600,6 +607,14 @@ class TestPhiOneSided:
     def test_agrees_with_the_full_interval_quadrature(self, n, rho):
         full, result = phi_quad(n, rho), phi_one_sided(n, rho)
         assert abs(result.value - full.value) <= result.error_estimate + full.error_estimate
+
+    @pytest.mark.parametrize("n, rho", [(3, 0.3), (4, 0.0), (4, 0.75), (5, 1.0), (12, 0.5), (40, 0.95), (44, 0.9)])
+    def test_matches_the_defining_integral_at_the_agreement_cells(self, n, rho):
+        # the same cells against 40-digit quadrature, so that the agreement
+        # above does not rest on the full-interval route alone
+        result = phi_one_sided(n, [rho])
+        (value,), (estimate,) = result.value, result.error_estimate
+        assert abs(value - float(_profile_40_digits(n, rho))) <= estimate <= 1e-13
 
     def test_one_radius_gives_floats(self):
         result = phi_one_sided(4, 0.5)
