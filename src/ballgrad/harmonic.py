@@ -20,7 +20,6 @@ from . import bounds
 from .errors import Evaluation, check_count, check_dim
 from .quadrature import band_node_table, row_sums, zonal_band_integrals, zonal_sphere_integral
 from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
-from .specfun import _one_or_list
 
 __all__ = [
     "ZonalBoundaryData",
@@ -148,14 +147,12 @@ def _band_extension(kernel, n, rho, band_values, table):
     return Evaluation(row_sums(band_values, integrals.value), integrals.error_estimate)
 
 
-def _zonal_extension(kernel, n, data, rho):
-    """Integrals of ``kernel(n, rho, t)`` against ``data``, one datum or a
-    list of them: the data's band matrix and node table
-    (:func:`_band_matrix`), then their integrals (:func:`_band_extension`),
-    as an :class:`Evaluation` of one float or of a list."""
-    single = isinstance(data, ZonalBoundaryData)
-    extension = _band_extension(kernel, n, rho, *_band_matrix(n, [data] if single else data))
-    return Evaluation(_one_or_list(extension.value, single), extension.error_estimate)
+def _zonal_extension(kernel, n, datum, rho):
+    """Integral of ``kernel(n, rho, t)`` against one datum: its band matrix
+    and node table (:func:`_band_matrix`), then its integral
+    (:func:`_band_extension`), as an :class:`Evaluation` of one float."""
+    extension = _band_extension(kernel, n, rho, *_band_matrix(n, [datum]))
+    return Evaluation(float(extension.value[0]), extension.error_estimate)
 
 
 def zonal_poisson_value(n: int, data: ZonalBoundaryData, p: AxisPoint) -> Evaluation:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import ConvergenceError, Evaluation, check_dim
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
 from .specfun import _one_or_list, _pow_each, _radii
 
@@ -78,8 +78,9 @@ def kink_abscissa(n: int, rho: float) -> float:
     return (n - 2.0) * rho / n
 
 
-def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> Evaluation:
-    """Profile value by adaptive quadrature of the defining integral.
+def phi_quad(n: int, rho: float) -> Evaluation:
+    """Profile value by adaptive quadrature of the defining integral, under
+    ``quadrature.DEFAULT_SPEC`` as it is at the call, with the kink added.
 
     The kink abscissa is declared to the quadrature, and the endpoint pieces
     run in the cosine-substituted variable, so rho = 1 (where the kernel
@@ -98,9 +99,8 @@ def phi_quad(n: int, rho: float, spec: QuadratureSpec | None = None) -> Evaluati
         distance = np.abs(t - s)  # at n = 2 the kernel factor is x^(-0.0), exactly 1
         return distance if n == 2 else distance * (1.0 - 2.0 * t * rho + rho * rho) ** (-d_exp)
 
-    qspec = replace(spec if spec is not None else quadrature.DEFAULT_SPEC, kinks=(s,))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return integrate(f, -1.0, 1.0, qspec, weight_exponent=0.5 * (n - 3))
+        return integrate(f, -1.0, 1.0, replace(quadrature.DEFAULT_SPEC, kinks=(s,)), weight_exponent=0.5 * (n - 3))
 
 
 def phi_one_sided(n: int, rho) -> Evaluation:
@@ -158,7 +158,7 @@ def _sided_layout(n):
     edges = np.concatenate([[0.5], 1.0 - 0.5 ** np.arange(2.0, top + 1), [1.0]])
     if n > 12:
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:]), [0.25]]))
-    x, w = np.polynomial.legendre.leggauss(_SIDED_NODES)
+    x, w = quadrature._gauss_rule(_SIDED_NODES)
     f0, y, lo, hi = edges[0], 0.5 * (x + 1.0), edges[:-1, None], edges[1:, None]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     f = np.concatenate([f0 * y * y, (mid + half * x).ravel()])
@@ -223,10 +223,10 @@ def _evaluations(single, values, estimates):
     return evaluations[0] if single else evaluations
 
 
-def _sum_series(rho, head, k0, lams, s, prefactors, coefficients, K):
+def _sum_series(n, rho, head, k0, lams, s, prefactors, coefficients, K):
     """Exact sums of ``head`` and the terms c_k rho^k, k = k0, k0 + 1, ...,
-    at every radius of ``rho``, and the magnitude of each sum's first
-    omitted term, as two lists.
+    at every radius of ``rho`` in dimension ``n``, and the magnitude of each
+    sum's first omitted term, as two lists.
 
     The Gegenbauer values C_j^(lam)(s) for the parameters ``lams`` enter
     degree k = k0 + j.  ``coefficients(k, c, p)`` forms c_k for a block of
@@ -243,6 +243,9 @@ def _sum_series(rho, head, k0, lams, s, prefactors, coefficients, K):
     leave, the recurrence restarts on the rest from their last two
     Gegenbauer values.  Each term is formed by the same operations as in a
     one-radius sum, so no result depends on the batch or the block sizes.
+    A sum that is not finite (its terms overflow from n = 300 near rho = 1)
+    raises :class:`ConvergenceError` at the first such radius, with no numpy
+    warning.
     """
     if K is not None and (isinstance(K, bool) or not 0 <= K <= _ADAPTIVE_CAP or K != int(K)):
         raise ValueError(f"K must be an integer in [0, {_ADAPTIVE_CAP}]")
@@ -273,8 +276,9 @@ def _sum_series(rho, head, k0, lams, s, prefactors, coefficients, K):
                 r, x, p, pw = r[keep], x[keep], p[:, keep], pw[keep]
                 gegenbauer = specfun.gegenbauer_iter(column, x, state=(j, c[-2][:, keep], c[-1][:, keep]))
 
-    values, omitted, _ = specfun._exact_sums(rho, head, _SERIES_PASS, blocks, None if K is not None else 1e-12)
-    return values.tolist(), omitted.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, omitted, _ = specfun._exact_sums(rho, head, _SERIES_PASS, blocks, None if K is not None else 1e-12)
+    return _finite("Gegenbauer series", n, "rho", rho, values).tolist(), omitted.tolist()
 
 
 def phi_series(n: int, rho, K: int | None = None) -> Evaluation | list[Evaluation]:
@@ -305,7 +309,7 @@ def phi_series(n: int, rho, K: int | None = None) -> Evaluation | list[Evaluatio
 
     lams = np.array([0.5 * (n + 2)])
     head = 2.0 * wpow / (n - 1.0)
-    values, omitted = _sum_series(radii, head, 2, lams, s, wpow[None, :], coefficients, K)
+    values, omitted = _sum_series(n, radii, head, 2, lams, s, wpow[None, :], coefficients, K)
     return _evaluations(single, values, omitted)
 
 
@@ -419,7 +423,7 @@ def phi_second_series(n: int, rho, K: int | None = None) -> Evaluation | list[Ev
         return p[0] * c[:, 0] + p[1] / (n + k - 1.0) * c[:, 1] + p[2] / ((n + k) * (n + k + 1.0)) * c[:, 2]
 
     lams = np.array([0.5 * (n - 2), 0.5 * n, 0.5 * (n + 2)])
-    values, omitted = _sum_series(radii, np.zeros(radii.size), 0, lams, s, prefactors, coefficients, K)
+    values, omitted = _sum_series(n, radii, np.zeros(radii.size), 0, lams, s, prefactors, coefficients, K)
     return _evaluations(single, values, omitted)
 
 
@@ -510,13 +514,14 @@ def _varphi_hyp2f1(n, t):
     return ph, specfun.profile_hyp2f1(n, ph)
 
 
-def _finite(name, n, t, values):
-    """``values`` (an array over the points ``t``) if every entry is finite,
-    else :class:`ConvergenceError` naming the first point that is not."""
+def _finite(name, n, var, points, values):
+    """``values`` (an array over the ``points`` of the variable ``var``) if
+    every entry is finite, else :class:`ConvergenceError` naming the first
+    point that is not."""
     bad = ~np.isfinite(values)
     if bad.any():
         k = int(bad.argmax())
-        message = f"{name} at n = {n} is not finite at t={t[k]:.6f}: its terms under- or overflow binary64"
+        message = f"{name} at n = {n} is not finite at {var}={points[k]:.6f}: its terms under- or overflow binary64"
         raise ConvergenceError(message, float(values[k]), math.inf)
     return values
 
@@ -528,7 +533,7 @@ def _psi_from(n, t, ph, f_val):
     num = _pow_each(t, 0.5 * (n - 1)) * _pow_each(w, 0.5 * (n - 3)) * b
     den = _pow_each(a, 0.5 * (n - 2)) * c
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _finite("psi", n, t, first - num / den)
+        return _finite("psi", n, "t", t, first - num / den)
 
 
 def psi_prime_quadratic(n: int, t: float) -> float:
@@ -564,7 +569,7 @@ def _gap_from(n, t, f_val):
     """:func:`technical_gap` at an array of t, from its 2F1 values."""
     a, w, b, c, e = _factors(n, t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _finite("technical gap", n, t, f_val - (a * b) / (e * w * c))
+        return _finite("technical gap", n, "t", t, f_val - (a * b) / (e * w * c))
 
 
 def technical_gap(n: int, t) -> float | list[float]:

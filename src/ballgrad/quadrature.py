@@ -385,8 +385,9 @@ def group_integrals(
         right = np.concatenate((right[keep], child_right))
 
 
-def kink_integrals(g: Callable, s, spec: QuadratureSpec | None = None):
-    """Integrals over t in [-1, 1], one per kink ``s[i]``, each cut there.
+def kink_integrals(g: Callable, s):
+    """Integrals over t in [-1, 1], one per kink ``s[i]``, each cut there,
+    under :data:`DEFAULT_SPEC` as it is at the call.
 
     Integral i is group i of :func:`group_integrals`, in theta = arccos t:
     its piece for t in [-1, s_i] runs over theta in [arccos s_i, pi] and its
@@ -398,7 +399,7 @@ def kink_integrals(g: Callable, s, spec: QuadratureSpec | None = None):
     kink = np.arccos(s)
     lo = np.column_stack((kink, np.zeros_like(kink))).ravel()
     hi = np.column_stack((np.full_like(kink, math.pi), kink)).ravel()
-    pieces, estimates = group_integrals(g, lo, hi, np.repeat(np.arange(kink.size), 2), spec)
+    pieces, estimates = group_integrals(g, lo, hi, np.repeat(np.arange(kink.size), 2))
     return Evaluation(pieces[0::2] + pieces[1::2], estimates)
 
 

@@ -295,7 +295,7 @@ def _exact_sums(keys, heads, per_pass, blocks, rel_tol):
 def _gauss_series_batch(params, z, rel_tol):
     """The Gauss series at every argument of the array ``z`` (each in
     [0, 1)) by :func:`_exact_sums`, in the order of ``z``.  ``params`` holds
-    the rows a, b and c: one column per argument, or one for all.  Terms
+    the rows a, b and c, one column per argument.  Terms
     come a block of degrees at a time (32 at first, up to ``_GAUSS_BLOCK``)
     as a running product of the ratios (a+k)(b+k)/((c+k)(k+1)) times z, and
     a zero term stops an argument.  The first argument in sorted order still
@@ -306,7 +306,7 @@ def _gauss_series_batch(params, z, rel_tol):
 
     def blocks(index):
         x = z[index]
-        pa, pb, pc = params if params.shape[1] == 1 else params[:, index]
+        pa, pb, pc = params[:, index]
         term, k, size = np.ones(index.size), 0, 32
         while k < _SERIES_BUDGET:
             size = min(size, _SERIES_BUDGET - k)
@@ -319,9 +319,7 @@ def _gauss_series_batch(params, z, rel_tol):
             terms, term, k, size = terms[1:], terms[-1], k + size, min(2 * size, _GAUSS_BLOCK)
             keep = yield terms, terms == 0.0
             if keep is not None:
-                index, x, term = index[keep], x[keep], term[keep]
-                if params.shape[1] > 1:
-                    pa, pb, pc = pa[keep], pb[keep], pc[keep]
+                index, x, term, pa, pb, pc = index[keep], x[keep], term[keep], pa[keep], pb[keep], pc[keep]
         reached.extend(index.tolist())
         # in place of the next term, a marked row holding the tail bound
         yield (term * x / np.maximum(1.0 - x, 1e-6))[None], np.ones((1, index.size), dtype=bool)
@@ -358,8 +356,6 @@ def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> fl
     a, b, c, z = (np.array(field) if isinstance(field, tuple) else np.full(size, field) for field in fields)
     negative = z < 0.0
     params = np.stack((np.where(negative, c - a, a), b, c))
-    if (params == params[:, :1]).all():
-        params = params[:, :1]  # one parameter set, shared by every argument
     values = _gauss_series_batch(params, np.where(negative, z / (z - 1.0), z), rel_tol)
     if negative.any():
         # one scalar pow per argument: numpy's vector pow rounds some differently

@@ -217,7 +217,7 @@ class TestGroups:
             assert abs(value - target) <= max(1e-12, estimate)
             assert 0.0 < estimate <= 2.0 * max(1e-12, 1e-11 * abs(target))
 
-    def test_each_group_has_its_own_budget(self):
+    def test_each_group_has_its_own_budget(self, monkeypatch):
         # the profile at n = 4, one kink per radius: every radius alone stops
         # within 5 subdivisions; the 129 together need far more
         rho = np.linspace(0.0, 1.0, 129)
@@ -227,7 +227,8 @@ class TestGroups:
             t, r = np.cos(theta), rho[group][:, None]
             return np.abs(t - s[group][:, None]) / (1.0 - 2.0 * t * r + r * r) * np.sin(theta) ** 2
 
-        result = quadrature.kink_integrals(g, s, QuadratureSpec(max_subdivisions=5))
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=5))
+        result = quadrature.kink_integrals(g, s)
         one_sided = phi_one_sided(4, rho)
         assert result.value.shape == (129,)
         assert np.all(np.abs(result.value - one_sided.value) <= result.error_estimate + one_sided.error_estimate)

@@ -144,6 +144,18 @@ class TestPhiTable:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", ["quad", "series"])
+    @pytest.mark.parametrize("n, rho", [(300, "0.980100"), (400, "0.861300"), (1000, "0.534600")])
+    def test_non_finite_series_is_refused(self, capsys, n, rho, method, fmt):
+        # from n = 300 the series terms overflow near rho = 1; a nan cell,
+        # a bare NaN token in JSON, is refused instead: exit 2 and one
+        # stderr line naming the first such radius, with no numpy warning
+        code, out, err = run_cli(capsys, "phi-table", "--n", str(n), "--method", method, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: Gegenbauer series at n = {n} is not finite at rho={rho}: its terms under- or overflow binary64\n"
+
 
 class TestVerify:
     def test_concavity_passes_dimension_four(self, capsys):

@@ -461,7 +461,8 @@ def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho):
     # every radius's extremal datum, reused across kernels and radii, must
     # give every value bit for bit as a batch built anew for each call.
     # Its slopes and Poisson values (none at n = 3) at the probe radii must
-    # be those values, and so must its band product at the drawn radius
+    # be those values, and so must its band product at the drawn radius.
+    # One row alone, through _zonal_extension, must be a batch of that row
     batch = probe_batch(n, samples, seed)
     data = _batch_rows(n, batch.data, RADII)
     band_values, table = harmonic._band_matrix(n, data)
@@ -474,7 +475,9 @@ def test_probe_matrices_equal_the_per_batch_route(seed, samples, n, rho):
                 assert _hex(rows.value[j]) == _hex(want) and rows.error_estimate[j] == want_estimate
         want, _ = _per_batch_extension(kernel, n, data, rho)
         assert _hex(harmonic._band_extension(kernel, n, rho, band_values, table).value) == _hex(want)
-        assert _hex(harmonic._zonal_extension(kernel, n, data, rho).value) == _hex(want)
+        datum = data[seed % len(data)]
+        want, _ = _per_batch_extension(kernel, n, [datum], rho)
+        assert _hex([harmonic._zonal_extension(kernel, n, datum, rho).value]) == _hex(want)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballgrad import phi as phi_module
-from ballgrad import specfun
+from ballgrad import quadrature, specfun
 from ballgrad.errors import ConvergenceError, Evaluation
 from ballgrad.phi import (
     SECOND_CLOSED_RHO_MIN,
@@ -461,9 +461,15 @@ class TestSecondDerivative:
 _FD_TIGHT = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
 
 
+@pytest.fixture
+def fd_tight(monkeypatch):
+    """phi_quad runs under quadrature.DEFAULT_SPEC, here set to _FD_TIGHT."""
+    monkeypatch.setattr(quadrature, "DEFAULT_SPEC", _FD_TIGHT)
+
+
 def _adaptive_fd(n, rho, step=1e-3):
     def value(r):
-        return phi_quad(n, abs(r), _FD_TIGHT).value
+        return phi_quad(n, abs(r)).value
 
     center = value(rho)
 
@@ -477,6 +483,7 @@ def _adaptive_fd(n, rho, step=1e-3):
 
 class TestFiniteDifferenceRoute:
     @pytest.mark.parametrize("n", [3, 4, 5, 12, 20, 44])
+    @pytest.mark.usefixtures("fd_tight")
     def test_matches_the_adaptive_route(self, n):
         radii = [i / 20 for i in range(20)]
         for rho, e in zip(radii, phi_second_fd(n, radii)):
@@ -484,6 +491,7 @@ class TestFiniteDifferenceRoute:
             assert abs(e.value - value) <= min(e.error_estimate, estimate)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 12, 20, 44])
+    @pytest.mark.usefixtures("fd_tight")
     def test_both_routes_evaluate_up_to_0_99(self, n):
         # neither route refuses a radius here; at rho = 0.998 the adaptive
         # one raises ConvergenceError at n = 4, 5, 12 and 20
@@ -540,6 +548,15 @@ def test_fd_batch_entries_agree_with_their_one_radius_calls(n, rhos, rng):
     assert len(batch) == len(radii)
     for rho, e in zip(radii, batch):
         assert e == phi_second_fd(n, rho)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("route, n, rho", [(phi_series, 400, 0.9), (phi_second_series, 300, 0.99)])
+def test_non_finite_series_sums_are_refused(route, n, rho):
+    # the Gegenbauer terms overflow there; the sum is refused rather than
+    # returned as nan, with no numpy warning
+    with pytest.raises(ConvergenceError, match=f"^Gegenbauer series at n = {n} is not finite at rho={rho:.6f}: "):
+        route(n, rho)
 
 
 @pytest.mark.parametrize("n, rho", [(101, 0.9999999), (100, 1.0)])
@@ -917,7 +934,8 @@ def test_each_reported_location_holds_its_margin(n):
     assert len(seen) == (3 if n == 3 else 5)
 
 
-def test_quadrature_spec_passthrough():
-    tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
-    ev = phi_quad(5, 0.25, tight)
+def test_quadrature_spec_passthrough(monkeypatch):
+    # phi_quad reads quadrature.DEFAULT_SPEC at the call
+    monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13))
+    ev = phi_quad(5, 0.25)
     assert ev.error_estimate <= 1e-12
