@@ -596,14 +596,15 @@ def verify_monotone(n: int) -> VerificationReport:
     Asserts strict decrease with maximum 2/(n-1) at the origin for n >= 4,
     strict increase with the maximum at rho = 1 for n = 3, and a vanishing
     one-sided derivative at the origin.  Strictness carries a 1e-12 margin
-    to stay clear of float noise.  The grid values come from one
+    to stay clear of float noise.  The grid values, and with its first the
+    slope at the origin from the value at 1e-6, come from one
     :func:`phi_one_sided` call, whose estimates stay below 1e-13 on this
-    grid for n <= 200, and the slope at the origin from another, at 1e-6
-    and 0; n runs from 3 to 1000 (``ValueError`` above).
+    grid for n <= 200; n runs from 3 to 1000 (``ValueError`` above).
     """
     n = check_dim(n, 3)
     grid = np.linspace(0.0, 1.0, _SWEEP_POINTS)
-    values = phi_one_sided(n, grid).value.tolist()
+    delta = 1e-6
+    *values, near = phi_one_sided(n, np.append(grid, delta)).value.tolist()
 
     checks = []
 
@@ -624,9 +625,7 @@ def verify_monotone(n: int) -> VerificationReport:
     # The profile is even, so the symmetric difference about the origin is
     # identically zero; the one-sided quotient at delta is the honest probe
     # and converges to the derivative at rate delta.
-    delta = 1e-6
-    near, origin = phi_one_sided(n, [delta, 0.0]).value
-    slope = abs(near - origin) / delta
+    slope = abs(near - values[0]) / delta
     checks.append(CheckResult("derivative_zero_at_origin", slope <= 1e-6, slope, "rho=0"))
 
     return VerificationReport("monotone", n, tuple(checks))

@@ -14,12 +14,16 @@ Two features are tuned to the integrals that actually occur here:
 A second, batched route serves integrands that are multiplied by
 piecewise-constant zonal data: :func:`zonal_band_integrals` integrates one
 kernel over every height band between given cuts in a few vectorised
-passes, so the integral of any datum constant on those bands is a row sum
+passes of one bisection, with one tolerance, budget and estimate for all
+bands, so the integral of any datum constant on those bands is a row sum
 (:func:`row_sums`).  Its only input besides the kernel is the cut set's
 node table (:func:`band_node_table`): the dimension, the Gauss-node
 geometry of every band and the spec, none of which depends on the kernel,
 so a caller that integrates several kernels or radii over one cut set
 builds it once.  :func:`integrate` stays the independent adaptive route.
+The Gauss-Legendre rules and :func:`row_sums` also serve two fixed-rule
+routes that bisect nothing: ``phi.phi_one_sided`` and the identity
+suite's kernel moments (``specfun._kernel_moment_quadrature``).
 
 Integrands must accept numpy arrays and evaluate elementwise.  Everything in
 this module is pure and re-entrant.
@@ -45,8 +49,6 @@ __all__ = [
     "zonal_sphere_integral",
     "zonal_band_integrals",
     "band_node_table",
-    "group_integrals",
-    "kink_integrals",
     "row_sums",
     "zonal_weight_normalization",
 ]
@@ -256,151 +258,71 @@ def zonal_sphere_integral(g: Callable, n: int, spec: QuadratureSpec | None = Non
     return Evaluation(c * res.value, c * res.error_estimate)
 
 
-def group_integrals(
-    g: Callable, lo, hi, piece_group, spec: QuadratureSpec | None = None, scale: float = 1.0, first=None
-):
-    """Batch of independent integrals ("groups") in theta, bisected together.
+def _bisect_bands(g, lo, hi, first, spec, scale):
+    """Integrals in theta over the pieces from ``lo[i]`` to ``hi[i]``, all
+    bisected under one tolerance, one budget and one estimate.
 
-    Piece i is the theta interval from ``lo[i]`` to ``hi[i]`` and belongs to
-    group ``piece_group[i]`` (group ids run from 0 without gaps); a group's
-    integral is the sum of its pieces.  ``g(theta, group)`` evaluates the
-    integrand on a (panels, nodes) array of theta, where ``group`` holds the
-    group id of each panel, and every panel value is multiplied by
-    ``scale`` before any tolerance applies.  Returns ``(values,
-    estimates)``: the integral over each piece and one error estimate per
-    group.
-
-    Each round evaluates the halves of every new panel in one call of
-    ``g`` per half and weighs all of them by one row sum.  ``first``, if
-    given, holds the integrand's values at the first round's nodes: three
-    (pieces, nodes) arrays for every piece's whole panel, its left half and
-    its right half, in place of the three calls of ``g`` that would compute
-    them; later rounds call ``g``.  A
-    panel's error is the gap between its whole-panel value and the sum of
-    its halves, as in :func:`integrate`.  Each group stops on its
-    own once its summed gap is within the largest of ``spec.abs_tol``,
-    ``spec.rel_tol`` times the sum of its pieces' ``|values|`` and its summed
-    roundoff floor; its estimate is its summed gap plus that floor, and it
-    drops out of later rounds.  In a group still running, every panel
-    whose gap exceeds its even share of the group's tolerance is bisected,
-    or its worst panel if none does.  A batch whose groups all stop on the
-    first round returns after that one reduction, and builds no bisection
-    state.  ``spec.kinks`` is not read.
-
-    Raises :class:`ConvergenceError`, carrying the piece values so far and
-    the largest group estimate, once the splits of any group would exceed
-    ``spec.max_subdivisions``, or at once on a non-finite half-panel sum.
+    ``g(theta)`` evaluates the integrand on a (panels, nodes) array of
+    theta; ``first`` holds its values at the first round's nodes, three
+    (pieces, nodes) arrays for every piece's whole panel and its two
+    halves, and each later round calls ``g`` once per half of the panels
+    it splits.  Panel values are multiplied by ``scale``; a panel's error
+    is the gap between its whole-panel value and the sum of its halves;
+    the stopping test and the estimate are :func:`zonal_band_integrals`'s.
+    Until the test passes, every panel whose gap exceeds its even share of
+    the tolerance is split, or the worst panel if none does.  Returns
+    ``(values, estimate)``, one value per piece, all sums sequential in
+    panel order.  Raises :class:`ConvergenceError`, carrying the values so
+    far, once the splits exceed ``spec.max_subdivisions``, or at once on a
+    non-finite half-panel sum.
     """
-    if spec is None:
-        spec = DEFAULT_SPEC
     nodes, weights = _gauss_rule(spec.base_nodes)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    group = piece_group = np.asarray(piece_group)
 
-    def panels(spans, group, values=None):
-        # the panels of each (lo, hi) span, one array per span: one call of
-        # g per span (unless their values at the nodes are given), then one
-        # row sum for all of them
+    def panels(spans, values=None):
+        # the panels of each (lo, hi) span, one array per span: one call of g
+        # per span, unless their values are given, then one row sum for all
         if values is None:
-            values = [g(_panel_theta(a, b, nodes), group) for a, b in spans]
+            values = [g(_panel_theta(a, b, nodes)) for a, b in spans]
         half = 0.5 * np.concatenate([b - a for a, b in spans])
         return (scale * half * row_sums(np.reshape(values, (-1, nodes.size)), weights)).reshape(len(spans), -1)
 
-    mid = 0.5 * (lo + hi)
-    whole, left, right = panels(((lo, hi), (lo, mid), (mid, hi)), group, first)
+    def total(x):
+        return np.cumsum(x)[-1]  # sequential, unlike np.sum's pairwise sum
 
-    # The bisection state (piece ids, the settled values of finished groups,
-    # split and panel counts, the running mask) is built once a group fails
-    # the first round.  Until then panel i is piece i, so a piece's value is
-    # 0.0 + its panel's, the bits of the piece bincount (-0.0 included), and
-    # the group bincounts see every group id, so need no minimum length.
-    piece = None
-    n_groups = 0
+    mid = 0.5 * (lo + hi)
+    whole, left, right = panels(((lo, hi), (lo, mid), (mid, hi)), first)
+    piece = np.arange(lo.size)
+    splits = 0
     while True:
         refined = left + right
         if not np.isfinite(refined).all():
             raise ConvergenceError(_NON_FINITE, value=refined, error_estimate=math.inf)
-        if piece is None:
-            values = refined + 0.0
-        else:
-            values = settled + np.bincount(piece, weights=refined, minlength=piece_group.size)
+        values = np.bincount(piece, weights=refined)  # every piece keeps a panel
         gap = np.abs(whole - refined)
-        gap_total = np.bincount(group, weights=gap, minlength=n_groups)
-        floor_total = _EST_FLOOR * np.bincount(group, weights=np.abs(left) + np.abs(right), minlength=n_groups)
-        # for bands, a group's sum |values| is the largest |value| a datum
-        # with sup <= 1 can take on them
-        magnitude = np.bincount(piece_group, weights=np.abs(values), minlength=n_groups)
-        tol = np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * magnitude), floor_total)
-        done = gap_total <= tol
-        if piece is None:
-            if done.all():
-                return values, gap_total + floor_total
-            n_groups = gap_total.size
-            piece = np.arange(piece_group.size)
-            settled = np.zeros(piece_group.size)  # values of the pieces of finished groups
-            estimates = np.zeros(n_groups)
-            splits = np.zeros(n_groups, dtype=int)
-            panel_count = np.bincount(piece_group, minlength=n_groups)
-            running = np.ones(n_groups, dtype=bool)
-        done &= running
-        if done.any():
-            estimates[done] = (gap_total + floor_total)[done]
-            running &= ~done
-            if not running.any():
-                return values, estimates
-            settled = np.where(running[piece_group], 0.0, values)
-            active = running[group]
-            lo, hi, piece, group = lo[active], hi[active], piece[active], group[active]
-            whole, left, right, gap = whole[active], left[active], right[active], gap[active]
-        split = gap > (tol / panel_count)[group]
-        count = np.bincount(group[split], minlength=n_groups)
-        # where rounding (or a NaN whole panel) leaves no gap above its share, the worst panel
-        for k in np.flatnonzero(running & (count == 0)):
-            in_k = np.flatnonzero(group == k)
-            split[in_k[np.argmax(gap[in_k])]] = True
-            count[k] = 1
-        if np.any(splits + count > spec.max_subdivisions):
-            estimates[running] = (gap_total + floor_total)[running]
-            raise ConvergenceError(
-                f"band quadrature did not meet its tolerance within {spec.max_subdivisions} subdivisions",
-                value=values,
-                error_estimate=float(estimates.max()),
-            )
-        splits += count
-        panel_count += count
-        keep = ~split
-        mid = 0.5 * (lo[split] + hi[split])
-        child_lo = np.concatenate((lo[split], mid))
-        child_hi = np.concatenate((mid, hi[split]))
-        child_group = np.concatenate((group[split], group[split]))
+        gap_total = total(gap)
+        floor_total = _EST_FLOOR * total(np.abs(left) + np.abs(right))
+        # for bands, the sum of |values| is the largest |value| a datum with
+        # sup <= 1 can take on them
+        tol = max(spec.abs_tol, spec.rel_tol * total(np.abs(values)), floor_total)
+        if gap_total <= tol:
+            return values, float(gap_total + floor_total)
+        split = gap > tol / gap.size
+        if not split.any():
+            # rounding (or a NaN whole panel) leaves no gap above its share
+            split[np.argmax(gap)] = True
+        splits += int(np.count_nonzero(split))
+        if splits > spec.max_subdivisions:
+            message = f"band quadrature did not meet its tolerance within {spec.max_subdivisions} subdivisions"
+            raise ConvergenceError(message, value=values, error_estimate=float(gap_total + floor_total))
+        # the kept panels, then the left halves of the split ones, then their right halves
+        keep, mid = ~split, 0.5 * (lo[split] + hi[split])
+        child_lo, child_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
         child_mid = 0.5 * (child_lo + child_hi)
-        child_left, child_right = panels(((child_lo, child_mid), (child_mid, child_hi)), child_group)
-        lo = np.concatenate((lo[keep], child_lo))
-        hi = np.concatenate((hi[keep], child_hi))
+        child_left, child_right = panels(((child_lo, child_mid), (child_mid, child_hi)))
+        lo, hi = np.concatenate((lo[keep], child_lo)), np.concatenate((hi[keep], child_hi))
         piece = np.concatenate((piece[keep], piece[split], piece[split]))
-        group = np.concatenate((group[keep], child_group))
         whole = np.concatenate((whole[keep], left[split], right[split]))
-        left = np.concatenate((left[keep], child_left))
-        right = np.concatenate((right[keep], child_right))
-
-
-def kink_integrals(g: Callable, s):
-    """Integrals over t in [-1, 1], one per kink ``s[i]``, each cut there,
-    under :data:`DEFAULT_SPEC` as it is at the call.
-
-    Integral i is group i of :func:`group_integrals`, in theta = arccos t:
-    its piece for t in [-1, s_i] runs over theta in [arccos s_i, pi] and its
-    piece for t in [s_i, 1] over [0, arccos s_i].  ``g(theta, group)`` is
-    the integrand in theta, Jacobian and weight included, as for
-    :func:`group_integrals`.  Returns an :class:`Evaluation` of two arrays,
-    one value and one estimate per kink.
-    """
-    kink = np.arccos(s)
-    lo = np.column_stack((kink, np.zeros_like(kink))).ravel()
-    hi = np.column_stack((np.full_like(kink, math.pi), kink)).ravel()
-    pieces, estimates = group_integrals(g, lo, hi, np.repeat(np.arange(kink.size), 2))
-    return Evaluation(pieces[0::2] + pieces[1::2], estimates)
+        left, right = np.concatenate((left[keep], child_left)), np.concatenate((right[keep], child_right))
 
 
 def band_node_table(n: int, cuts):
@@ -408,14 +330,13 @@ def band_node_table(n: int, cuts):
 
     Checks n and that ``cuts`` is strictly increasing inside (-1, 1), reads
     :data:`DEFAULT_SPEC` once, and returns ``(n, c_n, cos_theta, sin_power,
-    edges, spec)``: the checked dimension and its weight normalization,
-    computed once per table; cos(theta) and sin(theta)^(n-2), two (3,
-    bands, nodes) arrays, at the Gauss nodes of every band's whole theta
-    panel (index 0), its left half (1) and its right half (2), with the
-    arithmetic :func:`group_integrals` uses for its own first round; the
-    theta edges of all bands (band j spans ``edges[j + 1]`` to
-    ``edges[j]``); and that spec, under which every integral on the table
-    runs, whatever the default is by then.
+    edges, spec)``: the checked dimension and its weight normalization;
+    cos(theta) and sin(theta)^(n-2), two (3, bands, nodes) arrays, at the
+    Gauss nodes of every band's whole theta panel (index 0) and its left (1)
+    and right (2) halves, by the arithmetic of the panels bisected later;
+    the bands' theta edges (band j spans ``edges[j + 1]`` to ``edges[j]``);
+    and that spec, under which every integral on the table runs, whatever
+    the default is by then.
     """
     n = check_dim(n, 2)
     spec = DEFAULT_SPEC
@@ -444,22 +365,21 @@ def zonal_band_integrals(f: Callable, table):
     sup <= 1.
 
     The bands are integrated in theta = arccos(t), where the weight and the
-    Jacobian become sin(theta)^(n-2), smooth for every n >= 2, as the
-    pieces of one group of :func:`group_integrals`, which raises as it does.
-    n, the weight, the normalization, the bands and the spec are the
-    table's, whose builder checked them.  The relative test reads
+    Jacobian become sin(theta)^(n-2), smooth for every n >= 2, by one
+    bisection (:func:`_bisect_bands`), which raises as it does.  n, the
+    weight, the normalization, the bands and the spec are the table's,
+    whose builder checked them.  It stops once the summed panel gap is
+    within the largest of ``spec.abs_tol``, the summed roundoff floor and
     ``spec.rel_tol`` times the sum of ``|values|``, the largest value any
-    datum with sup <= 1 can reach on these bands, so the batch analogue of
-    the relative test in :func:`integrate`.  ``spec.kinks`` is not read:
-    the cuts are the kinks.  The first round evaluates ``f`` once, on the
-    table's nodes; only panels bisected later compute their own nodes.
+    datum with sup <= 1 can reach on these bands (the batch analogue of
+    the relative test in :func:`integrate`); the estimate is that gap plus
+    the floor.  ``spec.kinks`` is not read: the cuts are the kinks.  The
+    first round evaluates ``f`` once, on the table's nodes; only panels
+    bisected later compute their own nodes.
     """
     n, c_n, cos_theta, sin_power, edges, spec = table
 
-    def g(theta, group):
+    def g(theta):
         return f(np.cos(theta)) * np.sin(theta) ** (n - 2)
 
-    one_group = np.zeros(edges.size - 1, dtype=int)
-    first = f(cos_theta) * sin_power
-    values, estimates = group_integrals(g, edges[1:], edges[:-1], one_group, spec, c_n, first)
-    return Evaluation(values, float(estimates[0]))
+    return Evaluation(*_bisect_bands(g, edges[1:], edges[:-1], f(cos_theta) * sin_power, spec, c_n))

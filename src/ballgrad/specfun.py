@@ -617,24 +617,45 @@ def _contiguous_check(n: int) -> CheckResult:
     return worst_error_check("contiguous_relation", errors, 1e-12)
 
 
+def _moment_nodes(degree):
+    """8 ceil(9 d / 64) + 16 Gauss nodes per side for a trigonometric
+    polynomial of whole degree d: its Gauss remainder stays below 2^-53 of
+    the integral of |f| (tests/test_specfun.py).  Multiples of 8 leave the
+    identity check two node counts per parameter, so two recurrences."""
+    return 8.0 * ((9.0 * degree + 63.0) // 64.0) + 16.0
+
+
 def _kernel_moment_quadrature(cases):
     """Brute-force :func:`abs_kernel_coefficient` for each (lam, k, s) in
-    ``cases``, as the groups of one :func:`quadrature.kink_integrals` call
-    under ``quadrature.DEFAULT_SPEC``.  Returns an :class:`Evaluation` of two
-    arrays, one value and one estimate per case.
+    ``cases``, on fixed Gauss-Legendre rules.  Returns an
+    :class:`Evaluation` of two arrays, one value and one estimate per case.
 
     In theta = arccos x the moment is the integral over [0, pi] of
-    |cos theta - s| C_k^lam(cos theta) sin(theta)^(2 lam), cut at its kink."""
+    |cos theta - s| C_k^lam(cos theta) sin(theta)^(2 lam), on each side of
+    its kink a trigonometric polynomial of degree d = k + 2 lam + 1 (2 lam
+    is whole in every case), integrated on m = :func:`_moment_nodes`
+    nodes.  The estimate, 2^-50 (m + 4) times the integral of |f| by the
+    same rule, covers rounding too.  One Gegenbauer recurrence runs per
+    parameter and node count, and each case's sides are summed by row
+    sums, so every entry has the bits of its one-case call."""
     lam, k, s = (np.array(column, dtype=float) for column in zip(*cases))
-    degree = k.astype(int)
-
-    def g(theta, group):
+    nodes = _moment_nodes(k + 2.0 * lam + 1.0)
+    # each case's sides in theta: from its kink to pi, and from 0 to its kink
+    lo = np.stack((np.arccos(s), 0.0 * s), axis=1)
+    hi = np.stack((np.full_like(s, math.pi), np.arccos(s)), axis=1)
+    values, sizes = np.empty(lam.size), np.empty(lam.size)
+    for param, m in sorted(set(zip(lam.tolist(), nodes.tolist()))):
+        # the cases of one parameter and node count: theta at both sides'
+        # nodes as one (cases, 2, m) array, each case at its own degree
+        i = np.flatnonzero((lam == param) & (nodes == m))
+        x, w = quadrature._gauss_rule(int(m))
+        theta = quadrature._panel_theta(lo[i], hi[i], x)
         t = np.cos(theta)
-        row_lam = lam[group][:, None]
-        gegenbauer = _gegenbauer(row_lam, degree[group][:, None], t)
-        return np.abs(t - s[group][:, None]) * gegenbauer * np.sin(theta) ** (2.0 * row_lam)
-
-    return quadrature.kink_integrals(g, s)
+        gegenbauer = _gegenbauer(param, k[i, None, None].astype(int), t)
+        f = np.abs(t - s[i, None, None]) * gegenbauer * np.sin(theta) ** (2.0 * param)
+        sums = [(0.5 * (hi[i] - lo[i])).ravel() * quadrature.row_sums(y.reshape(-1, w.size), w) for y in (f, np.abs(f))]
+        values[i], sizes[i] = (side[0::2] + side[1::2] for side in sums)
+    return Evaluation(values, 2.0**-50 * (nodes + 4.0) * sizes)
 
 
 def _kernel_moment_check(n: int) -> CheckResult:

@@ -25,11 +25,9 @@ from ballgrad.harmonic import (
     random_zonal_data,
     zonal_poisson_value,
 )
-from ballgrad.phi import phi_one_sided
 from ballgrad.quadrature import (
     QuadratureSpec,
     band_node_table,
-    group_integrals,
     integrate,
     zonal_band_integrals,
     zonal_weight_normalization,
@@ -41,6 +39,18 @@ KERNELS = {"poisson": poisson_kernel, "derivative": radial_derivative_kernel}
 def _engine_value(kernel, n, rho, datum):
     bands = zonal_band_integrals(lambda t: kernel(n, rho, t), band_node_table(n, datum.breakpoints))
     return float(np.dot(datum.values, bands.value)), bands.error_estimate
+
+
+def _bisect_from_the_integrand(g, lo, hi, scale=1.0):
+    # the engine with its first round computed from the integrand in theta,
+    # by three calls (whole panel, left and right halves), with no node
+    # table, under the default spec as it is at the call
+    spec = quadrature.DEFAULT_SPEC
+    nodes, _ = quadrature._gauss_rule(spec.base_nodes)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mid = 0.5 * (lo + hi)
+    first = [g(quadrature._panel_theta(a, b, nodes)) for a, b in ((lo, hi), (lo, mid), (mid, hi))]
+    return quadrature._bisect_bands(g, lo, hi, first, spec, scale)
 
 
 class TestEngine:
@@ -95,17 +105,14 @@ class TestNodeTable:
     CUTS = (-0.7, -0.1, 0.0, 0.55, 0.9)
 
     @staticmethod
-    def _per_panel_route(f, n, cuts, spec=None):
-        # the engine's first round as group_integrals computes it from the
-        # integrand, with no node table
-        def g(theta, group):
+    def _per_panel_route(f, n, cuts):
+        # the engine with its first round computed from the integrand, with
+        # no node table
+        def g(theta):
             return f(np.cos(theta)) * np.sin(theta) ** (n - 2)
 
         edges = np.concatenate(([math.pi], np.arccos(cuts), [0.0]))
-        values, estimates = group_integrals(
-            g, edges[1:], edges[:-1], np.zeros(len(cuts) + 1, dtype=int), spec, zonal_weight_normalization(n)
-        )
-        return Evaluation(values, float(estimates[0]))
+        return Evaluation(*_bisect_from_the_integrand(g, edges[1:], edges[:-1], zonal_weight_normalization(n)))
 
     @staticmethod
     def _probe_cuts(n):
@@ -201,50 +208,57 @@ class TestNodeTable:
             assert abs(math.fsum(bands.value) - exact) <= max(1e-14, bands.error_estimate)
 
 
+class TestBisectedRounds:
+    """Integrals the engine bisects for one to four rounds, pinned bit for
+    bit (float hex): every total is a sequential sum in panel order, so a
+    change of summation order or panel order shows here."""
+
+    # (n, rho): value and estimate of sharp_radial_sup(n, AxisPoint(rho))
+    SUPS = {
+        (3, 0.7): ("0x1.7d76935a0ade5p+1", "0x1.39176935a0adep-43"),
+        (3, 0.9): ("0x1.0215371eb8430p+3", "0x1.3d6a9b8f5c218p-44"),
+        (4, 0.7): ("0x1.a4c981ffb7078p+1", "0x1.7999303ff6e0fp-44"),
+        (4, 0.9): ("0x1.17ff4be4a2a7bp+3", "0x1.130ffd2f928aap-39"),
+        (12, 0.7): ("0x1.2ce7b3197c546p+2", "0x1.9b05d98cbe2a2p-45"),
+        (12, 0.9): ("0x1.5d0e0265111ebp+3", "0x1.25844404ca224p-38"),
+    }
+
+    @pytest.mark.parametrize("n, rho", sorted(SUPS))
+    def test_sharp_radial_sup_is_pinned(self, n, rho):
+        sup = harmonic.sharp_radial_sup(n, AxisPoint(rho))
+        assert (sup.value.hex(), sup.error_estimate.hex()) == self.SUPS[n, rho]
+
+    def test_derivative_kernel_bands_are_pinned(self):
+        calls = []
+
+        def f(t):
+            calls.append(np.shape(t))
+            return radial_derivative_kernel(12, 0.9, t)
+
+        bands = zonal_band_integrals(f, band_node_table(12, (0.0,)))
+        assert [v.hex() for v in bands.value.tolist()] == ["-0x1.0b50f8b3f5d9dp-6", "0x1.0b50f8b3eed00p-6"]
+        assert bands.error_estimate.hex() == "0x1.72605c6c0b987p-44"
+        # the table's round, then two calls (left and right halves) in each of four bisected rounds
+        assert len(calls) == 1 + 2 * 4
+
+
 class TestGroups:
-    @staticmethod
-    def _peak(theta, group):
-        # group 0: cos(theta), done in one round; group 1: a narrow Gaussian
-        # that needs several rounds of bisection
-        return np.where(group[:, None] == 0, np.cos(theta), np.exp(-400.0 * (theta - 1.0) ** 2))
-
-    def test_each_group_meets_its_own_tolerance(self):
-        values, estimates = group_integrals(self._peak, [0.0, 0.0, 0.9], [1.0, 0.9, 3.0], [0, 1, 1])
-        peak = math.sqrt(math.pi / 400.0) / 2.0 * (math.erf(20.0 * 2.0) - math.erf(-20.0))
-        exact = [math.sin(1.0), peak]
-        got = [values[0], values[1] + values[2]]
-        for value, estimate, target in zip(got, estimates, exact):
-            assert abs(value - target) <= max(1e-12, estimate)
-            assert 0.0 < estimate <= 2.0 * max(1e-12, 1e-11 * abs(target))
-
-    def test_each_group_has_its_own_budget(self, monkeypatch):
-        # the profile at n = 4, one kink per radius: every radius alone stops
-        # within 5 subdivisions; the 129 together need far more
-        rho = np.linspace(0.0, 1.0, 129)
-        s = 0.5 * rho
-
-        def g(theta, group):
-            t, r = np.cos(theta), rho[group][:, None]
-            return np.abs(t - s[group][:, None]) / (1.0 - 2.0 * t * r + r * r) * np.sin(theta) ** 2
-
-        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=5))
-        result = quadrature.kink_integrals(g, s)
-        one_sided = phi_one_sided(4, rho)
-        assert result.value.shape == (129,)
-        assert np.all(np.abs(result.value - one_sided.value) <= result.error_estimate + one_sided.error_estimate)
+    """The bisection itself, on integrands in theta: all pieces form one
+    group, under one tolerance, one budget and one estimate."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_stops_in_the_first_round(self, bad):
         # the first round's three calls (whole panel, left and right halves)
-        # give non-finite halves: the engine raises before any bisection
+        # give non-finite halves: the engine raises before any bisection,
+        # with no call of its own
         calls = []
 
-        def g(theta, group):
+        def g(theta):
             calls.append(theta.shape)
             return np.full_like(theta, bad)
 
         with pytest.raises(ConvergenceError, match="^quadrature gave a non-finite value or error estimate$"):
-            group_integrals(g, [0.0], [1.0], [0])
+            _bisect_from_the_integrand(g, [0.0], [1.0])
         assert calls == [(1, 15)] * 3
 
     def test_non_finite_whole_panel_still_bisects(self):
@@ -253,12 +267,12 @@ class TestGroups:
         # its halves' sum is returned
         calls = []
 
-        def g(theta, group):
+        def g(theta):
             calls.append(theta.shape)
             return np.where(theta == 0.5, np.nan, np.cos(theta))
 
-        values, estimates = group_integrals(g, [0.0], [1.0], [0])
-        assert len(calls) > 3 and np.isfinite(estimates[0])
+        values, estimate = _bisect_from_the_integrand(g, [0.0], [1.0])
+        assert len(calls) > 3 and np.isfinite(estimate)
         assert values[0] == pytest.approx(math.sin(1.0), abs=1e-12)
 
 

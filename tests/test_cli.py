@@ -249,16 +249,16 @@ class TestVerify:
         )
 
     # (name, passed, expected, worst_margin, at) as printed when the kernel
-    # moments were brute-forced by one adaptive integral each; the grouped
-    # quadrature reproduces every margin but its own (None), which must stay
-    # within 1e-13 at the same case
+    # moments were brute-forced by one adaptive integral each; their fixed
+    # Gauss rules reproduce every margin but their own (None), which must
+    # stay within 1e-13, at the case where the fixed rules put it
     IDENTITY_PINS = {
         3: [
             ("generating_relation", True, False, 1.2168044349891716e-13, "lam=0.5,x=0.90,z=0.5"),
             ("rainville_expansion", True, False, 5.719869022868806e-13, "n=4,x=0.95,z=0.8"),
             ("pfaff_transformation", True, False, 2.7856752943701177e-16, "a=2.0,b=1.0,c=3.5,z=0.60"),
             ("contiguous_relation", True, False, 1.282274680535334e-14, "z=0.90"),
-            ("kernel_moment_closed_form", True, False, None, "lam=1.5,k=8,s=0.80"),
+            ("kernel_moment_closed_form", True, False, None, "lam=1.5,k=8,s=0.40"),
             ("weighted_derivative_identity", True, False, 2.2876017478560362e-08, "lam=3.0,k=4,x=-0.80"),
             ("hypergeometric_derivative_identity", True, False, 5.033074847088602e-11, "a=1.0,b=1.5,c=2.0,z=0.55"),
         ],
@@ -267,7 +267,7 @@ class TestVerify:
             ("rainville_expansion", True, False, 5.719869022868806e-13, "n=4,x=0.95,z=0.8"),
             ("pfaff_transformation", True, False, 2.7856752943701177e-16, "a=2.0,b=1.0,c=3.5,z=0.60"),
             ("contiguous_relation", True, False, 1.4278418729689958e-14, "z=0.90"),
-            ("kernel_moment_closed_form", True, False, None, "lam=1.5,k=8,s=0.80"),
+            ("kernel_moment_closed_form", True, False, None, "lam=1.5,k=8,s=0.40"),
             ("weighted_derivative_identity", True, False, 2.2876017478560362e-08, "lam=3.0,k=4,x=-0.80"),
             ("hypergeometric_derivative_identity", True, False, 5.404259258377446e-11, "a=1.0,b=2.0,c=2.5,z=0.4"),
         ],
@@ -276,7 +276,7 @@ class TestVerify:
             ("rainville_expansion", True, False, 5.6843418860808015e-11, "n=8,x=0.95,z=0.8"),
             ("pfaff_transformation", True, False, 7.815119312043219e-16, "a=1.0,b=6.0,c=6.5,z=0.60"),
             ("contiguous_relation", True, False, 2.2479763501681164e-14, "z=0.90"),
-            ("kernel_moment_closed_form", True, False, None, "lam=5.0,k=9,s=0.40"),
+            ("kernel_moment_closed_form", True, False, None, "lam=5.0,k=9,s=-0.80"),
             ("weighted_derivative_identity", True, False, 2.2876017478560362e-08, "lam=3.0,k=4,x=-0.80"),
             ("hypergeometric_derivative_identity", True, False, 2.7016282795169506e-10, "a=1.0,b=6.0,c=6.5,z=0.1"),
         ],
@@ -632,6 +632,14 @@ class TestErrors:
         # its profile column comes from the one-sided route's fixed layout,
         # and its other columns from the series and closed forms
         argv = ("phi-table", "--n", "12", "--steps", "3", "--method", "quad")
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
+        assert expected[0] == 0 and run_cli(capsys, *argv) == expected
+
+    def test_identities_read_no_spec(self, capsys, monkeypatch):
+        # the kernel moments' brute force runs on fixed Gauss rules, and
+        # every other identity on series and closed forms
+        argv = ("verify", "--n", "12", "--suite", "identities")
         expected = run_cli(capsys, *argv)
         monkeypatch.setattr(quadrature, "DEFAULT_SPEC", QuadratureSpec(max_subdivisions=1))
         assert expected[0] == 0 and run_cli(capsys, *argv) == expected

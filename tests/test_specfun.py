@@ -707,7 +707,7 @@ class TestAbsKernelCoefficient:
 
 
 class TestKernelMomentQuadrature:
-    """The grouped brute-force moments behind ``kernel_moment_closed_form``."""
+    """The fixed-rule brute-force moments behind ``kernel_moment_closed_form``."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 12, 44])
     def test_entries_equal_their_one_case_calls(self, n):
@@ -722,17 +722,15 @@ class TestKernelMomentQuadrature:
             assert (value, estimate) == (single.value[0], single.error_estimate[0])
 
     def test_match_mpmath(self):
-        # one batch mixing parameters, degrees and kinks, so that every group
+        # one batch mixing parameters, degrees and kinks, so that every case
         # must keep its own degree; checked against 30-digit tanh-sinh in x
-        cases = [
-            (lam, k, s) for lam in (0.5, 1.0, 1.5, 5.0, 21.0) for k in (2, 5, 10) for s in (-0.8, 0.0, 0.4, 0.8)
-        ]
+        # lam = 49, 74 and 99 are the cases of n = 100, 150 and 200, where
+        # kernel_moment_closed_form is decided by the brute force's rounding
+        lams = (0.5, 1.0, 1.5, 5.0, 21.0, 49.0, 74.0, 99.0)
+        cases = [(lam, k, s) for lam in lams for k in (2, 5, 10) for s in (-0.8, 0.0, 0.4, 0.8)]
         moments = _kernel_moment_quadrature(cases)
         values, estimates = moments.value, moments.error_estimate
         assert values.shape == estimates.shape == (len(cases),)
-        m = 4000
-        theta = (np.arange(m) + 0.5) * math.pi / m
-        t = np.cos(theta)
         with mpmath.workdps(30):
             for (lam, k, s), value, estimate in zip(cases, values.tolist(), estimates.tolist()):
                 mp_lam = mpmath.mpf(lam)
@@ -747,10 +745,29 @@ class TestKernelMomentQuadrature:
                     return abs(x - _s) * gegenbauer(x) * (1 - x * x) ** (_lam - 0.5)
 
                 oracle = mpmath.quad(moment, [-1, s, 1])
-                # the integral of |integrand| (midpoint rule in theta), only a tolerance scale
-                integrand = (t - s) * eval_gegenbauer(k, lam, t) * np.sin(theta) ** (2 * lam)
-                scale = math.pi / m * np.sum(np.abs(integrand))
-                assert abs(value - oracle) <= max(estimate, 1e-14 * scale), (lam, k, s)
+                assert abs(value - oracle) <= estimate, (lam, k, s)
+
+    def test_node_count_bounds_the_truncation(self):
+        # On a side of half-width h <= pi/2, m Gauss nodes err on a Fourier
+        # mode of frequency j <= d by at most h sqrt(2) times the remainder
+        # 2^(2m+1) (m!)^4 / ((2m+1) ((2m)!)^3) (d pi/2)^(2m) (of cos and sin
+        # after the map to [-1, 1]) times the mode's coefficient, and each
+        # of the 2 d coefficients is at most 1/pi of the integral of |f|
+        # over [0, pi].  Summed over both sides, _moment_nodes keeps that
+        # below 2^-53 of the integral for every degree d checked here; the
+        # rule's 9/8 d or more outgrows the e pi/8 d + O(log d) it needs.
+        degrees = np.arange(2.0, 4001.0)
+        for d, m in zip(degrees.tolist(), specfun._moment_nodes(degrees).tolist()):
+            assert m == 8 * math.ceil(9 * d / 64) + 16
+            log_remainder = (
+                (2 * m + 1) * math.log(2.0)
+                + 4 * math.lgamma(m + 1)
+                - math.log(2 * m + 1)
+                - 3 * math.lgamma(2 * m + 1)
+                + 2 * m * math.log(d * math.pi / 2)
+            )
+            # 2 sides, 2 d modes, h sqrt(2) <= pi / sqrt(2), coefficients <= 1/pi
+            assert log_remainder + math.log(2.0 * 2.0 * d / math.sqrt(2.0)) <= -53.0 * math.log(2.0), d
 
 
 class TestHeadMoments:
