@@ -61,33 +61,32 @@ def _cmd_constants(args):
 
 def _phi_values(n, rhos, method):
     if method == "quad":
-        return phi.phi_one_sided(n, rhos).value.tolist()
+        return phi.phi_one_sided(n, rhos).value
     if method == "series":
-        return [e.value for e in phi.phi_series(n, rhos)]
+        return phi.phi_series(n, rhos).value
     if method == "closed3":
         if n != 3:
             raise ValueError("method closed3 requires --n 3")
-        return [phi.phi3_closed(rho) for rho in rhos]
+        return np.array([phi.phi3_closed(rho) for rho in rhos.tolist()])
 
 
 def _cmd_phi_table(args):
     n = args.n
     if args.steps < 1:
         raise ValueError("phi-table requires --steps >= 1")
-    grid = np.linspace(0.0, 0.99, args.steps).tolist()
+    grid = np.linspace(0.0, 0.99, args.steps)
     h = 1e-5
     # every radius the table reads, in one call: rho, rho + h, |rho - h|
-    values = _phi_values(n, grid + [rho + h for rho in grid] + [abs(rho - h) for rho in grid], args.method)
-    steps = len(grid)
+    value, up, down = _phi_values(n, np.concatenate((grid, grid + h, np.abs(grid - h))), args.method).reshape(3, -1)
     summed = phi.phi_second_series(n, grid)
-    second_series = [e.value for e in summed]
-    second_closed = [e.value for e in phi.phi_second(n, grid, summed)]
-    rows = [
-        {"rho": rho, "phi": value, "dphi_fd": (up - down) / (2.0 * h), "d2phi_closed": closed, "d2phi_series": series}
-        for rho, value, up, down, closed, series in zip(
-            grid, values, values[steps:], values[2 * steps :], second_closed, second_series
-        )
-    ]
+    columns = {
+        "rho": grid,
+        "phi": value,
+        "dphi_fd": (up - down) / (2.0 * h),
+        "d2phi_closed": phi.phi_second(n, grid, summed).value,
+        "d2phi_series": summed.value,
+    }
+    rows = [dict(zip(columns, row)) for row in zip(*(column.tolist() for column in columns.values()))]
     return {"n": n, "rows": rows}, rows, 0
 
 

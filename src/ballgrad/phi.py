@@ -25,7 +25,7 @@ from . import quadrature, specfun
 from .errors import ConvergenceError, Evaluation, check_dim
 from .quadrature import integrate
 from .report import CheckResult, VerificationReport, extreme_check, worst_error_check
-from .specfun import _one_or_list, _pow_each, _radii
+from .specfun import _batch, _pow_each, _radii
 
 __all__ = [
     "phi_quad",
@@ -139,7 +139,7 @@ def phi_one_sided(n: int, rho) -> Evaluation:
     values *= c[:, 0] ** 2
     panels = _sided_bounds(n, radii[:, None], *tables)
     estimates = c[:, 0] ** 2 * quadrature.row_sums(panels, np.ones(panels.shape[1])) + 4.0 * (n + 8) * 2.0**-53 * values
-    return Evaluation(float(values[0]), float(estimates[0])) if single else Evaluation(values, estimates)
+    return _batch(single, values, estimates)
 
 
 @functools.lru_cache(maxsize=64)
@@ -217,16 +217,10 @@ def _series_radii(rho):
     )
 
 
-def _evaluations(single, values, estimates):
-    """One evaluation per radius, or the only one for a one-number call."""
-    evaluations = [Evaluation(v, e) for v, e in zip(values, estimates)]
-    return evaluations[0] if single else evaluations
-
-
 def _sum_series(n, rho, head, k0, lams, s, prefactors, coefficients, K):
     """Exact sums of ``head`` and the terms c_k rho^k, k = k0, k0 + 1, ...,
     at every radius of ``rho`` in dimension ``n``, and the magnitude of each
-    sum's first omitted term, as two lists.
+    sum's first omitted term, as two arrays.
 
     The Gegenbauer values C_j^(lam)(s) for the parameters ``lams`` enter
     degree k = k0 + j.  ``coefficients(k, c, p)`` forms c_k for a block of
@@ -278,10 +272,10 @@ def _sum_series(n, rho, head, k0, lams, s, prefactors, coefficients, K):
 
     with np.errstate(over="ignore", invalid="ignore"):
         values, omitted, _ = specfun._exact_sums(rho, head, _SERIES_PASS, blocks, None if K is not None else 1e-12)
-    return _finite("Gegenbauer series", n, "rho", rho, values).tolist(), omitted.tolist()
+    return _finite("Gegenbauer series", n, "rho", rho, values), omitted
 
 
-def phi_series(n: int, rho, K: int | None = None) -> Evaluation | list[Evaluation]:
+def phi_series(n: int, rho, K: int | None = None) -> Evaluation:
     """Profile value by the Gegenbauer expansion in powers of rho.
 
     With s = (n-2) rho / n, the degree-0 and degree-1 terms together are
@@ -294,9 +288,9 @@ def phi_series(n: int, rho, K: int | None = None) -> Evaluation | list[Evaluatio
     so this route runs no quadrature.  With ``K`` unset the sum stops
     adaptively; the reported error estimate is the first omitted term.
     ``K`` is the last degree summed, an integer in [0, 3000].  ``rho`` may
-    be one radius or a 1-D sequence of them; a sequence gives one
-    evaluation per radius, in input order, each equal to its one-radius
-    call (see :func:`_sum_series`).
+    be one radius or a 1-D sequence of them; a sequence gives an
+    :class:`Evaluation` of two arrays, in input order, each entry with the
+    bits of its one-radius call (see :func:`_sum_series`).
     """
     n = check_dim(n, 3)
     radii, single = _series_radii(rho)
@@ -310,7 +304,7 @@ def phi_series(n: int, rho, K: int | None = None) -> Evaluation | list[Evaluatio
     lams = np.array([0.5 * (n + 2)])
     head = 2.0 * wpow / (n - 1.0)
     values, omitted = _sum_series(n, radii, head, 2, lams, s, wpow[None, :], coefficients, K)
-    return _evaluations(single, values, omitted)
+    return _batch(single, values, omitted)
 
 
 def phi3_closed(rho: float) -> float:
@@ -361,15 +355,16 @@ def _factors(n, t):
     )
 
 
-def phi_second_closed(n: int, rho) -> Evaluation | list[Evaluation]:
+def phi_second_closed(n: int, rho) -> Evaluation:
     """Second derivative of the profile by the hypergeometric closed form.
 
     Valid for n >= 3 and rho above :data:`SECOND_CLOSED_RHO_MIN`; below that
     the 1/rho^2 prefactor against a vanishing brace loses too many digits
     and :func:`phi_second_series` is exact instead.  ``rho`` may be one
-    radius or a 1-D sequence of them; a sequence gives one evaluation per
-    radius, in input order, with every hypergeometric value from one
-    :func:`specfun.profile_hyp2f1` call, and one radius is a batch of one.
+    radius or a 1-D sequence of them; a sequence gives an
+    :class:`Evaluation` of two arrays, in input order, with every
+    hypergeometric value from one :func:`specfun.profile_hyp2f1` call, and
+    one radius is a batch of one.
     The estimate propagates rounding to first order, u = 2^-53: each factor
     1 - k t errs by at most 3u absolute (t = rho^2 included), varphi = t W / A
     by the sum of those relative errors, and F_n by its route's estimate
@@ -397,10 +392,10 @@ def phi_second_closed(n: int, rho) -> Evaluation | list[Evaluation]:
     f_rel = ec + ew + ee + (ew + ea + 3.0 * u) * ph / (1.0 - ph) + 2.0 * u
     bracket = abs(term1) * (eb + ea + 2.0 * u) + abs(term2) * f_rel + abs(cwe) * f.error_estimate
     est = abs(prefactor) * bracket + (0.5 * (n - 3) * ew + 0.5 * n * ea + 6.0 * u) * abs(value)
-    return _evaluations(single, value.tolist(), est.tolist())
+    return _batch(single, value, est)
 
 
-def phi_second_series(n: int, rho, K: int | None = None) -> Evaluation | list[Evaluation]:
+def phi_second_series(n: int, rho, K: int | None = None) -> Evaluation:
     """Second derivative of the profile by its three-part Gegenbauer series.
 
     The three series run over parameters (n-2)/2, n/2 and (n+2)/2 with
@@ -424,10 +419,10 @@ def phi_second_series(n: int, rho, K: int | None = None) -> Evaluation | list[Ev
 
     lams = np.array([0.5 * (n - 2), 0.5 * n, 0.5 * (n + 2)])
     values, omitted = _sum_series(n, radii, np.zeros(radii.size), 0, lams, s, prefactors, coefficients, K)
-    return _evaluations(single, values, omitted)
+    return _batch(single, values, omitted)
 
 
-def phi_second_fd(n: int, rho) -> Evaluation | list[Evaluation]:
+def phi_second_fd(n: int, rho) -> Evaluation:
     """Second derivative by a Richardson-extrapolated central difference of
     the one-sided profile route.
 
@@ -438,8 +433,8 @@ def phi_second_fd(n: int, rho) -> Evaluation | list[Evaluation]:
     :func:`phi_one_sided`, which takes the five abscissae of every radius in
     one call; the difference quotient amplifies their rounding by 4/h^2,
     which the estimate's floor covers.  ``rho`` may be one radius or a 1-D
-    sequence of them; a sequence gives one evaluation per radius, in input
-    order, and one radius is a batch of one.
+    sequence of them; a sequence gives an :class:`Evaluation` of two
+    arrays, in input order, and one radius is a batch of one.
     """
     n = check_dim(n, 3)
     step = _FD_STEP
@@ -452,35 +447,36 @@ def phi_second_fd(n: int, rho) -> Evaluation | list[Evaluation]:
     values = (4.0 * d_h2 - d_h) / 3.0
     noise = 16.0 * 1e-15 / (step * step)
     estimates = np.maximum(np.abs(d_h - d_h2) / 3.0, noise)
-    return _evaluations(single, values.tolist(), estimates.tolist())
+    return _batch(single, values, estimates)
 
 
-def phi_second(n: int, rho, series=None) -> Evaluation | list[Evaluation]:
+def phi_second(n: int, rho, series=None) -> Evaluation:
     """Second derivative of the profile by the closed form where it is well
     conditioned (rho above :data:`SECOND_CLOSED_RHO_MIN`), by the series at
     and below it, in every dimension n >= 3.
 
     ``rho`` may be one radius in [0, 1] or a 1-D sequence of them; a
-    sequence gives one evaluation per radius, in input order, from one
-    series call for its radii at or below the threshold and one closed call
-    for the rest.  A caller that holds :func:`phi_second_series` at the same
-    radii passes that list as ``series``: its entries at and below the
-    threshold, which have the bits of the series call they replace, are
-    taken as they are."""
+    sequence gives an :class:`Evaluation` of two arrays, in input order,
+    from one series call for its radii at or below the threshold and one
+    closed call for the rest.  A caller that holds the
+    :class:`Evaluation` of :func:`phi_second_series` at the same radii
+    passes it as ``series``: its entries at and below the threshold, which
+    have the bits of the series call they replace, are taken as they are."""
     radii, single = _radii(rho, lambda r: (0.0 <= r) & (r <= 1.0), "rho must lie in [0, 1]")
     closed = radii > SECOND_CLOSED_RHO_MIN
-    evaluations = [None] * radii.size if series is None else list(series)
-    if len(evaluations) != radii.size:
-        raise ValueError("series must hold one evaluation per radius")
-    routes = [(phi_second_closed, closed)]
     if series is None:
-        routes.insert(0, (phi_second_series, ~closed))
+        values, estimates = np.empty(radii.size), np.empty(radii.size)
+        routes = ((phi_second_series, ~closed), (phi_second_closed, closed))
+    else:
+        values, estimates = (np.array(x, dtype=float).reshape(-1) for x in (series.value, series.error_estimate))
+        if values.size != radii.size or estimates.size != radii.size:
+            raise ValueError("series must hold one evaluation per radius")
+        routes = ((phi_second_closed, closed),)
     for route, where in routes:
-        index = np.flatnonzero(where)
-        if index.size:
-            for i, e in zip(index.tolist(), route(n, radii[index])):
-                evaluations[i] = e
-    return evaluations[0] if single else evaluations
+        if where.any():
+            e = route(n, radii[where])
+            values[where], estimates[where] = e.value, e.error_estimate
+    return _batch(single, values, estimates)
 
 
 def _unit_points(t):
@@ -488,13 +484,13 @@ def _unit_points(t):
     return _radii(t, lambda x: (0.0 <= x) & (x <= 1.0), "t must lie in [0, 1]")
 
 
-def psi(n: int, t) -> float | list[float]:
+def psi(n: int, t) -> float | np.ndarray:
     """Difference whose sign settles the auxiliary inequality.
 
     Vanishes at t = 0; positive on (0, 1) for n >= 4 and negative for n = 3,
     mirroring the reversal of the inequality in dimension three.  ``t`` may
-    be one number or a 1-D sequence of them; a sequence gives a list in
-    input order, with every hypergeometric value from one
+    be one number or a 1-D sequence of them; a sequence gives a float64
+    array in input order, with every hypergeometric value from one
     :func:`specfun.profile_hyp2f1` call, and one number is a batch of one.
     A value that is not finite (from n = 400 on, its powers underflow to
     0/0 near t = 1) raises :class:`ConvergenceError`, with no numpy warning.
@@ -502,7 +498,7 @@ def psi(n: int, t) -> float | list[float]:
     n = check_dim(n, 3)
     ts, single = _unit_points(t)
     ph, f = _varphi_hyp2f1(n, ts)
-    return _one_or_list(_psi_from(n, ts, ph, f.value), single)
+    return _batch(single, _psi_from(n, ts, ph, f.value))
 
 
 def _varphi_hyp2f1(n, t):
@@ -572,7 +568,7 @@ def _gap_from(n, t, f_val):
         return _finite("technical gap", n, "t", t, f_val - (a * b) / (e * w * c))
 
 
-def technical_gap(n: int, t) -> float | list[float]:
+def technical_gap(n: int, t) -> float | np.ndarray:
     """Hypergeometric side minus rational side of the auxiliary inequality.
 
     Both sides equal 1 at t = 0; the gap is positive on (0, 1] for n >= 4
@@ -582,7 +578,7 @@ def technical_gap(n: int, t) -> float | list[float]:
     """
     n = check_dim(n, 3)
     ts, single = _unit_points(t)
-    return _one_or_list(_gap_from(n, ts, _varphi_hyp2f1(n, ts)[1].value), single)
+    return _batch(single, _gap_from(n, ts, _varphi_hyp2f1(n, ts)[1].value))
 
 
 def _label(var, points):
@@ -643,13 +639,9 @@ def verify_concavity(n: int) -> VerificationReport:
     grid = (np.arange(1, _SWEEP_POINTS + 1)) / (_SWEEP_POINTS + 1.0)
     agree_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     # the sweep and the closed route's agreement values in one routed call
-    second = [e.value for e in phi_second(n, grid.tolist() + agree_grid)]
+    second = phi_second(n, np.append(grid, agree_grid)).value
     values = second[: grid.size]
-    routes = [
-        [e.value for e in phi_second_series(n, agree_grid)],
-        [e.value for e in phi_second_fd(n, agree_grid)],
-        second[grid.size :],
-    ]
+    routes = np.stack((phi_second_series(n, agree_grid).value, phi_second_fd(n, agree_grid).value, second[grid.size :]))
 
     checks = [
         extreme_check(
@@ -661,10 +653,8 @@ def verify_concavity(n: int) -> VerificationReport:
         )
     ]
 
-    errors = []
-    for r, *at_r in zip(agree_grid, *routes):
-        errors.append((np.ptp(at_r) / np.max(np.abs(at_r)), f"rho={r}"))
-    checks.append(worst_error_check("route_agreement", errors, 1e-6))
+    spreads = np.ptp(routes, axis=0) / np.max(np.abs(routes), axis=0)
+    checks.append(worst_error_check("route_agreement", zip(spreads.tolist(), (f"rho={r}" for r in agree_grid)), 1e-6))
 
     return VerificationReport("concavity", n, tuple(checks))
 

@@ -178,9 +178,13 @@ def _radii(rho, valid, message):
     return radii, single
 
 
-def _one_or_list(values, single):
-    """The only value of an array for a one-number call, else a list."""
-    return float(values[0]) if single else values.tolist()
+def _batch(single, values, estimates=None):
+    """A batched route's result from its float64 arrays: for a one-number
+    call their only entries as Python floats, else the arrays, in an
+    :class:`Evaluation` where the route has ``estimates``."""
+    if estimates is None:
+        return float(values[0]) if single else values
+    return Evaluation(float(values[0]), float(estimates[0])) if single else Evaluation(values, estimates)
 
 
 @dataclass(frozen=True)
@@ -332,7 +336,7 @@ def _gauss_series_batch(params, z, rel_tol):
     return values
 
 
-def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> float | list[float]:
+def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> float | np.ndarray:
     """Gauss hypergeometric function for real parameters and argument z < 1.
 
     The power series is summed directly for z in [0, 1), where all in-scope
@@ -346,8 +350,8 @@ def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> fl
     Every call is summed as one batch (:func:`_gauss_series_batch`), each
     argument with its own parameters.  When ``inp.a``, ``inp.b``, ``inp.c``
     and ``inp.z`` are all numbers the result is a float; otherwise it is a
-    list of floats in input order, each equal to the call with that entry's
-    numbers.  ``rel_tol`` must be finite and positive.
+    float64 array in input order, each entry with the bits of the call with
+    that entry's numbers.  ``rel_tol`` must be finite and positive.
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be finite and positive")
@@ -361,9 +365,7 @@ def hyp2f1(inp: HypergeometricInput, rel_tol: float = DEFAULT_SERIES_RTOL) -> fl
         # one scalar pow per argument: numpy's vector pow rounds some differently
         mapped = zip(z[negative].tolist(), b[negative].tolist(), values[negative].tolist())
         values[negative] = [(1.0 - x) ** (-p) * v for x, p, v in mapped]
-    if any(isinstance(field, tuple) for field in fields):
-        return values.tolist()
-    return float(values[0])
+    return _batch(not any(isinstance(field, tuple) for field in fields), values)
 
 
 def profile_hyp2f1(n: int, z) -> Evaluation:
@@ -422,8 +424,7 @@ def profile_hyp2f1(n: int, z) -> Evaluation:
             wallis = (k - 1.0) * wallis / (k * y)
             partial = ((k - 1.0) * partial + s) / (k * y)
         values[~below] = (n - 1.0) * (wallis - partial) / s
-    estimates = steps + _PROFILE_ROUNDING * n * 2.0**-53 * np.abs(values)
-    return Evaluation(float(values[0]), float(estimates[0])) if single else Evaluation(values, estimates)
+    return _batch(single, values, steps + _PROFILE_ROUNDING * n * 2.0**-53 * np.abs(values))
 
 
 def _degrees_and_points(k, x, name):
@@ -440,7 +441,7 @@ def _degrees_and_points(k, x, name):
     return k, x, single_k and single_x
 
 
-def abs_kernel_coefficient(lam: float, k, s) -> float | list[float]:
+def abs_kernel_coefficient(lam: float, k, s) -> float | np.ndarray:
     """Weighted moment of |x - s| against one Gegenbauer polynomial.
 
     Returns the integral over [-1, 1] of
@@ -464,8 +465,8 @@ def abs_kernel_coefficient(lam: float, k, s) -> float | list[float]:
 
     ``k`` and ``s`` are each one number or a non-empty 1-D sequence
     (:func:`_degrees_and_points`).  Two numbers give a float, anything else
-    a list in input order, each entry equal to the call with its own
-    numbers; one value is a batch of one.
+    a float64 array in input order, each entry with the bits of the call
+    with its own numbers; one value is a batch of one.
     """
     if lam <= -0.5:
         raise ValueError("parameter must exceed -1/2")
@@ -478,7 +479,7 @@ def abs_kernel_coefficient(lam: float, k, s) -> float | list[float]:
     values = np.empty(s.size)
     values[~head] = coef * _pow_each(1.0 - s2 * s2, lam + 1.5) * _gegenbauer(lam + 2.0, k2.astype(int) - 2, s2)
     if not head.any():
-        return _one_or_list(values, single)
+        return _batch(single, values)
 
     s = s[head]
     w = 1.0 - s * s
@@ -494,10 +495,10 @@ def abs_kernel_coefficient(lam: float, k, s) -> float | list[float]:
     q = _pow_each(w, lam + 0.5) / (2.0 * lam + 1.0)
     zeroth, first = 2.0 * q + s * (b - 2.0 * p), 2.0 * lam / (2.0 * lam + 2.0) * (2.0 * p - b - 2.0 * s * q)
     values[head] = np.where(k[head] == 0.0, zeroth, first)
-    return _one_or_list(values, single)
+    return _batch(single, values)
 
 
-def gegenbauer_weighted_derivative(lam: float, k, x) -> float | list[float]:
+def gegenbauer_weighted_derivative(lam: float, k, x) -> float | np.ndarray:
     """d/dx of (1 - x^2)^(lam - 1/2) * C_k(x) for parameter ``lam`` != 1.
 
     Evaluated through the lowered-parameter identity
@@ -513,7 +514,7 @@ def gegenbauer_weighted_derivative(lam: float, k, x) -> float | list[float]:
     k, x, single = _degrees_and_points(k, x, "x")
     lead = -(k + 1.0) * (k + 2.0 * lam - 1.0) / (2.0 * (lam - 1.0))
     values = lead * _pow_each(1.0 - x * x, lam - 1.5) * _gegenbauer(lam - 1.0, k.astype(int) + 1, x)
-    return _one_or_list(values, single)
+    return _batch(single, values)
 
 
 # ---------------------------------------------------------------------------
@@ -581,25 +582,26 @@ def _rainville_check(n: int) -> CheckResult:
     args = [z * z * (x * x - 1.0) / (1.0 - x * z) ** 2 for x, z, _ in cases]
     f_vals = hyp2f1(HypergeometricInput(0.5 * nu, 0.5 * (nu + 1.0), lam + 0.5, args))
     errors = []
-    for (x, z, partial), f_val in zip(cases, f_vals):
+    for (x, z, partial), f_val in zip(cases, f_vals.tolist()):
         closed = 1.0 if z == 0.0 else (1.0 - x * z) ** (-nu) * f_val
         errors.append((abs(partial - closed), f"n={n},x={x:.2f},z={z}"))
     return worst_error_check("rainville_expansion", errors, 1e-9)
 
 
-def _pfaff_check(n: int) -> CheckResult:
+def _euler_check(n: int) -> CheckResult:
+    # DLMF 15.8.1, last form: F(a, b; c; z) = (1 - z)^(c-a-b) F(c-a, c-b; c; z).
+    # Both sides come from the direct series at z >= 0; the negative-argument
+    # transformation of hyp2f1 is exercised by the Rainville check.
     params = [(1.0, 0.5 * n, 0.5 * (n + 1.0)), (0.5, 1.5, 2.5), (2.0, 1.0, 3.5)]
-    cases = [(a, b, c, z) for a, b, c in params for z in np.linspace(0.0, 0.9, 10)]
+    cases = [(a, b, c, z) for a, b, c in params for z in np.linspace(0.0, 0.9, 10).tolist()]
     # every left side, then every transformed side, in one call
-    rows = [(a, b, c, float(z)) for a, b, c, z in cases] + [
-        (c - a, b, c, float(z / (z - 1.0))) for a, b, c, z in cases
-    ]
-    values = hyp2f1(HypergeometricInput(*zip(*rows)))
+    rows = cases + [(c - a, c - b, c, z) for a, b, c, z in cases]
+    lhs, image = hyp2f1(HypergeometricInput(*zip(*rows))).reshape(2, -1).tolist()
     errors = []
-    for (a, b, c, z), lhs, image in zip(cases, values, values[len(cases) :]):
-        rhs = lhs if z == 0.0 else (1.0 - z) ** (-b) * image
-        errors.append((abs(lhs - rhs) / abs(lhs), f"a={a},b={b},c={c},z={z:.2f}"))
-    return worst_error_check("pfaff_transformation", errors, 1e-12)
+    for (a, b, c, z), left, right in zip(cases, lhs, image):
+        rhs = (1.0 - z) ** (c - a - b) * right
+        errors.append((abs(left - rhs) / abs(left), f"a={a},b={b},c={c},z={z:.2f}"))
+    return worst_error_check("euler_transformation", errors, 1e-12)
 
 
 def _contiguous_check(n: int) -> CheckResult:
@@ -609,8 +611,7 @@ def _contiguous_check(n: int) -> CheckResult:
     tight = 1e-15  # the two sides cancel near z = 1, so sum well past the check tolerance
     values = hyp2f1(HypergeometricInput(*zip(*rows)), tight)
     errors = []
-    for i, z in enumerate(zs):
-        raised, lowered, plain = values[3 * i : 3 * i + 3]
+    for z, (raised, lowered, plain) in zip(zs, values.reshape(-1, 3).tolist()):
         lhs = (c - b) * z * raised
         rhs = c * lowered - c * (1.0 - z) * plain
         errors.append((abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0), f"z={z:.2f}"))
@@ -664,11 +665,9 @@ def _kernel_moment_check(n: int) -> CheckResult:
     cases = [(lam, k, s) for lam in lams for k, s in zip(ks.tolist(), kinks.tolist())]
     brute = _kernel_moment_quadrature(cases).value
     # one closed-form call per parameter, over all its degrees and kinks
-    closed = [value for lam in lams for value in abs_kernel_coefficient(lam, ks, kinks)]
-    errors = [
-        (abs(value - oracle), f"lam={lam},k={k},s={s:.2f}")
-        for (lam, k, s), value, oracle in zip(cases, closed, brute.tolist())
-    ]
+    closed = np.concatenate([abs_kernel_coefficient(lam, ks, kinks) for lam in lams])
+    errors = np.abs(closed - brute).tolist()
+    errors = [(error, f"lam={lam},k={k},s={s:.2f}") for (lam, k, s), error in zip(cases, errors)]
     return worst_error_check("kernel_moment_closed_form", errors, 1e-9)
 
 
@@ -677,7 +676,7 @@ def _weighted_derivative_check(n: int) -> CheckResult:
     h = 1e-5
     ks, xs = np.repeat(np.arange(6), 5), np.tile(np.linspace(-0.8, 0.8, 5), 6)
     for lam in sorted({0.5, 2.0, 3.0, 0.5 * (n - 2)} - {1.0}):  # the identity excludes lam = 1
-        values = gegenbauer_weighted_derivative(lam, ks, xs)
+        values = gegenbauer_weighted_derivative(lam, ks, xs).tolist()
         # the weighted polynomial at every x + h, then at every x - h
         t = np.concatenate((xs + h, xs - h))
         weighted = (_pow_each(1.0 - t * t, lam - 0.5) * _gegenbauer(lam, np.tile(ks, 2), t)).tolist()
@@ -695,8 +694,7 @@ def _hyp_derivative_check(n: int) -> CheckResult:
     rows = [row for a, b, c, z in cases for row in ((a, b, c, z + h), (a, b, c, z - h), (a - 1.0, b, c, z))]
     values = hyp2f1(HypergeometricInput(*zip(*rows)))
     errors = []
-    for i, (a, b, c, z) in enumerate(cases):
-        ahead, behind, lowered = values[3 * i : 3 * i + 3]
+    for (a, b, c, z), (ahead, behind, lowered) in zip(cases, values.reshape(-1, 3).tolist()):
 
         def lhs(t, f_val):
             return t ** (c - a) * (1.0 - t) ** (a + b - c) * f_val
@@ -713,7 +711,7 @@ def verify_identities(n: int) -> VerificationReport:
     checks = (
         _generating_relation_check(),
         _rainville_check(n),
-        _pfaff_check(n),
+        _euler_check(n),
         _contiguous_check(n),
         _kernel_moment_check(n),
         _weighted_derivative_check(n),

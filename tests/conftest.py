@@ -8,9 +8,9 @@ import pytest
 
 @pytest.fixture
 def traced_growth():
-    """``measure(call, warm_up)``: the result of ``call()`` and how far the
-    memory it held rose above what it still holds when it returns, by
-    ``tracemalloc``.
+    """``measure(call, warm_up)``: the result of ``call()`` and the peak of
+    the memory it held, above what was held when it started, by
+    ``tracemalloc``: what the call still holds when it returns counts too.
 
     ``warm_up()`` runs first, untraced, under a no-op profile hook; it
     should run the same functions as ``call`` on a small input.  tracemalloc
@@ -29,9 +29,9 @@ def traced_growth():
         tracemalloc.start()
         try:
             result = call()
-            held, peak = tracemalloc.get_traced_memory()
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return result, peak - held
+        return result, peak
 
     return measure

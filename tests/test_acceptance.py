@@ -94,7 +94,7 @@ def test_criterion_04_concavity():
     worst = -math.inf
     grid = np.arange(1, 1002) / 1002.0
     for n in range(4, 13):
-        worst = max(worst, *(e.value for e in phi_second(n, grid)))
+        worst = max(worst, *phi_second(n, grid).value.tolist())
     origin3 = phi_second_series(3, 0.0).value
     rel3 = abs(origin3 - 1.0 / 18.0) / (1.0 / 18.0)
     ok = worst <= -1e-12 and rel3 <= 1e-10

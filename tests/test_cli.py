@@ -256,7 +256,7 @@ class TestVerify:
         3: [
             ("generating_relation", True, False, 1.2168044349891716e-13, "lam=0.5,x=0.90,z=0.5"),
             ("rainville_expansion", True, False, 5.719869022868806e-13, "n=4,x=0.95,z=0.8"),
-            ("pfaff_transformation", True, False, 2.7856752943701177e-16, "a=2.0,b=1.0,c=3.5,z=0.60"),
+            ("euler_transformation", True, False, 1.0294495440059015e-13, "a=0.5,b=1.5,c=2.5,z=0.90"),
             ("contiguous_relation", True, False, 1.282274680535334e-14, "z=0.90"),
             ("kernel_moment_closed_form", True, False, None, "lam=1.5,k=8,s=0.40"),
             ("weighted_derivative_identity", True, False, 2.2876017478560362e-08, "lam=3.0,k=4,x=-0.80"),
@@ -265,7 +265,7 @@ class TestVerify:
         4: [
             ("generating_relation", True, False, 1.2168044349891716e-13, "lam=0.5,x=0.90,z=0.5"),
             ("rainville_expansion", True, False, 5.719869022868806e-13, "n=4,x=0.95,z=0.8"),
-            ("pfaff_transformation", True, False, 2.7856752943701177e-16, "a=2.0,b=1.0,c=3.5,z=0.60"),
+            ("euler_transformation", True, False, 1.0294495440059015e-13, "a=0.5,b=1.5,c=2.5,z=0.90"),
             ("contiguous_relation", True, False, 1.4278418729689958e-14, "z=0.90"),
             ("kernel_moment_closed_form", True, False, None, "lam=1.5,k=8,s=0.40"),
             ("weighted_derivative_identity", True, False, 2.2876017478560362e-08, "lam=3.0,k=4,x=-0.80"),
@@ -274,7 +274,7 @@ class TestVerify:
         12: [
             ("generating_relation", True, False, 1.2168044349891716e-13, "lam=0.5,x=0.90,z=0.5"),
             ("rainville_expansion", True, False, 5.6843418860808015e-11, "n=8,x=0.95,z=0.8"),
-            ("pfaff_transformation", True, False, 7.815119312043219e-16, "a=1.0,b=6.0,c=6.5,z=0.60"),
+            ("euler_transformation", True, False, 1.0294495440059015e-13, "a=0.5,b=1.5,c=2.5,z=0.90"),
             ("contiguous_relation", True, False, 2.2479763501681164e-14, "z=0.90"),
             ("kernel_moment_closed_form", True, False, None, "lam=5.0,k=9,s=-0.80"),
             ("weighted_derivative_identity", True, False, 2.2876017478560362e-08, "lam=3.0,k=4,x=-0.80"),

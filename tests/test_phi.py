@@ -126,6 +126,25 @@ def _recorded(name, n):
     return [tuple(map(float.fromhex, pair)) for pair in SERIES_FIXTURE[name][str(n)]]
 
 
+def _entries(batch):
+    """The entries of an :class:`Evaluation` of two arrays, in order, each
+    an :class:`Evaluation` of floats."""
+    return [Evaluation(v, e) for v, e in zip(batch.value.tolist(), batch.error_estimate.tolist())]
+
+
+# One pass of series terms, 1.54 MB: 64 radii (phi._SERIES_PASS) by at most
+# 3,002 terms (phi._ADAPTIVE_CAP + 2) of 8 B.  Written out, so that a larger
+# pass, patched or edited, fails the memory test rather than move its bound.
+_ONE_PASS_BYTES = 64 * 3_002 * 8
+
+
+def _series_memory_bound(size):
+    """Peak memory allowed to a series batch of ``size`` radii: one pass of
+    terms and 32 float64 per radius for the batch's own arrays (its radii,
+    factors, prefactors, sums, estimates and sort order)."""
+    return _ONE_PASS_BYTES + 32 * 8 * size
+
+
 class TestBatchedSeries:
     """Both series take a sequence of radii; every entry must be the value
     and estimate of its one-radius call, which in turn are those of the
@@ -134,7 +153,7 @@ class TestBatchedSeries:
     @pytest.mark.parametrize("n", [3, 4, 12, 44])
     def test_second_series_is_bit_identical_to_the_recorded_loop(self, n):
         recorded = _recorded("phi_second_series", n)
-        batch = phi_second_series(n, FIXTURE_RADII)
+        batch = _entries(phi_second_series(n, FIXTURE_RADII))
         assert [(e.value, e.error_estimate) for e in batch] == recorded
         for rho, pair in zip(FIXTURE_RADII[::7], recorded[::7]):
             single = phi_second_series(n, rho)
@@ -144,16 +163,10 @@ class TestBatchedSeries:
     def test_series_moves_only_by_the_factored_head(self, n):
         # the head is now 2 (1 - s^2)^((n+1)/2) / (n - 1) instead of a
         # difference of moments; the tail and its stopping degree are as before
-        batch = phi_series(n, FIXTURE_RADII)
+        batch = _entries(phi_series(n, FIXTURE_RADII))
         for rho, e, (value, estimate) in zip(FIXTURE_RADII, batch, _recorded("phi_series", n)):
             assert e.error_estimate == estimate, rho
             assert abs(e.value - value) <= 4.4e-16, rho
-
-    def test_one_number_gives_one_evaluation(self):
-        single = phi_second_series(4, 0.5)
-        (batched,) = phi_second_series(4, [0.5])
-        assert single == batched
-        assert isinstance(single.value, float)
 
     @pytest.mark.parametrize("fn", [phi_series, phi_second_series])
     @pytest.mark.parametrize("rhos", [[], np.zeros((2, 2)), [0.5, math.nan], [0.2, 1.0], [0.2, 1.5], [-0.1]])
@@ -161,13 +174,23 @@ class TestBatchedSeries:
         with pytest.raises(ValueError):
             fn(4, rhos)
 
-    def test_memory_stays_bounded(self, traced_growth):
+    @pytest.mark.parametrize("size", [2_500, 10_000])
+    def test_memory_stays_bounded(self, traced_growth, size):
         # passes of 64 radii hold their terms until each radius stops; a
-        # long sequence must not hold more than about one pass at a time
-        radii = np.linspace(0.0, 0.999, 10_000)
-        result, growth = traced_growth(lambda: phi_second_series(3, radii), lambda: phi_second_series(3, [0.5]))
-        assert len(result) == radii.size
-        assert growth < 2_000_000
+        # long sequence must not hold more than about one pass at a time,
+        # at either size (peaks measured: 1.67 and 3.30 MB)
+        radii = np.linspace(0.0, 0.999, size)
+        result, peak = traced_growth(lambda: phi_second_series(3, radii), lambda: phi_second_series(3, [0.5]))
+        assert result.value.size == size
+        assert peak < _series_memory_bound(size)
+
+    def test_memory_bound_catches_one_pass_for_all(self, monkeypatch, traced_growth):
+        # the bound above is tight enough to fail a batch summed in one pass
+        # (its peak is 15.2 MB)
+        monkeypatch.setattr(phi_module, "_SERIES_PASS", 2_500)
+        radii = np.linspace(0.0, 0.999, 2_500)
+        _, peak = traced_growth(lambda: phi_second_series(3, radii), lambda: phi_second_series(3, [0.5]))
+        assert peak > _series_memory_bound(radii.size)
 
     @pytest.mark.parametrize("fn", [phi_series, phi_second_series])
     @pytest.mark.parametrize("K", [-1, 1.5, True, False, math.nan, math.inf, -math.inf, 3001, 10**9])
@@ -180,7 +203,7 @@ class TestBatchedSeries:
     @pytest.mark.parametrize("fn", [phi_series, phi_second_series])
     def test_accepts_truncation_degrees_up_to_the_cap(self, fn):
         assert fn(4, 0.5, K=np.int64(5)) == fn(4, 0.5, K=5.0) == fn(4, 0.5, K=5)
-        assert fn(4, [0.0, 0.2, 0.9], K=3000) == fn(4, [0.0, 0.2, 0.9], K=3000.0)
+        assert _entries(fn(4, [0.0, 0.2, 0.9], K=3000)) == _entries(fn(4, [0.0, 0.2, 0.9], K=3000.0))
 
 
 # the origin, radii at the 3000-degree cap at n = 12, and radii that stop
@@ -200,7 +223,7 @@ def test_entries_do_not_depend_on_pass_size_or_block_cap(monkeypatch, n):
         monkeypatch.setattr(phi_module, "_SERIES_PASS", per_pass)
         monkeypatch.setattr(specfun, "_GEGENBAUER_BLOCK", cap)
         for fn, pairs in expected.items():
-            batch = fn(n, LAYOUT_RADII)
+            batch = _entries(fn(n, LAYOUT_RADII))
             assert [(e.value.hex(), e.error_estimate.hex()) for e in batch] == pairs, (fn.__name__, per_pass, cap)
 
 
@@ -247,7 +270,7 @@ BOUNDARY_STOPS = {
 def test_stops_on_a_block_boundary(fn, n):
     recorded = BOUNDARY_STOPS[(fn, n)]
     radii = list(recorded)
-    for evaluations in ([fn(n, rho) for rho in radii], fn(n, radii)):
+    for evaluations in ([fn(n, rho) for rho in radii], _entries(fn(n, radii))):
         assert [(e.value.hex(), e.error_estimate.hex()) for e in evaluations] == list(recorded.values())
 
 
@@ -290,7 +313,7 @@ def test_batch_entries_equal_their_one_radius_calls(n, rhos, K, second, rng):
     fn = phi_second_series if second else phi_series
     radii = [*rhos, *rhos[:3], 0.0]
     rng.shuffle(radii)
-    batch = fn(n, radii, K=K)
+    batch = _entries(fn(n, radii, K=K))
     assert len(batch) == len(radii)
     for rho, e in zip(radii, batch):
         single = fn(n, rho, K=K)
@@ -309,7 +332,7 @@ def test_closed_batch_entries_equal_their_one_radius_calls(n, rhos, rng):
     # come from one batched profile_hyp2f1 call
     radii = [*rhos, *rhos[:3]]
     rng.shuffle(radii)
-    batch = phi_second_closed(n, radii)
+    batch = _entries(phi_second_closed(n, radii))
     assert len(batch) == len(radii)
     for rho, e in zip(radii, batch):
         single = phi_second_closed(n, rho)
@@ -318,7 +341,7 @@ def test_closed_batch_entries_equal_their_one_radius_calls(n, rhos, rng):
 
 @pytest.mark.parametrize("n", [3, 4, 12])
 def test_second_router_takes_the_callers_series(monkeypatch, n):
-    # phi-table's case: the series list it already summed serves the radii
+    # phi-table's case: the series batch it already summed serves the radii
     # at and below the threshold, with the bits of phi_second's own call,
     # and no second series is summed
     radii = [0.5, 0.0, SECOND_CLOSED_RHO_MIN, 0.99, 5e-4]
@@ -328,9 +351,9 @@ def test_second_router_takes_the_callers_series(monkeypatch, n):
         raise AssertionError("phi_second summed the series again")
 
     monkeypatch.setattr(phi_module, "phi_second_series", refuse)
-    assert phi_second(n, radii, summed) == expected
+    assert _entries(phi_second(n, radii, summed)) == _entries(expected)
     with pytest.raises(ValueError):
-        phi_second(n, radii, summed[:-1])
+        phi_second(n, radii, Evaluation(summed.value[:-1], summed.error_estimate[:-1]))
 
 
 class TestPhi3Closed:
@@ -408,16 +431,10 @@ class TestSecondDerivative:
         with pytest.raises(ValueError):
             phi_second_closed(4, rhos)
 
-    def test_closed_one_number_gives_one_evaluation(self):
-        single = phi_second_closed(4, 0.5)
-        (batched,) = phi_second_closed(4, [0.5])
-        assert single == batched
-        assert isinstance(single.value, float) and isinstance(single.error_estimate, float)
-
     def test_closed_matches_mpmath_n3(self):
         # one batched call, geometric near SECOND_CLOSED_RHO_MIN and linear up to 1
         radii = [*(SECOND_CLOSED_RHO_MIN * np.geomspace(1.01, 100.0, 20)), *np.linspace(0.1, 1.0, 41)[1:]]
-        for rho, e in zip(radii, phi_second_closed(3, radii)):
+        for rho, e in zip(radii, _entries(phi_second_closed(3, radii))):
             assert abs(e.value - _phi3_second_exact(rho)) <= e.error_estimate
 
     def test_routing_n3(self):
@@ -430,7 +447,7 @@ class TestSecondDerivative:
     def test_router_sequence_equals_its_one_radius_calls(self, n):
         # unsorted, with duplicates, the origin, the threshold and rho = 1
         radii = [0.5, SECOND_CLOSED_RHO_MIN, 0.0, 1.0, 0.999, 1e-4, 0.5, 0.0010000000000000002, 0.0]
-        routed = phi_second(n, radii)
+        routed = _entries(phi_second(n, radii))
         assert len(routed) == len(radii)
         for rho, e in zip(radii, routed):
             assert e == phi_second(n, rho)
@@ -486,7 +503,7 @@ class TestFiniteDifferenceRoute:
     @pytest.mark.usefixtures("fd_tight")
     def test_matches_the_adaptive_route(self, n):
         radii = [i / 20 for i in range(20)]
-        for rho, e in zip(radii, phi_second_fd(n, radii)):
+        for rho, e in zip(radii, _entries(phi_second_fd(n, radii))):
             value, estimate = _adaptive_fd(n, rho)
             assert abs(e.value - value) <= min(e.error_estimate, estimate)
 
@@ -506,15 +523,8 @@ class TestFiniteDifferenceRoute:
         # one-sided values hold up to rho + h = 1.  The largest error seen
         # was 0.3 of the two estimates' sum
         radii = [0.05, 0.3, 0.6, 0.9, 0.95, 0.99, 0.995, 0.998, 0.999]
-        for rho, fd, closed in zip(radii, phi_second_fd(n, radii), phi_second_closed(n, radii)):
+        for rho, fd, closed in zip(radii, _entries(phi_second_fd(n, radii)), _entries(phi_second_closed(n, radii))):
             assert abs(fd.value - closed.value) <= fd.error_estimate + closed.error_estimate, rho
-
-    def test_one_radius_is_a_batch_of_one(self):
-        for n, rho in ((3, 0.0), (3, 0.3), (4, 0.5), (44, 0.99)):
-            single = phi_second_fd(n, rho)
-            (batched,) = phi_second_fd(n, [rho])
-            assert single == batched
-            assert isinstance(single.value, float) and isinstance(single.error_estimate, float)
 
     @pytest.mark.parametrize(
         "rhos", [[], np.full((2, 2), 0.5), [0.5, math.nan], [0.5, -0.1], [0.5, 0.9995], 0.9995, -0.1]
@@ -544,7 +554,7 @@ def test_fd_batch_entries_agree_with_their_one_radius_calls(n, rhos, rng):
     # difference quotients, which magnify its last bits by 4/h^2, are too
     radii = [*rhos, *rhos[:2]]
     rng.shuffle(radii)
-    batch = phi_second_fd(n, radii)
+    batch = _entries(phi_second_fd(n, radii))
     assert len(batch) == len(radii)
     for rho, e in zip(radii, batch):
         assert e == phi_second_fd(n, rho)
@@ -632,11 +642,6 @@ class TestPhiOneSided:
         result = phi_one_sided(n, [rho])
         (value,), (estimate,) = result.value, result.error_estimate
         assert abs(value - float(_profile_40_digits(n, rho))) <= estimate <= 1e-13
-
-    def test_one_radius_gives_floats(self):
-        result = phi_one_sided(4, 0.5)
-        assert isinstance(result.value, float) and isinstance(result.error_estimate, float)
-        assert result == Evaluation(*(float(v[0]) for v in dataclasses.astuple(phi_one_sided(4, [0.5]))))
 
     @pytest.mark.parametrize("n", [2, 1001, 4.5, True, math.nan])
     def test_rejects_bad_dimensions(self, n):
@@ -782,7 +787,7 @@ class TestAuxiliaryReduction:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 12, 44])
     def test_closed_second_derivative_is_the_scaled_gap(self, n):
-        for rho, closed in zip(self.RADII, phi_second_closed(n, self.RADII)):
+        for rho, closed in zip(self.RADII, _entries(phi_second_closed(n, self.RADII))):
             t = rho * rho
             a = 1.0 - (n - 4.0) * t / n
             w = 1.0 - (n - 2.0) ** 2 * t / (n * n)
@@ -844,9 +849,10 @@ class TestVerifyConcavity:
     @staticmethod
     def _with_nan(route, at):
         def routed(n, rho):
-            evaluations = route(n, rho)
-            evaluations[at] = dataclasses.replace(evaluations[at], value=math.nan)
-            return evaluations
+            result = route(n, rho)
+            value = result.value.copy()
+            value[at] = math.nan
+            return dataclasses.replace(result, value=value)
 
         return routed
 

@@ -220,11 +220,8 @@ def test_series_and_table_do_not_depend_on_the_narrow_cut(monkeypatch, capsys):
     outputs = []
     for cut in (specfun._GEGENBAUER_NARROW, 0, 10**9):
         monkeypatch.setattr(specfun, "_GEGENBAUER_NARROW", cut)
-        runs = [
-            [(e.value.hex(), e.error_estimate.hex()) for e in fn(n, radii)]
-            for fn in (phi_series, phi_second_series)
-            for n in (3, 4, 12)
-        ]
+        runs = [fn(n, radii) for fn in (phi_series, phi_second_series) for n in (3, 4, 12)]
+        runs = [(batch.value.tobytes(), batch.error_estimate.tobytes()) for batch in runs]
         runs.append([fn(4, 0.5).value.hex() for fn in (phi_series, phi_second_series)])
         for n in (3, 4, 12):
             for method in ("quad", "series"):
@@ -369,11 +366,6 @@ class TestProfileHyp2F1:
             result = profile_hyp2f1(n, 0.0)
             assert result.value == 1.0 and 0.0 < result.error_estimate < 1e-12
 
-    def test_one_argument_gives_floats_and_a_sequence_arrays(self):
-        single, batch = profile_hyp2f1(5, 0.5), profile_hyp2f1(5, [0.5])
-        assert type(single.value) is float and type(single.error_estimate) is float
-        assert isinstance(batch.value, np.ndarray) and batch.value.shape == (1,)
-
     @pytest.mark.parametrize("n", [2, 3.5, True, math.nan, math.inf, -4])
     def test_bad_dimension_rejected(self, n):
         with pytest.raises(ValueError, match="dimension"):
@@ -436,15 +428,15 @@ class TestBatchedHyp2F1:
     """Every call is summed as one batch; every entry must be the value the
     one-argument scalar loop gave (``hyp2f1_fixture.json``), bit for bit."""
 
-    def test_sequence_gives_a_list_in_input_order(self):
+    def test_sequence_gives_an_array_in_input_order(self):
         zs = np.array([0.5, -2.0, 0.0, 0.25])
         inp = HypergeometricInput(1.0, 2.0, 2.5, zs)
         assert inp.z == (0.5, -2.0, 0.0, 0.25)
         values = hyp2f1(inp)
-        assert isinstance(values, list) and all(isinstance(v, float) for v in values)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64 and values.shape == (4,)
         recorded = RECORDED[(1.0, 2.0, 2.5, DEFAULT_SERIES_RTOL)]
-        assert [v.hex() for v in values] == [recorded[z].hex() for z in zs.tolist()]
-        assert hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, [0.5])) == [values[0]]
+        assert [v.hex() for v in values.tolist()] == [recorded[z].hex() for z in zs.tolist()]
+        assert hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, [0.5])).tobytes() == values[:1].tobytes()
 
     def test_four_numbers_give_a_float(self):
         value = hyp2f1(HypergeometricInput(1.0, 2.0, 2.5, -2.0))
@@ -489,7 +481,8 @@ class TestBatchedHyp2F1:
     def test_numbers_stand_for_every_entry(self):
         inp = HypergeometricInput([1.0, 2.0], 1.5, np.float64(3.0), [0.1, 0.7])
         assert (inp.a, inp.b, inp.c, inp.z) == ((1.0, 2.0), 1.5, 3.0, (0.1, 0.7))
-        assert hyp2f1(inp) == [hyp2f1(HypergeometricInput(a, 1.5, 3.0, z)) for a, z in [(1.0, 0.1), (2.0, 0.7)]]
+        entries = [hyp2f1(HypergeometricInput(a, 1.5, 3.0, z)) for a, z in [(1.0, 0.1), (2.0, 0.7)]]
+        assert hyp2f1(inp).tolist() == entries
 
     def test_convergence_failure_matches_the_scalar_call(self):
         recorded = HYP_FIXTURE["convergence_error"]
@@ -711,9 +704,8 @@ class TestKernelMomentQuadrature:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 12, 44])
     def test_entries_equal_their_one_case_calls(self, n):
-        # the cases of the identities sweep, each a group of one
-        # quadrature.kink_integrals call: every value and estimate must have
-        # the bits of the case's own call
+        # the cases of the identities sweep, all in one call: every value
+        # and estimate must have the bits of the case's own one-case call
         lams = sorted({0.5, 1.5, 0.5 * (n - 2)})
         cases = [(lam, k, s) for lam in lams for k in range(2, 11) for s in np.linspace(-0.8, 0.8, 5).tolist()]
         moments = _kernel_moment_quadrature(cases)
@@ -993,9 +985,27 @@ def test_identity_suite_passes():
     assert {c.name for c in report.checks} == {
         "generating_relation",
         "rainville_expansion",
-        "pfaff_transformation",
+        "euler_transformation",
         "contiguous_relation",
         "kernel_moment_closed_form",
         "weighted_derivative_identity",
         "hypergeometric_derivative_identity",
     }
+
+
+@pytest.mark.parametrize("mutant", ["sum", "parameter"])
+def test_euler_transformation_fails_a_wrong_gauss_series(monkeypatch, mutant):
+    # hyp2f1 maps every z < 0 into [0, 1) by the Pfaff transformation, so a
+    # Pfaff check compares the series with itself; both sides of Euler's are
+    # direct series with other parameters, and a wrong series fails it
+    series = specfun._gauss_series_batch
+
+    def wrong(params, z, rel_tol):
+        if mutant == "sum":
+            return series(params, z, rel_tol) + 1e-9
+        return series(params * np.array([[1.0], [1.0 + 1e-9], [1.0]]), z, rel_tol)
+
+    assert specfun._euler_check(4).passed
+    monkeypatch.setattr(specfun, "_gauss_series_batch", wrong)
+    check = specfun._euler_check(4)
+    assert check.name == "euler_transformation" and not check.passed and check.worst_margin > 1e-10
